@@ -26,14 +26,13 @@ one point per ``{scenario, algorithm, served, wall_s, workers, scale}``.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
-from repro.util.atomic import atomic_write_text
+from repro.obs.bench import load_trajectory_points, make_point, write_trajectory
 from repro.util.tables import format_table
 from repro.workload.scenarios import paper_scenario
 
@@ -88,48 +87,18 @@ class FigureReport:
         return "\n\n".join(blocks)
 
 
-#: Every trajectory point carries exactly these keys; metrics a bench did
-#: not measure are explicit ``None``, never absent.
-POINT_FIELDS = (
-    "scenario", "algorithm", "served", "wall_s", "workers", "scale",
-    "speedup", "subsets_evaluated", "subsets_bound_skipped",
-    "context_build_s", "bound_pass_ms", "gain_matrix_ms", "peak_rss_mb",
-)
-
-
-def normalize_point(point: dict) -> dict:
-    """Project ``point`` onto the full :data:`POINT_FIELDS` schema.
-
-    Unknown extra keys are kept (after the canonical columns) so a future
-    bench can grow the schema without silently dropping data."""
-    out = {name: point.get(name) for name in POINT_FIELDS}
-    for key, value in point.items():
-        if key not in out:
-            out[key] = value
-    return out
-
-
 class PerfTrajectory:
     """Machine-readable perf points for the appro_alg engine.
 
     Each point is one measured run: ``scenario`` (a short free-form label
     like ``"fig4:K=20"``), ``algorithm`` (``"approAlg"``,
     ``"approAlg+parallel"``, ``"context-build"``, ...), ``served``,
-    ``wall_s``, ``workers``, and ``scale``.  Extra keys (``speedup``,
-    ``subsets_evaluated``) are preserved as-is.
-
-    Points are normalized to one schema (:data:`POINT_FIELDS`): every
-    point carries the full key set, with ``None`` standing in for metrics
-    a given bench did not measure.  Consumers (``repro perf-diff``,
-    plotting scripts) can then index columns without per-point
-    ``.get(...)`` defensive code.
-
-    At session end the trajectory is *merged* into the existing
-    ``BENCH_approx.json`` (a point replaces an earlier one with the same
-    ``(scenario, algorithm, workers, scale)`` key, new points append), so
-    running a subset of the benches refreshes just those points instead of
-    wiping the rest — the historical failure mode was an empty ``[]``
-    file after a session that recorded nothing.
+    ``wall_s``, ``workers``, and ``scale``, normalized to the one point
+    schema of :mod:`repro.obs.bench` (extra keys such as ``speedup`` are
+    kept).  At session end the points are *merged* into the existing
+    ``BENCH_approx.json`` by the same :func:`repro.obs.bench.merge_points`
+    the CLI's ``--record-bench`` uses, so running a subset of the benches
+    refreshes just those points instead of wiping the rest.
     """
 
     def __init__(self) -> None:
@@ -138,42 +107,9 @@ class PerfTrajectory:
     def record(self, scenario: str, algorithm: str, served: int,
                wall_s: float, workers: int = 1,
                scale: str = BENCH_SCALE, **extra: object) -> None:
-        self.points.append(normalize_point({
-            "scenario": scenario,
-            "algorithm": algorithm,
-            "served": int(served),
-            "wall_s": round(float(wall_s), 4),
-            "workers": int(workers),
-            "scale": scale,
-            **extra,
-        }))
-
-    @staticmethod
-    def _key(point: dict) -> tuple:
-        return (point.get("scenario"), point.get("algorithm"),
-                point.get("workers"), point.get("scale"))
-
-    def merged_with(self, existing: list) -> list:
-        """Existing file points updated/extended by this session's."""
-        merged = {self._key(p): normalize_point(p) for p in existing}
-        for point in self.points:
-            merged[self._key(point)] = point
-        return list(merged.values())
-
-    def dump(self, existing: "list | None" = None) -> str:
-        points = self.merged_with(existing or [])
-        return json.dumps({"points": points}, indent=2)
-
-
-def _existing_trajectory_points(path: Path) -> list:
-    """Points already on disk; tolerates a missing, empty, or corrupt
-    file (the merge must never block a bench session from flushing)."""
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return []
-    points = data.get("points") if isinstance(data, dict) else None
-    return points if isinstance(points, list) else []
+        self.points.append(make_point(
+            scenario, algorithm, served, wall_s, workers, scale, **extra
+        ))
 
 
 _report = FigureReport()
@@ -192,14 +128,14 @@ def perf_trajectory() -> PerfTrajectory:
 
 def pytest_sessionfinish(session, exitstatus):
     if _trajectory.points:
-        existing = _existing_trajectory_points(TRAJECTORY_PATH)
+        existing = load_trajectory_points(TRAJECTORY_PATH)
         # Atomic flush: an interrupted bench session must not truncate the
         # accumulated perf history the regression gate reads.
-        atomic_write_text(TRAJECTORY_PATH, _trajectory.dump(existing) + "\n")
+        write_trajectory(_trajectory.points, TRAJECTORY_PATH)
         print(f"\nperf trajectory ({len(_trajectory.points)} points "
               f"recorded, {len(existing)} merged) written to "
               f"{TRAJECTORY_PATH}")
-    elif not _existing_trajectory_points(TRAJECTORY_PATH):
+    elif not load_trajectory_points(TRAJECTORY_PATH):
         print(f"\nWARNING: no perf points recorded and {TRAJECTORY_PATH} "
               "is empty or missing — the perf trajectory is NOT flushed "
               "(run benchmarks/test_bench_engine.py)")

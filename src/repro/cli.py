@@ -19,12 +19,11 @@ solver settings from the flags); ``repro batch`` runs many spec files
 through the ``BatchRunner``, building shared scenarios once.
 
 Observability: the ``run``, ``fig4/5/6a/6b``, ``batch`` and ``mission``
-commands accept ``--trace PATH`` (write a JSONL run manifest + spans +
-metrics), ``--metrics-out PATH`` (just the metrics snapshot),
-``--timeline PATH`` (ring-buffered time-series snapshots on the live
-cadence) and ``--archive`` (store the run durably under ``.repro/runs``);
-``repro trace-report PATH`` summarizes a trace — timeline sparklines
-included — and can export Chrome trace format (``--chrome``).  ``repro
+commands accept ``--trace PATH`` / ``--timeline PATH`` (write the JSONL
+run record: spec, spans, timeline, metrics), ``--metrics-out PATH`` (just
+the metrics snapshot) and ``--archive`` (store the record under
+``.repro/runs``); ``repro trace-report`` summarizes a record — timeline
+sparklines included — and can export Chrome trace format.  ``repro
 profile SCENARIO`` runs a preset/spec under the sampling profiler and
 writes a speedscope file; ``repro runs list|show|compare`` queries the
 archive; ``repro perf-diff --attribute`` names the regressed kernel.
@@ -121,8 +120,9 @@ def add_obs_args(parser: argparse.ArgumentParser) -> None:
     """The shared observability flags (tracing, metrics, live heartbeat)."""
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="enable observability and write a JSONL trace (manifest + "
-        "spans + metrics) to PATH; summarize with 'repro trace-report'",
+        help="enable observability and write the JSONL run record (spec, "
+        "spans, timeline, metrics) to PATH; summarize with "
+        "'repro trace-report'",
     )
     parser.add_argument(
         "--metrics-out", default=None, metavar="PATH",
@@ -147,15 +147,15 @@ def add_obs_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--timeline", default=None, metavar="PATH",
-        help="enable observability and record ring-buffered time-series "
-        "snapshots (counters, worker gauges, RSS) on the --live-interval "
-        "cadence, written as JSONL to PATH; also embedded in --trace "
-        "files, where 'repro trace-report' renders them as sparklines",
+        help="enable observability and write the run record to PATH (the "
+        "same file as --trace; its timeline snapshots the counters, worker "
+        "gauges and RSS every --live-interval, rendered as sparklines by "
+        "'repro trace-report')",
     )
     parser.add_argument(
         "--archive", action="store_true",
-        help="enable observability and store this run (manifest + metrics "
-        "+ timeline) under the run archive; query with 'repro runs'",
+        help="enable observability and store this run's record under the "
+        "run archive; query with 'repro runs'",
     )
     parser.add_argument(
         "--archive-root", default=None, metavar="DIR",
@@ -435,9 +435,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             if overrides:
                 spec = spec.with_overrides(**overrides)
-            # The archive keys runs on scenario identity; stash it for
+            # The run record names the spec that ran; stash it for
             # _observed, which only sees the parsed args.
-            args._scenario_key = spec.scenario_key()
+            args._spec = spec
             state = pipeline.run(spec)
         except SpecError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -520,7 +520,7 @@ def _cmd_mission(args: argparse.Namespace) -> int:
         num_uavs=args.uavs,
         seed=seed,
     )
-    args._scenario_key = spec.scenario_key()
+    args._spec = spec
     problem = spec.build()
     try:
         # The fault draw runs on its own derived stream (see
@@ -617,7 +617,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         overrides["epoch_s"] = args.epoch
     if overrides:
         spec = spec.with_overrides(**overrides)
-    args._scenario_key = spec.scenario_key()
+    args._spec = spec
     warm = False if args.cold else None
 
     if args.seeds > 1:
@@ -690,6 +690,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         except (OSError, SpecError, ValueError) as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             return 2
+    args._spec = specs
     runner = BatchRunner(
         pipeline=SolvePipeline(strict=False), workers=args.workers,
         **_resilience_kwargs(args),
@@ -736,38 +737,37 @@ def _cmd_scenario(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace_report(args: argparse.Namespace) -> int:
-    """Summarize a trace JSONL file; optionally export Chrome trace."""
-    from repro.obs import read_trace, summarize, write_chrome_trace
+    """Summarize a run record; optionally export Chrome trace."""
+    from repro.obs import read_record, summarize, write_chrome_trace
 
     try:
-        data = read_trace(args.path)
+        record = read_record(args.path)
     except FileNotFoundError:
-        print(f"error: no trace file at {args.path}", file=sys.stderr)
+        print(f"error: no run record at {args.path}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: malformed trace: {exc}", file=sys.stderr)
+        print(f"error: malformed run record: {exc}", file=sys.stderr)
         return 2
-    print(summarize(data))
+    print(summarize(record))
     if args.chrome is not None:
-        write_chrome_trace(args.chrome, data.spans)
+        write_chrome_trace(args.chrome, record.spans)
         print(f"\nchrome trace written to {args.chrome} "
               "(load in chrome://tracing or ui.perfetto.dev)")
     return 0
 
 
-def _archive_root(args: argparse.Namespace):
-    from repro.obs.archive import DEFAULT_ROOT
+def _archive(args: argparse.Namespace):
+    from repro.obs import RunArchive
 
-    root = getattr(args, "archive_root", None)
-    return root if root is not None else DEFAULT_ROOT
+    root = args.archive_root
+    return RunArchive() if root is None else RunArchive(root)
 
 
 def _observed(handler, args: argparse.Namespace) -> int:
-    """Run a command with the observability layer on; stream a live
-    heartbeat while it runs (``--live``), snapshot a timeline on the
-    same cadence (``--timeline`` / ``--archive``), and write the trace
-    JSONL / metrics snapshot / archive entry afterwards (even if the
-    command raises)."""
+    """Run a command with the observability layer on: one sampler feeds
+    the ``--live`` line and the timeline, and afterwards (even if the
+    command raises) one run record goes to ``--trace`` / ``--timeline`` /
+    ``--archive`` and the metrics to ``--metrics-out``."""
     import json
     import time as _time
 
@@ -775,100 +775,56 @@ def _observed(handler, args: argparse.Namespace) -> int:
 
     obs.reset()
     obs.enable()
-    reporter = None
-    recorder = None
-    if getattr(args, "timeline", None) is not None or getattr(
-        args, "archive", False
-    ):
-        recorder = obs.TimelineRecorder(
-            obs.TimelineConfig(interval_s=args.live_interval)
+    sampler = None
+    outputs = {"trace": args.trace, "timeline": args.timeline}
+    if any(outputs.values()) or args.archive or args.live:
+        sampler = obs.Sampler(
+            obs.SamplerConfig(interval_s=args.live_interval),
+            progress=sys.stderr if args.live else None,
         )
-        # Event loops (the dynamics engine) snapshot into this recorder
-        # at every state change via obs.record_mark().
-        obs.set_active_recorder(recorder)
-    if getattr(args, "live", False):
-        # One daemon serves both: the reporter's heartbeat drives the
-        # timeline recorder when both are requested.
-        reporter = obs.LiveReporter(
-            obs.LiveConfig(interval_s=args.live_interval), timeline=recorder
-        ).start()
-    elif recorder is not None:
-        recorder.start()
+        # Event loops (the dynamics engine) snapshot at every state
+        # change via obs.record_mark().
+        obs.set_active_recorder(sampler)
+        sampler.start()
     start = _time.perf_counter()
     exit_code: "int | None" = None
     try:
         exit_code = handler(args)
     finally:
         wall = _time.perf_counter() - start
-        if recorder is not None:
+        if sampler is not None:
             obs.set_active_recorder(None)
-        if reporter is not None:
-            reporter.stop()
-        elif recorder is not None:
-            recorder.stop()
+            sampler.stop()
         obs.disable()
-        spans = obs.drain_spans()
-        metrics = obs.metrics_snapshot()
-        snapshots = recorder.snapshots() if recorder is not None else []
-        obs.reset()
-        scenario = {
-            key: getattr(args, key)
-            for key in ("users", "uavs", "scale")
-            if getattr(args, key, None) is not None
-        }
-        manifest = obs.RunManifest(
-            command=args.command,
+        record = obs.build_record(
+            args.command, wall_s=wall, exit_code=exit_code,
+            spans=obs.drain_spans(), metrics=obs.metrics_snapshot(),
+            spec=getattr(args, "_spec", None),
             seed=getattr(args, "seed", None),
-            scenario=scenario,
             algorithm=getattr(args, "algorithm", None),
-            config={
-                k: v for k, v in vars(args).items()
-                if k not in ("trace", "metrics_out") and not callable(v)
-            },
-            git_rev=obs.git_revision(),
-            stats={
-                "exit_code": exit_code,
-                "spans": len(spans),
-                "completed": exit_code is not None,
-            },
-            wall_s=wall,
+            config=vars(args), served=getattr(args, "_served", None),
+            sampler=sampler,
         )
-        if args.trace is not None:
-            obs.write_trace(args.trace, manifest, spans, metrics,
-                            timeline=snapshots)
-            print(f"trace ({len(spans)} spans) written to {args.trace}")
-        if getattr(args, "timeline", None) is not None:
-            obs.write_timeline(args.timeline, recorder)
-            print(f"timeline ({len(snapshots)} snapshots) written to "
-                  f"{args.timeline}")
-        if getattr(args, "archive", False):
-            archive = obs.RunArchive(_archive_root(args))
-            run_id = archive.record_run(
-                manifest,
-                metrics=metrics,
-                spans=spans,
-                timeline=snapshots,
-                scenario_key=getattr(args, "_scenario_key", None),
-                served=getattr(args, "_served", None),
-            )
-            print(f"run archived as {run_id} under {archive.root}")
+        obs.reset()
+        for flag, path in outputs.items():
+            if path is not None:
+                obs.write_record(path, record)
+                print(f"{flag} ({len(record.spans)} spans, "
+                      f"{len(record.timeline)} snapshots) written to {path}")
+        if args.archive:
+            archive = _archive(args)
+            print(f"run archived as {archive.record_run(record)} under "
+                  f"{archive.root}")
         if args.metrics_out is not None:
-            if getattr(args, "metrics_format", "json") == "openmetrics":
-                obs.write_openmetrics(
-                    args.metrics_out, metrics,
-                    info={
-                        "command": args.command,
-                        "seed": getattr(args, "seed", None),
-                        "algorithm": getattr(args, "algorithm", None),
-                        "git": manifest.git_rev,
-                    },
-                )
+            if args.metrics_format == "openmetrics":
+                obs.write_openmetrics(args.metrics_out, record.metrics, info={
+                    "command": record.command, "seed": record.seed,
+                    "algorithm": record.algorithm, "git": record.git_rev,
+                })
             else:
                 with open(args.metrics_out, "w", encoding="utf-8") as fh:
-                    json.dump(
-                        {"manifest": manifest.to_dict(), **metrics},
-                        fh, indent=2,
-                    )
+                    json.dump({"header": record.header(), **record.metrics},
+                              fh, indent=2)
             print(f"metrics written to {args.metrics_out}")
     return exit_code
 
@@ -884,10 +840,7 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
             args.baseline, args.current,
             threshold=args.threshold, window=args.window,
         )
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
@@ -995,32 +948,24 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         profiler.write_collapsed(args.collapsed)
         print(f"collapsed stacks written to {args.collapsed}")
     if args.archive:
-        manifest = obs.RunManifest(
-            command="profile",
-            seed=spec.seed,
-            scenario={"users": spec.num_users, "uavs": spec.num_uavs,
-                      "scale": spec.scale},
-            algorithm=record.algorithm,
-            config={"hz": args.hz, "memory": not args.no_memory},
-            git_rev=obs.git_revision(),
-            stats={"exit_code": 0, "spans": len(spans), "completed": True},
-            wall_s=wall,
+        run = obs.build_record(
+            "profile", wall_s=wall, exit_code=0, spans=spans,
+            metrics=metrics, spec=spec, config=vars(args),
+            served=record.served, profiler=profiler,
         )
-        archive = obs.RunArchive(_archive_root(args))
-        run_id = archive.record_run(
-            manifest, metrics=metrics, spans=spans, profile=profiler,
-            scenario_key=spec.scenario_key(), served=record.served,
-        )
-        print(f"run archived as {run_id} under {archive.root}")
+        archive = _archive(args)
+        print(f"run archived as {archive.record_run(run, profiler)} under "
+              f"{archive.root}")
     return 0
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    """Inspect the durable run archive: list, show, compare."""
+    """Inspect the durable run archive: list, show, compare.  ``show``
+    and ``compare`` take archive ids or run record paths."""
     from repro import obs
     from repro.util.tables import format_table
 
-    archive = obs.RunArchive(_archive_root(args))
+    archive = _archive(args)
     if args.action == "list":
         entries = archive.list_runs()
         if not entries:
@@ -1045,68 +990,22 @@ def _cmd_runs(args: argparse.Namespace) -> int:
             rows, title=f"archived runs under {archive.root}",
         ))
         return 0
-    if args.action == "show":
-        if len(args.run_ids) != 1:
-            print("error: 'runs show' takes exactly one run id",
-                  file=sys.stderr)
-            return 2
-        try:
-            run = archive.load(args.run_ids[0])
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
-        manifest = run.manifest
-        print(f"run {run.id} ({run.path})")
-        if manifest is not None:
-            print(f"  command   {manifest.command}")
-            print(f"  algorithm {manifest.algorithm or '-'}")
-            print(f"  wall      {manifest.wall_s:.3f}s")
-            print(f"  git       {manifest.git_rev or '-'}")
-        key = run.data.get("scenario_key")
-        print(f"  scenario  {key if key else '-'}")
-        if run.kernels:
-            rows = [[name, agg["count"], f"{agg['total_ms']:.2f}",
-                     f"{agg['max_ms']:.2f}"]
-                    for name, agg in sorted(
-                        run.kernels.items(),
-                        key=lambda kv: -kv[1]["total_ms"])]
-            print(format_table(
-                ["kernel", "count", "total ms", "max ms"], rows,
-                title="kernel timings",
-            ))
-        if run.timeline:
-            from repro.obs.report import timeline_summary
-
-            print()
-            print(timeline_summary(run.timeline))
-        if run.profile:
-            stacks = run.profile.get("stacks", [])
-            leaves: dict = {}
-            for entry in stacks:
-                frames = entry.get("frames") or ["?"]
-                leaves[frames[-1]] = (
-                    leaves.get(frames[-1], 0) + entry.get("count", 0)
-                )
-            top = sorted(leaves.items(), key=lambda kv: -kv[1])[:10]
-            if top:
-                print(format_table(
-                    ["function", "samples"], [list(kv) for kv in top],
-                    title=f"profile ({run.profile.get('samples', 0)} "
-                    "samples)",
-                ))
-        return 0
-    if len(args.run_ids) != 2:
-        print("error: 'runs compare' takes exactly two run ids "
-              "(baseline current)", file=sys.stderr)
+    arity = {"show": (1, "one run id"),
+             "compare": (2, "two run ids (baseline current)")}
+    wanted, what = arity[args.action]
+    if len(args.run_ids) != wanted:
+        print(f"error: 'runs {args.action}' takes exactly {what}",
+              file=sys.stderr)
         return 2
     try:
-        baseline = archive.load(args.run_ids[0])
-        current = archive.load(args.run_ids[1])
-    except KeyError as exc:
+        runs = [archive.load(ref) for ref in args.run_ids]
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    comparison = obs.compare_runs(baseline, current,
-                                  threshold=args.threshold)
+    if args.action == "show":
+        print(obs.summarize(runs[0]))
+        return 0
+    comparison = obs.compare_runs(*runs, threshold=args.threshold)
     print(comparison.to_text())
     return comparison.exit_code
 
@@ -1315,9 +1214,11 @@ def main(argv: "list | None" = None) -> int:
     sub.add_parser("selfcheck", help="quick end-to-end installation check")
 
     report_cmd = sub.add_parser(
-        "trace-report", help="summarize a --trace JSONL file"
+        "trace-report", help="summarize a run record"
     )
-    report_cmd.add_argument("path", help="trace JSONL written by --trace")
+    report_cmd.add_argument(
+        "path", help="run record (--trace/--timeline file or archived run "
+        "directory)")
     report_cmd.add_argument(
         "--chrome", default=None, metavar="PATH",
         help="also export Chrome trace format here",
@@ -1326,10 +1227,10 @@ def main(argv: "list | None" = None) -> int:
     diff_cmd = sub.add_parser(
         "perf-diff",
         help="compare two perf recordings (BENCH_approx.json trajectories "
-        "or --trace files); exit 1 on wall-time regression",
+        "or run records); exit 1 on wall-time regression",
     )
-    diff_cmd.add_argument("baseline", help="baseline trajectory/trace file")
-    diff_cmd.add_argument("current", help="current trajectory/trace file")
+    diff_cmd.add_argument("baseline", help="baseline trajectory/run record")
+    diff_cmd.add_argument("current", help="current trajectory/run record")
     diff_cmd.add_argument(
         "--threshold", type=float, default=0.15,
         help="relative wall-time increase tolerated before a key counts "
@@ -1395,7 +1296,8 @@ def main(argv: "list | None" = None) -> int:
     )
     runs_cmd.add_argument("action", choices=("list", "show", "compare"))
     runs_cmd.add_argument("run_ids", nargs="*", metavar="RUN_ID",
-                          help="one id for 'show', two for 'compare'")
+                          help="one id for 'show', two for 'compare' (an "
+                          "archive id or a run record path)")
     runs_cmd.add_argument(
         "--root", default=None, dest="archive_root", metavar="DIR",
         help="archive directory (default .repro/runs)",

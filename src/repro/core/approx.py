@@ -794,7 +794,7 @@ def appro_alg(
     subsets = _subset_array(pool, s)
     stats.subsets_total = subsets.shape[0]
     # Announce the denominator before enumerating so live progress
-    # (repro.obs.live) can render a completion fraction and an ETA; the
+    # (repro.obs.sampler) can render a completion fraction and an ETA; the
     # matching approx.subsets_done counter advances parent-side in both
     # the serial loop and the parallel absorption loop, so done/planned
     # is exact for any worker count (and sums across s-1 fallbacks).

@@ -1,76 +1,29 @@
-"""repro.obs — zero-dependency observability: spans, metrics, manifests.
+"""repro.obs — zero-dependency observability, off by default.
 
-Everything is **off by default**.  :func:`enable` switches on the span
-tracer and the metrics helpers in one go; while disabled, every
-instrumentation site in the solvers (``obs.span`` / ``obs.counter_inc``
-/ ...) short-circuits on a single module-level boolean, adding no
-measurable overhead (the fig4 bench records this).
-
-Quick tour::
-
-    from repro import obs
-
-    obs.enable()
-    result = appro_alg(problem, s=2)
-    spans = obs.drain_spans()                 # hierarchical Span records
-    counts = obs.metrics_snapshot()           # {"counters": {...}, ...}
-
-    manifest = obs.RunManifest(command="run", seed=7, ...)
-    obs.write_trace("out.jsonl", manifest, spans, counts)
-    print(obs.trace_report("out.jsonl"))      # or: repro trace-report
-
-Three live/offline companions build on the same registry:
-
-* :class:`LiveReporter` (:mod:`repro.obs.live`) — a heartbeat thread
-  rendering progress/throughput/ETA lines while a solver runs
-  (``--live`` on the CLI);
-* :func:`write_openmetrics` (:mod:`repro.obs.export`) — OpenMetrics
-  textfile export of any metrics snapshot (``--metrics-format
-  openmetrics``);
-* :func:`perf_diff` (:mod:`repro.obs.regress`) — wall-time regression
-  detection between two recordings (``repro perf-diff A B``), with
-  kernel-level attribution (``--attribute``).
-
-The flight-recorder trio (same off-by-default discipline):
-
-* :class:`SamplingProfiler` (:mod:`repro.obs.profile`) — zero-dependency
-  wall-clock sampler + tracemalloc stage watermarks + peak RSS, with
-  speedscope/collapsed export (``repro profile <scenario>``);
-* :class:`TimelineRecorder` (:mod:`repro.obs.timeline`) — ring-buffered
-  registry snapshots on the LiveReporter cadence (``--timeline``),
-  rendered as sparklines by ``repro trace-report``;
-* :class:`RunArchive` (:mod:`repro.obs.archive`) — durable
-  ``.repro/runs/`` store of manifests + metrics + timelines + profiles
-  (``--archive``; query with ``repro runs list|show|compare``).
-
-See docs/OBSERVABILITY.md for the model and CLI flags (``--trace``,
-``--metrics-out``, ``--live``, ``repro trace-report``,
-``repro perf-diff``).
+:func:`enable` switches on the span tracer and the metrics helpers; while
+disabled every instrumentation site (``obs.span`` / ``obs.counter_inc``
+/ ...) short-circuits on one module-level boolean.  The pieces:
+spans and metrics (:mod:`~repro.obs.trace`, :mod:`~repro.obs.metrics`);
+the :class:`Sampler` (ring-buffered timeline + ``--live`` line); the one
+JSONL :class:`RunRecord` that ``--trace`` / ``--timeline`` /
+``--archive`` write, built by :func:`build_record`; the keyed
+:func:`compare` behind ``perf-diff`` and ``runs compare``; the
+:class:`SamplingProfiler`; and OpenMetrics export.  See
+docs/OBSERVABILITY.md.
 """
 
 from __future__ import annotations
 
-from repro.obs.archive import (
-    ArchivedRun,
-    CoverageCurve,
-    CoverageDelta,
-    RunArchive,
-    RunComparison,
+from repro.obs.compare import (
+    Comparison,
+    Delta,
+    classify,
+    compare,
     compare_runs,
-    coverage_curve,
-    span_totals,
+    load_points,
+    perf_diff_paths,
 )
 from repro.obs.export import metric_name, render_openmetrics, write_openmetrics
-from repro.obs.live import LiveConfig, LiveReporter, LiveSample
-from repro.obs.manifest import (
-    RunManifest,
-    TraceData,
-    chrome_trace,
-    git_revision,
-    read_trace,
-    write_chrome_trace,
-    write_trace,
-)
 from repro.obs.metrics import REGISTRY, Histogram, MetricsRegistry
 from repro.obs.profile import (
     ProfileConfig,
@@ -79,21 +32,24 @@ from repro.obs.profile import (
     peak_rss_mb,
     stage_watermark,
 )
-from repro.obs.regress import (
-    KeyDelta,
-    PerfDiff,
-    load_points,
-    perf_diff,
-    perf_diff_paths,
+from repro.obs.record import (
+    RunArchive,
+    RunRecord,
+    build_record,
+    chrome_trace,
+    git_revision,
+    read_record,
+    span_totals,
+    write_chrome_trace,
+    write_record,
 )
 from repro.obs.report import summarize, timeline_summary, trace_report
-from repro.obs.timeline import (
-    TimelineConfig,
-    TimelineRecorder,
-    read_timeline,
+from repro.obs.sampler import (
+    LiveSample,
+    Sampler,
+    SamplerConfig,
     record_mark,
     set_active_recorder,
-    write_timeline,
 )
 from repro.obs.trace import (
     Span,
@@ -112,69 +68,19 @@ from repro.obs.trace import (
 from repro.obs.trace import reset as _reset_spans
 
 __all__ = [
-    "enable",
-    "disable",
-    "is_enabled",
-    "span",
-    "traced",
-    "Span",
-    "open_span_count",
-    "snapshot_spans",
-    "drain_spans",
-    "reset",
-    "counter_inc",
-    "gauge_set",
-    "observe",
-    "metrics_snapshot",
-    "export_obs_state",
-    "absorb_obs_state",
-    "REGISTRY",
-    "MetricsRegistry",
-    "Histogram",
-    "RunManifest",
-    "TraceData",
-    "write_trace",
-    "read_trace",
-    "chrome_trace",
-    "write_chrome_trace",
-    "git_revision",
-    "trace_report",
-    "summarize",
-    "absorb_state",
-    "export_state",
-    "worker_reset",
-    "worker_init",
-    "LiveReporter",
-    "LiveConfig",
-    "LiveSample",
-    "metric_name",
-    "render_openmetrics",
-    "write_openmetrics",
-    "KeyDelta",
-    "PerfDiff",
-    "load_points",
-    "perf_diff",
-    "perf_diff_paths",
-    "SamplingProfiler",
-    "ProfileConfig",
-    "stage_watermark",
-    "peak_rss_mb",
-    "current_rss_mb",
-    "TimelineRecorder",
-    "TimelineConfig",
-    "write_timeline",
-    "read_timeline",
-    "set_active_recorder",
-    "record_mark",
-    "timeline_summary",
-    "RunArchive",
-    "ArchivedRun",
-    "RunComparison",
-    "compare_runs",
-    "span_totals",
-    "CoverageCurve",
-    "CoverageDelta",
-    "coverage_curve",
+    "enable", "disable", "is_enabled", "span", "traced", "Span",
+    "open_span_count", "snapshot_spans", "drain_spans", "reset",
+    "counter_inc", "gauge_set", "observe", "metrics_snapshot",
+    "export_obs_state", "absorb_obs_state", "absorb_state", "export_state",
+    "worker_reset", "worker_init", "REGISTRY", "MetricsRegistry",
+    "Histogram", "RunRecord", "build_record", "write_record", "read_record",
+    "RunArchive", "span_totals", "chrome_trace", "write_chrome_trace",
+    "git_revision", "trace_report", "summarize", "timeline_summary",
+    "Sampler", "SamplerConfig", "LiveSample", "set_active_recorder",
+    "record_mark", "Comparison", "Delta", "classify", "compare",
+    "compare_runs", "load_points", "perf_diff_paths", "metric_name",
+    "render_openmetrics", "write_openmetrics", "SamplingProfiler",
+    "ProfileConfig", "stage_watermark", "peak_rss_mb", "current_rss_mb",
 ]
 
 

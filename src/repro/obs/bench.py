@@ -1,11 +1,9 @@
-"""Perf-trajectory recording outside the bench pytest session.
+"""The ``BENCH_approx.json`` perf-trajectory schema and its merge.
 
-``benchmarks/conftest.py`` owns the canonical ``BENCH_approx.json``
-schema and merge semantics, but only flushes points from a pytest
-session.  The CLI's ``repro run --record-bench`` (notably the ``mega-1m``
-end-to-end scale run, far too heavy for the regular bench suite) needs to
-land points in the same trajectory — this module replicates the point
-schema and the same-key-replaces merge so both writers stay compatible.
+The single definition of a trajectory point: the bench session
+(``benchmarks/conftest.py``) and the CLI's ``--record-bench`` both
+normalize and merge points through this module, so the two writers can
+never drift apart.
 """
 
 from __future__ import annotations
@@ -15,9 +13,8 @@ from pathlib import Path
 
 from repro.util.atomic import atomic_write_text
 
-#: Canonical point schema — keep in lockstep with
-#: ``benchmarks/conftest.py:POINT_FIELDS``; metrics a run did not measure
-#: are explicit ``None``, never absent.
+#: Every trajectory point carries exactly these keys; metrics a run did
+#: not measure are explicit ``None``, never absent.
 POINT_FIELDS = (
     "scenario", "algorithm", "served", "wall_s", "workers", "scale",
     "speedup", "subsets_evaluated", "subsets_bound_skipped",
@@ -29,7 +26,8 @@ TRAJECTORY_PATH = Path(__file__).resolve().parents[3] / "BENCH_approx.json"
 
 
 def normalize_point(point: dict) -> dict:
-    """Project ``point`` onto the full schema, keeping unknown extras."""
+    """Project ``point`` onto the full schema, keeping unknown extras
+    (after the canonical columns) so the schema can grow."""
     out = {name: point.get(name) for name in POINT_FIELDS}
     for key, value in point.items():
         if key not in out:
@@ -37,13 +35,35 @@ def normalize_point(point: dict) -> dict:
     return out
 
 
+def make_point(scenario: str, algorithm: str, served: int, wall_s: float,
+               workers: int = 1, scale: str = "bench",
+               **extra: object) -> dict:
+    """One normalized point."""
+    return normalize_point({
+        "scenario": scenario, "algorithm": algorithm, "served": int(served),
+        "wall_s": round(float(wall_s), 4), "workers": int(workers),
+        "scale": scale, **extra,
+    })
+
+
 def _point_key(point: dict) -> tuple:
     return (point.get("scenario"), point.get("algorithm"),
             point.get("workers"), point.get("scale"))
 
 
+def merge_points(existing: list, new: list) -> list:
+    """``existing`` updated by ``new``: a point replaces an earlier one
+    with the same ``(scenario, algorithm, workers, scale)`` key and
+    appends otherwise."""
+    merged = {_point_key(p): normalize_point(p) for p in existing}
+    for point in new:
+        merged[_point_key(point)] = normalize_point(point)
+    return list(merged.values())
+
+
 def load_trajectory_points(path: "str | Path" = TRAJECTORY_PATH) -> list:
-    """Points on disk; tolerates a missing, empty, or corrupt file."""
+    """Points on disk; tolerates a missing, empty, or corrupt file (a
+    merge must never block a flush)."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError):
@@ -52,37 +72,22 @@ def load_trajectory_points(path: "str | Path" = TRAJECTORY_PATH) -> list:
     return points if isinstance(points, list) else []
 
 
-def record_trajectory_point(
-    scenario: str,
-    algorithm: str,
-    served: int,
-    wall_s: float,
-    workers: int = 1,
-    scale: str = "bench",
-    path: "str | Path" = TRAJECTORY_PATH,
-    **extra: object,
-) -> Path:
-    """Merge one measured point into the trajectory file (atomic write).
-
-    A point replaces an earlier one with the same ``(scenario, algorithm,
-    workers, scale)`` key and appends otherwise — identical to the bench
-    session's :class:`PerfTrajectory` flush, so CLI-recorded points and
-    bench-recorded points coexist in one history the perf gate reads.
-    """
+def write_trajectory(points: list,
+                     path: "str | Path" = TRAJECTORY_PATH) -> Path:
+    """Merge ``points`` into the trajectory file (atomic write)."""
     path = Path(path)
-    point = normalize_point({
-        "scenario": scenario,
-        "algorithm": algorithm,
-        "served": int(served),
-        "wall_s": round(float(wall_s), 4),
-        "workers": int(workers),
-        "scale": scale,
-        **extra,
-    })
-    merged = {
-        _point_key(p): normalize_point(p) for p in load_trajectory_points(path)
-    }
-    merged[_point_key(point)] = point
-    text = json.dumps({"points": list(merged.values())}, indent=2)
-    atomic_write_text(path, text + "\n")
+    merged = merge_points(load_trajectory_points(path), points)
+    atomic_write_text(path, json.dumps({"points": merged}, indent=2) + "\n")
     return path
+
+
+def record_trajectory_point(
+    scenario: str, algorithm: str, served: int, wall_s: float,
+    workers: int = 1, scale: str = "bench",
+    path: "str | Path" = TRAJECTORY_PATH, **extra: object,
+) -> Path:
+    """Merge one measured point into the trajectory file."""
+    return write_trajectory(
+        [make_point(scenario, algorithm, served, wall_s, workers, scale,
+                    **extra)], path,
+    )

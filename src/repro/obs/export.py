@@ -1,25 +1,12 @@
 """OpenMetrics/Prometheus textfile export of the metrics registry.
 
-`repro` metric names are dotted (``approx.subsets_evaluated``);
-OpenMetrics names are ``[a-zA-Z_:][a-zA-Z0-9_:]*``, so dots (and any
-other invalid character) become underscores.  The mapping per metric
-kind follows the exposition-format conventions:
-
-* counters — ``# TYPE <name> counter`` with one ``<name>_total`` sample;
-* gauges — ``# TYPE <name> gauge`` with one ``<name>`` sample;
-* histograms (count/total/min/max summaries) — ``# TYPE <name> summary``
-  with ``<name>_count`` / ``<name>_sum`` samples, plus two gauges
-  ``<name>_min`` / ``<name>_max`` when observations exist.
-
-An optional ``info`` mapping is emitted as an OpenMetrics info metric
-(``repro_run_info{key="value", ...} 1``) so a scrape can tell which run,
-seed, and git revision produced the file.  Output always ends with the
-mandatory ``# EOF`` terminator; a lint test parses every line.
-
-This is a *textfile* exporter: solvers are batch jobs, so the natural
-integration is the node-exporter textfile collector or a CI artifact,
-not a live scrape endpoint.  Write with :func:`write_openmetrics` or via
-``--metrics-out PATH --metrics-format openmetrics`` on the CLI.
+Dotted repro names (``approx.subsets_evaluated``) become valid
+OpenMetrics names (invalid characters → ``_``).  Counters export as
+``<name>_total``, gauges as ``<name>``, histograms as a summary
+(``_count`` / ``_sum``) plus ``_min`` / ``_max`` gauges.  An optional
+``info`` mapping becomes ``repro_run_info{key="value", ...} 1``; output
+ends with the mandatory ``# EOF``.  Write with :func:`write_openmetrics`
+or ``--metrics-out PATH --metrics-format openmetrics``.
 """
 
 from __future__ import annotations
@@ -44,12 +31,8 @@ def metric_name(raw: str) -> str:
 
 
 def _escape_label(value: object) -> str:
-    return (
-        str(value)
-        .replace("\\", "\\\\")
-        .replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
+    text = str(value).replace("\\", "\\\\").replace('"', '\\"')
+    return text.replace("\n", "\\n")
 
 
 def _fmt_value(value: object) -> str:
@@ -127,8 +110,6 @@ def write_openmetrics(
     snapshot: "dict | None" = None,
     info: "dict | None" = None,
 ) -> Path:
-    """Write :func:`render_openmetrics` output to ``path``."""
-    path = Path(path)
-    # Atomic so a scraper never reads a half-written exposition.
-    atomic_write_text(path, render_openmetrics(snapshot, info))
-    return path
+    """Write :func:`render_openmetrics` output to ``path`` (atomic, so a
+    scraper never reads a half-written exposition)."""
+    return atomic_write_text(path, render_openmetrics(snapshot, info))

@@ -1,17 +1,11 @@
 """Metrics registry: counters, gauges, histograms.
 
-Counters are exact and deterministic: for a fixed problem and seed the
-instrumented solvers increment them identically whether they run serially
-or fan out over a process pool (workers ship their registry snapshot back
-with each chunk and the parent merges — addition is commutative, so the
-merged totals match the serial run; a property test pins this).
-
-Gauges record "last observed value"; histograms keep ``count / total /
-min / max`` (no samples — bounded memory even on million-call paths).
-
-All module-level helpers exported through :mod:`repro.obs`
-(``counter_inc`` etc.) are guarded by the tracer's enabled flag and no-op
-in a single boolean check while observability is off.
+Counters are exact and deterministic: workers ship their registry delta
+back with each chunk and the parent adds it, so serial and parallel runs
+of one problem and seed end with equal counters (a property test pins
+this).  Gauges keep the last value; histograms keep ``count / total /
+min / max`` (bounded memory).  The guarded helpers in :mod:`repro.obs`
+(``counter_inc`` etc.) no-op on one boolean check while off.
 """
 
 from __future__ import annotations
@@ -37,10 +31,6 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -87,29 +77,19 @@ class MetricsRegistry:
 
     # -- read -------------------------------------------------------------
 
-    def counter(self, name: str) -> int:
-        with self._lock:
-            return self._counters.get(name, 0)
-
-    def counters(self) -> dict:
-        with self._lock:
-            return dict(self._counters)
+    def _view(self) -> dict:
+        return {
+            "counters": dict(self._counters),
+            "gauges": dict(self._gauges),
+            "histograms": {
+                name: h.to_dict() for name, h in self._histograms.items()
+            },
+        }
 
     def snapshot(self) -> dict:
         """Plain-dict (picklable, JSON-safe) view of everything."""
         with self._lock:
-            return {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: h.to_dict() for name, h in self._histograms.items()
-                },
-            }
-
-    @property
-    def empty(self) -> bool:
-        with self._lock:
-            return not (self._counters or self._gauges or self._histograms)
+            return self._view()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -133,21 +113,12 @@ class MetricsRegistry:
                 hist.merge_dict(data)
 
     def reset(self) -> None:
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
+        self.export_and_reset()
 
     def export_and_reset(self) -> dict:
         """Atomic snapshot-then-clear (workers ship deltas per chunk)."""
         with self._lock:
-            out = {
-                "counters": dict(self._counters),
-                "gauges": dict(self._gauges),
-                "histograms": {
-                    name: h.to_dict() for name, h in self._histograms.items()
-                },
-            }
+            out = self._view()
             self._counters.clear()
             self._gauges.clear()
             self._histograms.clear()

@@ -1,34 +1,18 @@
 """Sampling profiler + memory watermarks (zero-dependency, off by default).
 
-Three measurement tools for one run, none of which costs anything unless
-explicitly started:
-
 * :class:`SamplingProfiler` — a daemon thread walks
-  ``sys._current_frames()`` at a configurable frequency and aggregates
-  the observed call stacks into counts.  No interpreter hooks, no
-  per-call overhead: the solver's own threads never execute a single
-  extra instruction; the only cost is the GIL time the sampler spends
-  copying frames (bounded by ``hz`` × stack depth — the bench suite
-  pins it at ≤3% on the paper-headline workload).
-* per-stage memory watermarks — :func:`stage_watermark` brackets a
-  pipeline stage with ``tracemalloc`` peak tracking, nesting-safe, so a
-  profiled run reports "the solve stage peaked at N MB of Python
-  allocations".
-* peak RSS — :func:`peak_rss_mb` reads ``resource.getrusage`` (with a
-  ``/proc/self/status`` fallback), :func:`current_rss_mb` reads
-  ``/proc/self/statm``; both return ``None`` rather than raise on
-  platforms without the source.
+  ``sys._current_frames()`` at ``hz`` and counts the observed call
+  stacks; the solver threads run no extra instruction (the bench suite
+  pins the GIL cost at <=3% on paper-headline);
+* :func:`stage_watermark` — nesting-safe ``tracemalloc`` peak bracket
+  around a pipeline stage;
+* :func:`peak_rss_mb` / :func:`current_rss_mb` — process memory, ``None``
+  rather than an exception where the source is missing.
 
-While no profiler is active the module holds a single ``None`` slot:
-:func:`stage_watermark` returns a shared no-op context manager (same
-pattern as ``repro.obs.trace._NULL_SPAN``), no thread exists, and
-``tracemalloc`` is never started — the disabled-overhead guard test
-asserts all three.
-
-Export formats: collapsed flamegraph text (``root;child;leaf count`` per
-line, the ``flamegraph.pl`` / speedscope import format) and speedscope
-JSON (https://www.speedscope.app file-format schema, ``sampled``
-profile).  ``repro profile <scenario>`` drives all of this from the CLI.
+While no profiler is active the module holds one ``None`` slot:
+:func:`stage_watermark` hands out a shared no-op, no thread exists and
+``tracemalloc`` never starts.  Exports: collapsed flamegraph text and
+speedscope JSON (``repro profile <scenario>``).
 """
 
 from __future__ import annotations
@@ -127,13 +111,9 @@ class _StageWatermark:
 
 
 def stage_watermark(stage: str):
-    """Context manager recording the stage's peak traced memory.
-
-    Returns the shared no-op singleton unless a profiler with
-    ``memory=True`` is active — instrumentation sites (the pipeline
-    stages, the mission replans, the subset enumeration) call this
-    unconditionally and pay one global load while profiling is off.
-    """
+    """Context manager recording the stage's peak traced memory; the
+    shared no-op unless a ``memory=True`` profiler is active (one global
+    load at the instrumentation sites while profiling is off)."""
     profiler = _active
     if profiler is None or not profiler.config.memory:
         return _NULL_WATERMARK
@@ -148,17 +128,10 @@ def active() -> "SamplingProfiler | None":
 class SamplingProfiler:
     """Aggregating wall-clock sampler over ``sys._current_frames()``.
 
-    Use as a context manager (``with SamplingProfiler(): solve()``) or
-    via :meth:`start` / :meth:`stop`.  Only one profiler can be active
-    per process (the module slot); a second :meth:`start` raises.
-
-    After :meth:`stop`:
-
-    * :attr:`stacks` — ``Counter`` of root-first frame-label tuples;
-    * :attr:`samples` — total samples across all observed threads;
-    * :attr:`memory_stages` — stage name → peak traced bytes (only
-      stages bracketed by :func:`stage_watermark` while running);
-    * :attr:`peak_rss_mb` — process high-water RSS at stop time.
+    A context manager, or :meth:`start` / :meth:`stop`; one per process.
+    After :meth:`stop`: :attr:`stacks` (``Counter`` of root-first frame
+    labels), :attr:`samples`, :attr:`memory_stages` (stage → peak traced
+    bytes) and :attr:`peak_rss_mb`.
     """
 
     def __init__(self, config: "ProfileConfig | None" = None) -> None:
@@ -260,19 +233,15 @@ class SamplingProfiler:
 
     def memory_stages_mb(self) -> dict:
         """Stage watermarks in MB (insertion order preserved)."""
-        return {
-            stage: round(peak / (1024 * 1024), 3)
-            for stage, peak in self.memory_stages.items()
-        }
+        return {stage: round(peak / (1024 * 1024), 3)
+                for stage, peak in self.memory_stages.items()}
 
     # -- export ------------------------------------------------------------
 
     def collapsed(self) -> str:
         """Collapsed flamegraph text: one ``a;b;c count`` line per stack."""
-        lines = [
-            ";".join(stack) + f" {count}"
-            for stack, count in sorted(self.stacks.items())
-        ]
+        lines = [";".join(stack) + f" {count}"
+                 for stack, count in sorted(self.stacks.items())]
         return "\n".join(lines) + ("\n" if lines else "")
 
     def speedscope(self, name: str = "repro profile") -> dict:
@@ -322,17 +291,13 @@ class SamplingProfiler:
             "peak_rss_mb": self.peak_rss_mb,
         }
 
-    def write_speedscope(
-        self, path: "str | Path", name: str = "repro profile"
-    ) -> Path:
-        path = Path(path)
-        atomic_write_text(path, json.dumps(self.speedscope(name)) + "\n")
-        return path
+    def write_speedscope(self, path: "str | Path",
+                         name: str = "repro profile") -> Path:
+        text = json.dumps(self.speedscope(name)) + "\n"
+        return atomic_write_text(path, text)
 
     def write_collapsed(self, path: "str | Path") -> Path:
-        path = Path(path)
-        atomic_write_text(path, self.collapsed())
-        return path
+        return atomic_write_text(path, self.collapsed())
 
 
 # -- process memory (no psutil) ----------------------------------------------

@@ -1,32 +1,20 @@
 """Hierarchical span tracer.
 
-Zero-dependency, off by default, and cheap when disabled: ``span()``
-returns a shared no-op context manager unless tracing has been switched on
-with :func:`enable`, so instrumented hot loops pay one attribute lookup
-and one call per span site.
+Off by default and cheap when disabled: ``span()`` returns a shared
+no-op context manager unless :func:`enable` ran.  When enabled, every
+``with span(name, **attrs):`` block records a :class:`Span` (monotonic
+start/duration, depth, parent, pid/tid) — enough to rebuild the tree and
+export Chrome trace format (:func:`repro.obs.record.chrome_trace`).
 
-When enabled, every ``with span(name, **attrs):`` block records a
-:class:`Span` with monotonic start/duration (``time.perf_counter_ns``),
-its nesting depth and parent, and the recording process/thread — enough to
-reconstruct the tree and to export Chrome trace format
-(:func:`repro.obs.manifest.chrome_trace`).
-
-Concurrency model:
-
-* *threads* — each thread keeps its own open-span stack
-  (``threading.local``); finished spans land in one process-wide buffer
-  under a lock, so nesting never interleaves across threads;
-* *processes* — pool workers record into their own buffer and ship it
-  back with their chunk results (:func:`export_state` in the worker,
-  :func:`absorb_state` in the parent); see
-  :mod:`repro.core.approx`.  Workers forked mid-run must call
-  :func:`worker_reset` first so the parent's buffer is not inherited and
-  re-shipped.
+Each thread keeps its own open-span stack; finished spans land in one
+process-wide buffer under a lock.  Pool workers record into their own
+buffer and ship it back with their chunk results (:func:`export_state`
+in the worker, :func:`absorb_state` in the parent); forked workers call
+:func:`worker_reset` first so the parent's buffer is not re-shipped.
 
 Spans always balance: ``__exit__`` records the span even when the body
-raises (the span is tagged with the exception type), so after any
-top-level exit :func:`open_span_count` is zero — a property test pins
-this under injected exceptions and ``SolverTimeout``.
+raises (tagged with the exception type), so :func:`open_span_count` is
+zero after any top-level exit — a property test pins this.
 """
 
 from __future__ import annotations

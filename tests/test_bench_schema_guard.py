@@ -1,22 +1,26 @@
-"""Lockstep guard on the BENCH point schema.
+"""Guard on the BENCH point schema.
 
-``benchmarks/conftest.py`` and ``repro.obs.bench`` each carry a copy of
-``POINT_FIELDS`` (the bench suite must not import the package's copy at
-collection time and vice versa).  This test pins the two tuples equal
-and the null-normalization contract: a merged point always carries every
-field explicitly, with ``None`` for metrics the run did not measure —
-so adding ``peak_rss_mb`` (or any future field) cannot silently skew
-old trajectories.
+The bench session (``benchmarks/conftest.py``) and the CLI's
+``--record-bench`` both build points through ``repro.obs.bench``.  These
+tests pin that and the null-normalization contract: a merged point
+always carries every field explicitly, with ``None`` for metrics the run
+did not measure — so adding ``peak_rss_mb`` (or any future field) cannot
+silently skew old trajectories.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import POINT_FIELDS as CONFTEST_FIELDS
-from repro.obs.bench import POINT_FIELDS, normalize_point
+from benchmarks.conftest import PerfTrajectory
+from repro.obs.bench import POINT_FIELDS, merge_points, normalize_point
 
 
-def test_point_fields_copies_are_identical():
-    assert POINT_FIELDS == CONFTEST_FIELDS
+def test_bench_session_uses_the_package_schema():
+    trajectory = PerfTrajectory()
+    trajectory.record("fig4:K=20", "approAlg", served=10, wall_s=0.5,
+                      speedup=2.0)
+    (point,) = trajectory.points
+    assert tuple(point)[:len(POINT_FIELDS)] == POINT_FIELDS
+    assert point["speedup"] == 2.0 and point["peak_rss_mb"] is None
 
 
 def test_point_fields_include_the_memory_metric():
@@ -36,3 +40,13 @@ def test_normalize_point_nulls_missing_fields():
 def test_normalize_point_keeps_unknown_extras():
     point = normalize_point({"scenario": "x", "custom": 7})
     assert point["custom"] == 7
+
+
+def test_merge_points_replaces_same_key_and_appends_new():
+    old = {"scenario": "a", "algorithm": "x", "workers": 1, "scale": "s",
+           "wall_s": 1.0}
+    merged = merge_points([old], [dict(old, wall_s=2.0),
+                                  dict(old, scenario="b")])
+    assert [(p["scenario"], p["wall_s"]) for p in merged] == [
+        ("a", 2.0), ("b", 1.0)]
+    assert all(set(POINT_FIELDS) <= set(p) for p in merged)

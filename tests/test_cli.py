@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -168,10 +170,10 @@ class TestCli:
         assert "trace (" in out and "metrics written" in out
         assert not obs.is_enabled(), "the CLI must switch tracing back off"
 
-        data = obs.read_trace(trace)
-        assert data.manifest.command == "run"
-        assert data.manifest.seed == 4
-        assert data.manifest.stats["exit_code"] == 0
+        data = obs.read_record(trace)
+        assert data.command == "run"
+        assert data.seed == 4
+        assert data.exit_code == 0
         names = {s["name"] for s in data.spans}
         assert "runner.solve" in names and "approx.enumerate" in names
         assert data.metrics["counters"]["approx.runs"] >= 1
@@ -199,7 +201,7 @@ class TestCli:
 
     def test_trace_report_missing_file_fails_cleanly(self, capsys, tmp_path):
         assert main(["trace-report", str(tmp_path / "nope.jsonl")]) == 2
-        assert "no trace file" in capsys.readouterr().err
+        assert "no run record" in capsys.readouterr().err
 
     def test_mission_trace_records_mission_spans(self, capsys, tmp_path):
         from repro import obs
@@ -210,7 +212,8 @@ class TestCli:
             "--seed", "3", "--duration", "60", "--crashes", "1",
             "--no-map", "--trace", str(trace),
         ]) == 0
-        data = obs.read_trace(trace)
+        data = obs.read_record(trace)
+        assert data.spec["name"] == "cli-mission" and data.seed == 3
         names = {s["name"] for s in data.spans}
         assert "mission.run" in names and "mission.plan" in names
         assert data.metrics["counters"]["mission.faults"] == 1
@@ -222,12 +225,11 @@ class TestCli:
         from repro import obs
 
         trace = tmp_path / "empty_spans.jsonl"
-        manifest = obs.RunManifest(command="run", seed=1, wall_s=0.5)
-        obs.write_trace(
-            trace, manifest, spans=[],
+        obs.write_record(trace, obs.RunRecord(
+            command="run", seed=1, wall_s=0.5,
             metrics={"counters": {"runner.solves": 1}, "gauges": {},
                      "histograms": {}},
-        )
+        ))
         assert main(["trace-report", str(trace)]) == 0
         out = capsys.readouterr().out
         assert "no spans recorded" in out
@@ -418,18 +420,63 @@ class TestFlightRecorderCli:
     observed commands, `repro profile`, and `repro runs`."""
 
     def test_run_timeline_flag_writes_jsonl(self, capsys, tmp_path):
-        from repro.obs.timeline import read_timeline
+        from repro.obs import read_record
 
         timeline = tmp_path / "tl.jsonl"
         assert main([
             "run", "--users", "60", "--uavs", "3", "--scale", "small",
             "--seed", "4", "--timeline", str(timeline),
+            "--live-interval", "0.5",
         ]) == 0
         assert "timeline (" in capsys.readouterr().out
-        meta, snapshots = read_timeline(timeline)
-        assert meta["schema"] == 1 and snapshots
+        record = read_record(timeline)
+        assert record.timeline and record.interval_s == 0.5
+        assert record.dropped == 0 and record.spans
         # The closing snapshot carries the run's final counters.
-        assert snapshots[-1]["counters"]["runner.solves"] == 1
+        assert record.timeline[-1]["counters"]["runner.solves"] == 1
+
+    def test_preset_run_records_the_preset_spec(self, capsys, tmp_path):
+        """The record names the spec that ran, not the CLI defaults."""
+        from repro.obs import read_record
+        from repro.scenario import get_preset
+
+        trace = tmp_path / "t.jsonl"
+        assert main(["run", "--scenario", "demo-small",
+                     "--trace", str(trace)]) == 0
+        record = read_record(trace)
+        preset = get_preset("demo-small")
+        assert record.spec == preset.to_dict()
+        assert record.spec["num_users"] == 300
+        assert record.spec["num_uavs"] == 6
+        assert record.seed == 42
+        assert record.scenario_key == json.loads(
+            json.dumps(list(preset.scenario_key())))
+
+    def test_live_timeline_archive_share_one_sampler_thread(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        import threading
+
+        from repro.obs import sampler as sampler_mod
+
+        started: list = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            if thread.name == sampler_mod.THREAD_NAME:
+                started.append(thread)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        assert main([
+            "run", "--users", "40", "--uavs", "3", "--scale", "small",
+            "--live", "--timeline", str(tmp_path / "tl.jsonl"),
+            "--archive", "--archive-root", str(tmp_path / "runs"),
+            "--trace", str(tmp_path / "t.jsonl"),
+        ]) == 0
+        assert len(started) == 1
+        assert (tmp_path / "tl.jsonl").read_text().splitlines()[1:] == (
+            tmp_path / "t.jsonl").read_text().splitlines()[1:]
 
     def test_trace_embeds_timeline_and_report_renders_it(
         self, capsys, tmp_path

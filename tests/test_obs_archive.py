@@ -1,7 +1,8 @@
-"""Tests for ``repro.obs.archive`` and the kernel-attribution surface.
+"""Tests for the run archive (``repro.obs.record``) and the
+kernel-attribution surface of the compare engine (``repro.obs.compare``).
 
-The archive's contract: every recorded run loads back byte-identical,
-the index survives crashes (atomic writes), and ``compare_runs`` /
+The archive's contract: every recorded run loads back identical, the
+index survives crashes (atomic writes), and ``compare_runs`` /
 ``perf-diff --attribute`` answer *which kernel* regressed — the
 acceptance fixture below inflates ``gain_matrix_ms`` on an otherwise
 steady trajectory and the attribution must name it.
@@ -15,15 +16,17 @@ import pytest
 
 from repro import obs
 from repro.cli import main
-from repro.obs.archive import RunArchive, compare_runs, span_totals
-from repro.obs.regress import (
+from repro.obs.compare import (
     IMPROVED,
     KERNEL_FIELDS,
     MISSING,
     NEW,
     REGRESSED,
-    perf_diff,
+    compare,
+    compare_runs,
 )
+from repro.obs.record import RunArchive, RunRecord, span_totals
+from repro.obs.sampler import Sampler, SamplerConfig
 
 
 @pytest.fixture(autouse=True)
@@ -35,9 +38,9 @@ def _clean_obs():
     obs.reset()
 
 
-def _manifest(wall_s: float = 1.0, command: str = "run") -> obs.RunManifest:
-    return obs.RunManifest(command=command, seed=7, algorithm="approAlg",
-                           wall_s=wall_s, created_unix=1700000000.0)
+def _record(wall_s: float = 1.0, command: str = "run", **fields) -> RunRecord:
+    return RunRecord(command=command, seed=7, algorithm="approAlg",
+                     wall_s=wall_s, created_unix=1700000000.0, **fields)
 
 
 def _spans(solve_ms: float, gain_ms: float) -> list:
@@ -69,9 +72,8 @@ def test_span_totals_aggregates_by_name():
 
 def test_record_and_load_roundtrip(tmp_path):
     archive = RunArchive(tmp_path / "runs")
-    key = ("small", 300, 6)
-    run_id = archive.record_run(
-        _manifest(),
+    key = ["small", 300, 6]
+    record = _record(
         metrics={"counters": {"x": 1}, "gauges": {}, "histograms": {}},
         spans=_spans(20.0, 10.0),
         timeline=[{"t_s": 0.0, "counters": {"approx.subsets_done": 3},
@@ -79,15 +81,18 @@ def test_record_and_load_roundtrip(tmp_path):
         scenario_key=key,
         served=275,
     )
+    run_id = archive.record_run(record)
     assert run_id == "run-0001"
     run = archive.load(run_id)
-    assert run.data["scenario_key"] == list(key)
-    assert run.data["served"] == 275
-    assert run.manifest.command == "run"
+    assert run == record
+    assert run.scenario_key == key
+    assert run.served == 275
+    assert run.command == "run"
     assert run.kernels["approx.gain_matrix"]["total_ms"] == 10.0
     assert run.metrics["counters"] == {"x": 1}
     assert len(run.timeline) == 1 and run.timeline[0]["rss_mb"] == 40.0
     assert run.profile is None
+    assert archive.load(run.path) == archive.load(run.path.parent) == run
 
     (entry,) = archive.list_runs()
     assert entry["id"] == run_id
@@ -97,8 +102,8 @@ def test_record_and_load_roundtrip(tmp_path):
 
 def test_ids_are_sequential_and_unknown_id_raises(tmp_path):
     archive = RunArchive(tmp_path / "runs")
-    assert archive.record_run(_manifest()) == "run-0001"
-    assert archive.record_run(_manifest()) == "run-0002"
+    assert archive.record_run(_record()) == "run-0001"
+    assert archive.record_run(_record()) == "run-0002"
     with pytest.raises(KeyError, match="run-0001, run-0002"):
         archive.load("run-9999")
 
@@ -109,11 +114,11 @@ def test_archive_stores_profiler_artifacts(tmp_path):
     profiler = SamplingProfiler(ProfileConfig(memory=False))
     profiler.sample_once()
     archive = RunArchive(tmp_path / "runs")
-    run_id = archive.record_run(_manifest(command="profile"),
-                                profile=profiler)
+    run_id = archive.record_run(
+        _record(command="profile", profile=profiler.to_dict()), profiler)
     run = archive.load(run_id)
     assert run.profile["samples"] == profiler.samples
-    speedscope = run.path / "profile.speedscope.json"
+    speedscope = run.path.parent / "profile.speedscope.json"
     assert json.loads(speedscope.read_text())["profiles"]
 
 
@@ -123,7 +128,42 @@ def test_corrupt_index_degrades_to_empty(tmp_path):
     (root / "index.json").write_text("not {{{ json")
     archive = RunArchive(root)
     assert archive.list_runs() == []
-    assert archive.record_run(_manifest()) == "run-0001"
+    assert archive.record_run(_record()) == "run-0001"
+
+
+def test_archived_timeline_keeps_dropped_and_interval(tmp_path):
+    """A ring that overflowed says so after the archive round trip."""
+    obs.enable()
+    sampler = Sampler(SamplerConfig(interval_s=0.25, capacity=2))
+    for _ in range(5):
+        obs.counter_inc("approx.subsets_done")
+        sampler.snapshot()
+    record = obs.build_record("run", wall_s=0.1, exit_code=0, spans=[],
+                              metrics=obs.metrics_snapshot(), sampler=sampler)
+    archive = RunArchive(tmp_path / "runs")
+    run = archive.load(archive.record_run(record))
+    assert run.dropped == 3 and run.interval_s == 0.25
+    assert len(run.timeline) == 2
+    assert run.timeline[-1]["counters"]["approx.subsets_done"] == 5
+    assert "3 dropped" in obs.summarize(run)
+
+
+def test_old_schema_is_refused_by_version(tmp_path):
+    """Schema-1 files (trace JSONL, timeline JSONL, run.json dirs) raise
+    a ValueError that names the version instead of being half-read."""
+    trace = tmp_path / "trace.jsonl"
+    trace.write_text('{"type": "manifest", "schema": 1, "command": "run"}\n'
+                     '{"type": "metrics", "counters": {}}\n')
+    timeline = tmp_path / "tl.jsonl"
+    timeline.write_text('{"type": "timeline-meta", "schema": 1}\n')
+    old_dir = tmp_path / "runs" / "run-0001"
+    old_dir.mkdir(parents=True)
+    (old_dir / "run.json").write_text(json.dumps({"schema": 1}))
+    for path in (trace, timeline, old_dir):
+        with pytest.raises(ValueError, match="schema 1"):
+            obs.read_record(path)
+    with pytest.raises(ValueError, match="schema 1"):
+        RunArchive(tmp_path / "runs").load("run-0001")
 
 
 # -- comparison --------------------------------------------------------------
@@ -132,15 +172,16 @@ def test_corrupt_index_degrades_to_empty(tmp_path):
 def test_compare_runs_names_dominant_kernel(tmp_path):
     archive = RunArchive(tmp_path / "runs")
     base = archive.load(archive.record_run(
-        _manifest(wall_s=1.0), spans=_spans(solve_ms=20.0, gain_ms=10.0)))
+        _record(wall_s=1.0, spans=_spans(solve_ms=20.0, gain_ms=10.0))))
     cur = archive.load(archive.record_run(
-        _manifest(wall_s=1.5), spans=_spans(solve_ms=21.0, gain_ms=30.0)))
+        _record(wall_s=1.5, spans=_spans(solve_ms=21.0, gain_ms=30.0))))
 
     comparison = compare_runs(base, cur, threshold=0.15)
-    assert comparison.wall_status == REGRESSED
+    (entry,) = comparison.entries
+    assert entry.status == REGRESSED
     assert comparison.exit_code == 1
     dominant = comparison.dominant_regression
-    assert dominant.kernel == "approx.gain_matrix"
+    assert dominant.name == "approx.gain_matrix"
     assert dominant.delta == pytest.approx(2.0)
     text = comparison.to_text()
     assert "REGRESSION: kernel 'approx.gain_matrix'" in text
@@ -150,16 +191,15 @@ def test_compare_runs_names_dominant_kernel(tmp_path):
 
 def test_compare_runs_clean_and_asymmetric_kernels(tmp_path):
     archive = RunArchive(tmp_path / "runs")
-    base = archive.load(archive.record_run(
-        _manifest(wall_s=1.0),
-        spans=[{"name": "only.base", "duration_ns": 1_000_000}]))
-    cur = archive.load(archive.record_run(
-        _manifest(wall_s=1.0),
-        spans=[{"name": "only.cur", "duration_ns": 1_000_000}]))
+    base = archive.load(archive.record_run(_record(
+        wall_s=1.0, spans=[{"name": "only.base", "duration_ns": 1_000_000}])))
+    cur = archive.load(archive.record_run(_record(
+        wall_s=1.0, spans=[{"name": "only.cur", "duration_ns": 1_000_000}])))
     comparison = compare_runs(base, cur)
     assert comparison.exit_code == 0
     assert comparison.dominant_regression is None
-    statuses = {k.kernel: k.status for k in comparison.kernels}
+    (entry,) = comparison.entries
+    statuses = {k.name: k.status for k in entry.kernels}
     assert statuses == {"only.base": MISSING, "only.cur": NEW}
     assert "no regression" in comparison.to_text()
 
@@ -182,13 +222,13 @@ def test_perf_diff_attribution_names_inflated_gain_matrix():
     baseline = [_point()]
     current = [_point(wall_s=1.4, context_build_s=0.21, bound_pass_ms=5.1,
                       gain_matrix_ms=90.0)]
-    diff = perf_diff(baseline, current, threshold=0.15)
+    diff = compare(baseline, current, threshold=0.15)
     assert diff.exit_code == 1
     (delta,) = diff.entries
     assert delta.status == REGRESSED
-    worst_name, worst_info = delta.worst_kernel()
-    assert worst_name == "gain_matrix_ms"
-    assert worst_info["delta"] == pytest.approx(1.25)
+    worst = delta.worst_kernel()
+    assert worst.name == "gain_matrix_ms"
+    assert worst.delta == pytest.approx(1.25)
     (attr,) = diff.attribution()
     assert attr["kernel"] == "gain_matrix_ms"
     assert attr["current"] == 90.0
@@ -202,7 +242,7 @@ def test_perf_diff_attribution_names_inflated_gain_matrix():
 def test_perf_diff_attribution_empty_when_kernels_hold():
     baseline = [_point()]
     current = [_point(wall_s=1.4)]  # slower, but no kernel moved
-    diff = perf_diff(baseline, current, threshold=0.15)
+    diff = compare(baseline, current, threshold=0.15)
     assert diff.exit_code == 1
     assert diff.attribution() == []
     assert "no kernel-level timings moved" in diff.attribution_text()
@@ -217,9 +257,10 @@ def test_kernel_fields_cover_the_recorded_timings():
 def test_improved_kernel_is_not_attributed():
     baseline = [_point()]
     current = [_point(gain_matrix_ms=10.0)]
-    diff = perf_diff(baseline, current, threshold=0.15)
+    diff = compare(baseline, current, threshold=0.15)
     (delta,) = diff.entries
-    assert delta.kernels["gain_matrix_ms"]["status"] == IMPROVED
+    kernels = {k.name: k.status for k in delta.kernels}
+    assert kernels["gain_matrix_ms"] == IMPROVED
     assert delta.worst_kernel() is None
 
 
@@ -228,9 +269,9 @@ def test_improved_kernel_is_not_attributed():
 
 class TestRunsCli:
     def _seed_archive(self, root, gain_ms: float, wall_s: float) -> str:
-        return RunArchive(root).record_run(
-            _manifest(wall_s=wall_s), spans=_spans(20.0, gain_ms),
-            scenario_key=("small", 300, 6), served=275)
+        return RunArchive(root).record_run(_record(
+            wall_s=wall_s, spans=_spans(20.0, gain_ms),
+            scenario_key=["small", 300, 6], served=275))
 
     def test_list_empty_and_populated(self, capsys, tmp_path):
         root = tmp_path / "runs"

@@ -1,26 +1,32 @@
-"""Tests for the live heartbeat reporter (``repro.obs.live``).
+"""Tests for the registry sampler (``repro.obs.sampler``).
 
-The reporter is driven two ways: thread-free via :meth:`LiveReporter.sample`
-with an injected clock and a private registry (deterministic rate/ETA/stall
-math), and end-to-end with the real daemon thread against an in-memory
-stream (lifecycle, rendering, stall warnings).
+The sampler is driven two ways: thread-free via :meth:`Sampler.sample`
+and :meth:`Sampler.snapshot` with an injected clock and a private
+registry (ring buffer, drop accounting, rate/ETA/stall math), and
+end-to-end with the real daemon thread against an in-memory stream
+(lifecycle, the ``--live`` progress line, stall warnings).
 """
 
 from __future__ import annotations
 
 import io
+import itertools
+import threading
 import time
 
 import pytest
 
 from repro import obs
-from repro.obs.live import (
+from repro.obs import report
+from repro.obs.sampler import (
     DEFAULT_ACTIVITY_COUNTERS,
-    LiveConfig,
-    LiveReporter,
+    THREAD_NAME,
     LiveSample,
+    Sampler,
+    SamplerConfig,
     _fmt_eta,
 )
+from repro.util.charts import sparkline
 
 
 @pytest.fixture(autouse=True)
@@ -50,9 +56,14 @@ class _Tty(io.StringIO):
         return True
 
 
+def _fake_clock(step: float = 1.0):
+    counter = itertools.count()
+    return lambda: next(counter) * step
+
+
 def _reporter(registry, clock=None, **cfg):
-    return LiveReporter(
-        LiveConfig(**cfg),
+    return Sampler(
+        SamplerConfig(**cfg),
         registry=registry,
         clock=clock if clock is not None else _Clock(),
     )
@@ -63,19 +74,22 @@ def _reporter(registry, clock=None, **cfg):
 
 def test_config_rejects_nonpositive_interval():
     with pytest.raises(ValueError, match="interval"):
-        LiveConfig(interval_s=0)
+        SamplerConfig(interval_s=0)
 
 
 def test_config_rejects_zero_stall_intervals():
     with pytest.raises(ValueError, match="stall_intervals"):
-        LiveConfig(stall_intervals=0)
+        SamplerConfig(stall_intervals=0)
 
 
-def test_config_rejects_bad_alpha():
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        LiveConfig(ewma_alpha=0.0)
-    with pytest.raises(ValueError, match="ewma_alpha"):
-        LiveConfig(ewma_alpha=1.5)
+def test_config_rejects_zero_capacity():
+    with pytest.raises(ValueError, match="capacity"):
+        SamplerConfig(capacity=0)
+
+
+def test_config_has_fewer_knobs_than_the_two_it_replaced():
+    # The old reporter and recorder configs had six settable fields.
+    assert len(SamplerConfig.__dataclass_fields__) < 6
 
 
 # -- sampling math (thread-free) ---------------------------------------------
@@ -182,8 +196,8 @@ def test_start_stop_cleanly_and_emit_closing_sample():
     registry = obs.MetricsRegistry()
     registry.inc("approx.subsets_planned", 10)
     registry.inc("approx.subsets_done", 10)
-    reporter = LiveReporter(
-        LiveConfig(interval_s=60.0, stream=stream), registry=registry
+    reporter = Sampler(
+        SamplerConfig(interval_s=60.0), registry=registry, progress=stream
     )
     reporter.start()
     assert reporter.running
@@ -202,8 +216,8 @@ def test_start_stop_cleanly_and_emit_closing_sample():
 def test_context_manager_and_non_tty_plain_lines():
     stream = io.StringIO()
     registry = obs.MetricsRegistry()
-    with LiveReporter(
-        LiveConfig(interval_s=0.01, stream=stream), registry=registry
+    with Sampler(
+        SamplerConfig(interval_s=0.01), registry=registry, progress=stream
     ):
         time.sleep(0.05)
     text = stream.getvalue()
@@ -215,8 +229,8 @@ def test_context_manager_and_non_tty_plain_lines():
 def test_tty_renders_in_place_then_final_newline():
     stream = _Tty()
     registry = obs.MetricsRegistry()
-    with LiveReporter(
-        LiveConfig(interval_s=60.0, stream=stream), registry=registry
+    with Sampler(
+        SamplerConfig(interval_s=60.0), registry=registry, progress=stream
     ):
         pass
     text = stream.getvalue()
@@ -227,9 +241,9 @@ def test_tty_renders_in_place_then_final_newline():
 def test_stall_warning_emitted_once_and_counted():
     stream = io.StringIO()
     registry = obs.MetricsRegistry()
-    reporter = LiveReporter(
-        LiveConfig(interval_s=0.01, stall_intervals=2, stream=stream),
-        registry=registry,
+    reporter = Sampler(
+        SamplerConfig(interval_s=0.01, stall_intervals=2),
+        registry=registry, progress=stream,
     )
     with reporter:
         time.sleep(0.3)   # plenty of quiet samples -> exactly one episode
@@ -240,11 +254,11 @@ def test_stall_warning_emitted_once_and_counted():
 
 
 def test_reporter_does_not_enable_obs_or_write_counters():
-    """Off-by-default contract: a reporter left running over a healthy
+    """Off-by-default contract: a sampler left running over a healthy
     (moving) registry only reads — the global obs switch stays off and no
     counters appear that the solver did not write."""
     stream = io.StringIO()
-    with LiveReporter(LiveConfig(interval_s=60.0, stream=stream)):
+    with Sampler(SamplerConfig(interval_s=60.0), progress=stream):
         pass
     assert not obs.is_enabled()
     assert obs.metrics_snapshot()["counters"] == {}
@@ -253,9 +267,120 @@ def test_reporter_does_not_enable_obs_or_write_counters():
 def test_write_survives_closed_stream():
     stream = io.StringIO()
     registry = obs.MetricsRegistry()
-    reporter = LiveReporter(
-        LiveConfig(interval_s=60.0, stream=stream), registry=registry
+    reporter = Sampler(
+        SamplerConfig(interval_s=60.0), registry=registry, progress=stream
     )
     reporter.start()
     stream.close()
     reporter.stop()   # must not raise despite the dead stream
+
+
+# -- the ring buffer ---------------------------------------------------------
+
+
+def test_record_splits_worker_gauges_from_the_rest():
+    obs.enable()
+    obs.counter_inc("approx.subsets_done", 7)
+    obs.gauge_set("approx.worker.1234.subsets", 5)
+    obs.gauge_set("mission.served", 371)
+    sampler = Sampler(clock=_fake_clock())
+    snap = sampler.snapshot()
+    assert snap["t_s"] == 0.0
+    assert snap["counters"]["approx.subsets_done"] == 7
+    assert snap["workers"] == {"1234": 5}
+    assert snap["gauges"] == {"mission.served": 371}
+    assert snap["rss_mb"] is None or snap["rss_mb"] > 0
+    # t_s is relative to the first snapshot, monotone increasing.
+    assert sampler.snapshot()["t_s"] > 0.0
+
+
+def test_ring_drops_oldest_and_counts():
+    sampler = Sampler(SamplerConfig(interval_s=0.01, capacity=3),
+                      clock=_fake_clock())
+    for _ in range(5):
+        sampler.snapshot()
+    assert len(sampler) == 3
+    assert sampler.dropped == 2
+    times = [s["t_s"] for s in sampler.snapshots()]
+    assert times == sorted(times) and times[0] > 0.0  # oldest two fell off
+
+
+def test_every_tick_snapshots_and_marks_only_snapshot():
+    """One sampler serves both outputs: each progress tick lands in the
+    ring, and record_mark adds a snapshot without touching the rate."""
+    obs.enable()
+    obs.counter_inc("approx.subsets_planned", 10)
+    sampler = Sampler(clock=_fake_clock())
+    sampler.sample()
+    obs.counter_inc("approx.subsets_done", 10)
+    sampler.sample()
+    assert len(sampler) == sampler.samples_taken == 2
+    obs.set_active_recorder(sampler)
+    try:
+        assert obs.record_mark() is not None
+    finally:
+        obs.set_active_recorder(None)
+    assert obs.record_mark() is None
+    assert len(sampler) == 3 and sampler.samples_taken == 2
+    assert report.counter_series(sampler.snapshots(),
+                                 "approx.subsets_done") == [0, 10, 10]
+
+
+def test_standalone_daemon_records_final_snapshot():
+    obs.enable()
+    obs.counter_inc("approx.subsets_done", 5)
+    sampler = Sampler(SamplerConfig(interval_s=60.0))
+    with sampler:
+        assert sampler.running
+        assert THREAD_NAME in {t.name for t in threading.enumerate()}
+        with pytest.raises(RuntimeError, match="already running"):
+            sampler.start()
+    assert not sampler.running
+    # The interval never elapsed, but stop() lands one closing snapshot
+    # carrying the final cumulative counters.
+    assert len(sampler) >= 1
+    assert sampler.snapshots()[-1]["counters"]["approx.subsets_done"] == 5
+
+
+# -- derived series ----------------------------------------------------------
+
+
+def _synthetic_snapshots() -> list:
+    return [
+        {"t_s": 0.0, "counters": {"approx.subsets_done": 0},
+         "workers": {}, "gauges": {}, "rss_mb": 40.0},
+        {"t_s": 1.0, "counters": {"approx.subsets_done": 10},
+         "workers": {"1": 6, "2": 4}, "gauges": {}, "rss_mb": 44.0},
+        {"t_s": 3.0, "counters": {"approx.subsets_done": 14},
+         "workers": {"1": 8, "2": 6}, "gauges": {}, "rss_mb": None},
+    ]
+
+
+def test_derived_series():
+    snaps = _synthetic_snapshots()
+    assert report.counter_series(snaps, "approx.subsets_done") == [0, 10, 14]
+    assert report.rate_series(snaps) == [10.0, 2.0]
+    assert report.rss_series(snaps) == [40.0, 44.0]
+    assert report.worker_totals(snaps) == {"1": 8, "2": 6}
+    text = report.timeline_summary(snaps, dropped=4)
+    assert "3 snapshots over 3.0s, 4 dropped" in text
+    assert "w1:57% w2:42%" in text
+
+
+def test_rate_series_clamps_resets_to_zero():
+    snaps = [
+        {"t_s": 0.0, "counters": {"approx.subsets_done": 9}},
+        {"t_s": 1.0, "counters": {"approx.subsets_done": 4}},
+    ]
+    assert report.rate_series(snaps) == [0.0]
+
+
+def test_sparkline_shapes():
+    assert sparkline([]) == "(no data)"
+    assert len(sparkline(list(range(100)), width=20)) == 20
+    ramp = sparkline([0, 1, 2, 3], width=4)
+    assert ramp[0] != ramp[-1]  # intensity moves with the data
+    flat = sparkline([5, 5, 5], width=3)
+    assert len(set(flat)) == 1  # constant series renders uniformly
+    with pytest.raises(ValueError):
+        sparkline([1], width=0)

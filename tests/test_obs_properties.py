@@ -9,8 +9,9 @@ Four invariants the observability layer must never lose:
 * engine equivalence — identical seeds yield bit-identical metric
   counters serial vs ``workers=N`` (counter merging is commutative
   addition of worker deltas, so chunking must not show through);
-* manifest round-trip — ``write_trace`` → ``read_trace`` is lossless
-  for any JSON-safe manifest;
+* record round-trip — ``write_record`` → ``read_record`` is lossless
+  for any JSON-safe header, and a record written by any of ``--trace``,
+  ``--timeline`` or ``--archive`` reads through every consumer;
 * disabled means free — with observability off, nothing is recorded and
   the span helper returns the shared no-op singleton.
 """
@@ -18,6 +19,7 @@ Four invariants the observability layer must never lose:
 from __future__ import annotations
 
 import io
+import json
 import tempfile
 import time
 from pathlib import Path
@@ -148,13 +150,13 @@ def test_spans_balance_under_watchdog_solver_timeout():
 @pytest.mark.timeout_guard(180)
 def test_metric_counts_identical_serial_vs_parallel():
     """Same seed, same counters, same span count — workers=1 vs workers=4,
-    with a live heartbeat reporter running over both.
+    with a live sampler running over both.
 
     approx.* totals are incremented parent-side from the merged stats and
     worker-side greedy/flow counters merge by commutative addition, so the
     chunking of the subset enumeration must be invisible in the metrics.
-    The LiveReporter only *reads* counters (per-worker utilization lands
-    in gauges, which are legitimately worker-dependent), so sampling
+    The sampler only *reads* counters (per-worker utilization lands in
+    gauges, which are legitimately worker-dependent), so sampling
     concurrently with either run must not break the equality.
     """
     problem = paper_scenario(num_users=130, num_uavs=4, scale="small", seed=3)
@@ -163,24 +165,24 @@ def test_metric_counts_identical_serial_vs_parallel():
         obs.enable()
         obs.reset()
         heartbeat = io.StringIO()
-        # The timeline recorder rides the reporter's heartbeat (one
-        # daemon serves both) — its final snapshot must carry the same
-        # cumulative counters for any worker count.
-        recorder = obs.TimelineRecorder(obs.TimelineConfig(interval_s=0.02))
-        live = obs.LiveReporter(obs.LiveConfig(
-            interval_s=0.02, stall_intervals=10**6, stream=heartbeat,
-        ), timeline=recorder)
+        # One sampler renders the heartbeat and fills the ring — its
+        # final snapshot must carry the same cumulative counters for any
+        # worker count.
+        live = obs.Sampler(
+            obs.SamplerConfig(interval_s=0.02, stall_intervals=10**6),
+            progress=heartbeat,
+        )
         with live:
             result = appro_alg(
                 problem, s=2, gain_mode="exact", workers=workers
             )
         assert "[live]" in heartbeat.getvalue()
-        assert len(recorder) == live.samples_taken > 0
+        assert len(live) == live.samples_taken > 0
         counters = dict(obs.metrics_snapshot()["counters"])
         spans = obs.drain_spans()
         obs.disable()
         obs.reset()
-        return result, counters, len(spans), recorder.last()
+        return result, counters, len(spans), live.snapshots()[-1]
 
     serial, serial_counts, serial_spans, serial_snap = observed_run(workers=1)
     parallel, parallel_counts, parallel_spans, parallel_snap = observed_run(
@@ -212,7 +214,7 @@ def test_metric_counts_identical_serial_vs_parallel():
             == serial_counts["approx.subsets_planned"])
 
 
-# -- manifest round-trip -----------------------------------------------------
+# -- record round-trip -------------------------------------------------------
 
 _scalars = (
     st.none()
@@ -228,34 +230,29 @@ _config_dicts = st.dictionaries(st.text(max_size=10), _scalars, max_size=5)
     command=st.text(min_size=1, max_size=15),
     seed=st.none() | st.integers(min_value=0, max_value=2**31),
     algorithm=st.none() | st.text(max_size=15),
-    scenario=_config_dicts,
+    spec=st.none() | _config_dicts,
     config=_config_dicts,
-    stats=_config_dicts,
+    exit_code=st.none() | st.integers(min_value=0, max_value=255),
     wall_s=st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+    dropped=st.integers(min_value=0, max_value=10**6),
 )
 @settings(max_examples=40, deadline=None)
 def test_manifest_jsonl_roundtrip(
-    command, seed, algorithm, scenario, config, stats, wall_s
+    command, seed, algorithm, spec, config, exit_code, wall_s, dropped
 ):
-    manifest = obs.RunManifest(
-        command=command,
-        seed=seed,
-        scenario=scenario,
-        algorithm=algorithm,
-        config=config,
-        git_rev="abc1234",
-        stats=stats,
-        wall_s=wall_s,
-        created_unix=1700000000.0,
+    record = obs.RunRecord(
+        command=command, spec=spec, seed=seed, algorithm=algorithm,
+        config=config, git_rev="abc1234", wall_s=wall_s,
+        exit_code=exit_code, created_unix=1700000000.0,
+        interval_s=0.5, dropped=dropped,
+        metrics={"counters": {"x": 1}, "gauges": {}, "histograms": {}},
     )
-    metrics = {"counters": {"x": 1}, "gauges": {}, "histograms": {}}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.jsonl"
-        obs.write_trace(path, manifest, spans=[], metrics=metrics)
-        data = obs.read_trace(path)
-    assert data.manifest == manifest
-    assert data.spans == []
-    assert data.metrics == metrics
+        obs.write_record(path, record)
+        data = obs.read_record(path)
+    assert data == record
+    assert data.spans == [] and data.timeline == []
 
 
 def test_trace_file_roundtrips_real_spans(tmp_path):
@@ -267,9 +264,10 @@ def test_trace_file_roundtrips_real_spans(tmp_path):
     metrics = obs.metrics_snapshot()
     obs.disable()
 
-    manifest = obs.RunManifest(command="test", seed=7)
-    path = obs.write_trace(tmp_path / "t.jsonl", manifest, spans, metrics)
-    data = obs.read_trace(path)
+    record = obs.build_record("test", wall_s=0.1, exit_code=0, spans=spans,
+                              metrics=metrics, seed=7)
+    path = obs.write_record(tmp_path / "t.jsonl", record)
+    data = obs.read_record(path)
     assert [s["name"] for s in data.spans] == ["outer", "inner"]
     assert [s["depth"] for s in data.spans] == [0, 1]
     assert data.spans == sorted(
@@ -286,7 +284,54 @@ def test_read_trace_rejects_unknown_record_type(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"type": "mystery", "x": 1}\n')
     with pytest.raises(ValueError, match="mystery"):
-        obs.read_trace(path)
+        obs.read_record(path)
+    path.write_text('{"type": "header", "schema": 2, "command": "run"}\n'
+                    '{"type": "mystery"}\n')
+    with pytest.raises(ValueError, match="mystery"):
+        obs.read_record(path)
+
+
+@given(flag=st.sampled_from(["trace", "timeline", "archive"]),
+       other=st.sampled_from(["trace", "timeline", "archive"]))
+@settings(max_examples=6, deadline=None)
+def test_one_format_reads_through_every_consumer(flag, other):
+    """A record written by any flag renders in trace-report (with a
+    Chrome export), runs show and perf-diff, and runs compare accepts a
+    pair made by any two flags (archive ids and paths mixed)."""
+    import contextlib
+
+    from repro.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        runs = ["--root", str(root / "runs")]
+
+        def produce(which: str) -> "tuple[str, Path]":
+            """(the ref runs show/compare take, the record's path)"""
+            path = root / f"{which}-{len(list(root.glob('*.jsonl')))}.jsonl"
+            out = ["--archive", "--archive-root", str(root / "runs")] if (
+                which == "archive") else [f"--{which}", str(path)]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["run", "--users", "40", "--uavs", "3",
+                             "--scale", "small", "--seed", "1", *out]) == 0
+            if which != "archive":
+                return str(path), path
+            run_id = obs.RunArchive(root / "runs").list_runs()[-1]["id"]
+            return run_id, root / "runs" / run_id
+
+        (first, path), (second, _) = produce(flag), produce(other)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["trace-report", str(path), "--chrome",
+                         str(root / "c.json")]) == 0
+            assert main(["runs", "show", first, *runs]) == 0
+            assert main(["perf-diff", str(path), str(path)]) == 0
+            assert main(["runs", "compare", first, second, *runs,
+                         "--threshold", "100"]) == 0
+        text = out.getvalue()
+        assert "scenario: cli-run (scale=small, users=40, uavs=3)" in text
+        assert "kernel timings" in text and "runs compare" in text
+        assert json.loads((root / "c.json").read_text())["traceEvents"]
 
 
 # -- disabled means free -----------------------------------------------------
@@ -318,6 +363,7 @@ def test_disabled_overhead_guard_full_solver():
     import tracemalloc
 
     from repro.obs import profile as prof
+    from repro.obs.sampler import THREAD_NAME
 
     problem = paper_scenario(num_users=120, num_uavs=4, scale="small", seed=5)
     threads_before = set(threading.enumerate())
@@ -329,9 +375,7 @@ def test_disabled_overhead_guard_full_solver():
     assert result.served > 0
     assert set(threading.enumerate()) == threads_before
     daemon_names = {t.name for t in threading.enumerate()}
-    assert not daemon_names & {
-        "repro-profiler", "repro-timeline", "repro-live-reporter",
-    }
+    assert not daemon_names & {"repro-profiler", THREAD_NAME}
     assert not tracemalloc.is_tracing()
     assert prof.active() is None
     assert obs.stage_watermark("solve") is prof._NULL_WATERMARK

@@ -1,4 +1,5 @@
-"""Tests for the perf-regression detector (``repro.obs.regress``)."""
+"""Tests for the keyed compare engine (``repro.obs.compare``) as the
+perf-regression detector behind ``repro perf-diff``."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs.regress import (
+from repro.obs.compare import (
     IMPROVED,
     KEY_FIELDS,
     MISSING,
@@ -15,8 +16,8 @@ from repro.obs.regress import (
     REGRESSED,
     UNCHANGED,
     classify,
+    compare,
     load_points,
-    perf_diff,
     perf_diff_paths,
 )
 
@@ -47,12 +48,12 @@ def test_classify_zero_baseline_never_regresses():
     assert classify(0.0, 5.0, 0.15) == (UNCHANGED, None)
 
 
-# -- perf_diff ---------------------------------------------------------------
+# -- compare -----------------------------------------------------------------
 
 
 def test_identical_recordings_are_unchanged_with_exit_zero():
     points = [_pt(), _pt(algorithm="MCS", wall_s=0.5)]
-    diff = perf_diff(points, points)
+    diff = compare(points, points)
     assert diff.counts() == {UNCHANGED: 2}
     assert diff.exit_code == 0
     assert "no regression" in diff.to_text()
@@ -61,7 +62,7 @@ def test_identical_recordings_are_unchanged_with_exit_zero():
 def test_regression_detected_and_sorted_worst_first():
     baseline = [_pt(wall_s=1.0), _pt(algorithm="MCS", wall_s=1.0)]
     current = [_pt(wall_s=2.0), _pt(algorithm="MCS", wall_s=1.5)]
-    diff = perf_diff(baseline, current, threshold=0.15)
+    diff = compare(baseline, current, threshold=0.15)
     assert [e.status for e in diff.entries] == [REGRESSED, REGRESSED]
     assert diff.entries[0].delta == pytest.approx(1.0)   # worst first
     assert diff.entries[1].delta == pytest.approx(0.5)
@@ -72,7 +73,7 @@ def test_regression_detected_and_sorted_worst_first():
 def test_improved_new_and_missing_never_fail_the_gate():
     baseline = [_pt(wall_s=2.0), _pt(algorithm="gone", wall_s=1.0)]
     current = [_pt(wall_s=1.0), _pt(algorithm="fresh", wall_s=1.0)]
-    diff = perf_diff(baseline, current, threshold=0.15)
+    diff = compare(baseline, current, threshold=0.15)
     assert diff.counts() == {IMPROVED: 1, NEW: 1, MISSING: 1}
     assert diff.exit_code == 0
 
@@ -82,28 +83,28 @@ def test_median_window_absorbs_one_noisy_point():
     noisy = [_pt(wall_s=1.0), _pt(wall_s=1.0), _pt(wall_s=5.0),
              _pt(wall_s=1.0), _pt(wall_s=1.1)]
     # Median of the last 3 points (5.0, 1.0, 1.1) is 1.1: unchanged.
-    assert perf_diff(baseline, noisy, window=3).exit_code == 0
+    assert compare(baseline, noisy, window=3).exit_code == 0
     # Window 1 keeps only the last point (1.1): still fine...
-    assert perf_diff(baseline, noisy, window=1).exit_code == 0
+    assert compare(baseline, noisy, window=1).exit_code == 0
     # ...but a window-1 diff against the spike itself regresses.
-    assert perf_diff(baseline, noisy[:3], window=1).exit_code == 1
+    assert compare(baseline, noisy[:3], window=1).exit_code == 1
 
 
 def test_points_without_wall_s_are_ignored():
     current = [dict(_pt(), wall_s=None)]
-    diff = perf_diff([_pt(wall_s=1.0)], current)
+    diff = compare([_pt(wall_s=1.0)], current)
     assert diff.counts() == {MISSING: 1}
 
 
 def test_perf_diff_validates_inputs():
     with pytest.raises(ValueError, match="threshold"):
-        perf_diff([], [], threshold=-0.1)
+        compare([], [], threshold=-0.1)
     with pytest.raises(ValueError, match="window"):
-        perf_diff([], [], window=0)
+        compare([], [], window=0)
 
 
 def test_to_dict_shape():
-    diff = perf_diff([_pt(wall_s=1.0)], [_pt(wall_s=3.0)])
+    diff = compare([_pt(wall_s=1.0)], [_pt(wall_s=3.0)])
     data = diff.to_dict()
     assert data["regression"] is True
     assert data["counts"] == {REGRESSED: 1}
@@ -128,24 +129,23 @@ def test_load_points_trajectory_and_bare_list(tmp_path):
 
 
 def test_load_points_reads_a_trace_file(tmp_path):
-    manifest = obs.RunManifest(
-        command="run", seed=1,
-        scenario={"users": 60, "scale": "small"},
-        algorithm="approAlg",
-        config={"workers": 2},
-        wall_s=1.5,
-    )
-    path = obs.write_trace(
-        tmp_path / "t.jsonl", manifest, spans=[],
+    from repro.scenario import get_preset
+
+    record = obs.build_record(
+        "run", wall_s=1.5, exit_code=0,
+        spans=[{"name": "pipeline.solve", "duration_ns": 2_000_000}],
         metrics={"counters": {}, "gauges": {}, "histograms": {}},
+        spec=get_preset("demo-small"), config={"workers": 2},
     )
+    path = obs.write_record(tmp_path / "t.jsonl", record)
     (point,) = load_points(path)
     assert point == {
-        "scenario": "run:users=60",
+        "scenario": "run:demo-small",
         "algorithm": "approAlg",
-        "workers": 2,
+        "workers": 1,            # the spec's, not the CLI config's
         "scale": "small",
         "wall_s": 1.5,
+        "kernels": {"pipeline.solve": 2.0},
     }
 
 
