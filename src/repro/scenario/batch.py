@@ -250,8 +250,7 @@ class BatchRunner:
         obs.counter_inc("batch.groups", len(groups))
         if not todo:
             # Everything was rehydrated (or the caller passed no specs):
-            # never spin up a pool for zero groups — a tiled run whose
-            # tiles were all resumed lands here.
+            # never spin up a pool for zero groups.
             outcomes = []
         elif self.workers > 1 and len(groups) > 1:
             outcomes = self._run_pooled(groups, ledger)

@@ -307,9 +307,9 @@ class SolvePipeline:
         build/context stages then skip their work.
 
         A spec with a ``tiles`` grid (and no ``tile_index``) routes
-        through :func:`repro.scenario.tiling.solve_tiled`, which shards
-        the scenario, solves each tile through this same pipeline via the
-        batch runner, and stitches the result into one state.
+        through :func:`repro.scenario.tiling.solve_tiled`, which builds
+        the scenario once, carves it, solves each tile problem through
+        this same pipeline, and stitches the result into one state.
         """
         entry = self.registry.get(spec.algorithm)
         if spec.aggregation == "cells" and not entry.supports_cells:

@@ -134,8 +134,8 @@ class ScenarioSpec:
     #: How far each tile's candidate locations reach past its core bounds.
     tile_overlap_m: float = 0.0
     #: Internal: when set, :meth:`build` yields that single carved tile's
-    #: sub-problem instead of the full scenario (how the tiled driver feeds
-    #: per-tile specs through the batch runner unchanged).
+    #: sub-problem instead of the full scenario; the tiled driver names its
+    #: per-tile specs with it.
     tile_index: "int | None" = None
 
     # -- schema validation ---------------------------------------------------
@@ -300,9 +300,10 @@ class ScenarioSpec:
 
         Aggregation and tile carving are part of the build: a spec with
         ``aggregation="cells"`` yields a demand-cell problem, and one with
-        ``tile_index`` set yields that carved tile's sub-problem — which is
-        how :func:`repro.scenario.tiling.solve_tiled` feeds per-tile specs
-        through the batch runner without the runner knowing about tiles.
+        ``tile_index`` set yields that carved tile's sub-problem (the same
+        carve :func:`repro.scenario.tiling.solve_tiled` makes, which
+        builds the global problem once and carves every tile from it
+        instead of calling this per tile).
         """
         problem = build_scenario(self.to_config(), self.seed)
         if self.aggregation == "cells":

@@ -4,12 +4,12 @@ tile independently, stitch the pieces into one connected deployment.
 The tiled driver is the second half of the million-user scaling layer
 (:mod:`repro.workload.aggregate` is the first): a ``ScenarioSpec`` with a
 ``tiles="NxM"`` grid routes here from the pipeline, the global (possibly
-demand-cell) problem is carved into per-tile sub-problems by
-:func:`carve_tiles`, and each tile becomes an ordinary spec with
-``tile_index`` set — :meth:`ScenarioSpec.build` reproduces the exact same
-carve, so the tiles run through the unmodified
-:class:`~repro.scenario.batch.BatchRunner` (per-group problem + context
-reuse) like any other batch.
+demand-cell) problem is built and aggregated **once**, carved into
+per-tile sub-problems by one :func:`carve_tiles` call, and each carved
+tile problem goes straight into the unmodified
+:class:`~repro.scenario.pipeline.SolvePipeline` — no tile is rebuilt from
+its spec.  (:meth:`ScenarioSpec.build` with ``tile_index`` still
+reproduces the identical carve for callers that want a single tile.)
 
 Carving is a pure function of ``(problem, grid, overlap)``:
 
@@ -47,6 +47,7 @@ from repro.core.assignment import optimal_assignment, optimal_cell_assignment
 from repro.core.problem import ProblemInstance
 from repro.network.coverage import CoverageGraph
 from repro.scenario.spec import ScenarioSpec, SpecError
+from repro.util.interrupt import SolveInterrupted, interrupt_requested
 
 
 @dataclass(frozen=True)
@@ -169,8 +170,8 @@ def carve_tiles(
 
     Pure and deterministic in its arguments — :meth:`ScenarioSpec.build`
     (for one ``tile_index``) and :func:`solve_tiled` (for all of them)
-    call it independently and must agree.  A ``(1, 1)`` grid returns the
-    original problem object itself (identity carve).
+    get the same tiles.  A ``(1, 1)`` grid returns the original problem
+    object itself (identity carve).
     """
     nx, ny = int(grid[0]), int(grid[1])
     if nx < 1 or ny < 1:
@@ -260,7 +261,7 @@ def carve_tiles(
     return tiles
 
 
-def _stitch_placements(tiles: list, items: list) -> dict:
+def _stitch_placements(tiles: list, states: list) -> dict:
     """Union per-tile placements back into global indices.
 
     Fleet slices are disjoint by construction, so UAV keys never clash;
@@ -269,11 +270,11 @@ def _stitch_placements(tiles: list, items: list) -> dict:
     """
     placements: dict = {}
     used_locations: set = set()
-    for tile, item in zip(tiles, items):
-        if item.deployment is None:
+    for tile, state in zip(tiles, states):
+        if state.deployment is None:
             continue
-        for k_local in sorted(item.deployment.placements):
-            loc = tile.location_map[item.deployment.placements[k_local]]
+        for k_local in sorted(state.deployment.placements):
+            loc = tile.location_map[state.deployment.placements[k_local]]
             if loc in used_locations:
                 obs.counter_inc("tiling.location_clashes")
                 continue
@@ -388,16 +389,17 @@ def solve_tiled(
     registry: "object | None" = None,
     strict: bool = True,
 ):
-    """Solve a ``tiles="NxM"`` spec: carve, batch-solve, stitch, assign.
+    """Solve a ``tiles="NxM"`` spec: build once, carve, solve, stitch, assign.
 
     Returns a :class:`~repro.scenario.pipeline.PipelineState` whose
     ``problem`` is the **global** problem and whose ``deployment`` is the
     stitched, globally re-assigned solution, so callers (CLI, batch
     drivers, tests) treat a tiled run exactly like a plain one.  The
+    record's ``runtime_s`` covers carve, tile solves and stitch, not the
+    global build (plain runs likewise report only their solve).  The
     report gains ``tiles`` / ``tiles_solved`` / ``tiles_empty`` /
     ``relays_added`` / ``degraded`` keys.
     """
-    from repro.scenario.batch import BatchRunner
     from repro.scenario.pipeline import (
         PipelineState,
         SolvePipeline,
@@ -412,32 +414,33 @@ def solve_tiled(
         )
     registry = registry if registry is not None else DEFAULT_REGISTRY
     entry = registry.get(spec.algorithm)
-    start = time.perf_counter()
 
     with obs.span("tiling.build", scenario=spec.name):
         problem = spec.with_overrides(tiles=None, tile_overlap_m=0.0).build()
+    start = time.perf_counter()
     tiles = carve_tiles(problem, spec.tile_grid(), spec.tile_overlap_m)
     solvable = [tile for tile in tiles if tile.problem is not None]
     obs.counter_inc("tiling.tiles", len(tiles))
     obs.counter_inc("tiling.tiles_empty", len(tiles) - len(solvable))
 
-    tile_specs = [
-        spec.with_overrides(
-            name=f"{spec.name}/tile{tile.index}", tile_index=tile.index,
-        )
-        for tile in solvable
-    ]
-    with obs.span("tiling.solve", scenario=spec.name, tiles=len(tile_specs)):
-        runner = BatchRunner(
-            pipeline=SolvePipeline(registry=registry, strict=strict)
-        )
-        batch = runner.run(tile_specs) if tile_specs else None
+    pipeline = SolvePipeline(registry=registry, strict=strict)
+    states = []
+    with obs.span("tiling.solve", scenario=spec.name, tiles=len(solvable)):
+        for tile in solvable:
+            if interrupt_requested():
+                raise SolveInterrupted(
+                    f"tiled solve interrupted after {len(states)} of "
+                    f"{len(solvable)} tile(s)",
+                    partial={"tiles_done": len(states),
+                             "elapsed_s": time.perf_counter() - start},
+                )
+            tile_spec = spec.with_overrides(
+                name=f"{spec.name}/tile{tile.index}", tile_index=tile.index,
+            )
+            states.append(pipeline.run(tile_spec, problem=tile.problem))
 
     with obs.span("tiling.stitch", scenario=spec.name):
-        placements = (
-            _stitch_placements(solvable, list(batch.items))
-            if batch is not None else {}
-        )
+        placements = _stitch_placements(solvable, states)
         placements, relays_added, degraded = _repair_connectivity(
             problem, placements
         )

@@ -106,17 +106,10 @@ class FatTailedWorkload:
         assignments = rng.choice(
             self.num_hotspots, size=num_hotspot_users, p=weights
         )
-        for h in assignments:
-            cx, cy = centres[h]
-            # Redraw until inside the area (truncated Gaussian).
-            for _ in range(1000):
-                x = rng.normal(cx, self.hotspot_sigma_m)
-                y = rng.normal(cy, self.hotspot_sigma_m)
-                if 0.0 <= x <= area.length and 0.0 <= y <= area.width:
-                    points.append((x, y))
-                    break
-            else:  # pragma: no cover - sigma tiny vs area, cannot trigger
-                points.append((cx, cy))
+        points.extend(_truncated_gaussian(
+            rng, centres[assignments], self.hotspot_sigma_m,
+            area.length, area.width,
+        ))
 
         if self.rate_classes is None:
             return users_from_points(points, self.min_rate_bps)
@@ -128,3 +121,46 @@ class FatTailedWorkload:
         for (x, y), cls in zip(points, picks):
             users.extend(users_from_points([(x, y)], rates[int(cls)]))
         return users
+
+
+#: Redraws per hotspot user before it falls back to its hotspot centre.
+MAX_TRIES = 1000
+
+
+def _truncated_gaussian(
+    rng: np.random.Generator,
+    centres: "np.ndarray",
+    sigma: float,
+    length: float,
+    width: float,
+) -> list:
+    """One point per row of ``centres``: an isotropic Gaussian around it,
+    redrawn until it lies in ``[0, length] x [0, width]``.
+
+    Consumes exactly the stream of the per-user scalar loop (``x =
+    rng.normal(cx, sigma)``, ``y = rng.normal(cy, sigma)``, redrawn up to
+    :data:`MAX_TRIES` times, then the centre), but draws it in blocks of
+    one ``(x, y)`` pair per user still waiting.  The pairs are walked in
+    order: an accepted pair finishes its user, a rejected one keeps it.
+    Every waiting user needs at least one more pair, so a block never
+    draws past what the scalar loop would, and the points and the
+    generator state come out bit-identical.
+    """
+    cx = centres[:, 0].tolist()
+    cy = centres[:, 1].tolist()
+    xs, ys = cx[:], cy[:]
+    # Users finish in order, so the ones still waiting are always
+    # cx[user:], and only cx[user] can have used tries.
+    user = tries = 0
+    while user < len(cx):
+        draws = (sigma * rng.standard_normal(2 * (len(cx) - user))).tolist()
+        for dx, dy in zip(draws[0::2], draws[1::2]):
+            x, y = cx[user] + dx, cy[user] + dy
+            if 0.0 <= x <= length and 0.0 <= y <= width:
+                xs[user], ys[user] = x, y
+                user, tries = user + 1, 0
+            else:
+                tries += 1
+                if tries == MAX_TRIES:
+                    user, tries = user + 1, 0
+    return list(zip(xs, ys))

@@ -10,20 +10,35 @@ The tiling layer's two structural promises:
   comes from one global max flow — so no user or demand unit can ever be
   double-counted, which the fuzz pass checks on per-user *and*
   demand-cell variants over several grids and overlap widths.
+
+``solve_tiled`` builds and carves the global problem once and hands each
+carved tile straight to the pipeline; ``TestBuildOnce`` pins that against
+the per-tile-spec path (every tile rebuilt from ``tile_index``).
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+import repro.scenario.spec as spec_module
+import repro.scenario.tiling as tiling
+import repro.workload.aggregate as aggregate_module
 from repro.network.deployment import CellDeployment, Deployment
 from repro.network.validate import (
     validate_cell_deployment,
     validate_deployment,
 )
+from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.scenario.tiling import carve_tiles, solve_tiled
+from repro.util.interrupt import (
+    SolveInterrupted,
+    clear_interrupt,
+    request_interrupt,
+)
 from repro.workload.scenarios import paper_scenario
 
 BASE = ScenarioSpec(
@@ -200,3 +215,136 @@ class TestSolveTiledContract:
         )
         with pytest.raises(SpecError, match="supports_cells"):
             SolvePipeline().run(spec)
+
+
+def _counting(monkeypatch, module, name, calls):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _same_problem(a, b):
+    ga, gb = a.graph, b.graph
+    assert type(ga) is type(gb)
+    if hasattr(ga, "cells"):
+        assert ga.cells == gb.cells
+    else:
+        assert ga.users == gb.users
+    assert (ga._user_xy == gb._user_xy).all()
+    assert ga.locations == gb.locations
+    assert a.fleet == b.fleet
+
+
+def _per_tile_spec_solve(spec):
+    """The historical tiled path: every tile is its own ``tile_index`` spec,
+    rebuilt from scratch by the batch runner, then stitched."""
+    problem = spec.with_overrides(tiles=None, tile_overlap_m=0.0).build()
+    tiles = carve_tiles(problem, spec.tile_grid(), spec.tile_overlap_m)
+    solvable = [tile for tile in tiles if tile.problem is not None]
+    batch = BatchRunner().run([
+        spec.with_overrides(
+            name=f"{spec.name}/tile{tile.index}", tile_index=tile.index,
+        )
+        for tile in solvable
+    ])
+    placements = tiling._stitch_placements(solvable, list(batch.items))
+    placements, _, _ = tiling._repair_connectivity(problem, placements)
+    return tiling._global_assignment(problem, placements)
+
+
+class TestBuildOnce:
+    SPEC = BASE.with_overrides(
+        name="tiling-once", tiles="2x2", tile_overlap_m=300.0,
+        aggregation="cells", cell_size_m=250.0,
+    )
+
+    def test_builds_aggregates_and_carves_once(self, monkeypatch):
+        calls: dict = {}
+        _counting(monkeypatch, spec_module, "build_scenario", calls)
+        _counting(monkeypatch, aggregate_module, "aggregate_problem", calls)
+        _counting(monkeypatch, tiling, "carve_tiles", calls)
+        state = SolvePipeline().run(self.SPEC)
+        assert state.report["tiles_solved"] >= 2
+        assert calls == {
+            "build_scenario": 1, "aggregate_problem": 1, "carve_tiles": 1,
+        }
+
+    @pytest.mark.parametrize("tiles", ["2x2", "3x2"])
+    @pytest.mark.parametrize("aggregation", ["users", "cells"])
+    @pytest.mark.parametrize("overlap", [0.0, 400.0])
+    def test_carved_tile_equals_tile_index_build(
+        self, tiles, aggregation, overlap
+    ):
+        spec = BASE.with_overrides(
+            tiles=tiles, tile_overlap_m=overlap, aggregation=aggregation,
+            cell_size_m=250.0 if aggregation == "cells" else None,
+        )
+        problem = spec.with_overrides(tiles=None, tile_overlap_m=0.0).build()
+        nx, ny = spec.tile_grid()
+        carved = carve_tiles(problem, (nx, ny), overlap)
+        assert len(carved) == nx * ny
+        for tile in carved:
+            rebuilt_spec = spec.with_overrides(tile_index=tile.index)
+            if tile.problem is None:
+                with pytest.raises(SpecError, match="empty"):
+                    rebuilt_spec.build()
+                continue
+            _same_problem(tile.problem, rebuilt_spec.build())
+
+    @pytest.mark.timeout_guard(300)
+    @pytest.mark.parametrize("seed", [3, 17, 29])
+    @pytest.mark.parametrize("aggregation", ["users", "cells"])
+    def test_stitched_deployment_matches_per_tile_spec_path(
+        self, seed, aggregation
+    ):
+        spec = self.SPEC.with_overrides(
+            seed=seed, aggregation=aggregation,
+            cell_size_m=250.0 if aggregation == "cells" else None,
+        )
+        state = SolvePipeline().run(spec)
+        reference = _per_tile_spec_solve(spec)
+        assert state.deployment.placements == reference.placements
+        assert state.deployment.served_count == reference.served_count
+        if isinstance(reference, CellDeployment):
+            assert state.deployment.flows == reference.flows
+        else:
+            assert state.deployment.assignment == reference.assignment
+
+    def test_interrupt_between_tiles(self, monkeypatch):
+        solved = []
+        original = SolvePipeline.run
+
+        def run_then_interrupt(pipeline, spec, *args, **kwargs):
+            state = original(pipeline, spec, *args, **kwargs)
+            if spec.tile_index is not None:
+                solved.append(spec.tile_index)
+                request_interrupt()
+            return state
+
+        monkeypatch.setattr(SolvePipeline, "run", run_then_interrupt)
+        try:
+            with pytest.raises(SolveInterrupted) as excinfo:
+                SolvePipeline().run(self.SPEC)
+        finally:
+            clear_interrupt()
+        assert len(solved) == 1
+        assert excinfo.value.partial["tiles_done"] == 1
+
+    def test_runtime_excludes_the_global_build(self, monkeypatch):
+        delay_s = 0.3
+        build = spec_module.build_scenario
+
+        def slow_build(*args, **kwargs):
+            time.sleep(delay_s)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(spec_module, "build_scenario", slow_build)
+        start = time.perf_counter()
+        state = SolvePipeline().run(self.SPEC)
+        wall_s = time.perf_counter() - start
+        assert state.record.runtime_s > 0.0
+        assert wall_s - state.record.runtime_s >= delay_s
