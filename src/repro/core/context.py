@@ -73,10 +73,10 @@ class SolverContext:
         candidate locations (and hence hop structure) did not.
 
         Reuses this context's hop matrix verbatim — skipping the
-        one-BFS-per-location all-pairs build, the expensive half of a cold
-        :meth:`from_problem` — and recomputes only the user-dependent
-        coverage bitsets/counts through the exact same code path, so the
-        result is bit-identical to a cold build on an equivalent graph.
+        all-pairs hop build of a cold :meth:`from_problem` — and
+        recomputes only the user-dependent coverage bitsets/counts through
+        the exact same code path, so the result is bit-identical to a cold
+        build on an equivalent graph.
         """
         start = time.perf_counter()
         graph = problem.graph
@@ -257,11 +257,7 @@ class SolverContext:
         """
         graph.warm_hops(self.hop_matrix)
         for r, key in enumerate(self.radio_keys):
-            for v in range(self.num_locations):
-                graph.warm_coverage(
-                    v, key,
-                    unpack_indices(self.coverage_bits[r, v], self.num_users),
-                )
+            graph.warm_coverage(key, self.coverage_bits[r])
 
 
 # -- vectorised subset-level operations -------------------------------------

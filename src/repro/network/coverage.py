@@ -7,6 +7,13 @@ coverage radius ``R_user^k`` *and* its achievable rate meets the user's
 minimum requirement.  Because the latter depends on the UAV's radio, the
 coverage sets are exposed per (location, UAV) and cached by radio signature.
 
+Every coverage set comes from one kernel over a block of locations: a
+dense ground distance to every user (plus a per-user pad, ``0.0`` here
+and the cell radius on demand-cell graphs), the 3-D range test, and the
+path loss and Shannon rate test on the in-range pairs only.  The hop
+matrix over the location graph is one all-sources bitset BFS
+(:func:`repro.graphs.bfs.all_pairs_hops`).
+
 This object is the single substrate every placement algorithm (approAlg and
 all baselines) consumes.
 """
@@ -24,6 +31,7 @@ from repro.geometry.point import Point3D
 from repro.graphs.adjacency import Graph
 from repro.graphs.bfs import (
     UNREACHABLE,
+    all_pairs_hops,
     bfs_hops,
     is_connected,
     multi_source_hops,
@@ -31,7 +39,7 @@ from repro.graphs.bfs import (
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
 from repro.network.users import User
-from repro.util.bits import pack_indices, popcount
+from repro.util.bits import pack_indices
 
 
 class CoverageGraph:
@@ -58,6 +66,9 @@ class CoverageGraph:
         self.channel = channel if channel is not None else AirToGroundChannel(URBAN)
         self.bandwidth_hz = bandwidth_hz
         self.noise_dbm = noise_power_dbm(bandwidth_hz, noise_figure_db)
+        self._loc_xyz = np.array(
+            [[p.x, p.y, p.z] for p in self.locations], dtype=float
+        ).reshape(len(self.locations), 3)
 
         self._install_users(users)
 
@@ -70,7 +81,7 @@ class CoverageGraph:
     # -- construction -------------------------------------------------------
 
     def _install_users(self, users: list) -> None:
-        """Set the user population and its derived arrays/spatial hash."""
+        """Set the user population and its derived arrays."""
         self.users: list = list(users)
         self._user_xy = np.array(
             [[u.position.x, u.position.y] for u in self.users], dtype=float
@@ -78,10 +89,6 @@ class CoverageGraph:
         self._user_min_rate = np.array(
             [u.min_rate_bps for u in self.users], dtype=float
         )
-        self._user_hash = SpatialHash(
-            [u.ground for u in self.users],
-            cell_size=max(self.uav_range_m, 1.0),
-        ) if self.users else None
 
     def _build_location_graph(self) -> Graph:
         graph = Graph(len(self.locations))
@@ -102,7 +109,7 @@ class CoverageGraph:
     # candidate locations — and therefore the location graph, the hop
     # matrix and the Steiner memo — stay fixed.  These methods update only
     # the user-dependent half of the structure, so an epoch re-solve skips
-    # the one-BFS-per-location hop rebuild entirely.
+    # the hop matrix rebuild entirely.
 
     def replace_users(self, users: list) -> None:
         """Swap the user population in place.
@@ -149,6 +156,7 @@ class CoverageGraph:
         clone.channel = self.channel
         clone.bandwidth_hz = self.bandwidth_hz
         clone.noise_dbm = self.noise_dbm
+        clone._loc_xyz = self._loc_xyz
         clone.location_graph = self.location_graph
         clone._hop_cache = self._hop_cache
         clone._steiner_cache = self._steiner_cache
@@ -188,169 +196,133 @@ class CoverageGraph:
         coverage sets."""
         return self._radio_key(uav)
 
+    # -- the coverage kernel -------------------------------------------------
+
+    #: Dense ``(location, user)`` pairs per kernel block: bounds the
+    #: block's float temporaries to a few MB whatever ``m * n`` is.
+    _KERNEL_PAIRS = 1 << 16
+
+    def _user_pad(self) -> np.ndarray:
+        """Per-user pad added to the ground distance before the range and
+        rate tests.  Users are points, so ``0.0`` (``x + 0.0 == x``);
+        demand-cell graphs pad by the cell radius."""
+        return np.zeros(self.num_users)
+
+    def _in_range(self, loc_index: np.ndarray, range_m: float) -> tuple:
+        """The geometric half of the coverage kernel over a block of
+        locations: ``(rows, cols, pathloss)`` for every (location, user)
+        pair whose padded 3-D distance is within ``range_m``.
+
+        The dense padded ground distance is computed per altitude layer
+        (the vectorised path loss takes a scalar altitude) in chunks of
+        :attr:`_KERNEL_PAIRS`; path loss is evaluated on the in-range
+        pairs only.  Pairs come out grouped by layer, location-major."""
+        pad = self._user_pad()
+        step = max(1, self._KERNEL_PAIRS // max(1, self.num_users))
+        xyz = self._loc_xyz[loc_index]
+        parts = []
+        for alt in sorted(set(xyz[:, 2].tolist())):
+            layer = np.flatnonzero(xyz[:, 2] == alt)
+            for lo in range(0, layer.size, step):
+                block = layer[lo:lo + step]
+                horiz = np.hypot(
+                    self._user_xy[:, 0] - xyz[block, 0, None],
+                    self._user_xy[:, 1] - xyz[block, 1, None],
+                ) + pad
+                r, c = np.nonzero(np.hypot(horiz, alt) <= range_m)
+                parts.append((
+                    loc_index[block[r]], c,
+                    self.channel.pathloss_vector_db(horiz[r, c], alt),
+                ))
+        if len(parts) == 1:
+            return parts[0]
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                 np.zeros(0))
+        return tuple(np.concatenate(field) for field in zip(empty, *parts))
+
+    def _rate_ok(self, cols: np.ndarray, loss: np.ndarray,
+                 uav: UAV) -> np.ndarray:
+        """The rate half of the kernel: whether each in-range pair's
+        Shannon rate under ``uav``'s radio meets its user's minimum."""
+        snr_db = uav.tx_power_dbm + uav.antenna_gain_db - loss - self.noise_dbm
+        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
+        return rates >= self._user_min_rate[cols]
+
+    # -- coverage sets -------------------------------------------------------
+
     def coverable_users(self, loc_index: int, uav: UAV) -> list:
         """Users the given UAV could serve from ``loc_index``: within
         ``R_user^k`` and with rate >= their minimum requirement.  Cached per
         (location, radio signature)."""
         key = (loc_index, self._radio_key(uav))
         cached = self._coverage_cache.get(key)
-        if cached is not None:
-            return cached
-        loc: Point3D = self.locations[loc_index]
-        if self._user_hash is None:
-            self._coverage_cache[key] = []
-            return []
-        # Range pre-filter on ground projection, then exact 3-D distance and
-        # rate check, vectorised over the candidate users.
-        max_ground = uav.user_range_m  # 3-D range implies ground range <= it
-        candidates = self._user_hash.query_disc(loc.ground(), max_ground)
-        if not candidates:
-            self._coverage_cache[key] = []
-            return []
-        idx = np.array(sorted(candidates), dtype=int)
-        dx = self._user_xy[idx, 0] - loc.x
-        dy = self._user_xy[idx, 1] - loc.y
-        horiz = np.hypot(dx, dy)
-        dist3 = np.hypot(horiz, loc.z)
-        in_range = dist3 <= uav.user_range_m
-        idx = idx[in_range]
-        if idx.size == 0:
-            self._coverage_cache[key] = []
-            return []
-        horiz = horiz[in_range]
-        pl = self.channel.pathloss_vector_db(horiz, loc.z)
-        snr_db_arr = uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm
-        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db_arr / 10.0))
-        ok = rates >= self._user_min_rate[idx]
-        covered = [int(i) for i in idx[ok]]
-        self._coverage_cache[key] = covered
-        return covered
+        if cached is None:
+            cached = self.coverable_array(loc_index, uav).tolist()
+            self._coverage_cache[key] = cached
+        return cached
 
-    def coverable_array(self, loc_index: int, uav: UAV):
-        """:meth:`coverable_users` as a cached numpy int array (used by the
-        vectorised gain bounds in the greedy)."""
-        key = (loc_index, self._radio_key(uav), "np")
+    def coverable_array(self, loc_index: int, uav: UAV) -> np.ndarray:
+        """:meth:`coverable_users` as a cached sorted int64 array (used by
+        the vectorised gain bounds in the greedy).  Decoded from the
+        radio's bits matrix when one is cached, else the kernel on this
+        one location."""
+        radio = self._radio_key(uav)
+        key = (loc_index, radio, "np")
         cached = self._coverage_cache.get(key)
         if cached is None:
-            cached = np.asarray(
-                self.coverable_users(loc_index, uav), dtype=np.int64
-            )
+            matrix = self._coverage_cache.get(("matrix", radio))
+            if matrix is not None:
+                cached = np.flatnonzero(
+                    np.unpackbits(matrix[loc_index], count=self.num_users)
+                )
+            else:
+                _, cols, loss = self._in_range(
+                    np.array([loc_index]), uav.user_range_m
+                )
+                cached = cols[self._rate_ok(cols, loss, uav)]
             self._coverage_cache[key] = cached
         return cached
 
     def coverable_bits(self, loc_index: int, uav: UAV) -> np.ndarray:
         """:meth:`coverable_users` as a packed ``uint8`` bitset (one bit per
-        user, :func:`numpy.packbits` layout).  Cached per (location, radio
-        signature); the substrate of the vectorised popcount bounds in
-        :class:`repro.core.context.SolverContext`."""
-        key = (loc_index, self._radio_key(uav), "bits")
-        cached = self._coverage_cache.get(key)
-        if cached is None:
-            cached = pack_indices(
-                self.coverable_array(loc_index, uav), self.num_users
-            )
-            self._coverage_cache[key] = cached
-        return cached
-
-    #: Whether :meth:`coverage_bits_matrix` may use the batched all-
-    #: locations mask.  Subclasses that redefine membership (e.g. the
-    #: demand-cell graph's padded-radius test) set this False and fall
-    #: back to stacking their own :meth:`coverable_bits` rows.
-    _BATCHED_COVERAGE = True
-
-    # The batched mask materialises (m, n) float temporaries; beyond this
-    # many cells (~hundreds of MB) the matrix form is a memory hazard and
-    # the bits build falls back to the per-location path.
-    _MASK_CHUNK_CELLS = 8_000_000
-
-    def _geometry(self) -> tuple:
-        """Radio-independent ``(m, n)`` geometry shared by every radio's
-        batched mask: 3-D user distances and expected pathloss, computed
-        once per user population (grouped by altitude so the vectorised
-        pathloss sees a scalar ``z``) and cached until the users change."""
-        cached = self._coverage_cache.get(("geometry",))
-        if cached is not None:
-            return cached
-        m, n = self.num_locations, self.num_users
-        dist3 = np.zeros((m, n), dtype=float)
-        pl = np.zeros((m, n), dtype=float)
-        loc_xy = np.array(
-            [[p.x, p.y] for p in self.locations], dtype=float
-        ).reshape(m, 2)
-        loc_z = np.array([p.z for p in self.locations], dtype=float)
-        for z in np.unique(loc_z):
-            sel = np.flatnonzero(loc_z == z)
-            dx = loc_xy[sel, 0][:, None] - self._user_xy[None, :, 0]
-            dy = loc_xy[sel, 1][:, None] - self._user_xy[None, :, 1]
-            horiz = np.hypot(dx, dy)
-            dist3[sel] = np.hypot(horiz, z)
-            pl[sel] = self.channel.pathloss_vector_db(horiz, z)
-        cached = (dist3, pl)
-        self._coverage_cache[("geometry",)] = cached
-        return cached
-
-    def _coverage_mask(self, uav: UAV) -> np.ndarray:
-        """Boolean ``(m, n)`` coverage membership under one radio.
-
-        Applies the radio's range and rate tests to the shared
-        :meth:`_geometry` arrays.  Elementwise ops only — values are
-        bit-identical to the per-location :meth:`coverable_users` path."""
-        m, n = self.num_locations, self.num_users
-        if m == 0 or n == 0:
-            return np.zeros((m, n), dtype=bool)
-        dist3, pl = self._geometry()
-        snr_db = (
-            uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm
-        )
-        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
-        return (dist3 <= uav.user_range_m) & (
-            rates >= self._user_min_rate[None, :]
+        user, :func:`numpy.packbits` layout): a row of the radio's bits
+        matrix when one is cached, else packed from
+        :meth:`coverable_array`."""
+        matrix = self._coverage_cache.get(("matrix", self._radio_key(uav)))
+        if matrix is not None:
+            return matrix[loc_index]
+        return pack_indices(
+            self.coverable_array(loc_index, uav), self.num_users
         )
 
     def coverage_bits_matrix(self, uav: UAV) -> np.ndarray:
         """Packed ``(m, words)`` coverage bitsets for *all* locations under
-        one radio — the batched form of :meth:`coverable_bits`, cached per
-        radio signature and used by
-        :meth:`repro.core.context.SolverContext._build` so a context build
-        costs one vectorised pass instead of one numpy call per location.
-        Seeds the per-location caches as a side effect, keeping later
-        scalar lookups cache hits with identical values."""
+        one radio: the kernel on every location, cached per radio
+        signature and used by
+        :meth:`repro.core.context.SolverContext._build`.  The in-range
+        pairs and their path loss depend on the range alone, so they are
+        cached per range and radios differing only in power or gain
+        share them; each radio then costs one rate test over the in-range
+        pairs."""
         radio = self._radio_key(uav)
         key = ("matrix", radio)
         cached = self._coverage_cache.get(key)
         if cached is not None:
             return cached
-        batched = (
-            self._BATCHED_COVERAGE
-            and self.num_locations * self.num_users <= self._MASK_CHUNK_CELLS
-        )
-        if not batched:
-            words = np.packbits(np.zeros(self.num_users, dtype=bool)).size
-            bits = np.zeros((self.num_locations, words), dtype=np.uint8)
-            for v in range(self.num_locations):
-                bits[v, :] = self.coverable_bits(v, uav)
-            self._coverage_cache[key] = bits
-            return bits
-        mask = self._coverage_mask(uav)
-        bits = np.packbits(mask, axis=1) if self.num_users else np.zeros(
-            (self.num_locations, 0), dtype=np.uint8
-        )
-        for v in range(self.num_locations):
-            self._coverage_cache.setdefault(
-                (v, radio), np.flatnonzero(mask[v]).tolist()
+        pairs_key = ("in-range", uav.user_range_m)
+        pairs = self._coverage_cache.get(pairs_key)
+        if pairs is None:
+            pairs = self._in_range(
+                np.arange(self.num_locations), uav.user_range_m
             )
-            self._coverage_cache.setdefault((v, radio, "bits"), bits[v])
-        self._coverage_cache[key] = bits
-        return bits
-
-    def union_coverage_count(self, loc_indices: list, uav: UAV) -> int:
-        """Number of distinct users coverable from any of ``loc_indices``
-        with the given UAV's radio (vectorised bitset union + popcount)."""
-        acc: "np.ndarray | None" = None
-        for v in loc_indices:
-            bits = self.coverable_bits(v, uav)
-            acc = bits.copy() if acc is None else np.bitwise_or(acc, bits)
-        return 0 if acc is None else popcount(acc)
+            self._coverage_cache[pairs_key] = pairs
+        rows, cols, loss = pairs
+        ok = self._rate_ok(cols, loss, uav)
+        mask = np.zeros((self.num_locations, self.num_users), dtype=bool)
+        mask[rows[ok], cols[ok]] = True
+        cached = np.packbits(mask, axis=1)
+        self._coverage_cache[key] = cached
+        return cached
 
     def coverage_count(self, loc_index: int, uav: UAV) -> int:
         return len(self.coverable_users(loc_index, uav))
@@ -363,12 +335,13 @@ class CoverageGraph:
         with the coverable cells' total member count."""
         return self.coverage_count(loc_index, uav)
 
-    def warm_coverage(self, loc_index: int, radio_key: tuple,
-                      covered: list) -> None:
-        """Seed the coverage cache with a precomputed sorted user list (used
-        by :meth:`repro.core.context.SolverContext.install_into` so worker
-        processes skip the geometric/rate computation entirely)."""
-        self._coverage_cache.setdefault((loc_index, radio_key), list(covered))
+    def warm_coverage(self, radio_key: tuple, bits: np.ndarray) -> None:
+        """Adopt a precomputed ``(m, words)`` bits matrix for one radio
+        signature (used by
+        :meth:`repro.core.context.SolverContext.install_into` so worker
+        processes skip the kernel entirely; per-location lookups decode
+        its rows lazily)."""
+        self._coverage_cache.setdefault(("matrix", radio_key), bits)
 
     # -- hop structure over the location graph -------------------------------
 
@@ -386,19 +359,17 @@ class CoverageGraph:
 
     def hop_matrix(self) -> np.ndarray:
         """The all-pairs hop matrix as an ``int16`` array (``UNREACHABLE``
-        entries are ``-1``).  Built once via one BFS per location and cached;
-        the per-run hot data of the appro_alg engine."""
+        entries are ``-1``).  Built once by one all-sources bitset BFS
+        (:func:`repro.graphs.bfs.all_pairs_hops`) and cached; the per-run
+        hot data of the appro_alg engine."""
         if self._hop_matrix is None:
-            rows = [self.hops_from(v) for v in range(self.num_locations)]
-            self._hop_matrix = np.array(rows, dtype=np.int16).reshape(
-                self.num_locations, self.num_locations
-            )
+            self._hop_matrix = all_pairs_hops(self.location_graph)
         return self._hop_matrix
 
     def warm_hops(self, matrix: np.ndarray) -> None:
         """Adopt a precomputed all-pairs hop matrix (worker processes get it
         from the shipped :class:`~repro.core.context.SolverContext` instead
-        of re-running one BFS per location)."""
+        of re-running the all-sources BFS)."""
         matrix = np.asarray(matrix, dtype=np.int16)
         expected = (self.num_locations, self.num_locations)
         if matrix.shape != expected:

@@ -11,10 +11,10 @@ centroid) and a minimum-rate requirement (the most demanding member's).
 
 The aggregated problem is *conservative*: a cell is declared coverable
 from a location only if its **farthest, most demanding** member provably
-is (the coverage test pads the centroid distance by the cell radius, and
-path loss is monotone in ground distance).  Any cell-level assignment
-therefore induces a feasible per-user assignment, so the aggregated
-served count is a lower bound on the per-user optimum:
+is (the shared coverage kernel pads the centroid distance by the cell
+radius, and path loss is monotone in ground distance).  Any cell-level
+assignment therefore induces a feasible per-user assignment, so the
+aggregated served count is a lower bound on the per-user optimum:
 
 * ``served_cells_units <= served_users_optimum`` (admissibility);
 * ``sum(cell demands) == num_users`` (demand conservation);
@@ -143,12 +143,12 @@ class CellCoverageGraph(CoverageGraph):
     """A coverage graph whose "users" are demand cells.
 
     The node set reuses the whole :class:`CoverageGraph` machinery (the
-    spatial hash, bitset caches, hop structure) with one pseudo-user per
-    cell at the cell centroid; only the coverability test changes — it
-    pads the centroid distance by the cell radius so that *every* member
-    of a coverable cell is provably within range and rate.  With
-    singleton cells the pad is 0.0 and the test is bit-identical to the
-    base class.
+    coverage kernel, bitset caches, hop structure) with one pseudo-user
+    per cell at the cell centroid; only the kernel's per-user pad changes
+    — the cell radius instead of 0.0, so that *every* member of a
+    coverable cell is provably within range and rate.  With singleton
+    cells the pad is 0.0 and the test is bit-identical to the base
+    class.
     """
 
     def __init__(self, cells: list, locations: list, uav_range_m: float,
@@ -166,11 +166,6 @@ class CellCoverageGraph(CoverageGraph):
         self.cell_radii = np.array([c.radius_m for c in cells], dtype=float)
         self.cell_demands = np.array([c.demand for c in cells], dtype=np.int64)
 
-    # The padded-radius membership test below differs from the base
-    # geometry, so the batched all-locations mask does not apply; the
-    # bits matrix falls back to stacking this class's coverable_bits.
-    _BATCHED_COVERAGE = False
-
     @property
     def num_cells(self) -> int:
         return len(self.cells)
@@ -180,45 +175,13 @@ class CellCoverageGraph(CoverageGraph):
         """Total member count over all cells (== original user count)."""
         return int(self.cell_demands.sum())
 
-    def coverable_users(self, loc_index: int, uav: UAV) -> list:
-        """Cells whose farthest, most demanding member is provably
-        coverable from ``loc_index`` (padded-radius test)."""
-        key = (loc_index, self._radio_key(uav))
-        cached = self._coverage_cache.get(key)
-        if cached is not None:
-            return cached
-        loc = self.locations[loc_index]
-        if self._user_hash is None:
-            self._coverage_cache[key] = []
-            return []
-        # Any cell passing the padded test has a centroid ground distance
-        # <= range, so the base prefilter disc still over-covers it.
-        candidates = self._user_hash.query_disc(loc.ground(), uav.user_range_m)
-        if not candidates:
-            self._coverage_cache[key] = []
-            return []
-        idx = np.array(sorted(candidates), dtype=int)
-        dx = self._user_xy[idx, 0] - loc.x
-        dy = self._user_xy[idx, 1] - loc.y
-        # Pad the centroid distance by the cell radius: the worst-placed
-        # member sits at most this far out, and path loss is monotone in
-        # ground distance.  radius 0.0 reduces to the per-user test
-        # bit-for-bit (x + 0.0 == x in IEEE arithmetic).
-        horiz = np.hypot(dx, dy) + self.cell_radii[idx]
-        dist3 = np.hypot(horiz, loc.z)
-        in_range = dist3 <= uav.user_range_m
-        idx = idx[in_range]
-        if idx.size == 0:
-            self._coverage_cache[key] = []
-            return []
-        horiz = horiz[in_range]
-        pl = self.channel.pathloss_vector_db(horiz, loc.z)
-        snr_db = uav.tx_power_dbm + uav.antenna_gain_db - pl - self.noise_dbm
-        rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
-        ok = rates >= self._user_min_rate[idx]
-        covered = [int(i) for i in idx[ok]]
-        self._coverage_cache[key] = covered
-        return covered
+    def _user_pad(self) -> np.ndarray:
+        """Pad each centroid's ground distance by its cell radius: the
+        worst-placed member sits at most this far out, and path loss is
+        monotone in ground distance, so a cell passes the kernel's range
+        and rate tests only if every member does.  Radius ``0.0`` leaves
+        the per-user test bit-for-bit (``x + 0.0 == x``)."""
+        return self.cell_radii
 
     def coverage_weight(self, loc_index: int, uav: UAV) -> int:
         """Total demand coverable from ``loc_index`` — the greedy's gain

@@ -4,8 +4,8 @@ The dynamic engine's warm path depends on two equivalences pinned here:
 
 * ``SolverContext.updated`` (hop matrix reused, user bitsets rebuilt) is
   bit-identical to a cold ``from_problem`` on an equivalent graph;
-* the batched all-locations coverage mask (``coverage_bits_matrix``) is
-  bit-identical to stacking the per-location ``coverable_bits`` path.
+* the all-locations coverage bits (``coverage_bits_matrix``) are
+  bit-identical to stacking the per-location ``coverable_bits`` rows.
 """
 
 import numpy as np
@@ -173,28 +173,28 @@ class TestBatchedBits:
             assert graph.coverable_users(v, uav) \
                 == reference.coverable_users(v, uav)
 
-    def test_fallback_path_identical(self):
+    def test_blocked_kernel_identical(self, monkeypatch):
         problem = build_problem()
         graph = problem.graph
         uav = problem.fleet[0]
-        batched = graph.coverage_bits_matrix(uav)
-        small = fresh_graph(graph, graph.users)
-        small._BATCHED_COVERAGE = False
+        whole = graph.coverage_bits_matrix(uav)
+        # One location per kernel block: the path large m * n takes.
+        monkeypatch.setattr(CoverageGraph, "_KERNEL_PAIRS", 1)
+        blocked = fresh_graph(graph, graph.users)
         np.testing.assert_array_equal(
-            batched, small.coverage_bits_matrix(uav)
+            whole, blocked.coverage_bits_matrix(uav)
         )
 
-    def test_cell_graph_uses_padded_fallback(self):
+    def test_cell_graph_matrix_matches_per_location_bits(self):
         problem = build_problem()
         cells = aggregate_problem(problem, cell_size_m=150.0)
         graph = cells.graph
-        assert graph._BATCHED_COVERAGE is False
         uav = problem.fleet[0]
-        matrix = graph.coverage_bits_matrix(uav)
         stacked = np.stack([
             graph.coverable_bits(v, uav)
             for v in range(graph.num_locations)
         ])
+        matrix = graph.coverage_bits_matrix(uav)
         np.testing.assert_array_equal(matrix, stacked)
 
     def test_empty_user_set(self):
