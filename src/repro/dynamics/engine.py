@@ -361,7 +361,7 @@ class _Engine:
             raise AssertionError(f"unhandled dynamics event {kind!r}")
 
     def _maybe_resolve(self, trigger: str, now: float) -> None:
-        served = self.world.evaluate(now).served_count
+        served = self.world.evaluate(now)
         coverage = self.world.coverage_fraction(served)
         if self.policy.should_resolve(
             trigger, coverage, self.coverage_at_solve
@@ -420,7 +420,7 @@ class _Engine:
 
     def _observe(self, now: float) -> None:
         """Evaluate, record the timeline point, update gauges."""
-        served = self.world.evaluate(now).served_count
+        served = self.world.evaluate(now)
         self.result.timeline.append((now, served, self.world.num_active))
         if self._refresh_baseline:
             self.coverage_at_solve = self.world.coverage_fraction(served)

@@ -2,15 +2,25 @@
 
 :class:`WorldState` owns the live population (users arrive, depart and
 move), the fleet's current placements and health, and one persistent
-working :class:`~repro.network.coverage.CoverageGraph` kept in sync via
-the incremental user-update API (:meth:`~CoverageGraph.replace_users`) —
+working :class:`~repro.network.coverage.CoverageGraph` kept in sync one
+user row at a time (:meth:`~CoverageGraph.add_user`,
+:meth:`~CoverageGraph.remove_user`, :meth:`~CoverageGraph.move_users`) —
 location-derived structure (hop matrix, Steiner memo) survives every
 churn event, which is what makes warm epoch re-solves cheap.
 
+The world also keeps one live maximum assignment of users to the placed
+UAVs (the Section II-D assignment, Lemma 1) in an
+:class:`~repro.flow.bipartite.IncrementalAssignment`.  An arrival or a
+departure updates it with at most one alternating-path search; a change
+of placements, fleet capacities or radios, or a mobility step, rebuilds
+it from one blocked coverage-kernel call.  :meth:`evaluate` reads the
+served count off it.  The served count is the unique max-flow value, so
+it equals :func:`~repro.core.assignment.optimal_assignment`'s; the served
+*set* can differ from that solver's only when a placed UAV is saturated.
+
 Users carry stable ids across their lifetime so the engine can attribute
-"time to serve" per arrival: :meth:`evaluate` computes the exact
-Section II-D assignment for the current placements and stamps the first
-time each user id was actually served.
+"time to serve" per arrival: :meth:`evaluate` stamps the first time each
+user id was actually served.
 """
 
 from __future__ import annotations
@@ -19,12 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.assignment import optimal_assignment
 from repro.core.problem import ProblemInstance
+from repro.flow.bipartite import IncrementalAssignment
 from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import Deployment
 from repro.network.users import DEFAULT_MIN_RATE_BPS, User
+from repro.util.bits import drop_bit
 
 
 @dataclass
@@ -41,6 +52,11 @@ class WorldState:
     arrival_s: dict = field(default_factory=dict)     # uid -> arrival time
     first_served_s: dict = field(default_factory=dict)  # uid -> first served
     _next_uid: int = 0
+    _moves: int = 0               # bumped by every move_users
+    _stamped: int = 0             # bit i: user i has a first-served time
+    _live: "IncrementalAssignment | None" = None
+    _live_key: tuple = ()         # the stations _live was built over
+    _live_moves: int = -1         # _moves when _live was built
 
     @classmethod
     def from_problem(cls, problem: ProblemInstance) -> "WorldState":
@@ -101,13 +117,22 @@ class WorldState:
     ) -> int:
         uid = self._next_uid
         self._next_uid += 1
-        self.users.append(User(
+        user = User(
             position=Point3D(float(x), float(y), 0.0),
             min_rate_bps=min_rate_bps,
-        ))
+        )
+        self.users.append(user)
         self.user_ids.append(uid)
         self.arrival_s[uid] = now
-        self.graph.replace_users(self.users)
+        self.graph.add_user(user)
+        if self._live is not None:
+            covers = self._station_covers(
+                self._live_key, np.array([self.graph.num_users - 1])
+            )
+            self._live.add_user([
+                k for (k, *_), cover in zip(self._live_key, covers)
+                if cover.size
+            ])
         return uid
 
     def remove_user(self, uid: int) -> bool:
@@ -118,31 +143,71 @@ class WorldState:
             return False
         self.users.pop(idx)
         self.user_ids.pop(idx)
-        self.graph.replace_users(self.users)
+        self.graph.remove_user(idx)
+        self._stamped = drop_bit(self._stamped, idx)
+        if self._live is not None:
+            self._live.remove_user(idx)
         return True
 
     def move_users(self, xy: np.ndarray) -> None:
         """Relocate the active population (aligned with ``self.users``)."""
         self.graph.move_users(xy)
         self.users = list(self.graph.users)
+        self._moves += 1
 
     def user_xy(self) -> np.ndarray:
-        return np.array(
-            [[u.position.x, u.position.y] for u in self.users], dtype=float
-        ).reshape(len(self.users), 2)
+        return self.graph._user_xy.copy()
 
     # -- serving evaluation --------------------------------------------------
 
-    def evaluate(self, now: float) -> Deployment:
-        """Exact max-assignment for the current placements; stamps each
-        newly served user id's first-served time."""
-        deployment = optimal_assignment(
-            self.graph, self.fleet, self.active_placements()
+    def evaluate(self, now: float) -> int:
+        """The maximum number of users the current placements serve;
+        stamps each newly served user id's first-served time."""
+        live = self._live_assignment()
+        fresh = live.served_bits & ~self._stamped
+        self._stamped |= fresh
+        while fresh:
+            low = fresh & -fresh
+            self.first_served_s[self.user_ids[low.bit_length() - 1]] = now
+            fresh ^= low
+        return live.served_count
+
+    def deployment(self) -> Deployment:
+        """The live assignment as a :class:`Deployment` over the current
+        active placements."""
+        assignment = {
+            u: k for k, users in self._live_assignment().assignment().items()
+            for u in users
+        }
+        return Deployment(
+            placements=self.active_placements(), assignment=assignment
         )
-        for user_index in deployment.assignment:
-            uid = self.user_ids[user_index]
-            self.first_served_s.setdefault(uid, now)
-        return deployment
+
+    def _live_assignment(self) -> IncrementalAssignment:
+        """The live assignment, rebuilt first when the active placements,
+        the fleet's capacities or radios, or the user positions changed
+        since it was built."""
+        key = tuple(
+            (k, loc, self.fleet[k].capacity,
+             self.graph.radio_signature(self.fleet[k]))
+            for k, loc in sorted(self.active_placements().items())
+        )
+        if (self._live is None or key != self._live_key
+                or self._moves != self._live_moves):
+            live = IncrementalAssignment(self.graph.num_users, chain="bfs")
+            for (k, _, capacity, _), cover in zip(
+                key, self._station_covers(key)
+            ):
+                live.open(k, cover, capacity)
+            self._live, self._live_key = live, key
+            self._live_moves = self._moves
+        return self._live
+
+    def _station_covers(self, stations: tuple,
+                        users: "np.ndarray | None" = None) -> list:
+        return self.graph.station_covers(
+            [(loc, self.fleet[k]) for k, loc, _, _ in stations], users
+        )
 
     def coverage_fraction(self, served: int) -> float:
         return served / self.num_active if self.num_active else 1.0

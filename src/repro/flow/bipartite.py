@@ -55,7 +55,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.util.bits import popcount_rows
+from repro.util.bits import drop_bit, popcount_rows
 
 # Bit-reversal per byte: maps the little-endian bytes of an LSB-first
 # integer bitset onto numpy's MSB-first packbits layout.
@@ -96,7 +96,6 @@ class IncrementalAssignment:
         # is always the newest slot, so rollback pops from the tail.
         self._names: list = []        # slot -> station key
         self._slots: dict = {}        # station key -> slot
-        self._cover_arrs: list = []   # slot -> np.int64 cover array
         self._cover_ints: list = []   # slot -> cover bitset (bfs mode)
         self._slot_ints: list = []    # slot -> assigned-user bitset (bfs mode)
         self._caps: list = []
@@ -120,6 +119,13 @@ class IncrementalAssignment:
     def served_count(self) -> int:
         """Number of users currently assigned (the max-flow value)."""
         return self._served
+
+    @property
+    def served_bits(self) -> int:
+        """The assigned users as an integer bitset (bit ``u`` = user ``u``)."""
+        if self._chain == "dfs":
+            return self._users_to_int(np.flatnonzero(self._assigned_mask))
+        return self._assigned_int
 
     def station_of(self, user: int) -> "Hashable | None":
         slot = int(self._assigned_id[user])
@@ -220,7 +226,6 @@ class IncrementalAssignment:
         for name in self._names[nslots:]:
             del self._slots[name]
         del self._names[nslots:]
-        del self._cover_arrs[nslots:]
         del self._caps[nslots:]
         if self._chain == "dfs":
             self._assigned_list = alist
@@ -257,7 +262,7 @@ class IncrementalAssignment:
 
         if self._chain == "dfs":
             self._validate_cover(cover)
-            slot = self._push_station(station, cover, capacity)
+            slot = self._push_station(station, capacity)
             self._cover_lists.append([int(u) for u in cover])
             gain = self._open_direct_scalar(slot, capacity)
             augment = self._augment_dfs
@@ -271,7 +276,7 @@ class IncrementalAssignment:
                 self._validate_cover(cover)
                 cint = self._users_to_int(cover)
                 self._cover_int_cache[key] = cint
-            slot = self._push_station(station, cover, capacity)
+            slot = self._push_station(station, capacity)
             self._cover_ints.append(cint)
             self._slot_ints.append(0)
             gain = self._open_direct_batch(slot, capacity)
@@ -326,6 +331,124 @@ class IncrementalAssignment:
         self.commit()
         return gain
 
+    # -- live user edits --------------------------------------------------
+    #
+    # The mission world keeps one assignment over its placed stations while
+    # users arrive and depart.  Each edit restores an exact maximum with at
+    # most one alternating-path search, so no edit ever re-solves.
+
+    def add_user(self, stations: "Sequence") -> bool:
+        """Append one user (index ``num_users``) covered by the open
+        ``stations`` and restore a maximum assignment; returns whether the
+        user is served.
+
+        The user joins the first covering station (in open order) with
+        spare capacity; failing that, one alternating-path search rooted
+        at the user.  The assignment was maximum before the arrival, so
+        any augmenting path now must start at the new user: one search
+        is exact."""
+        self._check_live_edit()
+        slots = sorted(self._slots[station] for station in stations)
+        user = self.num_users
+        self.num_users += 1
+        self._assigned_id = np.append(self._assigned_id, -1)
+        self._assigned_mask = np.append(self._assigned_mask, False)
+        bit = 1 << user
+        for slot in slots:
+            self._cover_ints[slot] |= bit
+        for slot in slots:
+            if self._loads[slot] < self._caps[slot]:
+                self._record_and_assign(user, slot)
+                self._served += 1
+                obs.counter_inc("flow.direct_assignments")
+                return True
+        if not slots:
+            return False
+        obs.counter_inc("flow.arrival_searches")
+        if self._augment_to_user(user, slots):
+            obs.counter_inc("flow.chain_augmentations")
+            return True
+        return False
+
+    def remove_user(self, user: int) -> bool:
+        """Delete ``user``; every later user shifts down one index.
+        Returns whether a served user was replaced.
+
+        When the user was served, one alternating-path search rooted at
+        its station restores a maximum assignment: that station is the
+        only one that gained residual capacity, so every augmenting path
+        ends there.  The cover-bitset memo is cleared: its hits skip index
+        validation, and the same bytes now name a shifted, smaller
+        population."""
+        self._check_live_edit()
+        if not 0 <= user < self.num_users:
+            raise IndexError(f"user {user} outside [0, {self.num_users})")
+        slot = int(self._assigned_id[user])
+        self._assigned_int = drop_bit(self._assigned_int, user)
+        self._cover_ints = [drop_bit(bits, user) for bits in self._cover_ints]
+        self._slot_ints = [drop_bit(bits, user) for bits in self._slot_ints]
+        self._assigned_id = np.delete(self._assigned_id, user)
+        self._assigned_mask = np.delete(self._assigned_mask, user)
+        self.num_users -= 1
+        self._cover_int_cache.clear()
+        if slot < 0:
+            return False
+        self._loads[slot] -= 1
+        self._served -= 1
+        obs.counter_inc("flow.departure_searches")
+        found = self._augment_bfs(slot)
+        self._journal = []
+        if found:
+            obs.counter_inc("flow.chain_augmentations")
+        return found
+
+    def _check_live_edit(self) -> None:
+        if self._chain != "bfs":
+            raise RuntimeError("user edits need chain='bfs'")
+        if self._pending is not None:
+            raise RuntimeError(
+                f"station {self._pending!r} is pending; commit or rollback first"
+            )
+        if self._fork_state is not None:
+            raise RuntimeError("cannot edit users inside a fork")
+
+    def _augment_to_user(self, user: int, first: list) -> bool:
+        """One alternating path from the free ``user`` to a station with
+        spare capacity, by breadth-first search over stations.
+
+        ``first`` are the (full) stations covering ``user``.  Expanding a
+        station offers its assigned users to every unseen station that
+        covers one of them, remembering a witness user.  On success each
+        station on the path takes its witness from the station before it,
+        and the first station takes ``user``."""
+        covers = self._cover_ints
+        slot_ints = self._slot_ints
+        loads = self._loads
+        caps = self._caps
+        parent = {slot: (-1, user) for slot in first}
+        frontier = list(first)
+        while frontier:
+            nxt: list = []
+            for st in frontier:
+                held = slot_ints[st]
+                for other in range(len(covers)):
+                    if other in parent:
+                        continue
+                    hit = covers[other] & held
+                    if not hit:
+                        continue
+                    parent[other] = (st, (hit & -hit).bit_length() - 1)
+                    if loads[other] < caps[other]:
+                        while other >= 0:
+                            prev, taken = parent[other]
+                            self._record_and_assign(taken, other)
+                            other = prev
+                        self._served += 1
+                        return True
+                    nxt.append(other)
+            frontier = nxt
+        return False
+
     # -- internals --------------------------------------------------------
 
     def _validate_cover(self, cover: np.ndarray) -> None:
@@ -335,14 +458,12 @@ class IncrementalAssignment:
                 u = int(cover[bad][0])
                 raise IndexError(f"user {u} outside [0, {self.num_users})")
 
-    def _push_station(self, station: Hashable, cover: np.ndarray,
-                      capacity: int) -> int:
+    def _push_station(self, station: Hashable, capacity: int) -> int:
         slot = len(self._names)
         self._pending = station
         self._journal = []
         self._names.append(station)
         self._slots[station] = slot
-        self._cover_arrs.append(cover)
         self._caps.append(capacity)
         self._loads.append(0)
         return slot
@@ -646,7 +767,6 @@ class IncrementalAssignment:
             "only the newest station can be removed"
         )
         self._names.pop()
-        self._cover_arrs.pop()
         self._caps.pop()
         self._loads.pop()
         if self._chain == "dfs":

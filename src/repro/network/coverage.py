@@ -133,14 +133,35 @@ class CoverageGraph:
             raise ValueError(
                 f"xy shape {xy.shape} != ({len(self.users)}, 2)"
             )
-        moved = [
+        self.users = [
             type(u)(
                 position=type(u.position)(float(x), float(y), 0.0),
                 min_rate_bps=u.min_rate_bps,
             )
             for u, (x, y) in zip(self.users, xy)
         ]
-        self.replace_users(moved)
+        self._user_xy = xy.copy()
+        self._coverage_cache = {}
+
+    def add_user(self, user: User) -> None:
+        """Append one user: one new row of the user arrays instead of
+        rebuilding them from every :class:`User`.  Drops the coverage
+        cache like :meth:`replace_users`."""
+        self.users.append(user)
+        self._user_xy = np.append(
+            self._user_xy, [[user.position.x, user.position.y]], axis=0
+        )
+        self._user_min_rate = np.append(self._user_min_rate, user.min_rate_bps)
+        self._coverage_cache = {}
+
+    def remove_user(self, index: int) -> None:
+        """Delete user ``index``: one row out of the user arrays, later
+        users shift down by one.  Drops the coverage cache like
+        :meth:`replace_users`."""
+        del self.users[index]
+        self._user_xy = np.delete(self._user_xy, index, axis=0)
+        self._user_min_rate = np.delete(self._user_min_rate, index)
+        self._coverage_cache = {}
 
     def with_users(self, users: list) -> "CoverageGraph":
         """A new graph over the same locations but a different user set.
@@ -208,7 +229,8 @@ class CoverageGraph:
         demand-cell graphs pad by the cell radius."""
         return np.zeros(self.num_users)
 
-    def _in_range(self, loc_index: np.ndarray, range_m: float) -> tuple:
+    def _in_range(self, loc_index: np.ndarray, range_m: float,
+                  users: "np.ndarray | None" = None) -> tuple:
         """The geometric half of the coverage kernel over a block of
         locations: ``(rows, cols, pathloss)`` for every (location, user)
         pair whose padded 3-D distance is within ``range_m``.
@@ -216,9 +238,15 @@ class CoverageGraph:
         The dense padded ground distance is computed per altitude layer
         (the vectorised path loss takes a scalar altitude) in chunks of
         :attr:`_KERNEL_PAIRS`; path loss is evaluated on the in-range
-        pairs only.  Pairs come out grouped by layer, location-major."""
+        pairs only.  Pairs come out grouped by layer, location-major.
+
+        ``users`` restricts the kernel to a block of user indices (the
+        mission's arrival update); ``cols`` stay global user indices."""
         pad = self._user_pad()
-        step = max(1, self._KERNEL_PAIRS // max(1, self.num_users))
+        user_xy = self._user_xy
+        if users is not None:
+            pad, user_xy = pad[users], user_xy[users]
+        step = max(1, self._KERNEL_PAIRS // max(1, len(user_xy)))
         xyz = self._loc_xyz[loc_index]
         parts = []
         for alt in sorted(set(xyz[:, 2].tolist())):
@@ -226,12 +254,12 @@ class CoverageGraph:
             for lo in range(0, layer.size, step):
                 block = layer[lo:lo + step]
                 horiz = np.hypot(
-                    self._user_xy[:, 0] - xyz[block, 0, None],
-                    self._user_xy[:, 1] - xyz[block, 1, None],
+                    user_xy[:, 0] - xyz[block, 0, None],
+                    user_xy[:, 1] - xyz[block, 1, None],
                 ) + pad
                 r, c = np.nonzero(np.hypot(horiz, alt) <= range_m)
                 parts.append((
-                    loc_index[block[r]], c,
+                    loc_index[block[r]], c if users is None else users[c],
                     self.channel.pathloss_vector_db(horiz[r, c], alt),
                 ))
         if len(parts) == 1:
@@ -247,6 +275,27 @@ class CoverageGraph:
         snr_db = uav.tx_power_dbm + uav.antenna_gain_db - loss - self.noise_dbm
         rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
         return rates >= self._user_min_rate[cols]
+
+    def station_covers(self, stations: list,
+                       users: "np.ndarray | None" = None) -> list:
+        """Covered user indices (sorted int64 arrays) for each
+        ``(location, uav)`` station, optionally only among the user block
+        ``users``: one kernel call per distinct radio range over the
+        stations' locations, then each station's rate test."""
+        by_range: dict = {}
+        for i, (_, uav) in enumerate(stations):
+            by_range.setdefault(uav.user_range_m, []).append(i)
+        covers: list = [None] * len(stations)
+        for range_m, members in by_range.items():
+            locs = np.array(sorted({stations[i][0] for i in members}),
+                            dtype=np.int64)
+            rows, cols, loss = self._in_range(locs, range_m, users)
+            for i in members:
+                loc, uav = stations[i]
+                here = rows == loc
+                found = cols[here]
+                covers[i] = found[self._rate_ok(found, loss[here], uav)]
+        return covers
 
     # -- coverage sets -------------------------------------------------------
 

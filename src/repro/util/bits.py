@@ -54,3 +54,9 @@ def unpack_indices(packed: np.ndarray, num_bits: int) -> list:
         return []
     mask = np.unpackbits(np.asarray(packed, dtype=np.uint8), count=num_bits)
     return np.nonzero(mask)[0].tolist()
+
+
+def drop_bit(bits: int, index: int) -> int:
+    """An integer bitset without bit ``index``; higher bits shift down one
+    (the user-index shift after a departure)."""
+    return (bits & ((1 << index) - 1)) | ((bits >> (index + 1)) << index)

@@ -133,6 +133,44 @@ class TestUserMutation:
             assert graph.coverable_users(v, uav) \
                 == reference.coverable_users(v, uav)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_edits_match_fresh_graph(self, seed):
+        """Seeded add/remove/move sequences leave the user arrays and
+        every coverage query equal to a graph built from the final users,
+        with queries interleaved so stale cache entries would show."""
+        problem = build_problem(seed=seed, num_uavs=3)
+        graph = problem.graph.with_users(problem.graph.users)
+        rng = np.random.default_rng(seed)
+        for step in range(40):
+            op = rng.integers(3) if graph.num_users else 0
+            if op == 0:
+                x, y = rng.uniform(0.0, 1000.0, size=2)
+                graph.add_user(User(Point3D(float(x), float(y), 0.0),
+                                    float(rng.choice([2000.0, 3.0e6]))))
+            elif op == 1:
+                graph.remove_user(int(rng.integers(graph.num_users)))
+            else:
+                graph.move_users(graph._user_xy + rng.normal(
+                    scale=30.0, size=(graph.num_users, 2)
+                ))
+            uav = problem.fleet[step % len(problem.fleet)]
+            graph.coverable_users(step % graph.num_locations, uav)
+            if step % 5 == 0:
+                graph.coverage_bits_matrix(uav)
+        reference = fresh_graph(graph, graph.users)
+        np.testing.assert_array_equal(graph._user_xy, reference._user_xy)
+        np.testing.assert_array_equal(
+            graph._user_min_rate, reference._user_min_rate
+        )
+        for uav in problem.fleet:
+            np.testing.assert_array_equal(
+                graph.coverage_bits_matrix(uav),
+                reference.coverage_bits_matrix(uav),
+            )
+            for v in range(graph.num_locations):
+                assert graph.coverable_users(v, uav) \
+                    == reference.coverable_users(v, uav)
+
     def test_move_users_rejects_shape_mismatch(self):
         graph = build_problem().graph
         with pytest.raises(ValueError, match="shape"):

@@ -387,3 +387,63 @@ def test_singleton_cells_equal_per_user_kernel():
         np.testing.assert_array_equal(
             cells.coverage_bits_matrix(uav), per_user.coverage_bits_matrix(uav)
         )
+
+
+# -- user blocks ---------------------------------------------------------------
+
+def assert_user_block_matches(graph, fleet, rng) -> None:
+    """``_in_range`` over a block of users, then ``_rate_ok``, equals the
+    all-users kernel restricted to that block, pair for pair."""
+    locs = np.arange(graph.num_locations)
+    blocks = [
+        np.sort(rng.choice(graph.num_users, size=size, replace=False))
+        for size in (1, 7, graph.num_users // 2)
+    ] + [np.array([graph.num_users - 1]), np.zeros(0, dtype=np.int64)]
+    for uav in fleet:
+        rows, cols, loss = graph._in_range(locs, uav.user_range_m)
+        ok = graph._rate_ok(cols, loss, uav)
+        for users in blocks:
+            keep = np.isin(cols, users)
+            got_rows, got_cols, got_loss = graph._in_range(
+                locs, uav.user_range_m, users=users
+            )
+            np.testing.assert_array_equal(got_rows, rows[keep])
+            np.testing.assert_array_equal(got_cols, cols[keep])
+            np.testing.assert_array_equal(got_loss, loss[keep])
+            np.testing.assert_array_equal(
+                graph._rate_ok(got_cols, got_loss, uav), ok[keep]
+            )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_user_block_kernel_matches_all_users(seed):
+    users, locations, fleet = make_instance(seed)
+    kernel, _ = graph_pair(users, locations)
+    assert_user_block_matches(kernel, fleet, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("cell_size_m", [None, 250.0])
+def test_user_block_kernel_matches_all_users_on_cells(cell_size_m):
+    users, locations, fleet = make_instance(5, num_users=400)
+    cells = (
+        singleton_cells(users) if cell_size_m is None
+        else aggregate_users(users, cell_size_m)
+    )
+    kernel, _ = cell_graph_pair(cells, locations)
+    assert_user_block_matches(kernel, fleet, np.random.default_rng(5))
+
+
+def test_station_covers_equal_per_location_coverage():
+    """One kernel call per radio range over the stations' locations gives
+    each station its ``coverable_array``; a user block gives its slice."""
+    users, locations, fleet = make_instance(6)
+    kernel, _ = graph_pair(users, locations)
+    stations = [(v, fleet[v % len(fleet)]) for v in range(0, 40, 3)]
+    block = np.arange(10, 60)
+    for (loc, uav), cover, sliced in zip(
+        stations, kernel.station_covers(stations),
+        kernel.station_covers(stations, block),
+    ):
+        want = kernel.coverable_array(loc, uav)
+        np.testing.assert_array_equal(cover, want)
+        np.testing.assert_array_equal(sliced, want[np.isin(want, block)])
