@@ -6,7 +6,10 @@ connectivity requirement costs, which the ablation bench reports."""
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.assignment import optimal_assignment
+from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 from repro.flow.bipartite import IncrementalAssignment
 from repro.network.deployment import Deployment
@@ -16,32 +19,21 @@ def unconstrained_greedy(problem: ProblemInstance) -> Deployment:
     """Greedy exact-marginal-gain placement without connectivity.
 
     UAVs are placed in decreasing capacity order; each goes to the free
-    location with the largest exact gain in served users.
+    location with the largest exact gain in served users (the lowest
+    location on ties), found by the lazy scan of
+    :class:`repro.core.lazy.LazyGains`.  The problem instance guarantees
+    a free location for every UAV.
     """
     graph = problem.graph
     fleet = problem.fleet
     engine = IncrementalAssignment(graph.num_users)
+    lazy = LazyGains(engine, graph, fleet, "unconstrained.oracle_calls")
     placements: dict = {}
-    used: set = set()
+    free = np.arange(graph.num_locations)
     for k in problem.capacity_order():
         uav = fleet[k]
-        best_gain = -1
-        best_v = -1
-        for v in range(graph.num_locations):
-            if v in used:
-                continue
-            cover = graph.coverable_users(v, uav)
-            if min(uav.capacity, len(cover)) <= best_gain:
-                continue
-            gain = engine.try_open((k, v), cover, uav.capacity)
-            engine.rollback()
-            if gain > best_gain:
-                best_gain, best_v = gain, v
-        if best_v < 0:
-            break
-        engine.open(
-            (k, best_v), graph.coverable_users(best_v, uav), uav.capacity
-        )
-        placements[k] = best_v
-        used.add(best_v)
+        v = int(free[lazy.argmax(k, free, lazy.static(k, free), (free,))])
+        engine.open((k, v), graph.coverable_array(v, uav), uav.capacity)
+        placements[k] = v
+        free = free[free != v]
     return optimal_assignment(graph, fleet, placements)

@@ -6,6 +6,17 @@ into a shortest path in the location graph, and deploy the remaining UAVs
 (in decreasing capacity order) on the relay nodes so the final network is
 connected.  If the connected subgraph needs more than ``K`` nodes the
 anchor set is infeasible and ``None`` is returned.
+
+Performance note (results are identical to probing every candidate): with
+exact gains, relay staffing and leftover augmentation each pick with one
+lazy scan (:meth:`repro.core.lazy.LazyGains.argmax`).  Every gain a UAV
+measured at a location stays an upper bound, for the rest of this call,
+on the gain there of each later UAV it dominates: capacity no smaller,
+user range no longer and transmit power plus antenna gain no higher.
+The remaining UAVs come in decreasing capacity order, so within a radio
+class each measurement bounds every later one and the scan only
+re-measures the locations whose bound still beats the best gain found.
+Incomparable radios fall back to ``min(capacity, |cover|)``.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.greedy import GreedyResult
+from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 
 
@@ -76,6 +88,7 @@ def connect_and_deploy(
     engine = greedy.engine
     fast = gain_mode == "fast"
     batched = fast and context is not None
+    lazy = LazyGains(engine, graph, fleet, "connect.oracle_calls")
     pending = list(relays)
     for k in remaining[: len(relays)]:
         uav = fleet[k]
@@ -87,21 +100,17 @@ def connect_and_deploy(
                 context.coverage_rows(k)[np.asarray(pending)], uav.capacity
             )
             best_loc = pending[int(np.argmax(gains))]
-        else:
+        elif fast:
             best_gain = -1
             best_loc = pending[0]
             for loc in pending:
-                if fast:
-                    gain = engine.direct_gain_bound(
-                        graph.coverable_array(loc, uav), uav.capacity
-                    )
-                else:
-                    gain = engine.try_open(
-                        (k, loc), graph.coverable_array(loc, uav), uav.capacity
-                    )
-                    engine.rollback()
+                gain = engine.direct_gain_bound(
+                    graph.coverable_array(loc, uav), uav.capacity
+                )
                 if gain > best_gain:
                     best_gain, best_loc = gain, loc
+        else:
+            best_loc = _lazy_best(lazy, k, pending, context, floor=-1)
         engine.open(
             (k, best_loc), graph.coverable_array(best_loc, uav), uav.capacity
         )
@@ -132,7 +141,7 @@ def connect_and_deploy(
                 )
                 pos = int(np.argmax(gains))
                 best_loc = int(locs[pos]) if int(gains[pos]) > 0 else -1
-            else:
+            elif fast:
                 best_gain = 0
                 best_loc = -1
                 for loc in sorted(frontier):
@@ -142,18 +151,15 @@ def connect_and_deploy(
                     )
                     if min(uav.capacity, count) <= best_gain:
                         continue
-                    if fast:
-                        gain = engine.direct_gain_bound(
-                            graph.coverable_array(loc, uav), uav.capacity
-                        )
-                    else:
-                        gain = engine.try_open(
-                            (k, loc), graph.coverable_array(loc, uav),
-                            uav.capacity,
-                        )
-                        engine.rollback()
+                    gain = engine.direct_gain_bound(
+                        graph.coverable_array(loc, uav), uav.capacity
+                    )
                     if gain > best_gain:
                         best_gain, best_loc = gain, loc
+            else:
+                best_loc = _lazy_best(
+                    lazy, k, sorted(frontier), context, floor=0
+                )
             if best_loc < 0:
                 break  # nothing adjacent helps; stop deploying
             engine.open(
@@ -174,3 +180,13 @@ def connect_and_deploy(
         relay_locations=relays,
         subgraph_nodes=occupied,
     )
+
+
+def _lazy_best(lazy: LazyGains, k: int, locs: list, context,
+               floor: int) -> int:
+    """The exact-gain winner for UAV ``k`` among the sorted ``locs``:
+    largest gain, then lowest location; ``-1`` when no gain beats
+    ``floor``."""
+    locs = np.asarray(locs, dtype=np.int64)
+    pick = lazy.argmax(k, locs, lazy.static(k, locs, context), (locs,), floor)
+    return -1 if pick < 0 else int(locs[pick])

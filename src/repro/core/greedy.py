@@ -8,20 +8,27 @@ so they equal re-solving Section II-D from scratch).
 
 Performance notes (results are identical to the naive implementation):
 
-* ``min(capacity, |coverable|)`` upper-bounds any station's marginal gain,
-  so candidates are scanned in decreasing bound order and the scan stops
-  once the bound falls to the best exact gain already found;
+* exact gains come from one lazy (Minoux) scan,
+  :meth:`repro.core.lazy.LazyGains.argmax`: candidates in decreasing
+  upper-bound order, stopping once no bound can beat the best exact gain
+  found.  The bound is ``min(capacity, |coverable|)``, tightened by the
+  *stale* gain an earlier round of the same call measured at the same
+  location.  The stale gain bounds the current UAV when that earlier UAV
+  dominates it — capacity no smaller, user range no longer, transmit
+  power plus antenna gain no higher — because the cover set is then a
+  subset and the max-flow value is submodular over the opened stations.
+  Algorithm 2 deploys in decreasing capacity order, so the bound holds
+  throughout one radio class and from a stronger radio class to a weaker
+  one; a round whose radio is incomparable falls back to the static
+  bound;
 * in the first iteration the gain is exactly ``min(capacity, |coverable|)``
   (no other stations to interact with), so no flow computation is needed;
-* with a :class:`~repro.core.context.SolverContext` the whole inner loop is
+* with a :class:`~repro.core.context.SolverContext` the candidate set is
   numpy-native: matroid feasibility is one comparison against the hop
-  array (:meth:`IncrementalHopFilter.max_addable_hop`), candidate gains
-  are one masked popcount over the context's packed coverage matrix
-  (:meth:`IncrementalAssignment.direct_gain_bounds`), and in exact mode
-  the batched direct bounds additionally pre-shrink the scan: any
-  candidate whose static bound is below the best batched *lower* bound
-  can never be scanned before the cutoff fires, so it is dropped without
-  changing a single oracle call.
+  array (:meth:`IncrementalHopFilter.max_addable_hop`), static bounds one
+  gather from the context's coverage counts, and fast-mode gains one
+  masked popcount over its packed coverage matrix
+  (:meth:`IncrementalAssignment.direct_gain_bounds`).
 
 Zero-gain ties are broken in favour of anchors, then lowest location index
 (determinism).  The counting bounds ``Q_h`` guarantee all ``s`` anchors are
@@ -35,6 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
+from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan
 from repro.flow.bipartite import IncrementalAssignment, new_engine_for
@@ -79,8 +87,9 @@ def anchored_greedy(
 
     ``gain_mode`` selects how candidates are compared in each iteration:
 
-    * ``"exact"`` (paper-faithful): the exact marginal gain of every
-      feasible candidate is computed via try/rollback augmentation;
+    * ``"exact"`` (paper-faithful): the feasible candidate with the
+      largest exact marginal gain wins; gains are measured by try/rollback
+      augmentation, lazily, only where the upper bound could still win;
     * ``"fast"``: candidates are ranked by the *direct* gain bound (the
       unassigned users they cover, capped by capacity — a lower bound that
       omits alternating-chain gains); only the winner is opened, exactly.
@@ -120,6 +129,7 @@ def anchored_greedy(
     universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
+    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls")
 
     if context is not None:
         universe_arr = np.asarray(universe, dtype=np.int64)
@@ -158,19 +168,7 @@ def anchored_greedy(
                 )
                 best_v, _ = _pick_max(cand, gains, cand_anchor)
             else:
-                # Exact mode: the batched direct bounds are *lower* bounds,
-                # so any candidate whose static upper bound falls below the
-                # best of them would only ever be reached after the scan
-                # cutoff fires — dropping it changes nothing, including the
-                # oracle-call count.
-                lower = engine.direct_gain_bounds(
-                    context.coverage_rows(k)[cand], uav.capacity
-                )
-                keep = static >= int(lower.max())
-                best_v = _exact_scan(
-                    engine, graph, uav, k, anchor_set,
-                    static[keep].tolist(), cand[keep].tolist(),
-                )
+                best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
             avail[np.searchsorted(universe_arr, best_v)] = False
         else:
             candidates = [
@@ -200,13 +198,10 @@ def anchored_greedy(
                     ):
                         best_gain, best_v, best_is_anchor = gain, v, is_anchor
             else:
-                static = [
-                    min(uav.capacity, graph.coverage_weight(v, uav))
-                    for v in candidates
-                ]
-                best_v = _exact_scan(
-                    engine, graph, uav, k, anchor_set, static, candidates
-                )
+                cand = np.asarray(candidates, dtype=np.int64)
+                static = lazy.static(k, cand)
+                cand_anchor = np.isin(cand, sorted(anchor_set))
+                best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
 
         assert best_v >= 0
         engine.open(
@@ -226,37 +221,13 @@ def anchored_greedy(
     return GreedyResult(chosen=chosen, engine=engine, served=engine.served_count)
 
 
-def _exact_scan(
-    engine: IncrementalAssignment,
-    graph,
-    uav,
-    k: int,
-    anchor_set: set,
-    static_bounds: list,
-    candidates: list,
-) -> int:
-    """Bound-ordered exact-gain scan: try candidates in decreasing
-    ``min(capacity, |cover|)`` order, stopping once the bound can no longer
-    strictly improve (or tie in the anchors' favour).  The coverage list
-    itself is only fetched for candidates that survive the cutoff."""
-    scored = sorted(zip(static_bounds, candidates), key=lambda t: (-t[0], t[1]))
-    best_gain = -1
-    best_v = -1
-    best_is_anchor = False
-    for bound, v in scored:
-        if bound < best_gain or (bound == best_gain and best_is_anchor):
-            break  # no remaining candidate can strictly improve
-        obs.counter_inc("greedy.oracle_calls")
-        gain = engine.try_open(
-            (k, v), graph.coverable_array(v, uav), uav.capacity
-        )
-        engine.rollback()
-        is_anchor = v in anchor_set
-        if gain > best_gain or (
-            gain == best_gain and is_anchor and not best_is_anchor
-        ):
-            best_gain, best_v, best_is_anchor = gain, v, is_anchor
-    return best_v
+def _lazy_pick(lazy: LazyGains, k: int, cand: np.ndarray,
+               static: np.ndarray, cand_anchor: np.ndarray) -> int:
+    """The exact-gain winner of one anchored round: largest gain, then
+    anchors, then the larger static bound, then the lowest location —
+    the order the eager bound-ordered scan visited and tie-broke in."""
+    return int(cand[lazy.argmax(k, cand, static,
+                                (cand, -static, ~cand_anchor))])
 
 
 def pair_greedy(
@@ -275,9 +246,10 @@ def pair_greedy(
     ``M2`` (hop counting).  This is the form the 1/3 guarantee is stated
     for; the ablation bench compares it against Algorithm 2's loop.
 
-    Gains are exact (try/rollback); the ``min(capacity, |cover|)`` bound
-    prunes the pair scan.  Zero-gain ties prefer anchor locations so the
-    anchors always enter the solution.  ``engine`` works as in
+    Gains are exact: one :meth:`~repro.core.lazy.LazyGains.argmax` over
+    every pair, bounded by ``min(capacity, |cover|)`` and by the stale
+    gains of dominating UAVs.  Zero-gain ties prefer anchor locations so
+    the anchors always enter the solution.  ``engine`` works as in
     :func:`anchored_greedy`.
     """
     graph = problem.graph
@@ -296,6 +268,7 @@ def pair_greedy(
     universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
+    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls")
 
     chosen: list = []
     used_uavs: set = set()
@@ -308,38 +281,19 @@ def pair_greedy(
         ]
         if not free_uavs or not candidates:
             break
-        scored = []
-        for k in free_uavs:
-            uav = fleet[k]
-            counts = None if context is None else context.counts_for_uav(k)
-            for v in candidates:
-                count = (
-                    int(counts[v]) if counts is not None
-                    else graph.coverage_weight(v, uav)
-                )
-                scored.append((min(uav.capacity, count), k, v))
-        scored.sort(key=lambda t: (-t[0], t[1], t[2]))
-
-        best = (-1, -1, -1, False)  # gain, k, v, is_anchor
-        for bound, k, v in scored:
-            if bound < best[0] or (bound == best[0] and best[3]):
-                break
-            if chosen:
-                obs.counter_inc("greedy.oracle_calls")
-                gain = engine.try_open(
-                    (k, v), graph.coverable_array(v, fleet[k]),
-                    fleet[k].capacity,
-                )
-                engine.rollback()
-            else:
-                gain = bound
-            is_anchor = v in anchor_set
-            if gain > best[0] or (
-                gain == best[0] and is_anchor and not best[3]
-            ):
-                best = (gain, k, v, is_anchor)
-        _gain, k, v, _ = best
-        assert k >= 0 and v >= 0
+        cand = np.asarray(candidates, dtype=np.int64)
+        ks = np.repeat(np.asarray(free_uavs, dtype=np.int64), cand.size)
+        vs = np.tile(cand, len(free_uavs))
+        static = np.concatenate(
+            [lazy.static(k, cand, context) for k in free_uavs]
+        )
+        tie = (vs, ks, -static, ~np.isin(vs, sorted(anchor_set)))
+        if chosen:
+            pick = lazy.argmax(ks, vs, static, tie)
+        else:
+            # No station open: the static bound is the exact gain.
+            pick = int(np.lexsort(tie + (-static,))[0])
+        k, v = int(ks[pick]), int(vs[pick])
         engine.open((k, v), graph.coverable_array(v, fleet[k]),
                     fleet[k].capacity)
         hop_filter.add(v)

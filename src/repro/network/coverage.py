@@ -217,6 +217,20 @@ class CoverageGraph:
         coverage sets."""
         return self._radio_key(uav)
 
+    @staticmethod
+    def radio_within(small: UAV, big: UAV) -> bool:
+        """Whether ``small``'s radio covers a subset of ``big``'s at every
+        location: its user range is no longer and its EIRP (transmit power
+        plus antenna gain) no higher.  The kernel's range test and its
+        rate test, which is monotone in EIRP, then both pass for ``small``
+        only where they pass for ``big`` — on per-user and padded-cell
+        graphs alike, since the pad does not depend on the radio."""
+        return (
+            small.user_range_m <= big.user_range_m
+            and small.tx_power_dbm + small.antenna_gain_db
+            <= big.tx_power_dbm + big.antenna_gain_db
+        )
+
     # -- the coverage kernel -------------------------------------------------
 
     #: Dense ``(location, user)`` pairs per kernel block: bounds the

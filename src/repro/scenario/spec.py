@@ -248,6 +248,7 @@ class ScenarioSpec:
             self.tile_overlap_m == 0 or self.tiles is not None,
             "tile_overlap_m given without a tiles grid",
         )
+        self._check_tile_overlap()
         if self.tile_index is not None:
             _require(
                 self.tiles is not None,
@@ -261,6 +262,19 @@ class ScenarioSpec:
                 f"tile_index must be an integer in [0, {nx * ny}), got "
                 f"{self.tile_index!r}",
             )
+
+    def _check_tile_overlap(self) -> None:
+        """A tile overlap may not be wider than a tile of the scale's area."""
+        if self.tiles is None:
+            return
+        base = SCALES[self.scale]
+        nx, ny = self.tile_grid()
+        tile_m = min(base.area_length_m / nx, base.area_width_m / ny)
+        _require(
+            self.tile_overlap_m <= tile_m,
+            f"tile_overlap_m {self.tile_overlap_m:g} is wider than a "
+            f"{tile_m:g} m tile of grid {self.tiles}",
+        )
 
     # -- derived views -------------------------------------------------------
 
@@ -305,7 +319,14 @@ class ScenarioSpec:
         builds the global problem once and carves every tile from it
         instead of calling this per tile).
         """
-        problem = build_scenario(self.to_config(), self.seed)
+        config = self.to_config()
+        _require(
+            config.num_uavs <= config.num_locations,
+            f"cannot deploy {config.num_uavs} UAVs on only "
+            f"{config.num_locations} candidate locations (at most one UAV "
+            "per grid)",
+        )
+        problem = build_scenario(config, self.seed)
         if self.aggregation == "cells":
             from repro.workload.aggregate import aggregate_problem
 

@@ -54,6 +54,14 @@ class ScenarioConfig:
     def with_overrides(self, **kwargs: object) -> "ScenarioConfig":
         return replace(self, **kwargs)
 
+    @property
+    def num_locations(self) -> int:
+        """Candidate hovering locations: grid cells per altitude layer
+        times the layers."""
+        per_layer = (round(self.area_length_m / self.grid_side_m)
+                     * round(self.area_width_m / self.grid_side_m))
+        return per_layer * (len(self.altitude_layers_m) or 1)
+
 
 SCALES = {
     # paper: full 3x3 km zone, fine-ish grid (m = 100 candidates).

@@ -447,3 +447,63 @@ def test_station_covers_equal_per_location_coverage():
         want = kernel.coverable_array(loc, uav)
         np.testing.assert_array_equal(cover, want)
         np.testing.assert_array_equal(sliced, want[np.isin(want, block)])
+
+
+# -- radio domination ----------------------------------------------------------
+
+def dominance_fleet(rng) -> list:
+    """:func:`make_fleet` plus weaker copies of each radio — shorter
+    range, lower power or gain, or the same EIRP split differently — so
+    the predicate holds for many pairs with distinct radios."""
+    fleet = make_fleet(rng)
+    weaker = []
+    for uav in fleet:
+        weaker += [
+            UAV(capacity=1, tx_power_dbm=uav.tx_power_dbm,
+                antenna_gain_db=uav.antenna_gain_db,
+                user_range_m=uav.user_range_m - 150.0),
+            UAV(capacity=1, tx_power_dbm=uav.tx_power_dbm - 4.0,
+                antenna_gain_db=uav.antenna_gain_db,
+                user_range_m=uav.user_range_m),
+            UAV(capacity=1, tx_power_dbm=uav.tx_power_dbm + 1.0,
+                antenna_gain_db=uav.antenna_gain_db - 1.0,
+                user_range_m=uav.user_range_m),
+        ]
+    return fleet + weaker
+
+
+def assert_domination_gives_subsets(graph, fleet) -> int:
+    """Wherever ``radio_within(a, b)`` holds, ``a``'s cover is a subset
+    of ``b``'s at every location; returns how many distinct-radio pairs
+    were checked."""
+    checked = 0
+    for a in fleet:
+        bits_a = graph.coverage_bits_matrix(a)
+        for b in fleet:
+            if not graph.radio_within(a, b):
+                continue
+            assert not np.any(bits_a & ~graph.coverage_bits_matrix(b))
+            for loc in range(0, graph.num_locations, 7):
+                assert np.isin(graph.coverable_array(loc, a),
+                               graph.coverable_array(loc, b)).all()
+            checked += graph.radio_signature(a) != graph.radio_signature(b)
+    return checked
+
+
+@pytest.mark.parametrize("cell_size_m", [False, None, 250.0])
+@pytest.mark.parametrize("seed", range(3))
+def test_radio_domination_implies_cover_subset(seed, cell_size_m):
+    """The stale-gain bound of the lazy greedy rests on this: a dominated
+    radio never covers a user (or cell) the dominating one misses, on
+    per-user graphs (``False``) and on singleton and coarse cells."""
+    users, locations, _ = make_instance(seed, num_users=300)
+    fleet = dominance_fleet(np.random.default_rng(seed))
+    if cell_size_m is False:
+        graph, _ = graph_pair(users, locations)
+    else:
+        cells = (
+            singleton_cells(users) if cell_size_m is None
+            else aggregate_users(users, cell_size_m)
+        )
+        graph, _ = cell_graph_pair(cells, locations)
+    assert assert_domination_gives_subsets(graph, fleet) >= len(fleet)

@@ -76,6 +76,29 @@ class TestSchemaValidation:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ScenarioSpec().seed = 99
 
+    def test_more_uavs_than_locations_rejected(self):
+        # demo-small's area holds 9 candidate locations; the error is
+        # still a ValueError for callers that catch that.
+        spec = get_preset("demo-small")
+        with pytest.raises(SpecError, match="cannot deploy 500 UAVs on "
+                           "only 9 candidate locations"):
+            spec.with_overrides(num_uavs=500).build()
+        with pytest.raises(ValueError):
+            spec.with_overrides(num_uavs=10).build()
+        assert spec.with_overrides(num_uavs=9).build().num_uavs == 9
+        two_layers = spec.with_overrides(altitude_layers_m=(200.0, 300.0),
+                                         num_uavs=18)
+        assert two_layers.build().num_uavs == 18
+
+    def test_tile_overlap_wider_than_a_tile_rejected(self):
+        # demo-small's 1500 m area cut 2x2 gives 750 m tiles.
+        spec = get_preset("demo-small").with_overrides(tiles="2x2")
+        with pytest.raises(SpecError, match="wider than a 750 m tile"):
+            spec.with_overrides(tile_overlap_m=1e6)
+        with pytest.raises(SpecError, match="tile_overlap_m"):
+            spec.with_overrides(tile_overlap_m=750.5)
+        assert spec.with_overrides(tile_overlap_m=750.0).tile_overlap_m == 750
+
 
 class TestJsonRoundTrip:
     def test_default_round_trip(self):
