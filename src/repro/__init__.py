@@ -24,7 +24,7 @@ from repro.network.coverage import CoverageGraph
 from repro.network.deployment import Deployment
 from repro.network.fleet import heterogeneous_fleet, homogeneous_fleet
 from repro.network.uav import UAV
-from repro.network.users import User, users_from_points
+from repro.network.users import User, UserTable, users_from_points
 from repro.network.validate import validate_deployment
 from repro.workload.scenarios import ScenarioConfig, build_scenario, paper_scenario
 
@@ -43,6 +43,7 @@ __all__ = [
     "homogeneous_fleet",
     "UAV",
     "User",
+    "UserTable",
     "users_from_points",
     "validate_deployment",
     "ScenarioConfig",

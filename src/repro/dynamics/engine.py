@@ -200,7 +200,7 @@ class _Engine:
         """Re-plan with the flyable fleet; warm or cold per the mode."""
         world = self.world
         available = world.available_uavs()
-        if not available or not world.users:
+        if not available or not world.num_active:
             return
         fleet_sub = [world.fleet[k] for k in available]
         start = time.perf_counter()
@@ -216,7 +216,7 @@ class _Engine:
                 # Cold: a re-solve that rebuilds everything from scratch,
                 # hop matrix included (the historical per-epoch cost).
                 graph = CoverageGraph(
-                    users=list(world.users),
+                    users=world.graph.user_table(),
                     locations=world.graph.locations,
                     uav_range_m=world.graph.uav_range_m,
                     channel=world.graph.channel,
@@ -315,7 +315,7 @@ class _Engine:
                 obs.counter_inc("dynamic.departures")
         elif kind == "mobility":
             self.hotspots.step(self.spec.mobility_step_s)
-            if self.spec.mobility_sigma_m > 0 and self.world.users:
+            if self.spec.mobility_sigma_m > 0 and self.world.num_active:
                 xy = self.walk.step(
                     self.world.user_xy(), self.bounds, self.mobility_rng
                 )

@@ -44,7 +44,6 @@ class WorldState:
 
     base_problem: ProblemInstance
     graph: CoverageGraph                  # persistent working graph
-    users: list = field(default_factory=list)
     user_ids: list = field(default_factory=list)
     placements: dict = field(default_factory=dict)
     down: set = field(default_factory=set)        # grounded UAV indices
@@ -66,11 +65,10 @@ class WorldState:
         the caller's problem keeps its pristine graph while the world
         mutates its own.
         """
-        graph = problem.graph.with_users(problem.graph.users)
+        graph = problem.graph.with_users(problem.graph.user_table())
         world = cls(base_problem=problem, graph=graph)
-        world.users = list(graph.users)
-        world.user_ids = list(range(len(world.users)))
-        world._next_uid = len(world.users)
+        world.user_ids = list(range(graph.num_users))
+        world._next_uid = graph.num_users
         world.arrival_s = {uid: 0.0 for uid in world.user_ids}
         return world
 
@@ -81,8 +79,14 @@ class WorldState:
         return self.base_problem.fleet
 
     @property
+    def users(self) -> list:
+        """The active users as :class:`User` objects (the working graph's
+        :attr:`~CoverageGraph.users`, aligned with :attr:`user_ids`)."""
+        return self.graph.users
+
+    @property
     def num_active(self) -> int:
-        return len(self.users)
+        return self.graph.num_users
 
     def available_uavs(self) -> list:
         return sorted(set(range(len(self.fleet))) - self.down)
@@ -98,8 +102,8 @@ class WorldState:
         """(lo_x, hi_x, lo_y, hi_y) box spanning users and locations."""
         xs = [loc.x for loc in self.graph.locations]
         ys = [loc.y for loc in self.graph.locations]
-        xs += [u.position.x for u in self.users]
-        ys += [u.position.y for u in self.users]
+        xs += self.graph._user_xy[:, 0].tolist()
+        ys += self.graph._user_xy[:, 1].tolist()
         return (
             min(xs, default=0.0), max(xs, default=0.0),
             min(ys, default=0.0), max(ys, default=0.0),
@@ -121,7 +125,6 @@ class WorldState:
             position=Point3D(float(x), float(y), 0.0),
             min_rate_bps=min_rate_bps,
         )
-        self.users.append(user)
         self.user_ids.append(uid)
         self.arrival_s[uid] = now
         self.graph.add_user(user)
@@ -141,7 +144,6 @@ class WorldState:
             idx = self.user_ids.index(uid)
         except ValueError:
             return False
-        self.users.pop(idx)
         self.user_ids.pop(idx)
         self.graph.remove_user(idx)
         self._stamped = drop_bit(self._stamped, idx)
@@ -150,9 +152,8 @@ class WorldState:
         return True
 
     def move_users(self, xy: np.ndarray) -> None:
-        """Relocate the active population (aligned with ``self.users``)."""
+        """Relocate the active population (aligned with ``user_ids``)."""
         self.graph.move_users(xy)
-        self.users = list(self.graph.users)
         self._moves += 1
 
     def user_xy(self) -> np.ndarray:

@@ -8,7 +8,7 @@ from repro.network.deployment import Deployment
 from repro.network.energy import EnergyModel, mission_endurance_s
 from repro.network.fleet import heterogeneous_fleet, homogeneous_fleet
 from repro.network.uav import UAV
-from repro.network.users import User, users_from_points
+from repro.network.users import User, UserTable, users_from_points
 from repro.network.validate import ValidationError, validate_deployment
 
 __all__ = [
@@ -20,6 +20,7 @@ __all__ = [
     "homogeneous_fleet",
     "UAV",
     "User",
+    "UserTable",
     "users_from_points",
     "ValidationError",
     "validate_deployment",

@@ -38,7 +38,7 @@ from repro.graphs.bfs import (
 )
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
-from repro.network.users import User
+from repro.network.users import User, UserTable
 from repro.util.bits import pack_indices
 
 
@@ -47,7 +47,7 @@ class CoverageGraph:
 
     def __init__(
         self,
-        users: list,
+        users: "UserTable | list",
         locations: list,
         uav_range_m: float,
         channel: "AirToGroundChannel | None" = None,
@@ -80,15 +80,26 @@ class CoverageGraph:
 
     # -- construction -------------------------------------------------------
 
-    def _install_users(self, users: list) -> None:
-        """Set the user population and its derived arrays."""
-        self.users: list = list(users)
-        self._user_xy = np.array(
-            [[u.position.x, u.position.y] for u in self.users], dtype=float
-        ).reshape(len(self.users), 2)
-        self._user_min_rate = np.array(
-            [u.min_rate_bps for u in self.users], dtype=float
-        )
+    def _install_users(self, users: "UserTable | list") -> None:
+        """Set the user population: its columns, from a
+        :class:`UserTable` or (converted once) a :class:`User` list."""
+        table = UserTable.of(users)
+        self._user_xy = table.xy
+        self._user_min_rate = table.min_rate_bps
+        self._users: "list | None" = None
+
+    @property
+    def users(self) -> list:
+        """The users as :class:`User` objects, built from the columns on
+        first read and kept in step by the edits below.  Off the build
+        and solve path: the coverage kernel reads the columns."""
+        if self._users is None:
+            self._users = self.user_table().to_users()
+        return self._users
+
+    def user_table(self) -> UserTable:
+        """The user columns as a :class:`UserTable` (shared arrays)."""
+        return UserTable(self._user_xy, self._user_min_rate)
 
     def _build_location_graph(self) -> Graph:
         graph = Graph(len(self.locations))
@@ -111,7 +122,7 @@ class CoverageGraph:
     # the user-dependent half of the structure, so an epoch re-solve skips
     # the hop matrix rebuild entirely.
 
-    def replace_users(self, users: list) -> None:
+    def replace_users(self, users: "UserTable | list") -> None:
         """Swap the user population in place.
 
         Invalidates only the user-dependent coverage cache; the location
@@ -124,46 +135,39 @@ class CoverageGraph:
     def move_users(self, xy: np.ndarray) -> None:
         """Move the existing users to new ground coordinates.
 
-        ``xy`` is an ``(n, 2)`` array aligned with ``self.users``; each
-        user keeps its minimum-rate requirement.  Equivalent to
-        :meth:`replace_users` with rebuilt :class:`User` objects.
+        ``xy`` is an ``(n, 2)`` array aligned with the users; each user
+        keeps its minimum-rate requirement.  Equivalent to
+        :meth:`replace_users` with the moved users.
         """
         xy = np.asarray(xy, dtype=float)
-        if xy.shape != (len(self.users), 2):
+        if xy.shape != (self.num_users, 2):
             raise ValueError(
-                f"xy shape {xy.shape} != ({len(self.users)}, 2)"
+                f"xy shape {xy.shape} != ({self.num_users}, 2)"
             )
-        self.users = [
-            type(u)(
-                position=type(u.position)(float(x), float(y), 0.0),
-                min_rate_bps=u.min_rate_bps,
-            )
-            for u, (x, y) in zip(self.users, xy)
-        ]
-        self._user_xy = xy.copy()
-        self._coverage_cache = {}
+        self.replace_users(UserTable(xy.copy(), self._user_min_rate))
 
     def add_user(self, user: User) -> None:
-        """Append one user: one new row of the user arrays instead of
-        rebuilding them from every :class:`User`.  Drops the coverage
-        cache like :meth:`replace_users`."""
-        self.users.append(user)
+        """Append one user: one new row of the user columns.  Drops the
+        coverage cache like :meth:`replace_users`."""
         self._user_xy = np.append(
             self._user_xy, [[user.position.x, user.position.y]], axis=0
         )
         self._user_min_rate = np.append(self._user_min_rate, user.min_rate_bps)
+        if self._users is not None:
+            self._users.append(user)
         self._coverage_cache = {}
 
     def remove_user(self, index: int) -> None:
-        """Delete user ``index``: one row out of the user arrays, later
+        """Delete user ``index``: one row out of the user columns, later
         users shift down by one.  Drops the coverage cache like
         :meth:`replace_users`."""
-        del self.users[index]
         self._user_xy = np.delete(self._user_xy, index, axis=0)
         self._user_min_rate = np.delete(self._user_min_rate, index)
+        if self._users is not None:
+            del self._users[index]
         self._coverage_cache = {}
 
-    def with_users(self, users: list) -> "CoverageGraph":
+    def with_users(self, users: "UserTable | list") -> "CoverageGraph":
         """A new graph over the same locations but a different user set.
 
         Location-derived structure (location graph, hop cache/matrix,
@@ -190,7 +194,7 @@ class CoverageGraph:
 
     @property
     def num_users(self) -> int:
-        return len(self.users)
+        return len(self._user_min_rate)
 
     @property
     def num_locations(self) -> int:

@@ -67,14 +67,15 @@ def validate_deployment(
                 f"UAV {k} serves {load} users, exceeding capacity {capacity}"
             )
 
+    users = graph.users
     for user, k in deployment.assignment.items():
-        if not (0 <= user < graph.num_users):
+        if not (0 <= user < len(users)):
             raise ValidationError(
-                f"user index {user} outside [0, {graph.num_users})"
+                f"user index {user} outside [0, {len(users)})"
             )
         uav = fleet[k]
         loc_index = deployment.placements[k]
-        distance = graph.users[user].position.distance_to(
+        distance = users[user].position.distance_to(
             graph.locations[loc_index]
         )
         if distance > uav.user_range_m + 1e-9:
@@ -83,7 +84,7 @@ def validate_deployment(
                 f"range {uav.user_range_m} m"
             )
         rate = graph.rate_bps(user, loc_index, uav)
-        required = graph.users[user].min_rate_bps
+        required = users[user].min_rate_bps
         if rate < required - 1e-9:
             raise ValidationError(
                 f"user {user} gets {rate:.0f} bps from UAV {k}, below its "

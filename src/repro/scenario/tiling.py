@@ -88,7 +88,7 @@ def _carve_graph(graph: CoverageGraph, node_idx: list, loc_idx: list):
         )
     else:
         sub = CoverageGraph(
-            users=[graph.users[i] for i in node_idx], locations=locations,
+            users=graph.user_table().take(node_idx), locations=locations,
             uav_range_m=graph.uav_range_m, channel=graph.channel,
             bandwidth_hz=graph.bandwidth_hz,
         )
@@ -241,7 +241,7 @@ def carve_tiles(
 
     tiles = []
     for t in range(num_tiles):
-        node_map = [int(i) for i in np.flatnonzero(node_tile == t)]
+        node_map = np.flatnonzero(node_tile == t).tolist()
         fleet_map = fleet_by_tile.get(t, [])
         if not node_map or not tile_locs[t] or not fleet_map:
             tiles.append(TileSlice(

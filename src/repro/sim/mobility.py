@@ -81,7 +81,7 @@ def _working_graph(base: CoverageGraph) -> CoverageGraph:
     (location edges + spatial hashes) from scratch.  The caller's graph
     is never mutated.
     """
-    return base.with_users(base.users)
+    return base.with_users(base.user_table())
 
 
 def simulate_mobility(
@@ -122,9 +122,7 @@ def simulate_mobility(
     rng = ensure_rng(seed)
 
     base_graph = problem.graph
-    xy = np.array(
-        [[u.position.x, u.position.y] for u in base_graph.users], dtype=float
-    ).reshape(len(base_graph.users), 2)
+    xy = base_graph._user_xy.copy()
     xs = xy[:, 0]
     ys = xy[:, 1]
     loc_x = [loc.x for loc in base_graph.locations]

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.problem import ProblemInstance
-from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
-from repro.network.users import User
+from repro.network.users import UserTable
 
 
 @dataclass(frozen=True)
@@ -84,58 +83,97 @@ class DemandCell:
             )
 
 
-def aggregate_users(users: list, cell_size_m: float) -> list:
+#: Dense cell ids index a ``bincount`` over the whole grid-key span, so
+#: they are used only while the span is at most this many bins beyond
+#: the user count.  Wider spans (users passed in directly can be
+#: arbitrarily far apart) fall back to a 1-D ``np.unique``.
+_DENSE_SPAN_SLACK = 1 << 16
+
+
+def aggregate_users(users: "UserTable | list", cell_size_m: float) -> list:
     """Bin users into a square grid of ``cell_size_m`` demand cells.
 
     Cells are ordered by grid key (lexicographic on the integer bin
     coordinates), so the output is a deterministic function of the user
     list.  Empty bins produce no cell; ``sum(c.demand) == len(users)``.
+
+    ``users`` is a :class:`UserTable` (a :class:`User` list is converted
+    once).  Each user's bin becomes a dense id ``(kx - kx_min) * span_y
+    + (ky - ky_min)``; a ``bincount`` and a cumsum compact the ids to
+    cell indices in key order, ``bincount`` sums each cell's members in
+    user order, and one stable sort lists the members.  A key span too
+    wide for a ``bincount`` ranks each axis and takes a 1-D ``np.unique``
+    of the rank pairs instead.
     """
     if cell_size_m <= 0:
         raise ValueError(f"cell_size_m must be positive, got {cell_size_m}")
-    if not users:
+    table = UserTable.of(users)
+    n = len(table)
+    if not n:
         return []
-    xy = np.array(
-        [[u.position.x, u.position.y] for u in users], dtype=float
-    ).reshape(len(users), 2)
-    rates = np.array([u.min_rate_bps for u in users], dtype=float)
-    keys = np.floor_divide(xy, float(cell_size_m)).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    num_cells = len(uniq)
-    counts = np.bincount(inverse, minlength=num_cells)
-    cx = np.bincount(inverse, weights=xy[:, 0], minlength=num_cells) / counts
-    cy = np.bincount(inverse, weights=xy[:, 1], minlength=num_cells) / counts
-    spread = np.hypot(xy[:, 0] - cx[inverse], xy[:, 1] - cy[inverse])
-    radius = np.zeros(num_cells, dtype=float)
-    np.maximum.at(radius, inverse, spread)
-    min_rate = np.zeros(num_cells, dtype=float)
-    np.maximum.at(min_rate, inverse, rates)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(num_cells))
-    bounds = np.append(starts, len(order))
-    cells = []
-    for c in range(num_cells):
-        members = tuple(int(u) for u in order[bounds[c]:bounds[c + 1]])
-        cells.append(DemandCell(
-            index=c, x=float(cx[c]), y=float(cy[c]),
-            radius_m=float(radius[c]), min_rate_bps=float(min_rate[c]),
-            demand=int(counts[c]), members=members,
+    xy, rates = table.xy, table.min_rate_bps
+    keys = np.floor_divide(xy, float(cell_size_m))
+    if np.abs(keys).max() >= 2.0 ** 62:
+        raise ValueError(
+            f"user coordinates up to {np.abs(xy).max()} m are too far out "
+            f"for {cell_size_m} m cells"
+        )
+    keys = keys.astype(np.int64)
+    kx, ky = keys[:, 0], keys[:, 1]
+    span_x = int(kx.max()) - int(kx.min()) + 1
+    span_y = int(ky.max()) - int(ky.min()) + 1
+    if span_x * span_y <= n + _DENSE_SPAN_SLACK:
+        dense = (kx - kx.min()) * span_y + (ky - ky.min())
+        rank = np.cumsum(np.bincount(dense, minlength=span_x * span_y) > 0)
+        cell = rank[dense] - 1
+    else:
+        # Rank each axis (order-preserving, each rank < n), then key on
+        # the rank pair, which fits in int64.
+        _, rx = np.unique(kx, return_inverse=True)
+        _, ry = np.unique(ky, return_inverse=True)
+        _, cell = np.unique(rx * (int(ry.max()) + 1) + ry,
+                            return_inverse=True)
+    num_cells = int(cell.max()) + 1
+    counts = np.bincount(cell, minlength=num_cells)
+    cx = np.bincount(cell, weights=xy[:, 0], minlength=num_cells) / counts
+    cy = np.bincount(cell, weights=xy[:, 1], minlength=num_cells) / counts
+    spread = np.hypot(xy[:, 0] - cx[cell], xy[:, 1] - cy[cell])
+    # NumPy's stable sort is a radix sort on 16-bit keys.
+    order = np.argsort(
+        cell.astype(np.uint16) if num_cells <= 1 << 16 else cell,
+        kind="stable",
+    )
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    radius = np.maximum.reduceat(spread[order], starts)
+    min_rate = np.maximum.reduceat(rates[order], starts)
+    members = order.tolist()
+    bounds = np.append(starts, n).tolist()
+    return [
+        DemandCell(
+            index=c, x=x, y=y, radius_m=r, min_rate_bps=rate, demand=d,
+            members=tuple(members[bounds[c]:bounds[c + 1]]),
+        )
+        for c, (x, y, r, rate, d) in enumerate(zip(
+            cx.tolist(), cy.tolist(), radius.tolist(), min_rate.tolist(),
+            counts.tolist(),
         ))
-    return cells
+    ]
 
 
-def singleton_cells(users: list) -> list:
+def singleton_cells(users: "UserTable | list") -> list:
     """One cell per user: radius 0, demand 1, centroid = exact position.
 
     The degenerate aggregation whose solve is bit-identical to the
     per-user path (see module docstring)."""
+    table = UserTable.of(users)
     return [
         DemandCell(
-            index=i, x=u.position.x, y=u.position.y, radius_m=0.0,
-            min_rate_bps=u.min_rate_bps, demand=1, members=(i,),
+            index=i, x=x, y=y, radius_m=0.0, min_rate_bps=rate, demand=1,
+            members=(i,),
         )
-        for i, u in enumerate(users)
+        for i, ((x, y), rate) in enumerate(zip(
+            table.xy.tolist(), table.min_rate_bps.tolist()
+        ))
     ]
 
 
@@ -143,8 +181,8 @@ class CellCoverageGraph(CoverageGraph):
     """A coverage graph whose "users" are demand cells.
 
     The node set reuses the whole :class:`CoverageGraph` machinery (the
-    coverage kernel, bitset caches, hop structure) with one pseudo-user
-    per cell at the cell centroid; only the kernel's per-user pad changes
+    coverage kernel, bitset caches, hop structure) with one user row per
+    cell: its centroid and its most demanding member's rate; only the kernel's per-user pad changes
     — the cell radius instead of 0.0, so that *every* member of a
     coverable cell is provably within range and rate.  With singleton
     cells the pad is 0.0 and the test is bit-identical to the base
@@ -153,13 +191,13 @@ class CellCoverageGraph(CoverageGraph):
 
     def __init__(self, cells: list, locations: list, uav_range_m: float,
                  channel=None, bandwidth_hz=None, **kwargs) -> None:
-        pseudo_users = [
-            User(Point3D(c.x, c.y, 0.0), c.min_rate_bps) for c in cells
-        ]
+        centroids = UserTable(
+            [[c.x, c.y] for c in cells], [c.min_rate_bps for c in cells]
+        )
         extra = {} if bandwidth_hz is None else {"bandwidth_hz": bandwidth_hz}
         extra.update(kwargs)
         super().__init__(
-            users=pseudo_users, locations=locations,
+            users=centroids, locations=locations,
             uav_range_m=uav_range_m, channel=channel, **extra,
         )
         self.cells: list = list(cells)
@@ -206,9 +244,10 @@ def aggregate_problem(
     degenerate aggregation used by the equivalence oracles.
     """
     graph = problem.graph
+    users = graph.user_table()
     cells = (
-        singleton_cells(graph.users) if cell_size_m is None
-        else aggregate_users(graph.users, cell_size_m)
+        singleton_cells(users) if cell_size_m is None
+        else aggregate_users(users, cell_size_m)
     )
     cell_graph = CellCoverageGraph(
         cells=cells,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.area import DisasterArea
-from repro.network.users import DEFAULT_MIN_RATE_BPS, users_from_points
+from repro.network.users import DEFAULT_MIN_RATE_BPS, UserTable
 from repro.util.rng import ensure_rng
 
 
@@ -80,8 +80,8 @@ class FatTailedWorkload:
         area: DisasterArea,
         count: int,
         seed: "int | np.random.Generator | None" = None,
-    ) -> list:
-        """Generate ``count`` users inside ``area``."""
+    ) -> UserTable:
+        """Generate ``count`` users inside ``area``, as columns."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         rng = ensure_rng(seed)
@@ -97,30 +97,26 @@ class FatTailedWorkload:
         num_background = int(round(count * self.background_fraction))
         num_hotspot_users = count - num_background
 
-        points = []
-        if num_background:
-            xs = rng.uniform(0.0, area.length, size=num_background)
-            ys = rng.uniform(0.0, area.width, size=num_background)
-            points.extend(zip(xs, ys))
+        background = np.column_stack([
+            rng.uniform(0.0, area.length, size=num_background),
+            rng.uniform(0.0, area.width, size=num_background),
+        ]) if num_background else np.zeros((0, 2))
 
         assignments = rng.choice(
             self.num_hotspots, size=num_hotspot_users, p=weights
         )
-        points.extend(_truncated_gaussian(
+        xy = np.concatenate([background, _truncated_gaussian(
             rng, centres[assignments], self.hotspot_sigma_m,
             area.length, area.width,
-        ))
+        )])
 
         if self.rate_classes is None:
-            return users_from_points(points, self.min_rate_bps)
+            return UserTable(xy, self.min_rate_bps)
         # Mixed QoS: draw each user's class from the configured mix.
         fractions = [f for f, _ in self.rate_classes]
-        rates = [r for _, r in self.rate_classes]
-        picks = rng.choice(len(rates), size=len(points), p=fractions)
-        users = []
-        for (x, y), cls in zip(points, picks):
-            users.extend(users_from_points([(x, y)], rates[int(cls)]))
-        return users
+        rates = np.array([r for _, r in self.rate_classes], dtype=float)
+        picks = rng.choice(len(rates), size=len(xy), p=fractions)
+        return UserTable(xy, rates[picks])
 
 
 #: Redraws per hotspot user before it falls back to its hotspot centre.
@@ -133,9 +129,9 @@ def _truncated_gaussian(
     sigma: float,
     length: float,
     width: float,
-) -> list:
-    """One point per row of ``centres``: an isotropic Gaussian around it,
-    redrawn until it lies in ``[0, length] x [0, width]``.
+) -> np.ndarray:
+    """One ``(x, y)`` row per row of ``centres``: an isotropic Gaussian
+    around it, redrawn until it lies in ``[0, length] x [0, width]``.
 
     Consumes exactly the stream of the per-user scalar loop (``x =
     rng.normal(cx, sigma)``, ``y = rng.normal(cy, sigma)``, redrawn up to
@@ -163,4 +159,4 @@ def _truncated_gaussian(
                 tries += 1
                 if tries == MAX_TRIES:
                     user, tries = user + 1, 0
-    return list(zip(xs, ys))
+    return np.column_stack([xs, ys])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.geometry.area import DisasterArea
-from repro.network.users import DEFAULT_MIN_RATE_BPS, users_from_points
+from repro.network.users import DEFAULT_MIN_RATE_BPS, UserTable
 from repro.util.rng import ensure_rng
 
 
@@ -22,10 +22,11 @@ class UniformWorkload:
         area: DisasterArea,
         count: int,
         seed: "int | np.random.Generator | None" = None,
-    ) -> list:
+    ) -> UserTable:
+        """Generate ``count`` users inside ``area``, as columns."""
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
         rng = ensure_rng(seed)
         xs = rng.uniform(0.0, area.length, size=count)
         ys = rng.uniform(0.0, area.width, size=count)
-        return users_from_points(zip(xs, ys), self.min_rate_bps)
+        return UserTable(np.column_stack([xs, ys]), self.min_rate_bps)

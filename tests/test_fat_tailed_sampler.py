@@ -73,7 +73,7 @@ def _assert_same_stream(workload, area, count, seed):
     oracle_rng = np.random.default_rng(seed)
     block_rng = np.random.default_rng(seed)
     expected = scalar_generate(workload, area, count, oracle_rng)
-    got = workload.generate(area, count, block_rng)
+    got = workload.generate(area, count, block_rng).to_users()
     assert got == expected
     assert block_rng.bit_generator.state == oracle_rng.bit_generator.state
     return got

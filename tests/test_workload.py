@@ -18,14 +18,14 @@ AREA = DisasterArea(3000.0, 3000.0)
 
 class TestUniformWorkload:
     def test_count_and_bounds(self):
-        users = UniformWorkload().generate(AREA, 500, seed=0)
+        users = UniformWorkload().generate(AREA, 500, seed=0).to_users()
         assert len(users) == 500
         for u in users:
             assert AREA.contains_ground(u.ground)
 
     def test_deterministic(self):
-        a = UniformWorkload().generate(AREA, 50, seed=7)
-        b = UniformWorkload().generate(AREA, 50, seed=7)
+        a = UniformWorkload().generate(AREA, 50, seed=7).to_users()
+        b = UniformWorkload().generate(AREA, 50, seed=7).to_users()
         assert [u.position for u in a] == [u.position for u in b]
 
     def test_rejects_negative(self):
@@ -35,15 +35,15 @@ class TestUniformWorkload:
 
 class TestFatTailedWorkload:
     def test_count_and_bounds(self):
-        users = FatTailedWorkload().generate(AREA, 1000, seed=1)
+        users = FatTailedWorkload().generate(AREA, 1000, seed=1).to_users()
         assert len(users) == 1000
         for u in users:
             assert AREA.contains_ground(u.ground)
 
     def test_deterministic(self):
         w = FatTailedWorkload()
-        a = w.generate(AREA, 200, seed=5)
-        b = w.generate(AREA, 200, seed=5)
+        a = w.generate(AREA, 200, seed=5).to_users()
+        b = w.generate(AREA, 200, seed=5).to_users()
         assert [u.position for u in a] == [u.position for u in b]
 
     def test_fat_tail_property(self):
@@ -61,6 +61,7 @@ class TestFatTailedWorkload:
 
         fat = FatTailedWorkload(num_hotspots=8).generate(AREA, 2000, seed=2)
         uni = UniformWorkload().generate(AREA, 2000, seed=2)
+        fat, uni = fat.to_users(), uni.to_users()
         assert top_quintile_share(fat) > top_quintile_share(uni) + 0.15
         assert top_quintile_share(fat) > 0.5
 
@@ -147,7 +148,7 @@ class TestScenarios:
         w = FatTailedWorkload(
             rate_classes=((0.8, 2_000.0), (0.2, 2.5e6)),
         )
-        users = w.generate(AREA, 1000, seed=4)
+        users = w.generate(AREA, 1000, seed=4).to_users()
         rates = [u.min_rate_bps for u in users]
         video = sum(1 for r in rates if r == 2.5e6)
         assert set(rates) == {2_000.0, 2.5e6}
