@@ -9,6 +9,10 @@ also the final step (line 25) of Algorithm 2.
 
 from __future__ import annotations
 
+from itertools import repeat
+
+import numpy as np
+
 from repro.flow.dinic import Dinic
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import CellDeployment, Deployment
@@ -42,17 +46,30 @@ def optimal_assignment(
     source = 0
     sink = n + num_stations + 1
     solver = Dinic(sink + 1)
-    for u in range(n):
-        solver.add_edge(source, 1 + u, 1)
+    source_arcs = [solver.add_edge(source, 1 + u, 1) for u in range(n)]
 
+    # Dinic's first phase on this network is a greedy pass: users in index
+    # order each join the first station (in placement order) that covers
+    # them and has spare capacity.  Equivalently, each station takes the
+    # lowest C_k of its covered users that no earlier station took.  That
+    # flow is seeded here in one step, so max_flow starts at phase 2 and
+    # ends on the same flow as from zero.
+    taken = np.zeros(n, dtype=bool)
     user_station_arcs: list = []  # (arc_id, user, uav_index)
     for st, (k, loc) in enumerate(deployed):
         uav = fleet[k]
         station_node = n + 1 + st
-        for u in graph.coverable_users(loc, uav):
-            arc = solver.add_edge(1 + u, station_node, 1)
-            user_station_arcs.append((arc, u, k))
-        solver.add_edge(station_node, sink, uav.capacity)
+        cover = graph.coverable_array(loc, uav)
+        users = cover.tolist()
+        arcs = [solver.add_edge(1 + u, station_node, 1) for u in users]
+        user_station_arcs.extend(zip(arcs, users, repeat(k)))
+        sink_arc = solver.add_edge(station_node, sink, uav.capacity)
+        picks = np.flatnonzero(~taken[cover])[:uav.capacity]
+        taken[cover[picks]] = True
+        for i in picks.tolist():
+            solver.add_flow(source_arcs[users[i]], 1)
+            solver.add_flow(arcs[i], 1)
+        solver.add_flow(sink_arc, len(picks))
 
     solver.max_flow(source, sink)
 

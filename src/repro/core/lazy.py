@@ -3,8 +3,9 @@
 Every placement step that picks by *exact* marginal gain — the anchored
 greedy, the pair greedy, relay staffing and leftover augmentation — runs
 :meth:`LazyGains.argmax`: candidates sorted by ``(-upper bound, tie
-rank)``, each one measured with a try/rollback on the flow engine, and
-the scan stops at the first candidate whose bound can no longer beat the
+rank)``, each one measured by the flow engine's count-only probe
+(:meth:`~repro.flow.bipartite.IncrementalAssignment.gain`), and the scan
+stops at the first candidate whose bound can no longer beat the
 best ``(gain, tie rank)`` found so far.  The winner is exactly the eager
 scan's; only the oracle calls change.
 
@@ -24,8 +25,8 @@ The upper bound is ``min(static, stale)``:
 The stale bound is valid only while the engine's open stations are a
 superset of those open at the measurement, so a :class:`LazyGains` lives
 for one greedy or connect call on one engine (and one fork): inside it
-every probe is rolled back and every pick committed.  A zero bound needs
-no measurement at all — gains are never negative.
+every probe leaves the engine as it was and every pick is committed.  A
+zero bound needs no measurement at all — gains are never negative.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class LazyGains:
     every measurement it made.
 
     ``counter`` names the observability counter each oracle call (one
-    try/rollback) increments."""
+    probe) increments."""
 
     def __init__(self, engine, graph, fleet: list, counter: str) -> None:
         self.engine = engine
@@ -80,14 +81,13 @@ class LazyGains:
         return bound
 
     def measure(self, k: int, v: int) -> int:
-        """Exact gain of opening UAV ``k`` at location ``v`` (try +
-        rollback), remembered as a stale bound for later rounds."""
+        """Exact gain of opening UAV ``k`` at location ``v`` (one engine
+        probe), remembered as a stale bound for later rounds."""
         uav = self.fleet[k]
         obs.counter_inc(self.counter)
-        gain = self.engine.try_open(
+        gain = self.engine.gain(
             (k, v), self.graph.coverable_array(v, uav), uav.capacity
         )
-        self.engine.rollback()
         sig = self.graph.radio_signature(uav)
         entry = self._stale.get(sig)
         if entry is None:

@@ -35,17 +35,29 @@ each augmentation increases the max flow by exactly one, and a failed
 search proves no further augmentation through the new station exists.
 
 ``try_open``/``rollback`` journal all mutations so thousands of candidate
-evaluations reuse one engine.  On top of that, :meth:`fork` opens a
-*warm-start scope*: it snapshots the committed state (flat-array copies,
-O(num_users)) so :meth:`rollback_fork` restores the forked state exactly
-no matter how many stations were opened in between.  The subset sweep
-uses this to evaluate adjacent anchor subsets on one engine instead of
-rebuilding it from scratch per subset.
+evaluations reuse one engine.  A probe that only needs the number —
+every exact-gain measurement of the greedy — calls :meth:`gain`
+instead: the same search on local copies of the per-station bitsets,
+pushing each path's whole bottleneck at once, with no array write, no
+journal and no undo.  A max-flow value does not depend on which
+augmenting paths realise it, so the count equals ``try_open``'s.
+Committed opens keep the per-unit path: fast mode reads the assignment
+it leaves.
+
+On top of that, :meth:`fork` opens a *warm-start scope*: it snapshots the
+committed state (flat-array copies, O(num_users)) so :meth:`rollback_fork`
+restores the forked state exactly no matter how many stations were opened
+in between.  The subset sweep uses this to evaluate adjacent anchor
+subsets on one engine instead of rebuilding it from scratch per subset.
 
 Batched scoring: :meth:`direct_gain_bounds` evaluates the direct-phase
 lower bound for a whole candidate matrix of packed cover bitsets
 (:mod:`repro.util.bits` layout) in one masked popcount — the greedy's
 per-round candidate ranking.
+
+Every entry point that takes a cover reads it through :func:`_cover_array`:
+integer indices only (a boolean mask or float indices raise
+``TypeError``), each distinct node counted once.
 """
 
 from __future__ import annotations
@@ -62,6 +74,47 @@ from repro.util.bits import drop_bit, popcount_rows
 _BYTE_REVERSE = np.array(
     [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
 )
+
+
+def _index_array(covered: "Sequence | np.ndarray", noun: str) -> np.ndarray:
+    """``covered`` as a one-dimensional int64 index array.
+
+    A boolean mask or float indices would silently name the wrong nodes,
+    so any non-integer dtype raises ``TypeError`` (an empty list, which
+    numpy types as float, is allowed)."""
+    cover = np.asarray(covered)
+    if cover.ndim != 1:
+        raise ValueError(f"covered_{noun}s must be one-dimensional")
+    if cover.dtype.kind not in "iu" and cover.size:
+        raise TypeError(
+            f"covered_{noun}s must be integer {noun} indices, "
+            f"got dtype {cover.dtype}"
+        )
+    return cover.astype(np.int64, copy=False)
+
+
+def _cover_array(covered: "Sequence | np.ndarray", num_nodes: int,
+                noun: str) -> np.ndarray:
+    """``covered`` as validated int64 indices of distinct nodes.
+
+    :func:`_index_array`, then every index must lie in ``[0, num_nodes)``
+    (``IndexError`` names the first one that does not), and repeats are
+    dropped, keeping first occurrences in order, so a count over the
+    result counts each node once."""
+    cover = _index_array(covered, noun)
+    if not cover.size:
+        return cover
+    # Graph covers are sorted and distinct: their range check is the ends.
+    ordered = cover.size == 1 or bool((cover[1:] > cover[:-1]).all())
+    if ordered and cover[0] >= 0 and cover[-1] < num_nodes:
+        return cover
+    bad = (cover < 0) | (cover >= num_nodes)
+    if bad.any():
+        raise IndexError(
+            f"{noun} {int(cover[bad][0])} outside [0, {num_nodes})"
+        )
+    _, first = np.unique(cover, return_index=True)
+    return cover[np.sort(first)]
 
 
 class IncrementalAssignment:
@@ -112,6 +165,10 @@ class IncrementalAssignment:
         self._journal: list = []
         self._fork_state: "tuple | None" = None
         self._cover_int_cache: dict = {}
+        # Users held by live stations (see _live_users); None = stale.
+        # Cleared by try_open (so a rollback finds it clear), rollback_fork
+        # and the user edits.
+        self._live: "int | None" = None
 
     # -- read API ---------------------------------------------------------
 
@@ -151,7 +208,7 @@ class IncrementalAssignment:
         the unassigned covered users it could take directly, capped by
         capacity.  (The exact gain adds alternating-chain augmentations on
         top.)  Vectorised; O(|cover|)."""
-        cover = np.asarray(covered_users, dtype=np.int64)
+        cover = _cover_array(covered_users, self.num_users, "user")
         if cover.size == 0 or capacity <= 0:
             return 0
         free = int(cover.size - np.count_nonzero(self._assigned_mask[cover]))
@@ -214,6 +271,7 @@ class IncrementalAssignment:
             raise RuntimeError("no active fork to roll back")
         if self._pending is not None:
             self.rollback()
+        self._live = None
         (aid, amask, aint, sints, loads, nslots, served,
          alist) = self._fork_state
         self._fork_state = None
@@ -248,34 +306,16 @@ class IncrementalAssignment:
         """Tentatively open ``station`` and return the exact gain in served
         users.  Must be followed by :meth:`commit` or :meth:`rollback`.
         """
-        if self._pending is not None:
-            raise RuntimeError(
-                f"station {self._pending!r} is pending; commit or rollback first"
-            )
-        if station in self._slots:
-            raise ValueError(f"station {station!r} already open")
-        if capacity < 0:
-            raise ValueError(f"capacity must be non-negative, got {capacity}")
-        cover = np.asarray(covered_users, dtype=np.int64)
-        if cover.ndim != 1:
-            raise ValueError("covered_users must be one-dimensional")
-
+        self._check_open(station, capacity)
+        self._live = None
         if self._chain == "dfs":
-            self._validate_cover(cover)
+            cover = _cover_array(covered_users, self.num_users, "user")
             slot = self._push_station(station, capacity)
-            self._cover_lists.append([int(u) for u in cover])
+            self._cover_lists.append(cover.tolist())
             gain = self._open_direct_scalar(slot, capacity)
             augment = self._augment_dfs
         else:
-            # Cover bitsets recur across a sweep (same location, same
-            # radio), so memoise the index-array -> int conversion; a
-            # cache hit also proves the indices were validated before.
-            key = cover.tobytes()
-            cint = self._cover_int_cache.get(key)
-            if cint is None:
-                self._validate_cover(cover)
-                cint = self._users_to_int(cover)
-                self._cover_int_cache[key] = cint
+            cint = self._cover_int(covered_users)
             slot = self._push_station(station, capacity)
             self._cover_ints.append(cint)
             self._slot_ints.append(0)
@@ -299,6 +339,36 @@ class IncrementalAssignment:
         obs.counter_inc("flow.try_opens")
         obs.counter_inc("flow.direct_assignments", direct)
         obs.counter_inc("flow.chain_augmentations", gain - direct)
+        return gain
+
+    def gain(
+        self, station: Hashable, covered_users: "Sequence | np.ndarray",
+        capacity: int
+    ) -> int:
+        """The exact gain :meth:`try_open` would return, leaving the engine
+        untouched: same checks, same counters, no commit or rollback.
+
+        The gain is ``capacity`` when the free covered users fill it, and
+        the free covered users alone when the cover holds no user of a
+        live station (:meth:`_live_users`): no alternating path can start.
+        Otherwise the chain phase runs on local copies of the bitsets
+        (:meth:`_probe_chains`).  The ``chain="dfs"`` reference keeps its
+        try + rollback."""
+        if self._chain == "dfs":
+            gain = self.try_open(station, covered_users, capacity)
+            self.rollback()
+            return gain
+        self._check_open(station, capacity)
+        cint = self._cover_int(covered_users)
+        free = cint & ~self._assigned_int
+        direct = min(free.bit_count(), capacity)
+        gain = direct
+        if direct < capacity and cint & self._live_users():
+            gain = self._probe_chains(cint, free, capacity)
+        if obs.is_enabled():
+            obs.counter_inc("flow.try_opens")
+            obs.counter_inc("flow.direct_assignments", direct)
+            obs.counter_inc("flow.chain_augmentations", gain - direct)
         return gain
 
     def commit(self) -> None:
@@ -411,6 +481,7 @@ class IncrementalAssignment:
             )
         if self._fork_state is not None:
             raise RuntimeError("cannot edit users inside a fork")
+        self._live = None
 
     def _augment_to_user(self, user: int, first: list) -> bool:
         """One alternating path from the free ``user`` to a station with
@@ -451,12 +522,30 @@ class IncrementalAssignment:
 
     # -- internals --------------------------------------------------------
 
-    def _validate_cover(self, cover: np.ndarray) -> None:
-        if cover.size:
-            bad = (cover < 0) | (cover >= self.num_users)
-            if bad.any():
-                u = int(cover[bad][0])
-                raise IndexError(f"user {u} outside [0, {self.num_users})")
+    def _check_open(self, station: Hashable, capacity: int) -> None:
+        if self._pending is not None:
+            raise RuntimeError(
+                f"station {self._pending!r} is pending; commit or rollback first"
+            )
+        if station in self._slots:
+            raise ValueError(f"station {station!r} already open")
+        if capacity < 0:
+            raise ValueError(f"capacity must be non-negative, got {capacity}")
+
+    def _cover_int(self, covered_users: "Sequence | np.ndarray") -> int:
+        """The cover as an integer bitset.  Cover bitsets recur across a
+        sweep (same location, same radio), so the index-array -> int
+        conversion is memoised; a cache hit also proves the indices were
+        validated before."""
+        cover = _index_array(covered_users, "user")
+        key = cover.tobytes()
+        cint = self._cover_int_cache.get(key)
+        if cint is None:
+            cint = self._users_to_int(
+                _cover_array(cover, self.num_users, "user")
+            )
+            self._cover_int_cache[key] = cint
+        return cint
 
     def _push_station(self, station: Hashable, capacity: int) -> int:
         slot = len(self._names)
@@ -527,85 +616,125 @@ class IncrementalAssignment:
 
     def _augment_bfs(self, root: int, chain: "list | None" = None) -> bool:
         """One unit of augmentation ending at ``root`` (which has spare
-        capacity), via layered BFS over user bitsets.
-
-        A layer holds stations reachable by an alternating path from
-        ``root``.  Expanding station ``st`` masks its cover bitset against
-        the users already visited; a surviving *free* user completes an
-        augmenting path, while surviving assigned users hand reachability
-        to their owner stations (``reach & slot_bitset`` per station, each
-        remembering ``st`` and a witness user).  A failed search proves no
-        augmentation through ``root`` exists — same exact maximum as the
-        scalar DFS reference; only which equal-value assignment is
-        realised may differ.
+        capacity): :func:`_alternating_search`, then the free user joins
+        the leaf and each station up the parent chain takes its witness
+        user from its child.  A failed search proves no augmentation
+        through ``root`` exists — same exact maximum as the scalar DFS
+        reference; only which equal-value assignment is realised may
+        differ.
         """
-        covers = self._cover_ints
         slot_ints = self._slot_ints
-        assigned = self._assigned_int
-        num_slots = len(covers)
+        leaf, parent = _alternating_search(
+            self._cover_ints, slot_ints, self._assigned_int, root
+        )
+        if leaf < 0:
+            return False
+        # Inlined _record_and_assign: this is the hottest path of every
+        # committed open.
         journal = self._journal
         aid = self._assigned_id
         loads = self._loads
-        parent_station: dict = {}
-        parent_user: dict = {}
-        seen = {root}
-        seen_union = slot_ints[root]
-        visited = 0
-        frontier = [root]
-        while frontier:
-            nxt: list = []
-            for st in frontier:
-                reach = covers[st] & ~visited
-                if not reach:
-                    continue
-                free = reach & ~assigned
-                if free:
-                    # Unwind: the free user joins st, then each station up
-                    # the parent chain takes its witness user from its
-                    # child (inlined _record_and_assign — this is the
-                    # hottest path in the whole solver).
-                    user = (free & -free).bit_length() - 1
-                    journal.append((user, -1))
-                    slot_ints[st] |= 1 << user
-                    self._assigned_int |= 1 << user
-                    self._assigned_mask[user] = True
-                    aid[user] = st
-                    loads[st] += 1
-                    if chain is not None:
-                        chain.append(st)
-                    while st != root:
-                        u = parent_user[st]
-                        ps = parent_station[st]
-                        journal.append((u, st))
-                        bit = 1 << u
-                        slot_ints[ps] |= bit
-                        slot_ints[st] &= ~bit
-                        loads[st] -= 1
-                        loads[ps] += 1
-                        aid[u] = ps
-                        st = ps
-                        if chain is not None:
-                            chain.append(st)
-                    self._served += 1
-                    return True
-                visited |= reach
-                # Owner discovery is the expensive part (one AND per open
-                # station); skip it entirely when every reached user
-                # belongs to an already-seen station.
-                if not reach & ~seen_union:
-                    continue
-                for owner in range(num_slots):
-                    if owner in seen:
-                        continue
-                    hit = reach & slot_ints[owner]
-                    if hit:
-                        seen.add(owner)
-                        seen_union |= slot_ints[owner]
-                        parent_station[owner] = st
-                        parent_user[owner] = (hit & -hit).bit_length() - 1
-                        nxt.append(owner)
-            frontier = nxt
-        return False
+        st = leaf
+        free = self._cover_ints[st] & ~self._assigned_int
+        user = (free & -free).bit_length() - 1
+        journal.append((user, -1))
+        slot_ints[st] |= 1 << user
+        self._assigned_int |= 1 << user
+        self._assigned_mask[user] = True
+        aid[user] = st
+        loads[st] += 1
+        if chain is not None:
+            chain.append(st)
+        while st != root:
+            ps, u = parent[st]
+            journal.append((u, st))
+            bit = 1 << u
+            slot_ints[ps] |= bit
+            slot_ints[st] &= ~bit
+            loads[st] -= 1
+            loads[ps] += 1
+            aid[u] = ps
+            st = ps
+            if chain is not None:
+                chain.append(st)
+        self._served += 1
+        return True
+
+    def _live_users(self) -> int:
+        """The users held by *live* stations: those with an alternating
+        path to a free user, i.e. a station that covers a free user, or
+        one that covers a user held by a live station.  Computed once per
+        engine state, as a fixpoint over the open stations.
+
+        A probe whose cover holds none of these users, and whose free
+        covered users fall short of its capacity, gains only those free
+        users: every station its search can reach is dead, and taking the
+        free users only shrinks the free set."""
+        if self._live is None:
+            covers, held = self._cover_ints, self._slot_ints
+            free = ~self._assigned_int
+            live = 0
+            dead = []
+            for st, cover in enumerate(covers):
+                if cover & free:
+                    live |= held[st]
+                else:
+                    dead.append(st)
+            grew = True
+            while grew:
+                grew = False
+                still = []
+                for st in dead:
+                    if covers[st] & live:
+                        live |= held[st]
+                        grew = True
+                    else:
+                        still.append(st)
+                dead = still
+            self._live = live
+        return self._live
+
+    def _probe_chains(self, cover: int, free: int, capacity: int) -> int:
+        """The gain of a station with cover bitset ``cover`` whose free
+        covered users ``free`` fall short of ``capacity``, counted on
+        local copies of the engine state.
+
+        The station (the root) takes ``free``, then each
+        :func:`_alternating_search` that finds a path pushes its whole
+        bottleneck at once: the remaining capacity, the free users the
+        leaf covers, and for every link the users the child holds that
+        the parent covers.  Pushing ``b`` units moves ``b`` such users
+        one station up each link, so every unit is a valid augmenting
+        path; the search that fails certifies a maximum, as in
+        :meth:`try_open`."""
+        covers = self._cover_ints + [cover]
+        held = self._slot_ints + [free]
+        assigned = self._assigned_int | free
+        root = len(covers) - 1
+        gain = free.bit_count()
+        while gain < capacity:
+            leaf, parent = _alternating_search(covers, held, assigned, root)
+            if leaf < 0:
+                break
+            take = covers[leaf] & ~assigned
+            push = min(capacity - gain, take.bit_count())
+            links = []
+            st = leaf
+            while st != root:
+                up = parent[st][0]
+                hit = covers[up] & held[st]
+                push = min(push, hit.bit_count())
+                links.append((up, st, hit))
+                st = up
+            take = _lowest_bits(take, push)
+            assigned |= take
+            held[leaf] |= take
+            for up, st, hit in links:
+                moved = _lowest_bits(hit, push)
+                held[st] &= ~moved
+                held[up] |= moved
+            gain += push
+        return gain
 
     def _replay_chain(self, chain: list) -> bool:
         """Revalidate the station chain left by the previous augmentation
@@ -847,7 +976,7 @@ class CellAssignment:
     def direct_gain_bound(self, covered_cells: "Sequence | np.ndarray",
                           capacity: int) -> int:
         """Residual demand reachable directly, capped by capacity."""
-        cover = np.asarray(covered_cells, dtype=np.int64)
+        cover = _cover_array(covered_cells, self.num_users, "cell")
         if cover.size == 0 or capacity <= 0:
             return 0
         return min(int(capacity), int(self._residual[cover].sum()))
@@ -918,14 +1047,7 @@ class CellAssignment:
             raise ValueError(f"station {station!r} already open")
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
-        cover = np.asarray(covered_cells, dtype=np.int64)
-        if cover.ndim != 1:
-            raise ValueError("covered_cells must be one-dimensional")
-        if cover.size:
-            bad = (cover < 0) | (cover >= self.num_users)
-            if bad.any():
-                c = int(cover[bad][0])
-                raise IndexError(f"cell {c} outside [0, {self.num_users})")
+        cover = _cover_array(covered_cells, self.num_users, "cell")
         self._saved = self._snapshot()
         self._pending = station
         slot = len(self._names)
@@ -942,6 +1064,16 @@ class CellAssignment:
                 break
             gain += pushed
         obs.counter_inc("flow.try_opens")
+        return gain
+
+    def gain(
+        self, station: Hashable, covered_cells: "Sequence | np.ndarray",
+        capacity: int
+    ) -> int:
+        """Exact gain of opening ``station``, engine left untouched (a
+        try + rollback)."""
+        gain = self.try_open(station, covered_cells, capacity)
+        self.rollback()
         return gain
 
     def commit(self) -> None:
@@ -1049,6 +1181,66 @@ class CellAssignment:
         self._served += bottleneck
         obs.counter_inc("flow.chain_augmentations", bottleneck)
         return bottleneck
+
+
+def _alternating_search(covers: list, held: list, assigned: int,
+                        root: int) -> tuple:
+    """Layered breadth-first search over user bitsets for an alternating
+    path from a free user to the station ``root``.
+
+    ``covers`` and ``held`` are per-station cover and assigned-user
+    bitsets, ``assigned`` the union of ``held``.  A layer holds stations
+    reachable from ``root``.  Expanding station ``st`` masks its cover
+    against the users already visited; a surviving *free* user ends the
+    search at ``st`` (the leaf), while surviving assigned users hand
+    reachability to their owner stations (``reach & held`` per station).
+    Returns ``(leaf, parent)``, where ``parent`` maps each reached station
+    to the station it was reached from and a witness user it holds that
+    that station covers; ``leaf`` is ``-1`` when no path exists.
+    """
+    parent: dict = {}
+    seen = {root}
+    seen_union = held[root]
+    visited = 0
+    frontier = [root]
+    num_slots = len(covers)
+    while frontier:
+        nxt: list = []
+        for st in frontier:
+            reach = covers[st] & ~visited
+            if not reach:
+                continue
+            if reach & ~assigned:
+                return st, parent
+            visited |= reach
+            # Owner discovery is the expensive part (one AND per open
+            # station); skip it entirely when every reached user belongs
+            # to an already-seen station.
+            if not reach & ~seen_union:
+                continue
+            for owner in range(num_slots):
+                if owner in seen:
+                    continue
+                hit = reach & held[owner]
+                if hit:
+                    seen.add(owner)
+                    seen_union |= held[owner]
+                    parent[owner] = (st, (hit & -hit).bit_length() - 1)
+                    nxt.append(owner)
+        frontier = nxt
+    return -1, parent
+
+
+def _lowest_bits(bits: int, k: int) -> int:
+    """The ``k`` lowest set bits of ``bits`` (``k`` <= its popcount)."""
+    if k == bits.bit_count():
+        return bits
+    out = 0
+    for _ in range(k):
+        low = bits & -bits
+        out |= low
+        bits ^= low
+    return out
 
 
 def new_engine_for(graph, chain: "str | None" = None):

@@ -41,6 +41,19 @@ class Dinic:
         self._out[v].append(arc_id + 1)
         return arc_id
 
+    def add_flow(self, arc_id: int, amount: int) -> None:
+        """Push ``amount`` units along arc ``arc_id`` — for seeding a flow
+        the caller already knows is feasible (conservation at the arc's
+        ends is the caller's to keep).  ``ValueError`` when ``amount`` is
+        negative or above the arc's residual capacity."""
+        if not 0 <= amount <= self._cap[arc_id]:
+            raise ValueError(
+                f"cannot push {amount} units on arc {arc_id} with residual "
+                f"capacity {self._cap[arc_id]}"
+            )
+        self._cap[arc_id] -= amount
+        self._cap[arc_id ^ 1] += amount
+
     def flow_on(self, arc_id: int) -> int:
         """Flow currently pushed through arc ``arc_id`` (its twin's residual)."""
         return self._cap[arc_id ^ 1]

@@ -42,18 +42,27 @@ from tests.conftest import make_line_instance
 
 
 def counting_engine(graph):
-    """A fresh flow engine that counts its rollbacks: one per oracle
-    call, since every probe is a try + rollback and every pick a try +
-    commit."""
+    """A fresh flow engine that counts its oracle calls: each ``gain``
+    call (the count-only probe) and each rollback of a try + rollback
+    probe is one.  Every pick is a try + commit and is not counted."""
     engine = new_engine_for(graph)
     engine.probes = 0
     rollback = engine.rollback
+    gain = engine.gain
 
     def counted() -> None:
         engine.probes += 1
         rollback()
 
+    def counted_gain(*args) -> int:
+        # A gain that is itself a try + rollback is still one call.
+        before = engine.probes
+        value = gain(*args)
+        engine.probes = before + 1
+        return value
+
     engine.rollback = counted
+    engine.gain = counted_gain
     return engine
 
 
