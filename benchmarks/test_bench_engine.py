@@ -1,5 +1,5 @@
 """Perf trajectory of the appro_alg engine: serial seed path vs the
-vectorized/bound-pruned/parallel engine on a Fig.-4-style scenario.
+vectorized/parallel engine on a Fig.-4-style scenario.
 
 The serial and engine runs must agree exactly on ``(served, anchors)`` —
 the engine's optimisations are lossless by construction, and this bench
@@ -48,13 +48,12 @@ def test_engine_matches_serial_and_records_speedup(
         subsets_evaluated=serial.stats.subsets_evaluated,
     )
 
-    # Engine run: shared context (built once, reused), lossless bound
-    # pruning, process-parallel subset fan-out.
+    # Engine run: shared context (built once, reused) and the
+    # process-parallel subset fan-out.
     context = SolverContext.from_problem(problem)
     start = time.perf_counter()
     engine = appro_alg(
-        problem, workers=BENCH_WORKERS, bound_prune=True, context=context,
-        **_params(),
+        problem, workers=BENCH_WORKERS, context=context, **_params(),
     )
     engine_s = time.perf_counter() - start
     speedup = serial_s / engine_s if engine_s > 0 else float("inf")
@@ -67,7 +66,7 @@ def test_engine_matches_serial_and_records_speedup(
         peak_rss_mb=peak_rss_mb(),
     )
 
-    # Losslessness: identical result regardless of workers/pruning.
+    # Losslessness: identical result regardless of workers.
     assert engine.served == serial.served
     assert engine.anchors == serial.anchors
     assert engine.stats.subsets_total == serial.stats.subsets_total
@@ -112,7 +111,7 @@ def test_paper_headline_speedup(scenario_cache, perf_trajectory):
     in fast mode only the direct-bound *ranking* realisation may differ,
     so served counts are compared with a small tolerance instead of
     bit-equality (the golden-equivalence suite pins bit-equality across
-    serial/parallel/bound-pruned runs of the vectorised path itself).
+    serial/parallel runs of the vectorised path itself).
     """
     from repro.flow.bipartite import IncrementalAssignment
 

@@ -142,32 +142,6 @@ def test_solver_context_build(benchmark, scenario_cache, perf_trajectory):
     )
 
 
-def test_bound_pass_kernel(benchmark, scenario_cache, perf_trajectory):
-    """The vectorised admissible-bound pass (`subset_bounds`): upper
-    bounds for every anchor subset of a sweep in one array pass.  Its
-    mean time lands in the trajectory as ``bound_pass_ms`` so a
-    regression localises to this kernel instead of end-to-end wall."""
-    from itertools import combinations
-
-    from repro.core.context import SolverContext, subset_bounds
-
-    problem = scenario_cache(2000, 10)
-    context = SolverContext.from_problem(problem)
-    subsets = np.array(
-        list(combinations(range(problem.num_locations), 2)), dtype=np.int64
-    )
-
-    bounds = benchmark(
-        lambda: subset_bounds(context, subsets, problem.num_uavs)
-    )
-    assert bounds.shape == (len(subsets),)
-    assert (bounds >= 0).all()
-    perf_trajectory.record(
-        "micro:kernels", "bound-pass", 0, benchmark.stats.stats.mean,
-        bound_pass_ms=round(benchmark.stats.stats.mean * 1000.0, 3),
-    )
-
-
 def test_gain_matrix_kernel(benchmark, scenario_cache, perf_trajectory):
     """The batched greedy gain kernel (`direct_gain_bounds`): one masked
     popcount ranking every candidate location against a half-loaded

@@ -59,9 +59,9 @@ def add_engine_args(
     parser: argparse.ArgumentParser,
     anchor_pool_default: int = DEFAULT_ANCHOR_POOL,
 ) -> None:
-    """The shared solver-engine flags (seed, workers, pruning, anchor
-    pool).  Every solving subcommand — run, fig4/5/6a/6b, mission — wires
-    these through this one helper, so the flags stay consistent."""
+    """The shared solver-engine flags (seed, workers, anchor pool).
+    Every solving subcommand — run, fig4/5/6a/6b, mission — wires these
+    through this one helper, so the flags stay consistent."""
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     parser.add_argument(
         "--anchor-pool",
@@ -72,11 +72,6 @@ def add_engine_args(
     parser.add_argument(
         "--workers", type=int, default=1,
         help="worker processes for approAlg's subset fan-out (default 1)",
-    )
-    parser.add_argument(
-        "--bound-prune", action="store_true",
-        help="skip anchor subsets whose optimistic bound cannot beat the "
-        "incumbent (lossless)",
     )
 
 
@@ -177,10 +172,6 @@ def _print_result(args: argparse.Namespace, result, metric: str,
         print(ascii_chart(result.series(metric), title=f"{title} [chart]"))
 
 
-def _engine_kwargs(args: argparse.Namespace) -> dict:
-    return dict(workers=args.workers, bound_prune=args.bound_prune)
-
-
 def _resilience_kwargs(args: argparse.Namespace) -> dict:
     return dict(
         checkpoint_dir=getattr(args, "checkpoint", None),
@@ -207,7 +198,7 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
         scale=args.scale,
         repetitions=args.reps,
         max_anchor_candidates=_pool(args),
-        **_engine_kwargs(args),
+        workers=args.workers,
         **_resilience_kwargs(args),
     )
     if args.seed is not None:
@@ -223,7 +214,7 @@ def _cmd_fig5(args: argparse.Namespace) -> int:
         scale=args.scale,
         repetitions=args.reps,
         max_anchor_candidates=_pool(args),
-        **_engine_kwargs(args),
+        workers=args.workers,
         **_resilience_kwargs(args),
     )
     if args.seed is not None:
@@ -239,7 +230,7 @@ def _cmd_fig6(args: argparse.Namespace, metric: str, title: str) -> int:
         scale=args.scale,
         repetitions=args.reps,
         max_anchor_candidates=_pool(args),
-        **_engine_kwargs(args),
+        workers=args.workers,
         **_resilience_kwargs(args),
     )
     if args.seed is not None:
@@ -359,7 +350,6 @@ def _run_spec_from_args(args: argparse.Namespace):
         algorithm=args.algorithm,
         algorithm_params=algorithm_params,
         workers=args.workers,
-        bound_prune=args.bound_prune,
     )
 
 
@@ -390,6 +380,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     from repro.network.deployment import CellDeployment
     from repro.scenario import ScenarioSpec, SolvePipeline, SpecError, get_preset
+    from repro.scenario.pipeline import solver_params
     from repro.sim.io import save_deployment
     from repro.sim.metrics import summarize
 
@@ -419,12 +410,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from repro.sim.io import load_scenario
 
             spec = _run_spec_from_args(args)
-            entry = pipeline.registry.get(args.algorithm)
-            params = dict(spec.algorithm_params)
-            if entry.supports_workers and args.workers != 1:
-                params["workers"] = args.workers
-            if entry.supports_bound_prune and args.bound_prune:
-                params["bound_prune"] = True
+            params = solver_params(spec, pipeline.registry.get(spec.algorithm))
             state = pipeline.solve(
                 load_scenario(args.scenario), args.algorithm, params,
                 checkpoint=pipeline.spec_checkpoint(spec),
@@ -550,8 +536,6 @@ def _cmd_mission(args: argparse.Namespace) -> int:
         )
     if args.workers != 1:
         appro_params["workers"] = args.workers
-    if args.bound_prune:
-        appro_params["bound_prune"] = True
     if args.checkpoint is not None:
         # One snapshot file per mission; each re-plan solves a different
         # problem (the surviving fleet), so a stale snapshot is detected

@@ -9,20 +9,22 @@ keep the feasible candidate serving the most users.  The final assignment
 is recomputed with the exact max-flow of Section II-D (line 25).
 
 The enumeration runs on a shared :class:`repro.core.context.SolverContext`
-(all-pairs hop matrix + per-radio coverage bitsets), with three scaling
-layers on top of the paper-faithful loop:
+(all-pairs hop matrix + per-radio coverage bitsets) and is one loop
+(:func:`_enumerate`) over the surviving subsets in lexicographic order:
 
 * the connectivity prune is evaluated for all subsets at once
-  (vectorised; decisions identical to the scalar reference, so the serial
-  default stays bit-identical to the historical implementation);
-* ``bound_prune=True`` visits subsets in descending order of an admissible
-  upper bound (:func:`repro.core.context.subset_bounds`) and skips any
-  subset whose bound cannot beat the best found — a lossless prune whose
-  skips are counted in :class:`ApproxStats`;
-* ``workers=N`` fans the surviving subsets out over a process pool; each
-  worker receives the context once via the pool initializer, and per-chunk
-  bests merge under the canonical tie-break (served descending, then
-  anchors lexicographic) — the same winner the serial loop produces.
+  (vectorised; decisions identical to the scalar reference);
+* once the best served count reaches the served cap — ``min(Σ fleet
+  capacities, total demand)``, which no deployment can exceed — the
+  remaining subsets are skipped (counted in
+  ``ApproxStats.subsets_bound_skipped``).  Later subsets could only tie,
+  and a tie goes to the lexicographically first anchors, so the stop is
+  lossless;
+* ``workers=N`` fans chunks of the surviving subsets out over a process
+  pool; each worker receives the context once via the pool initializer,
+  and per-chunk bests merge under the canonical tie-break (served
+  descending, then anchors lexicographic) — the same winner the
+  in-parent loop produces.
 
 On top of those sits the resilience layer (this is what makes long runs
 crash-safe; see ``docs/RESILIENCE.md``):
@@ -39,7 +41,7 @@ crash-safe; see ``docs/RESILIENCE.md``):
   ``resume=True`` a killed run restores the completed ranges, running
   counters and best-so-far and finishes to the identical assignment.
 * a :func:`repro.util.interrupt.graceful_shutdown` drain request makes
-  both loops stop at the next boundary, flush a final checkpoint and
+  the sweep stop at the next chunk boundary, flush a final checkpoint and
   raise :class:`repro.util.interrupt.SolveInterrupted` with a partial
   summary instead of dying mid-chunk.
 * ``chaos`` accepts a :class:`repro.ops.chaos.ChaosSpec` (duck-typed —
@@ -70,7 +72,7 @@ from repro.core.checkpoint import (
     solve_run_key,
 )
 from repro.core.connect import connect_and_deploy
-from repro.core.context import SolverContext, prunable_mask, subset_bounds
+from repro.core.context import SolverContext, prunable_mask
 from repro.core.dispatch import ChunkDispatcher, FaultPolicy
 from repro.core.dispatch import chunk_slices as _chunk_slices
 from repro.core.greedy import anchored_greedy, pair_greedy
@@ -87,10 +89,10 @@ class ApproxStats:
     """Bookkeeping about one appro_alg run.
 
     ``subsets_total == subsets_pruned + subsets_bound_skipped +
-    subsets_evaluated`` always holds; with ``bound_prune`` off the skip
-    count is zero.  Bound skips depend on visit order, so their split
-    against ``subsets_evaluated`` may differ between worker counts — the
-    returned solution never does.
+    subsets_evaluated`` always holds; ``subsets_bound_skipped`` counts the
+    subsets the served-cap stop skipped.  A pooled sweep stops per chunk,
+    so its split against ``subsets_evaluated`` may differ between worker
+    counts — the returned solution never does.
 
     The resilience fields record what fault tolerance had to do:
     ``retries`` counts failed chunk futures, ``chunks_redispatched`` the
@@ -129,6 +131,13 @@ class ApproxResult:
     stats: ApproxStats = field(default_factory=ApproxStats)
 
 
+def _check_integer(value: object, name: str) -> None:
+    """Reject anything but a Python or numpy integer (``bool`` included),
+    naming the offending argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _anchor_pool(
     problem: ProblemInstance,
     anchor_candidates: "list | None",
@@ -143,7 +152,7 @@ def _anchor_pool(
             "anchor subset; raise max_anchor_candidates or lower s"
         )
     if anchor_candidates is not None:
-        pool = sorted(set(anchor_candidates))
+        pool = sorted({int(v) for v in anchor_candidates})
         for v in pool:
             if not (0 <= v < problem.num_locations):
                 raise IndexError(f"anchor candidate {v} outside location range")
@@ -214,7 +223,7 @@ def _fallback_single(problem: ProblemInstance) -> ApproxResult:
     )
 
 
-# -- subset evaluation (shared by the serial loop and pool workers) ----------
+# -- subset evaluation (shared by the in-parent sweep and pool workers) -------
 
 
 def _evaluate_subset(
@@ -271,24 +280,14 @@ def _better(candidate: "tuple[int, dict, tuple]",
 
     In lexicographic visit order the tie clause never fires (later subsets
     compare greater), so this reproduces the historical first-strict-winner
-    exactly; under bound order or parallel merge it pins the same winner
-    regardless of execution order.
+    exactly; under the pooled merge it pins the same winner regardless of
+    execution order.
     """
     if best is None:
         return True
     return candidate[0] > best[0] or (
         candidate[0] == best[0] and candidate[2] < best[2]
     )
-
-
-def _bound_skippable(bound: int, subset: tuple,
-                     best: "tuple[int, dict, tuple] | None") -> bool:
-    """Whether an admissible ``bound`` proves ``subset`` cannot change the
-    canonical winner: it can neither beat the best served count nor, on a
-    tie, improve the lexicographic anchor tie-break."""
-    if best is None:
-        return False
-    return bound < best[0] or (bound == best[0] and subset > best[2])
 
 
 def _subset_array(pool: list, s: int) -> np.ndarray:
@@ -301,22 +300,29 @@ def _subset_array(pool: list, s: int) -> np.ndarray:
     return arr.reshape(total, s)
 
 
+def _served_cap(problem: ProblemInstance) -> int:
+    """No deployment serves more than the fleet's total capacity or the
+    total demand (users, or demand units on a cell graph), so a best that
+    reaches this cap cannot be beaten."""
+    total_units = getattr(problem.graph, "total_demand", problem.num_users)
+    return min(sum(uav.capacity for uav in problem.fleet), total_units)
+
+
 def _eval_chunk(problem, context, plan, order, eval_kw,
-                subsets: np.ndarray, bounds: "np.ndarray | None"):
+                subsets: np.ndarray, cap: int, engine=None):
     """Evaluate one contiguous chunk of subsets: the chunk-local best (or
-    ``None``) plus (evaluated, infeasible, bound_skipped) counts.  Shared
-    by pool workers and the parent-side quarantine fallback, so a
-    quarantined chunk produces exactly what the worker would have."""
+    ``None``) plus (evaluated, infeasible, skipped) counts.  Once the
+    chunk-local best reaches ``cap`` the rest of the chunk is skipped.
+    Shared by the in-parent sweep, pool workers and the quarantine
+    fallback, so every path produces exactly the same chunk result."""
+    if engine is None:
+        engine = new_engine_for(problem.graph)
     best: "tuple[int, dict, tuple] | None" = None
-    evaluated = infeasible = skipped = 0
-    engine = new_engine_for(problem.graph)
-    for i in range(subsets.shape[0]):
-        subset = tuple(int(x) for x in subsets[i])
-        if bounds is not None and _bound_skippable(
-            int(bounds[i]), subset, best
-        ):
-            skipped += 1
-            continue
+    evaluated = infeasible = 0
+    for row in subsets:
+        if best is not None and best[0] >= cap:
+            break
+        subset = tuple(int(x) for x in row)
         evaluated += 1
         outcome = _evaluate_subset(
             problem, subset, plan, order, context=context, engine=engine,
@@ -328,7 +334,7 @@ def _eval_chunk(problem, context, plan, order, eval_kw,
             candidate = (outcome[0], outcome[1], subset)
             if _better(candidate, best):
                 best = candidate
-    return best, evaluated, infeasible, skipped
+    return best, evaluated, infeasible, len(subsets) - evaluated
 
 
 # -- process-parallel fan-out ------------------------------------------------
@@ -336,7 +342,7 @@ def _eval_chunk(problem, context, plan, order, eval_kw,
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(problem, context, plan, order, eval_kw,
+def _worker_init(problem, context, plan, order, eval_kw, cap,
                  obs_enabled: bool = False, chaos=None) -> None:
     """Pool initializer: adopt the shipped context so every hop/coverage
     lookup in this process is a warm-cache hit.  Observability state is
@@ -347,41 +353,32 @@ def _worker_init(problem, context, plan, order, eval_kw,
     context.install_into(problem.graph)
     _WORKER_STATE.update(
         problem=problem, context=context, plan=plan, order=order,
-        eval_kw=eval_kw, chaos=chaos,
+        eval_kw=eval_kw, cap=cap, chaos=chaos,
     )
 
 
-def _worker_chunk(chunk_id: int, subsets: np.ndarray,
-                  bounds: "np.ndarray | None", attempt: int = 0):
+def _worker_chunk(chunk_id: int, subsets: np.ndarray, attempt: int = 0):
     """Evaluate one chunk of surviving subsets in a pool worker; returns
-    the chunk-local best (or ``None``), the chunk counts, the worker pid
-    and the worker's observability delta (spans + metrics, ``None`` when
-    tracing is off).  Any configured chaos event for ``(chunk_id,
-    attempt)`` fires *before* evaluation, so a killed chunk never ships a
-    partial result."""
-    chaos = _WORKER_STATE.get("chaos")
-    if chaos is not None:
-        chaos.apply(chunk_id, attempt)
-    best, evaluated, infeasible, skipped = _eval_chunk(
-        _WORKER_STATE["problem"], _WORKER_STATE["context"],
-        _WORKER_STATE["plan"], _WORKER_STATE["order"],
-        _WORKER_STATE["eval_kw"], subsets, bounds,
+    the chunk result, the worker pid and the worker's observability delta
+    (spans + metrics, ``None`` when tracing is off).  Any configured chaos
+    event for ``(chunk_id, attempt)`` fires *before* evaluation, so a
+    killed chunk never ships a partial result."""
+    state = _WORKER_STATE
+    if state["chaos"] is not None:
+        state["chaos"].apply(chunk_id, attempt)
+    result = _eval_chunk(
+        state["problem"], state["context"], state["plan"], state["order"],
+        state["eval_kw"], subsets, state["cap"],
     )
-    return (best, evaluated, infeasible, skipped, os.getpid(),
-            obs.export_obs_state())
+    return result, os.getpid(), obs.export_obs_state()
 
 
-def _drain(ckpt: "SolveCheckpoint | None", stats: ApproxStats,
-           best, s: int, done: int, total: int) -> None:
-    """A graceful-shutdown request reached a chunk/subset boundary: flush
-    a final checkpoint (when configured) and surface the partial run."""
+def _drain(ckpt: "SolveCheckpoint | None", best, s: int, done: int,
+           total: int) -> None:
+    """A graceful-shutdown request reached a chunk boundary: flush a final
+    checkpoint (when configured) and surface the partial run."""
     path = None
     if ckpt is not None:
-        ckpt.record_counts(
-            stats.subsets_pruned, stats.subsets_evaluated,
-            stats.subsets_infeasible, stats.subsets_bound_skipped,
-        )
-        ckpt.set_best(best)
         ckpt.flush()
         path = ckpt.path
     obs.counter_inc("approx.interrupted")
@@ -397,112 +394,110 @@ def _drain(ckpt: "SolveCheckpoint | None", stats: ApproxStats,
     )
 
 
-def _restore_level(ckpt: SolveCheckpoint, stats: ApproxStats):
-    """Adopt a resumed level's counters into ``stats``; returns the
-    restored best-so-far."""
-    stats.subsets_pruned = ckpt.counts["pruned"]
-    stats.subsets_evaluated = ckpt.counts["evaluated"]
-    stats.subsets_infeasible = ckpt.counts["infeasible"]
-    stats.subsets_bound_skipped = ckpt.counts["bound_skipped"]
-    stats.resume_chunks_skipped += ckpt.resumed_chunks
-    stats.resume_subsets_skipped += ckpt.resumed_units
-    return ckpt.best
-
-
-def _run_parallel(
+def _enumerate(
     problem, context, plan, order, eval_kw, stats, progress,
-    subsets, prunable, bounds, workers, s,
+    subsets, prunable, workers, s,
     ckpt: "SolveCheckpoint | None" = None, chaos=None,
     policy: "FaultPolicy | None" = None,
 ):
+    """The anchor-subset sweep: evaluate every surviving subset in
+    lexicographic order and return the canonical best.
+
+    Work is split into chunks of surviving-subset indices; every finished
+    chunk goes through one ``handle`` that merges its best, advances the
+    counters, progress and checkpoint, and drains on an interrupt.  With
+    one worker (or too few subsets to split) the chunks are single
+    subsets evaluated in the parent on one warm flow engine; otherwise
+    they fan out over :class:`ChunkDispatcher`.  Either way, once the best
+    reaches the served cap the remaining subsets are skipped: they are
+    visited later, so they could only tie, and a tie loses to the earlier
+    anchors."""
     total = stats.subsets_total
     stats.subsets_pruned = int(prunable.sum())
-    surviving = np.nonzero(~prunable)[0]
-    if bounds is not None:
-        live = bounds[surviving]
-        keys = tuple(subsets[surviving, col] for col in
-                     range(subsets.shape[1] - 1, -1, -1))
-        surviving = surviving[np.lexsort(keys + (-live,))]
-    sub = subsets[surviving]
-    live_bounds = None if bounds is None else bounds[surviving]
+    sub = subsets[~prunable]
+    n = int(sub.shape[0])
+    cap = _served_cap(problem)
+    pooled = workers > 1 and n >= 2 * workers
 
     best: "tuple[int, dict, tuple] | None" = None
     done = stats.subsets_pruned
     if ckpt is not None:
-        ckpt.enter_level(s, "surviving", sub.shape[0])
+        ckpt.enter_level(s, n)
         if ckpt.resumed:
-            best = _restore_level(ckpt, stats)
-            stats.subsets_pruned = int(prunable.sum())
-            done = stats.subsets_pruned + ckpt.resumed_units
+            # Adopt the level's counters; the pruned count is recomputed.
+            best = ckpt.best
+            stats.subsets_evaluated = ckpt.counts["evaluated"]
+            stats.subsets_infeasible = ckpt.counts["infeasible"]
+            stats.subsets_bound_skipped = ckpt.counts["bound_skipped"]
+            stats.resume_chunks_skipped += ckpt.resumed_chunks
+            stats.resume_subsets_skipped += ckpt.resumed_units
+            done += ckpt.resumed_units
     if done:
         obs.counter_inc("approx.subsets_done", done)
-    if progress is not None and done:
-        progress(done, total)
+        if progress is not None:
+            progress(done, total)
 
-    # Chunk only the ranges a resume did not already cover; any chunking
-    # of the gaps is fine because completed ranges are stored as arbitrary
-    # half-open intervals, not chunk ids.
-    gaps = ([(0, sub.shape[0])] if ckpt is None
-            else missing_ranges(sub.shape[0], ckpt.completed))
-    chunks: list = []
-    ranges: dict = {}
-    for glo, ghi in gaps:
-        for lo, hi in _chunk_slices(ghi - glo, workers):
-            clo, chi = glo + lo, glo + hi
-            chunk_id = len(chunks)
-            ranges[chunk_id] = (clo, chi)
-            chunk_bounds = (
-                None if live_bounds is None else live_bounds[clo:chi]
-            )
-            chunks.append((chunk_id, (sub[clo:chi], chunk_bounds)))
-    if not chunks:
-        return best
-
-    worker_done: dict = {}
-
-    def handle(chunk_id: int, result) -> None:
+    def handle(lo: int, hi: int, result) -> None:
         nonlocal best, done
-        chunk_best, evaluated, infeasible, skipped, pid, payload = result
-        obs.absorb_obs_state(payload)
+        chunk_best, evaluated, infeasible, skipped = result
         stats.subsets_evaluated += evaluated
         stats.subsets_infeasible += infeasible
         stats.subsets_bound_skipped += skipped
         if chunk_best is not None and _better(chunk_best, best):
             best = chunk_best
-        lo, hi = ranges[chunk_id]
         done += hi - lo
-        # Parent-side progress telemetry: the done counter mirrors
-        # the serial loop exactly (both sum to subsets_total), and
-        # per-worker absorption lands in gauges so worker skew is
-        # visible live without perturbing counter equality.
         obs.counter_inc("approx.subsets_done", hi - lo)
-        worker_done[pid] = worker_done.get(pid, 0) + (hi - lo)
-        obs.gauge_set(f"approx.worker.{pid}.subsets", worker_done[pid])
         if progress is not None:
             progress(done, total)
         if ckpt is not None:
-            ckpt.mark_range(lo, hi)
+            ckpt.mark_range(lo, hi, chunk=pooled)
             ckpt.record_counts(
                 stats.subsets_pruned, stats.subsets_evaluated,
                 stats.subsets_infeasible, stats.subsets_bound_skipped,
             )
             ckpt.set_best(best)
             ckpt.maybe_flush()
+        if interrupt_requested():
+            _drain(ckpt, best, s, done, total)
+
+    # Only the ranges a resume did not already cover are visited; the
+    # checkpoint stores completed ranges as half-open intervals, so any
+    # chunking of the gaps resumes any other.
+    gaps = ([(0, n)] if ckpt is None
+            else missing_ranges(n, ckpt.completed))
+    if not pooled:
+        engine = new_engine_for(problem.graph)
+        for glo, ghi in gaps:
+            for lo in range(glo, ghi):
+                if best is not None and best[0] >= cap:
+                    handle(lo, ghi, (None, 0, 0, ghi - lo))
+                    break
+                handle(lo, lo + 1, _eval_chunk(
+                    problem, context, plan, order, eval_kw,
+                    sub[lo:lo + 1], cap, engine,
+                ))
+        return best
+
+    ranges = [(glo + lo, glo + hi) for glo, ghi in gaps
+              for lo, hi in _chunk_slices(ghi - glo, workers)]
+    worker_done: dict = {}
+
+    def absorb(chunk_id: int, result) -> None:
+        chunk_result, pid, payload = result
+        obs.absorb_obs_state(payload)
+        lo, hi = ranges[chunk_id]
+        # Per-worker absorption lands in gauges, so worker skew is visible
+        # live without perturbing the done counter.
+        worker_done[pid] = worker_done.get(pid, 0) + (hi - lo)
+        obs.gauge_set(f"approx.worker.{pid}.subsets", worker_done[pid])
+        handle(lo, hi, chunk_result)
 
     def serial_eval(chunk_id: int, args):
         # Quarantine: the chunk exhausted its pool attempts; evaluate it
         # in the parent, where a genuine solver bug raises as itself.
-        chunk_subsets, chunk_bounds = args
-        chunk_best, evaluated, infeasible, skipped = _eval_chunk(
-            problem, context, plan, order, eval_kw,
-            chunk_subsets, chunk_bounds,
-        )
-        return (chunk_best, evaluated, infeasible, skipped,
-                os.getpid(), None)
-
-    def boundary() -> None:
-        if interrupt_requested():
-            _drain(ckpt, stats, best, s, done, total)
+        (chunk_subsets,) = args
+        return (_eval_chunk(problem, context, plan, order, eval_kw,
+                            chunk_subsets, cap), os.getpid(), None)
 
     def on_submit(chunk_id: int, attempt: int) -> None:
         # Chaos accounting happens parent-side at submission: a killed
@@ -512,124 +507,21 @@ def _run_parallel(
             if event is not None:
                 obs.counter_inc(f"chaos.injected.{event.action}")
 
-    initargs = (problem, context, plan, order, eval_kw,
+    initargs = (problem, context, plan, order, eval_kw, cap,
                 obs.is_enabled(), chaos)
     dispatcher = ChunkDispatcher(
         _worker_chunk, workers,
         initializer=_worker_init, initargs=initargs, policy=policy,
     )
+    chunks = [(chunk_id, (sub[lo:hi],))
+              for chunk_id, (lo, hi) in enumerate(ranges)]
     try:
-        dispatcher.run(
-            chunks, handle, serial_eval,
-            boundary=boundary, on_submit=on_submit,
-        )
+        dispatcher.run(chunks, absorb, serial_eval, on_submit=on_submit)
     finally:
         stats.retries += dispatcher.stats.retries
         stats.chunks_redispatched += dispatcher.stats.chunks_redispatched
         stats.chunks_quarantined += dispatcher.stats.chunks_quarantined
         stats.pool_respawns += dispatcher.stats.pool_respawns
-    return best
-
-
-def _run_serial(
-    problem, context, plan, order, eval_kw, stats, progress,
-    subsets, prunable, bounds, s,
-    ckpt: "SolveCheckpoint | None" = None,
-):
-    total = stats.subsets_total
-    best: "tuple[int, dict, tuple] | None" = None
-    engine = new_engine_for(problem.graph)
-
-    def evaluate(subset: tuple) -> None:
-        nonlocal best
-        stats.subsets_evaluated += 1
-        outcome = _evaluate_subset(
-            problem, subset, plan, order, context=context, engine=engine,
-            **eval_kw
-        )
-        if outcome is None:
-            stats.subsets_infeasible += 1
-        else:
-            candidate = (outcome[0], outcome[1], subset)
-            if _better(candidate, best):
-                best = candidate
-
-    def after(lo: int, hi: int) -> None:
-        if ckpt is not None:
-            ckpt.mark_range(lo, hi, chunk=False)
-            ckpt.record_counts(
-                stats.subsets_pruned, stats.subsets_evaluated,
-                stats.subsets_infeasible, stats.subsets_bound_skipped,
-            )
-            ckpt.set_best(best)
-            ckpt.maybe_flush()
-
-    if bounds is None:
-        # Paper-faithful lexicographic visit order (bit-identical to the
-        # historical loop, including the progress call series).  The
-        # checkpoint cursor lives in the *raw* index domain here: every
-        # subset — pruned or evaluated — advances it.
-        done = 0
-        if ckpt is not None:
-            ckpt.enter_level(s, "raw", total)
-            if ckpt.resumed:
-                best = _restore_level(ckpt, stats)
-                done = ckpt.resumed_units
-                if done:
-                    obs.counter_inc("approx.subsets_done", done)
-                    if progress is not None:
-                        progress(done, total)
-        gaps = ([(0, total)] if ckpt is None
-                else missing_ranges(total, ckpt.completed))
-        for glo, ghi in gaps:
-            for i in range(glo, ghi):
-                if interrupt_requested():
-                    _drain(ckpt, stats, best, s, done, total)
-                if prunable[i]:
-                    stats.subsets_pruned += 1
-                else:
-                    evaluate(tuple(int(x) for x in subsets[i]))
-                done += 1
-                obs.counter_inc("approx.subsets_done")
-                if progress is not None:
-                    progress(done, total)
-                after(i, i + 1)
-        return best
-
-    stats.subsets_pruned = int(prunable.sum())
-    surviving = np.nonzero(~prunable)[0]
-    keys = tuple(subsets[surviving, col] for col in
-                 range(subsets.shape[1] - 1, -1, -1))
-    surviving = surviving[np.lexsort(keys + (-bounds[surviving],))]
-    n = int(surviving.shape[0])
-    done = stats.subsets_pruned
-    if ckpt is not None:
-        ckpt.enter_level(s, "surviving", n)
-        if ckpt.resumed:
-            best = _restore_level(ckpt, stats)
-            stats.subsets_pruned = int(prunable.sum())
-            done = stats.subsets_pruned + ckpt.resumed_units
-    if done:
-        obs.counter_inc("approx.subsets_done", done)
-    if progress is not None and done:
-        progress(done, total)
-    gaps = ([(0, n)] if ckpt is None
-            else missing_ranges(n, ckpt.completed))
-    for glo, ghi in gaps:
-        for pos in range(glo, ghi):
-            if interrupt_requested():
-                _drain(ckpt, stats, best, s, done, total)
-            i = surviving[pos]
-            subset = tuple(int(x) for x in subsets[i])
-            if _bound_skippable(int(bounds[i]), subset, best):
-                stats.subsets_bound_skipped += 1
-            else:
-                evaluate(subset)
-            done += 1
-            obs.counter_inc("approx.subsets_done")
-            if progress is not None:
-                progress(done, total)
-            after(pos, pos + 1)
     return best
 
 
@@ -657,7 +549,6 @@ def appro_alg(
     inner: str = "sorted",
     progress: "object | None" = None,
     workers: int = 1,
-    bound_prune: bool = False,
     context: "SolverContext | None" = None,
     checkpoint: "CheckpointConfig | None" = None,
     chaos=None,
@@ -683,15 +574,12 @@ def appro_alg(
     ``s - 1`` fallback retries, during which ``total`` grows by the retry's
     subset count (one continuous series, never a restart from zero).
 
-    Engine knobs — all default to the paper-faithful serial behaviour,
-    whose results are bit-identical to the historical implementation:
+    Engine knobs — the result never depends on them:
 
     * ``workers`` > 1 fans subset evaluation out over a process pool; the
       merged result is identical to the serial one, even when workers die
       mid-sweep (lost chunks are re-dispatched, poison chunks quarantined
       to serial in-parent evaluation; see :mod:`repro.core.dispatch`).
-    * ``bound_prune`` visits subsets in descending optimistic-bound order
-      and skips provably non-improving ones (lossless; identical result).
     * ``context`` reuses a prebuilt :class:`SolverContext` (e.g. across
       repeated solves of the same instance); by default one is built and
       its build time recorded in ``stats.context_build_s``.
@@ -709,10 +597,18 @@ def appro_alg(
       retry budget and respawn backoff of the parallel fan-out.
 
     Under a :func:`repro.util.interrupt.graceful_shutdown` drain request
-    the run stops at the next chunk/subset boundary, flushes a final
+    the run stops at the next chunk boundary, flushes a final
     checkpoint and raises :class:`SolveInterrupted` with a partial
     summary.
     """
+    _check_integer(s, "s")
+    _check_integer(workers, "workers")
+    if max_anchor_candidates is not None:
+        _check_integer(max_anchor_candidates, "max_anchor_candidates")
+    if anchor_candidates is not None:
+        anchor_candidates = list(anchor_candidates)
+        for v in anchor_candidates:
+            _check_integer(v, "anchor_candidates entry")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
     if inner not in ("sorted", "pairs"):
@@ -748,9 +644,7 @@ def appro_alg(
     if ckpt is None and checkpoint is not None:
         # run_key is s-independent: the same checkpoint file carries the
         # whole run including its s-1 fallback levels.
-        run_key = solve_run_key(
-            problem, pool, eval_kw, bound_prune, checkpoint.key
-        )
+        run_key = solve_run_key(problem, pool, eval_kw, checkpoint.key)
         ckpt = SolveCheckpoint(checkpoint, run_key)
 
     def recurse_fallback() -> ApproxResult:
@@ -771,7 +665,6 @@ def appro_alg(
             inner=inner,
             progress=inner_progress,
             workers=workers,
-            bound_prune=bound_prune,
             context=context,
             chaos=chaos,
             policy=policy,
@@ -781,56 +674,40 @@ def appro_alg(
         _carry_resilience(smaller.stats, stats, ckpt)
         return smaller
 
-    if ckpt is not None and ckpt.is_exhausted(s):
-        # A previous (checkpointed) run already proved level s yields no
-        # feasible candidate: fast-forward past the whole enumeration.
-        obs.counter_inc("approx.fallbacks")
-        if s > 1:
-            return recurse_fallback()
-        result = _fallback_single(problem)
-        _carry_resilience(result.stats, stats, ckpt)
-        return result
-
-    subsets = _subset_array(pool, s)
-    stats.subsets_total = subsets.shape[0]
-    # Announce the denominator before enumerating so live progress
-    # (repro.obs.sampler) can render a completion fraction and an ETA; the
-    # matching approx.subsets_done counter advances parent-side in both
-    # the serial loop and the parallel absorption loop, so done/planned
-    # is exact for any worker count (and sums across s-1 fallbacks).
-    obs.counter_inc("approx.subsets_planned", stats.subsets_total)
-    prunable = prunable_mask(context, subsets, problem.num_uavs)
-    bounds = (
-        subset_bounds(context, subsets, problem.num_uavs)
-        if bound_prune else None
-    )
-
-    surviving_count = int(subsets.shape[0] - prunable.sum())
-    # The enumeration is the allocation hot spot; bracket it with the
-    # profiler's memory watermark (shared no-op unless one is active).
-    with obs.span("approx.enumerate", s=s, subsets=int(stats.subsets_total),
-                  workers=workers), obs.stage_watermark("approx.enumerate"):
-        if workers > 1 and surviving_count >= 2 * workers:
-            best = _run_parallel(
+    # A previous (checkpointed) run may already have proved that level s
+    # yields no feasible candidate: then fast-forward past the enumeration.
+    best = None
+    if ckpt is None or not ckpt.is_exhausted(s):
+        subsets = _subset_array(pool, s)
+        stats.subsets_total = subsets.shape[0]
+        # Announce the denominator before enumerating so live progress
+        # (repro.obs.sampler) can render a completion fraction and an
+        # ETA; the matching approx.subsets_done counter advances
+        # parent-side at every chunk boundary, so done/planned is exact
+        # for any worker count (and sums across s-1 fallbacks).
+        obs.counter_inc("approx.subsets_planned", stats.subsets_total)
+        prunable = prunable_mask(context, subsets, problem.num_uavs)
+        # The enumeration is the allocation hot spot; bracket it with the
+        # profiler's memory watermark (shared no-op unless one is active).
+        with obs.span("approx.enumerate", s=s,
+                      subsets=int(stats.subsets_total), workers=workers), \
+                obs.stage_watermark("approx.enumerate"):
+            best = _enumerate(
                 problem, context, plan, order, eval_kw, stats, progress,
-                subsets, prunable, bounds, workers, s,
+                subsets, prunable, workers, s,
                 ckpt=ckpt, chaos=chaos, policy=policy,
             )
-        else:
-            best = _run_serial(
-                problem, context, plan, order, eval_kw, stats, progress,
-                subsets, prunable, bounds, s, ckpt=ckpt,
-            )
-    obs.counter_inc("approx.subsets_pruned", stats.subsets_pruned)
-    obs.counter_inc("approx.subsets_evaluated", stats.subsets_evaluated)
-    obs.counter_inc("approx.subsets_infeasible", stats.subsets_infeasible)
-    obs.counter_inc("approx.subsets_bound_skipped",
-                    stats.subsets_bound_skipped)
+        obs.counter_inc("approx.subsets_pruned", stats.subsets_pruned)
+        obs.counter_inc("approx.subsets_evaluated", stats.subsets_evaluated)
+        obs.counter_inc("approx.subsets_infeasible",
+                        stats.subsets_infeasible)
+        obs.counter_inc("approx.subsets_bound_skipped",
+                        stats.subsets_bound_skipped)
+        if best is None and ckpt is not None:
+            ckpt.mark_exhausted(s)
 
     if best is None:
         obs.counter_inc("approx.fallbacks")
-        if ckpt is not None:
-            ckpt.mark_exhausted(s)
         if s > 1:
             return recurse_fallback()
         result = _fallback_single(problem)

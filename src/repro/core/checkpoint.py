@@ -13,16 +13,16 @@ Identity is two fingerprints (:func:`repro.util.ledger.work_fingerprint`
 hashes):
 
 * ``run_key`` — the problem + solver options, independent of ``s``
-  (shape, fleet capacities, anchor pool, greedy flavour, prune mode, and
-  the caller-supplied ``CheckpointConfig.key`` such as a
-  ``scenario_key()``).  A file whose ``run_key`` differs is *stale*: it
-  is ignored (``checkpoint.mismatches`` counter) and overwritten, never
-  resumed.
-* ``work_key`` — ``run_key`` plus the enumeration level ``s``, the index
-  ``domain`` (``"raw"`` for the paper-faithful serial order,
-  ``"surviving"`` for the pruned/sorted order the parallel and
-  bound-prune paths share) and the total index count.  Completed ranges
-  only restore when the work key matches exactly.
+  (shape, fleet capacities, anchor pool, greedy flavour, and the
+  caller-supplied ``CheckpointConfig.key`` such as a ``scenario_key()``).
+  A file whose ``run_key`` differs is *stale*: it is ignored
+  (``checkpoint.mismatches`` counter) and overwritten, never resumed.
+* ``work_key`` — ``run_key`` plus the enumeration level ``s`` and the
+  number of surviving (unpruned) subsets, whose lexicographic order is
+  the one index domain of every sweep.  Completed ranges only restore
+  when the work key matches exactly.  Worker count is not part of either
+  key: a serial run's checkpoint resumes under a process pool and the
+  reverse.
 
 The ``s - 1`` fallback is first-class: when a level exhausts with no
 feasible candidate it lands in ``exhausted_s`` and the resumed run skips
@@ -45,12 +45,12 @@ from repro.util.atomic import atomic_write_json
 from repro.util.ledger import work_fingerprint
 
 CHECKPOINT_KIND = "solve-checkpoint"
-CHECKPOINT_FORMAT = 1
+CHECKPOINT_FORMAT = 2
 
 #: The exact top-level keys of a checkpoint file, frozen per format
 #: version (see the schema guard test).
 CHECKPOINT_FIELDS = (
-    "kind", "format", "run_key", "work_key", "s", "domain", "total",
+    "kind", "format", "run_key", "work_key", "s", "total",
     "completed", "best", "counts", "exhausted_s", "complete",
     "created_unix",
 )
@@ -133,7 +133,7 @@ def covered_units(completed: "list") -> int:
 # -- fingerprints ------------------------------------------------------------
 
 
-def solve_run_key(problem, pool, eval_kw: dict, bound_prune: bool,
+def solve_run_key(problem, pool, eval_kw: dict,
                   external_key: "str | None") -> str:
     """The s-independent identity of one appro_alg work description."""
     return work_fingerprint({
@@ -143,16 +143,13 @@ def solve_run_key(problem, pool, eval_kw: dict, bound_prune: bool,
         "capacities": [uav.capacity for uav in problem.fleet],
         "pool": list(pool),
         "eval_kw": {k: eval_kw[k] for k in sorted(eval_kw)},
-        "bound_prune": bool(bound_prune),
         "key": external_key,
     })
 
 
-def solve_work_key(run_key: str, s: int, domain: str, total: int) -> str:
+def solve_work_key(run_key: str, s: int, total: int) -> str:
     """The per-level identity: which index space the ranges live in."""
-    return work_fingerprint({
-        "run_key": run_key, "s": s, "domain": domain, "total": total,
-    })
+    return work_fingerprint({"run_key": run_key, "s": s, "total": total})
 
 
 # -- the live checkpoint state -----------------------------------------------
@@ -169,7 +166,6 @@ class SolveCheckpoint:
         self.exhausted_s: list = []
         self.s: "int | None" = None
         self.work_key: "str | None" = None
-        self.domain = ""
         self.total = 0
         self.completed: list = []
         self.best: "tuple | None" = None       # (served, placements, anchors)
@@ -219,7 +215,7 @@ class SolveCheckpoint:
     def is_exhausted(self, s: int) -> bool:
         return s in self.exhausted_s
 
-    def enter_level(self, s: int, domain: str, total: int) -> None:
+    def enter_level(self, s: int, total: int) -> None:
         """Start (or resume) enumeration level ``s``.
 
         Restores completed ranges / best / counts only when the stored
@@ -227,9 +223,8 @@ class SolveCheckpoint:
         level fresh.
         """
         self.s = s
-        self.domain = domain
         self.total = int(total)
-        self.work_key = solve_work_key(self.run_key, s, domain, self.total)
+        self.work_key = solve_work_key(self.run_key, s, self.total)
         self.completed = []
         self.best = None
         self.counts = dict.fromkeys(COUNT_KEYS, 0)
@@ -270,8 +265,8 @@ class SolveCheckpoint:
     def mark_range(self, lo: int, hi: int, chunk: bool = True) -> None:
         """One contiguous index range finished.  ``chunk=True`` (a pool
         chunk) counts toward the ``every_chunks`` flush cadence; the
-        serial loop passes ``chunk=False`` for its per-subset marks so
-        only the ``every_subsets`` cadence applies."""
+        in-parent sweep passes ``chunk=False`` for its per-subset marks
+        so only the ``every_subsets`` cadence applies."""
         if hi <= lo:
             return
         self.completed = merge_ranges(self.completed + [(lo, hi)])
@@ -305,7 +300,6 @@ class SolveCheckpoint:
             "run_key": self.run_key,
             "work_key": self.work_key,
             "s": self.s,
-            "domain": self.domain,
             "total": self.total,
             "completed": [[lo, hi] for lo, hi in self.completed],
             "best": _best_to_json(self.best),

@@ -44,7 +44,7 @@ from repro.dynamics.world import WorldState
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import Deployment
 from repro.ops.faults import BATTERY, CRASH, FaultSchedule
-from repro.scenario.pipeline import SolvePipeline
+from repro.scenario.pipeline import SolvePipeline, solver_params
 from repro.scenario.registry import DEFAULT_REGISTRY
 from repro.sim.mobility import GaussianWalk
 from repro.sim.relocation import plan_relocation
@@ -147,16 +147,6 @@ class DynamicResult:
         }
 
 
-def _solve_params(spec: DynamicSpec, entry) -> dict:
-    """Engine options for epoch solves, mirroring ``SolvePipeline.run``."""
-    params = dict(spec.algorithm_params)
-    if entry.supports_workers and spec.workers != 1:
-        params["workers"] = spec.workers
-    if entry.supports_bound_prune and spec.bound_prune:
-        params["bound_prune"] = True
-    return params
-
-
 class _Engine:
     """One mission run's mutable machinery (see :func:`run_dynamic`)."""
 
@@ -166,7 +156,7 @@ class _Engine:
         wanted = spec.warm_start if warm is None else warm
         self.warm = wanted and self.entry.supports_warm_start \
             and self.entry.supports_context
-        self.params = _solve_params(spec, self.entry)
+        self.params = solver_params(spec, self.entry)
         self.pipeline = SolvePipeline(prebuild_context=True)
         self.policy = make_policy(spec.resolve_policy, spec.drift_threshold)
         self.world = WorldState.from_problem(spec.build())

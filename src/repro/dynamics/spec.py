@@ -19,7 +19,7 @@ one.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 from repro.scenario.spec import ScenarioSpec, _require
 
@@ -53,7 +53,12 @@ class DynamicSpec(ScenarioSpec):
     Rates default to a gentle churn profile; zeroing a knob disables its
     event source entirely (no events scheduled), so a ``DynamicSpec`` with
     everything zeroed degenerates to the static scenario it inherits.
+
+    JSON round-trip is the parent's under this document kind.
     """
+
+    _KIND = DYNAMIC_SPEC_KIND
+    _FORMAT = DYNAMIC_SPEC_FORMAT
 
     # -- horizon / epochs ----------------------------------------------------
     duration_s: float = 600.0
@@ -127,43 +132,6 @@ class DynamicSpec(ScenarioSpec):
             isinstance(self.warm_start, bool),
             f"warm_start must be a boolean, got {self.warm_start!r}",
         )
-
-    # -- JSON round-trip (own document kind) ---------------------------------
-
-    def to_dict(self) -> dict:
-        body = asdict(self)
-        body["altitude_layers_m"] = list(self.altitude_layers_m)
-        return {
-            "format": DYNAMIC_SPEC_FORMAT,
-            "kind": DYNAMIC_SPEC_KIND,
-            **body,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DynamicSpec":
-        _require(
-            isinstance(data, dict), f"spec must be an object, got {data!r}"
-        )
-        kind = data.get("kind", DYNAMIC_SPEC_KIND)
-        _require(
-            kind == DYNAMIC_SPEC_KIND,
-            f"expected a {DYNAMIC_SPEC_KIND} document, got kind = {kind!r}",
-        )
-        version = data.get("format", DYNAMIC_SPEC_FORMAT)
-        _require(
-            version == DYNAMIC_SPEC_FORMAT,
-            f"unsupported dynamic-spec format {version!r} (this build "
-            f"reads {DYNAMIC_SPEC_FORMAT})",
-        )
-        known = {f.name for f in fields(cls)}
-        body = {k: v for k, v in data.items() if k not in ("format", "kind")}
-        unknown = sorted(set(body) - known)
-        _require(
-            not unknown,
-            f"unknown spec field(s): {', '.join(unknown)}; known: "
-            f"{', '.join(sorted(known))}",
-        )
-        return cls(**body)
 
 
 #: Named ready-to-run dynamic missions.

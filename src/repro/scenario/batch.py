@@ -11,9 +11,12 @@ its problem and shared :class:`~repro.core.context.SolverContext` once and
 every spec in the group reuses them, so an 8-spec comparison pays for one
 scenario build instead of eight.
 
-With ``workers > 1`` the groups are distributed over a process pool
-(each worker hydrates specs from JSON and runs the same pipeline); results
-come back in submission order either way, so batch output is
+With ``workers > 1`` the groups are distributed over the same
+:class:`~repro.core.dispatch.ChunkDispatcher` the subset sweep uses, one
+group per chunk (each worker hydrates specs from JSON and runs the same
+pipeline): a dead worker's group is re-dispatched, and a group that keeps
+failing runs in the parent, where a genuine error raises as itself.
+Results come back in submission order either way, so batch output is
 deterministic and equal to a sequential run of the same specs.
 
 Crash safety: with ``checkpoint_dir`` set the runner journals every
@@ -37,6 +40,7 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.context import SolverContext
+from repro.core.dispatch import ChunkDispatcher
 from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.spec import ScenarioSpec
 from repro.util.interrupt import SolveInterrupted, interrupt_requested
@@ -97,15 +101,6 @@ class BatchResult:
         )
 
 
-def _group_specs(specs: "list") -> "list":
-    """Group (index, spec) pairs by scenario identity, preserving the
-    first-seen order of groups and the submission order within each."""
-    groups: dict = {}
-    for index, spec in enumerate(specs):
-        groups.setdefault(spec.scenario_key(), []).append((index, spec))
-    return list(groups.values())
-
-
 def _needs_context(group: "list") -> bool:
     from repro.scenario.registry import DEFAULT_REGISTRY
 
@@ -139,10 +134,12 @@ def _run_group(pipeline: SolvePipeline, group: "list") -> "tuple":
     return items, built
 
 
-def _run_group_json(payload: "tuple") -> "tuple":
-    """Process-pool entry point: hydrate specs from JSON and run the group
-    with a freshly constructed pipeline (pipelines hold no picklable
-    state worth shipping; workers always use the default registry)."""
+def _run_group_json(chunk_id: int, payload: "tuple",
+                    attempt: int = 0) -> "tuple":
+    """Process-pool entry point (one group per dispatcher chunk): hydrate
+    specs from JSON and run the group with a freshly constructed pipeline
+    (pipelines hold no picklable state worth shipping; workers always use
+    the default registry)."""
     spec_jsons, strict, prebuild_context, checkpoint_dir, resume = payload
     pipeline = SolvePipeline(
         strict=strict, prebuild_context=prebuild_context,
@@ -248,14 +245,7 @@ class BatchRunner:
         groups = _regroup(todo)
         obs.counter_inc("batch.specs", len(todo))
         obs.counter_inc("batch.groups", len(groups))
-        if not todo:
-            # Everything was rehydrated (or the caller passed no specs):
-            # never spin up a pool for zero groups.
-            outcomes = []
-        elif self.workers > 1 and len(groups) > 1:
-            outcomes = self._run_pooled(groups, ledger)
-        else:
-            outcomes = self._run_sequential(groups, ledger, items, start)
+        outcomes = self._run_groups(groups, ledger, len(items), start)
         context_builds = 0
         for group_items, built in outcomes:
             items.extend(group_items)
@@ -281,62 +271,68 @@ class BatchRunner:
             )
         ledger.flush()
 
-    def _run_sequential(self, groups: "list",
-                        ledger: "ProgressLedger | None",
-                        done_items: "list", start: float) -> "list":
-        outcomes = []
-        for group in groups:
+    def _run_groups(self, groups: "list",
+                    ledger: "ProgressLedger | None",
+                    resumed: int, start: float) -> "list":
+        """Run every group, one group per chunk: in the parent with one
+        worker (or one group), otherwise through a
+        :class:`ChunkDispatcher`.  Returns the ``(items, contexts_built)``
+        outcomes in group order."""
+        outcomes: dict = {}
+
+        def handle(chunk_id: int, outcome: "tuple") -> None:
+            self._record_items(ledger, outcome[0])
+            outcomes[chunk_id] = outcome
+
+        def serial_eval(chunk_id: int, args: "tuple") -> "tuple":
+            return _run_group(self.pipeline, groups[chunk_id])
+
+        def boundary() -> None:
             if interrupt_requested():
-                finished = len(done_items) + sum(
-                    len(group_items) for group_items, _ in outcomes
+                finished = resumed + sum(
+                    len(group_items) for group_items, _ in outcomes.values()
                 )
                 raise SolveInterrupted(
                     f"batch interrupted after {finished} spec(s); "
                     + ("ledger records completed specs"
-                       if ledger is not None else "no checkpoint configured"),
+                       if ledger is not None
+                       else "no checkpoint configured"),
                     checkpoint_path=None if ledger is None else ledger.path,
                     partial={"specs_done": finished,
                              "elapsed_s": time.perf_counter() - start},
                 )
-            outcome = _run_group(self.pipeline, group)
-            self._record_items(ledger, outcome[0])
-            outcomes.append(outcome)
-        return outcomes
 
-    def _run_pooled(self, groups: "list",
-                    ledger: "ProgressLedger | None") -> "list":
-        from concurrent.futures import ProcessPoolExecutor
-
-        if not groups:
-            # Guard against ProcessPoolExecutor(max_workers=0): callers
-            # normally short-circuit empty batches, but keep this safe
-            # under direct use too.
-            return []
-        checkpoint_dir = (
-            None if self.pipeline.checkpoint_dir is None
-            else str(self.pipeline.checkpoint_dir)
-        )
-        payloads = [
-            (
-                [(index, spec.to_json()) for index, spec in group],
-                self.pipeline.strict,
-                self.pipeline.prebuild_context,
-                checkpoint_dir,
-                self.pipeline.resume,
+        workers = min(self.workers, len(groups))
+        if workers > 1:
+            checkpoint_dir = (
+                None if self.pipeline.checkpoint_dir is None
+                else str(self.pipeline.checkpoint_dir)
             )
-            for group in groups
-        ]
-        workers = max(1, min(self.workers, len(groups)))
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for outcome in pool.map(_run_group_json, payloads):
-                self._record_items(ledger, outcome[0])
-                outcomes.append(outcome)
-        return outcomes
+            chunks = [
+                (chunk_id, ((
+                    [(index, spec.to_json()) for index, spec in group],
+                    self.pipeline.strict,
+                    self.pipeline.prebuild_context,
+                    checkpoint_dir,
+                    self.pipeline.resume,
+                ),))
+                for chunk_id, group in enumerate(groups)
+            ]
+            ChunkDispatcher(_run_group_json, workers).run(
+                chunks, handle, serial_eval, boundary=boundary
+            )
+        else:
+            # Zero groups (everything rehydrated) lands here too: never
+            # spin up a pool for nothing.
+            for chunk_id in range(len(groups)):
+                boundary()
+                handle(chunk_id, serial_eval(chunk_id, ()))
+        return [outcomes[chunk_id] for chunk_id in range(len(groups))]
 
 
 def _regroup(indexed_specs: "list") -> "list":
-    """Like :func:`_group_specs` but over (original_index, spec) pairs."""
+    """Group (index, spec) pairs by scenario identity, preserving the
+    first-seen order of groups and the submission order within each."""
     groups: dict = {}
     for index, spec in indexed_specs:
         groups.setdefault(spec.scenario_key(), []).append((index, spec))

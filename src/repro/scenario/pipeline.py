@@ -215,6 +215,15 @@ DEFAULT_STAGES = (
 )
 
 
+def solver_params(spec: ScenarioSpec, entry) -> dict:
+    """The spec's algorithm parameters plus the engine options its
+    registry ``entry`` accepts (``workers`` only where supported)."""
+    params = dict(spec.algorithm_params)
+    if entry.supports_workers and spec.workers != 1:
+        params["workers"] = spec.workers
+    return params
+
+
 class SolvePipeline:
     """Run specs (or prebuilt problems) through the staged solve flow.
 
@@ -284,7 +293,6 @@ class SolvePipeline:
             "algorithm_params": json.dumps(
                 spec.algorithm_params, sort_keys=True, default=repr
             ),
-            "bound_prune": spec.bound_prune,
         })
         return CheckpointConfig(
             path=self.checkpoint_dir / f"solve-{spec.name}-{key}.json",
@@ -323,11 +331,7 @@ class SolvePipeline:
             return solve_tiled(
                 spec, registry=self.registry, strict=self.strict
             )
-        params = dict(spec.algorithm_params)
-        if entry.supports_workers and spec.workers != 1:
-            params["workers"] = spec.workers
-        if entry.supports_bound_prune and spec.bound_prune:
-            params["bound_prune"] = True
+        params = solver_params(spec, entry)
         if entry.supports_checkpoint and "checkpoint" not in params:
             config = self.spec_checkpoint(spec)
             if config is not None:

@@ -6,7 +6,7 @@ ad-hoc dispatch tables that used to live in :mod:`repro.sim.runner`
 (``ALGORITHMS`` plus the ``_UNCONNECTED_OK`` / ``_COOPERATIVE`` side
 sets): the runner now *derives* those views from here, and the solve
 pipeline (:mod:`repro.scenario.pipeline`) consults the capability flags to
-decide which engine options (``workers``, ``bound_prune``, a prebuilt
+decide which engine options (``workers``, a prebuilt
 :class:`~repro.core.context.SolverContext`, a watchdog ``progress`` hook)
 an algorithm may legally receive.
 
@@ -51,7 +51,6 @@ class AlgorithmEntry:
     solve: "object"            # callable(problem, **params) -> Deployment
     description: str = ""
     supports_workers: bool = False
-    supports_bound_prune: bool = False
     supports_context: bool = False
     supports_checkpoint: bool = False
     cooperative: bool = False
@@ -152,10 +151,9 @@ def default_registry() -> AlgorithmRegistry:
             "approAlg", _appro,
             description="Algorithm 2: anchored matroid greedy + MST connect "
             "(the paper's O(sqrt(s/K))-approximation)",
-            supports_workers=True, supports_bound_prune=True,
-            supports_context=True, supports_checkpoint=True,
-            cooperative=True, watchdog_tier=0, supports_cells=True,
-            supports_warm_start=True,
+            supports_workers=True, supports_context=True,
+            supports_checkpoint=True, cooperative=True, watchdog_tier=0,
+            supports_cells=True, supports_warm_start=True,
         ),
         AlgorithmEntry(
             "MCS", mcs,

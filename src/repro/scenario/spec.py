@@ -27,7 +27,9 @@ JSON round-trip::
 
 ``from_dict`` rejects unknown fields and invalid values with a named
 error, so a typo in a spec file fails loudly instead of silently running
-the default scenario.
+the default scenario.  The one exception is the removed ``bound_prune``
+option: saved documents carry ``"bound_prune": false``, which still
+loads (the key is dropped).
 """
 
 from __future__ import annotations
@@ -58,6 +60,9 @@ WORKLOADS = {
 class SpecError(ValueError):
     """A scenario spec failed validation (bad field, unknown key, ...)."""
 
+
+#: A removed engine option that saved format-1 documents still carry.
+_REMOVED_BOUND_PRUNE = "bound_prune"
 
 #: ``tiles`` grid syntax: columns x rows, both positive ("2x3").
 _TILES_RE = re.compile(r"([0-9]+)x([0-9]+)")
@@ -97,6 +102,11 @@ class ScenarioSpec:
     as its diff against the preset.
     """
 
+    #: JSON document header; subclasses with their own document kind
+    #: (:class:`repro.dynamics.spec.DynamicSpec`) override both.
+    _KIND = SPEC_KIND
+    _FORMAT = SPEC_FORMAT
+
     # -- identity ------------------------------------------------------------
     name: str = "custom"
     # -- scenario: area / scale ----------------------------------------------
@@ -118,7 +128,6 @@ class ScenarioSpec:
     algorithm: str = "approAlg"
     algorithm_params: dict = field(default_factory=dict)
     workers: int = 1
-    bound_prune: bool = False
     validate: bool = True
     # -- scale-out: demand aggregation + area tiling --------------------------
     #: "users" solves over individual users (the historical path);
@@ -207,10 +216,6 @@ class ScenarioSpec:
             isinstance(self.workers, int) and not isinstance(self.workers, bool)
             and self.workers >= 1,
             f"workers must be an integer >= 1, got {self.workers!r}",
-        )
-        _require(
-            isinstance(self.bound_prune, bool),
-            f"bound_prune must be a boolean, got {self.bound_prune!r}",
         )
         _require(
             isinstance(self.validate, bool),
@@ -372,25 +377,36 @@ class ScenarioSpec:
         """JSON-ready flat representation (format/kind header + fields)."""
         body = asdict(self)
         body["altitude_layers_m"] = list(self.altitude_layers_m)
-        return {"format": SPEC_FORMAT, "kind": SPEC_KIND, **body}
+        return {"format": self._FORMAT, "kind": self._KIND, **body}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`; rejects unknown/invalid fields."""
+        """Inverse of :meth:`to_dict`; rejects unknown/invalid fields.
+
+        ``"bound_prune": false`` from a saved format-1 document is
+        dropped; any other value is an error, since the option is gone.
+        """
         _require(isinstance(data, dict), f"spec must be an object, got {data!r}")
-        kind = data.get("kind", SPEC_KIND)
+        kind = data.get("kind", cls._KIND)
         _require(
-            kind == SPEC_KIND,
-            f"expected a {SPEC_KIND} document, got kind = {kind!r}",
+            kind == cls._KIND,
+            f"expected a {cls._KIND} document, got kind = {kind!r}",
         )
-        version = data.get("format", SPEC_FORMAT)
+        version = data.get("format", cls._FORMAT)
         _require(
-            version == SPEC_FORMAT,
-            f"unsupported spec format {version!r} (this build reads "
-            f"{SPEC_FORMAT})",
+            version == cls._FORMAT,
+            f"unsupported {cls._KIND} format {version!r} (this build reads "
+            f"{cls._FORMAT})",
         )
         known = {f.name for f in fields(cls)}
         body = {k: v for k, v in data.items() if k not in ("format", "kind")}
+        if _REMOVED_BOUND_PRUNE in body:
+            removed = body.pop(_REMOVED_BOUND_PRUNE)
+            _require(
+                removed is False,
+                f"bound_prune = {removed!r}: the option was removed and "
+                "results are identical without it; delete the key",
+            )
         unknown = sorted(set(body) - known)
         _require(
             not unknown,

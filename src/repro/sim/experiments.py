@@ -48,15 +48,12 @@ def _appro_params(
     max_anchor_candidates: "int | None",
     gain_mode: str = "fast",
     workers: int = 1,
-    bound_prune: bool = False,
 ) -> dict:
     params: dict = {"s": s, "gain_mode": gain_mode}
     if max_anchor_candidates is not None:
         params["max_anchor_candidates"] = max_anchor_candidates
     if workers != 1:
         params["workers"] = workers
-    if bound_prune:
-        params["bound_prune"] = bound_prune
     return params
 
 
@@ -202,7 +199,6 @@ def fig4_sweep(
     max_anchor_candidates: "int | None" = DEFAULT_ANCHOR_POOL,
     gain_mode: str = "fast",
     workers: int = 1,
-    bound_prune: bool = False,
     checkpoint_dir: "str | Path | None" = None,
     resume: bool = False,
 ) -> SweepResult:
@@ -222,7 +218,7 @@ def fig4_sweep(
         "seed": seed, "repetitions": repetitions,
         "algorithms": list(algorithms),
         "max_anchor_candidates": max_anchor_candidates,
-        "gain_mode": gain_mode, "bound_prune": bound_prune,
+        "gain_mode": gain_mode,
     }, checkpoint_dir, resume)
     _announce_points(len(ks) * repetitions)
     for rep_rng in spawn_rngs(seed, repetitions):
@@ -232,8 +228,7 @@ def fig4_sweep(
         for k in ks:
             problem = ProblemInstance(graph=base.graph, fleet=base.fleet[:k])
             appro = _appro_params(
-                min(s, k), max_anchor_candidates, gain_mode,
-                workers, bound_prune,
+                min(s, k), max_anchor_candidates, gain_mode, workers
             )
             _run_point(result, k, problem, algorithms, appro, journal)
     return result
@@ -250,7 +245,6 @@ def fig5_sweep(
     max_anchor_candidates: "int | None" = DEFAULT_ANCHOR_POOL,
     gain_mode: str = "fast",
     workers: int = 1,
-    bound_prune: bool = False,
     checkpoint_dir: "str | Path | None" = None,
     resume: bool = False,
 ) -> SweepResult:
@@ -262,12 +256,10 @@ def fig5_sweep(
         "seed": seed, "repetitions": repetitions,
         "algorithms": list(algorithms),
         "max_anchor_candidates": max_anchor_candidates,
-        "gain_mode": gain_mode, "bound_prune": bound_prune,
+        "gain_mode": gain_mode,
     }, checkpoint_dir, resume)
     _announce_points(len(ns) * repetitions)
-    appro = _appro_params(
-        s, max_anchor_candidates, gain_mode, workers, bound_prune
-    )
+    appro = _appro_params(s, max_anchor_candidates, gain_mode, workers)
     for rep_rng in spawn_rngs(seed, repetitions):
         point_rngs = spawn_rngs(rep_rng, len(ns))
         for n, rng in zip(ns, point_rngs):
@@ -373,7 +365,6 @@ def fig6_sweep(
     max_anchor_candidates: "int | None" = DEFAULT_ANCHOR_POOL,
     gain_mode: str = "fast",
     workers: int = 1,
-    bound_prune: bool = False,
     checkpoint_dir: "str | Path | None" = None,
     resume: bool = False,
 ) -> SweepResult:
@@ -390,7 +381,7 @@ def fig6_sweep(
         "scale": scale, "seed": seed, "repetitions": repetitions,
         "algorithms": list(algorithms),
         "max_anchor_candidates": max_anchor_candidates,
-        "gain_mode": gain_mode, "bound_prune": bound_prune,
+        "gain_mode": gain_mode,
     }, checkpoint_dir, resume)
     _announce_points(len(ss) * repetitions)
     rng = ensure_rng(seed)
@@ -400,7 +391,7 @@ def fig6_sweep(
         )
         for s in ss:
             appro = _appro_params(
-                s, max_anchor_candidates, gain_mode, workers, bound_prune
+                s, max_anchor_candidates, gain_mode, workers
             )
             _run_point(result, s, problem, algorithms, appro, journal)
     return result

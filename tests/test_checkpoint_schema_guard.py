@@ -25,10 +25,18 @@ FROZEN_CHECKPOINT_SCHEMAS = {
         "completed", "best", "counts", "exhausted_s", "complete",
         "created_unix",
     ),
+    # Format 2: the sweep has one index domain (the surviving subsets in
+    # lexicographic order), so the "domain" field is gone.
+    2: (
+        "kind", "format", "run_key", "work_key", "s", "total",
+        "completed", "best", "counts", "exhausted_s", "complete",
+        "created_unix",
+    ),
 }
 
 FROZEN_COUNT_KEYS = {
     1: ("pruned", "evaluated", "infeasible", "bound_skipped"),
+    2: ("pruned", "evaluated", "infeasible", "bound_skipped"),
 }
 
 #: format version -> the progress-ledger's top-level keys.
@@ -69,7 +77,7 @@ def test_written_checkpoint_carries_exactly_the_frozen_fields(tmp_path):
     ck = SolveCheckpoint(
         CheckpointConfig(path=tmp_path / "ck.json"), "run-key"
     )
-    ck.enter_level(2, "raw", 10)
+    ck.enter_level(2, 10)
     ck.flush()
     import json
 

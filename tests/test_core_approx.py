@@ -57,16 +57,12 @@ class TestApproAlgBasics:
             appro_alg(problem, s=0)
 
     def test_stats_add_up(self):
+        # 20 users and five capacity-4 UAVs: the first subset already
+        # serves everyone, so the served-cap stop skips the other nine.
         problem = make_line_instance()
         result = appro_alg(problem, s=2)
         st_ = result.stats
-        assert st_.subsets_bound_skipped == 0  # pruning is opt-in
-        assert st_.subsets_total == st_.subsets_pruned + st_.subsets_evaluated
-
-    def test_stats_add_up_with_bound_prune(self):
-        problem = make_line_instance()
-        result = appro_alg(problem, s=2, bound_prune=True)
-        st_ = result.stats
+        assert st_.subsets_bound_skipped > 0
         assert st_.subsets_total == (
             st_.subsets_pruned + st_.subsets_bound_skipped
             + st_.subsets_evaluated
@@ -96,10 +92,19 @@ class TestApproAlgBasics:
         problem = make_line_instance(num_locations=4, users_per_location=2,
                                      capacities=(2, 2, 2))
         calls = []
-        appro_alg(problem, s=2, progress=lambda d, t: calls.append((d, t)))
+        result = appro_alg(
+            problem, s=2, progress=lambda d, t: calls.append((d, t))
+        )
         assert calls, "progress callback never invoked"
         done, total = calls[-1]
-        assert done == total == len(calls)
+        assert done == total
+        # One call for the pruned subsets, one per evaluated subset, and
+        # one for the subsets the served-cap stop skipped.
+        st_ = result.stats
+        assert len(calls) == (
+            (st_.subsets_pruned > 0) + st_.subsets_evaluated
+            + (st_.subsets_bound_skipped > 0)
+        )
 
 
 class TestFeasibilityProperties:
@@ -263,7 +268,7 @@ class TestHeterogeneityAwareness:
 
 
 class TestContextEquivalence:
-    """The vectorised context path (batched bounds, warm-start engine) must
+    """The vectorised context path (batched prune, warm-start engine) must
     reproduce the scalar no-context path bit-for-bit: same served count,
     same placements, for both gain modes."""
 
@@ -281,16 +286,3 @@ class TestContextEquivalence:
         assert vectorised.anchors == scalar.anchors
         assert (vectorised.deployment.placements
                 == scalar.deployment.placements)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=6, deadline=None)
-    def test_bound_prune_with_context_unchanged(self, seed):
-        from repro.core.context import SolverContext
-
-        problem = random_tiny_problem(seed)
-        plain = appro_alg(problem, s=2)
-        ctx = SolverContext.from_problem(problem)
-        pruned = appro_alg(problem, s=2, bound_prune=True, context=ctx)
-        assert pruned.served == plain.served
-        assert pruned.anchors == plain.anchors
-        assert pruned.deployment.placements == plain.deployment.placements

@@ -1,14 +1,17 @@
-"""Engine guarantees: parallel fan-out and bound pruning are lossless —
-same (served, anchors, deployment, subset accounting) as the historical
-serial loop — and progress/abort semantics survive both.
+"""Engine guarantees: the parallel fan-out is lossless — same (served,
+anchors, deployment, subset accounting) as the serial sweep — and
+progress/abort semantics survive it.  The comparison against an eager
+full enumeration lives in ``tests/test_reference_sweep.py``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.approx import appro_alg
 from repro.core.context import SolverContext
+from repro.scenario.spec import get_preset
 from repro.sim.runner import SolverTimeout
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
@@ -39,41 +42,6 @@ def test_workers4_identical_to_serial(seed):
     parallel = appro_alg(problem, s=2, workers=4)
     _same(parallel, serial)
     assert parallel.stats.workers == 4
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bound_prune_lossless(seed):
-    problem = paper_scenario(
-        num_users=130, num_uavs=4, scale="small", seed=seed
-    )
-    serial = appro_alg(problem, s=2)
-    pruned = appro_alg(problem, s=2, bound_prune=True)
-    _same(pruned, serial)
-
-
-@pytest.mark.timeout_guard(180)
-def test_parallel_plus_bound_prune_identical():
-    problem = paper_scenario(num_users=150, num_uavs=5, scale="small", seed=4)
-    serial = appro_alg(problem, s=2)
-    engine = appro_alg(problem, s=2, workers=4, bound_prune=True)
-    _same(engine, serial)
-
-
-def test_bound_prune_skips_on_skewed_instance():
-    """The skew that makes bounds informative: bound pruning must actually
-    skip subsets here (not just stay lossless vacuously)."""
-    p = make_line_instance(
-        num_locations=12,
-        users_per_location=[40, 40, 30, 20, 0, 0, 0, 0, 0, 0, 0, 5],
-        capacities=[35, 30, 25, 20],
-    )
-    serial = appro_alg(p, s=2)
-    pruned = appro_alg(p, s=2, bound_prune=True)
-    _same(pruned, serial)
-    assert pruned.stats.subsets_bound_skipped > 0
-    assert (
-        pruned.stats.subsets_evaluated < serial.stats.subsets_evaluated
-    )
 
 
 @pytest.mark.timeout_guard(180)
@@ -133,3 +101,25 @@ def test_max_anchor_candidates_smaller_than_s_rejected():
     message = str(excinfo.value)
     assert "max_anchor_candidates" in message
     assert "s = 3" in message
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"s": 1, "anchor_candidates": [1.5, 3]}, "anchor_candidates"),
+    ({"s": 1, "anchor_candidates": [True, 3]}, "anchor_candidates"),
+    ({"s": 2, "workers": True}, "workers"),
+    ({"s": 2.5}, "s"),
+    ({"s": True}, "s"),
+    ({"s": 2, "max_anchor_candidates": 2.5}, "max_anchor_candidates"),
+])
+def test_non_integer_arguments_rejected(kwargs, name):
+    # A float or bool is never truncated into a different anchor.
+    with pytest.raises(TypeError, match=name):
+        appro_alg(get_preset("demo-small").build(), **kwargs)
+
+
+def test_numpy_integer_arguments_accepted():
+    problem = get_preset("demo-small").build()
+    plain = appro_alg(problem, s=1, anchor_candidates=[1, 3])
+    numpy_ints = appro_alg(problem, s=np.int64(1), workers=np.int32(1),
+                           anchor_candidates=np.array([1, 3]))
+    assert numpy_ints.anchors == plain.anchors

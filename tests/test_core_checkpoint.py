@@ -72,7 +72,7 @@ class _FakeProblem:
 def _run_key(**overrides):
     kw = dict(
         problem=_FakeProblem(), pool=(0, 1, 2), eval_kw={"gain_mode": "fast"},
-        bound_prune=False, external_key=None,
+        external_key=None,
     )
     kw.update(overrides)
     return solve_run_key(**kw)
@@ -83,24 +83,15 @@ def test_run_key_sensitive_to_every_identity_input():
     assert base == _run_key(), "deterministic"
     assert base != _run_key(pool=(0, 1, 3))
     assert base != _run_key(eval_kw={"gain_mode": "exact"})
-    assert base != _run_key(bound_prune=True)
     assert base != _run_key(external_key="scenario-x")
 
 
-def test_work_key_separates_levels_and_domains():
+def test_work_key_separates_levels_and_totals():
     run = _run_key()
-    assert solve_work_key(run, 2, "raw", 84) == solve_work_key(
-        run, 2, "raw", 84
-    )
-    assert solve_work_key(run, 2, "raw", 84) != solve_work_key(
-        run, 3, "raw", 84
-    )
-    assert solve_work_key(run, 2, "raw", 84) != solve_work_key(
-        run, 2, "surviving", 84
-    )
-    assert solve_work_key(run, 2, "raw", 84) != solve_work_key(
-        run, 2, "raw", 85
-    )
+    assert solve_work_key(run, 2, 84) == solve_work_key(run, 2, 84)
+    assert solve_work_key(run, 2, 84) != solve_work_key(run, 3, 84)
+    assert solve_work_key(run, 2, 84) != solve_work_key(run, 2, 85)
+    assert solve_work_key(run, 2, 84) != solve_work_key("other", 2, 84)
 
 
 # -- SolveCheckpoint lifecycle -----------------------------------------------
@@ -115,7 +106,7 @@ def _fresh(tmp_path, resume=False, run_key="rk", **config_kw):
 
 def test_round_trip_restores_ranges_best_and_counts(tmp_path):
     ck = _fresh(tmp_path)
-    ck.enter_level(2, "surviving", 50)
+    ck.enter_level(2, 50)
     ck.mark_range(0, 10)
     ck.mark_range(20, 30)
     ck.set_best((17, {0: 3, 1: 5}, (3, 5)))
@@ -123,7 +114,7 @@ def test_round_trip_restores_ranges_best_and_counts(tmp_path):
     ck.flush()
 
     res = _fresh(tmp_path, resume=True)
-    res.enter_level(2, "surviving", 50)
+    res.enter_level(2, 50)
     assert res.resumed
     assert res.completed == [(0, 10), (20, 30)]
     assert res.best == (17, {0: 3, 1: 5}, (3, 5))
@@ -137,32 +128,32 @@ def test_round_trip_restores_ranges_best_and_counts(tmp_path):
 
 def test_run_key_mismatch_is_ignored_not_fatal(tmp_path):
     ck = _fresh(tmp_path, run_key="old-work")
-    ck.enter_level(2, "raw", 10)
+    ck.enter_level(2, 10)
     ck.mark_range(0, 10)
     ck.flush()
 
     res = _fresh(tmp_path, resume=True, run_key="new-work")
     assert res.mismatched
-    res.enter_level(2, "raw", 10)
+    res.enter_level(2, 10)
     assert not res.resumed, "a stale checkpoint must never restore ranges"
     assert res.completed == []
 
 
 def test_work_key_mismatch_starts_level_fresh(tmp_path):
     ck = _fresh(tmp_path)
-    ck.enter_level(2, "raw", 10)
+    ck.enter_level(2, 10)
     ck.mark_range(0, 5)
     ck.flush()
 
     res = _fresh(tmp_path, resume=True)
-    res.enter_level(3, "raw", 10)   # same run, different level
+    res.enter_level(3, 10)   # same run, different level
     assert not res.resumed
     assert res.completed == []
 
 
 def test_exhausted_levels_round_trip(tmp_path):
     ck = _fresh(tmp_path)
-    ck.enter_level(3, "raw", 10)
+    ck.enter_level(3, 10)
     ck.mark_exhausted(3)
 
     res = _fresh(tmp_path, resume=True)
@@ -195,7 +186,7 @@ def test_corrupt_file_raises(tmp_path):
 def test_missing_file_starts_fresh(tmp_path):
     res = _fresh(tmp_path, resume=True)
     assert not res.mismatched
-    res.enter_level(2, "raw", 10)
+    res.enter_level(2, 10)
     assert not res.resumed
 
 
@@ -203,7 +194,7 @@ def test_flush_cadence_chunks_vs_subsets(tmp_path):
     # every_chunks=1: each pool chunk flushes; serial per-subset marks
     # (chunk=False) only flush at the every_subsets cadence.
     ck = _fresh(tmp_path, every_chunks=1, every_subsets=10)
-    ck.enter_level(2, "raw", 100)
+    ck.enter_level(2, 100)
     for i in range(5):
         ck.mark_range(i, i + 1, chunk=False)
         ck.maybe_flush()
@@ -219,6 +210,6 @@ def test_flush_cadence_chunks_vs_subsets(tmp_path):
 
 def test_empty_range_is_a_no_op(tmp_path):
     ck = _fresh(tmp_path)
-    ck.enter_level(2, "raw", 10)
+    ck.enter_level(2, 10)
     ck.mark_range(5, 5)
     assert ck.completed == []

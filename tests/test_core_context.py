@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from repro.core.approx import _prunable, appro_alg
-from repro.core.context import SolverContext, prunable_mask, subset_bounds
+from repro.core.context import SolverContext, prunable_mask
 from repro.graphs.bfs import bfs_hops
 from repro.network.coverage import CoverageGraph
 from repro.workload.scenarios import paper_scenario
-from tests.conftest import make_line_instance
 
 
 @pytest.fixture(scope="module")
@@ -49,27 +48,6 @@ def test_coverage_counts_match_cover_lists(problem, context):
             users = graph.coverable_users(v, uav)
             assert context.coverage_count(v, k) == len(users)
             assert context.coverable_users(v, k) == users
-
-
-def test_union_counts_match_set_unions(problem, context):
-    graph = problem.graph
-    for k, uav in enumerate(problem.fleet):
-        for subset in combinations(range(problem.num_locations), 3):
-            expected = set()
-            for v in subset:
-                expected.update(graph.coverable_users(v, uav))
-            assert context.union_coverage_count(list(subset), k) == len(
-                expected
-            )
-
-
-def test_best_counts_is_max_over_radios(problem, context):
-    for v in range(problem.num_locations):
-        best = max(
-            len(problem.graph.coverable_users(v, uav))
-            for uav in problem.fleet
-        )
-        assert int(context.best_counts[v]) == best
 
 
 def test_pickle_roundtrip(context):
@@ -114,44 +92,3 @@ def test_prunable_mask_matches_scalar_reference(problem, context, s):
     mask = prunable_mask(context, subsets, problem.num_uavs)
     for row, flag in zip(subsets, mask):
         assert bool(flag) == _prunable(problem, tuple(int(v) for v in row))
-
-
-@pytest.mark.parametrize("seed", [1, 5, 9])
-def test_bounds_are_admissible(seed):
-    """For every evaluated (non-pruned) subset the bound must dominate the
-    served count actually achieved — the losslessness precondition."""
-    problem = paper_scenario(
-        num_users=120, num_uavs=4, scale="small", seed=seed
-    )
-    context = SolverContext.from_problem(problem)
-    subsets = np.array(
-        list(combinations(range(problem.num_locations), 2)), dtype=np.int32
-    )
-    bounds = subset_bounds(context, subsets, problem.num_uavs)
-    best = appro_alg(problem, s=2).served
-    mask = prunable_mask(context, subsets, problem.num_uavs)
-    # The overall best is achieved by some surviving subset, so the max
-    # surviving bound must be at least the best served count.
-    assert bounds[~mask].max() >= best
-    for row, bound in zip(subsets, bounds):
-        anchors = [int(v) for v in row]
-        if _prunable(problem, tuple(anchors)):
-            continue
-        result = appro_alg(problem, s=2, anchor_candidates=anchors)
-        assert bound >= result.served, (
-            f"bound {bound} below achievable {result.served} for {anchors}"
-        )
-
-
-def test_bounds_prune_far_anchor_pairs():
-    """On a line with all users at one end, anchor pairs at the empty end
-    must get bounds strictly below what the loaded end achieves."""
-    p = make_line_instance(
-        num_locations=10,
-        users_per_location=[30, 30, 20, 0, 0, 0, 0, 0, 0, 2],
-        capacities=[25, 20, 15, 10],
-    )
-    context = SolverContext.from_problem(p)
-    subsets = np.array([[0, 1], [8, 9]], dtype=np.int32)
-    bounds = subset_bounds(context, subsets, p.num_uavs)
-    assert bounds[0] > bounds[1]

@@ -57,7 +57,6 @@ def assert_contexts_identical(a, b):
     np.testing.assert_array_equal(a.hop_matrix, b.hop_matrix)
     np.testing.assert_array_equal(a.coverage_bits, b.coverage_bits)
     np.testing.assert_array_equal(a.coverage_counts, b.coverage_counts)
-    np.testing.assert_array_equal(a.best_counts, b.best_counts)
 
 
 class TestContextUpdated:

@@ -39,8 +39,8 @@ SEEDS = (0, 1, 2)
 
 
 def _golden_specs() -> list:
-    """24 serial specs (2 scales x 4 algorithms x 3 seeds) plus engine-
-    option variants: workers=2 on both scales and bound_prune."""
+    """24 serial specs (2 scales x 4 algorithms x 3 seeds) plus the
+    engine-option variant workers=2 on both scales."""
     specs = [
         ScenarioSpec(
             name=f"golden-{scale}-{algorithm}-{seed}",
@@ -61,11 +61,6 @@ def _golden_specs() -> list:
         num_uavs=8, seed=0, algorithm="approAlg",
         algorithm_params=dict(APPRO_PARAMS), workers=2,
     ))
-    specs.append(ScenarioSpec(
-        name="golden-bench-prune", scale="bench", num_users=600,
-        num_uavs=8, seed=1, algorithm="approAlg",
-        algorithm_params=dict(APPRO_PARAMS), bound_prune=True,
-    ))
     return specs
 
 
@@ -79,8 +74,6 @@ def _legacy_run(spec: ScenarioSpec):
     params = dict(spec.algorithm_params)
     if spec.workers != 1:
         params["workers"] = spec.workers
-    if spec.bound_prune:
-        params["bound_prune"] = True
     deployment = ALGORITHMS[spec.algorithm](problem, **params)
     record = run_algorithm(problem, spec.algorithm, **params)
     return deployment, record

@@ -173,24 +173,28 @@ def test_parallel_interrupt_then_resume_counts_skipped_chunks(tmp_path):
 @pytest.mark.timeout_guard(180)
 def test_resume_across_different_worker_counts(tmp_path):
     """Worker count is deliberately outside the checkpoint identity: a
-    snapshot from a 2-worker run resumes under 3 workers (same index
-    domain), still bit-identical."""
+    snapshot resumes under any other worker count, across the serial /
+    pooled boundary in both directions too (one index domain), still
+    bit-identical."""
     problem = _problem(1, users=150, uavs=5)
     baseline = appro_alg(problem, s=2)
-    path = tmp_path / "ck.json"
-    try:
-        with pytest.raises(SolveInterrupted):
-            appro_alg(
-                problem, s=2, workers=2, progress=_interrupt_partway(),
-                checkpoint=CheckpointConfig(path=path),
-            )
-    finally:
-        clear_interrupt()
-    resumed = appro_alg(
-        problem, s=2, workers=3,
-        checkpoint=CheckpointConfig(path=path, resume=True),
-    )
-    _same(resumed, baseline)
+    for before, after in ((2, 3), (1, 2), (2, 1)):
+        path = tmp_path / f"ck-{before}-{after}.json"
+        try:
+            with pytest.raises(SolveInterrupted):
+                appro_alg(
+                    problem, s=2, workers=before,
+                    progress=_interrupt_partway(),
+                    checkpoint=CheckpointConfig(path=path),
+                )
+        finally:
+            clear_interrupt()
+        resumed = appro_alg(
+            problem, s=2, workers=after,
+            checkpoint=CheckpointConfig(path=path, resume=True),
+        )
+        _same(resumed, baseline)
+        assert resumed.stats.resume_subsets_skipped > 0, (before, after)
 
 
 def test_completed_checkpoint_short_circuits(tmp_path):

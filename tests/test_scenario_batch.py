@@ -1,7 +1,11 @@
 """Tests for the BatchRunner (grouping, reuse, determinism, pooling)."""
 
+import os
+
 import pytest
 
+from repro import obs
+from repro.scenario import batch as batch_module
 from repro.scenario.batch import BatchRunner, run_specs
 from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.spec import ScenarioSpec
@@ -75,6 +79,44 @@ class TestDeterminism:
             assert a.deployment.assignment == b.deployment.assignment
 
 
+_RUN_GROUP = batch_module._run_group_json
+
+
+def _group_killed_once(chunk_id, payload, attempt=0):
+    """Pool entry point whose worker dies on group 1's first attempt."""
+    if chunk_id == 1 and attempt == 0:
+        os._exit(23)
+    return _RUN_GROUP(chunk_id, payload, attempt)
+
+
+class TestPooledRecovery:
+    @pytest.mark.timeout_guard(120)
+    def test_killed_group_worker_is_redispatched(self, monkeypatch):
+        monkeypatch.setattr(batch_module, "_run_group_json",
+                            _group_killed_once)
+        sequential = BatchRunner(workers=1).run(SHOOTOUT)
+        obs.reset()
+        obs.enable()
+        try:
+            pooled = BatchRunner(workers=2).run(SHOOTOUT)
+            counters = obs.metrics_snapshot().get("counters", {})
+        finally:
+            obs.disable()
+            obs.reset()
+        assert counters.get("dispatch.pool_respawns", 0) >= 1
+        assert counters.get("dispatch.chunks_redispatched", 0) >= 1
+        for a, b in zip(sequential.items, pooled.items):
+            assert (a.index, a.served) == (b.index, b.served)
+            assert a.deployment.placements == b.deployment.placements
+            assert a.deployment.assignment == b.deployment.assignment
+
+    @pytest.mark.timeout_guard(120)
+    def test_pooled_strict_raises_the_spec_error(self):
+        bad = BASE.with_overrides(algorithm_params={"bogus": True})
+        with pytest.raises(TypeError):
+            BatchRunner(workers=2).run([bad, SHOOTOUT[3]])
+
+
 class TestFailureHandling:
     def test_strict_false_captures_per_spec_failure(self):
         # An unknown solver kwarg raises; strict=False keeps the batch
@@ -143,4 +185,4 @@ class TestEmptyBatches:
 
     @pytest.mark.timeout_guard(30)
     def test_run_pooled_direct_empty_groups(self):
-        assert BatchRunner(workers=4)._run_pooled([], None) == []
+        assert BatchRunner(workers=4)._run_groups([], None, 0, 0.0) == []

@@ -53,19 +53,13 @@ class TestStages:
             SolvePipeline().run(SPEC.with_overrides(algorithm="Oracle9000"))
 
     def test_engine_options_gated_by_capabilities(self):
-        # workers/bound_prune on a baseline spec must NOT reach the solver
-        # (MCS would reject the kwargs).
+        # workers on a baseline spec must NOT reach the solver (MCS would
+        # reject the kwarg).
         state = SolvePipeline().run(SPEC.with_overrides(
-            algorithm="MCS", algorithm_params={}, workers=2, bound_prune=True,
+            algorithm="MCS", algorithm_params={}, workers=2,
         ))
         assert state.ok
         assert "workers" not in state.params
-        assert "bound_prune" not in state.params
-
-    def test_bound_prune_forwarded_to_appro(self):
-        state = SolvePipeline().run(SPEC.with_overrides(bound_prune=True))
-        assert state.ok
-        assert state.params["bound_prune"] is True
 
 
 class TestStageSwap:

@@ -24,7 +24,6 @@ class TestEntries:
     def test_appro_capabilities(self):
         entry = DEFAULT_REGISTRY.get("approAlg")
         assert entry.supports_workers
-        assert entry.supports_bound_prune
         assert entry.supports_context
         assert entry.cooperative
         assert entry.watchdog_tier == 0

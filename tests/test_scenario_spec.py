@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from repro.dynamics.spec import DynamicSpec
 from repro.scenario.spec import (
     PRESETS,
     ScenarioSpec,
@@ -48,7 +49,6 @@ class TestSchemaValidation:
         ("workers", 0),
         ("seed", "seven"),
         ("seed", True),
-        ("bound_prune", "yes"),
         ("validate", 1),
         ("algorithm_params", ["s", 2]),
         ("name", ""),
@@ -122,7 +122,6 @@ class TestJsonRoundTrip:
             algorithm="MCS",
             algorithm_params={},
             workers=2,
-            bound_prune=True,
             validate=False,
         )
         again = ScenarioSpec.from_json(spec.to_json())
@@ -156,6 +155,22 @@ class TestJsonRoundTrip:
         data["format"] = 99
         with pytest.raises(SpecError, match="format"):
             ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("cls", [ScenarioSpec, DynamicSpec])
+    @pytest.mark.parametrize("value", [False, True, "yes"])
+    def test_removed_bound_prune_on_load(self, cls, value):
+        # Format-1 documents saved before the option was removed carry
+        # "bound_prune": false, which loads (and is never written back);
+        # any other value is rejected.
+        spec = cls(name="saved", seed=3)
+        data = spec.to_dict()
+        assert "bound_prune" not in data
+        data["bound_prune"] = value
+        if value is False:
+            assert cls.from_dict(data) == spec
+        else:
+            with pytest.raises(SpecError, match="removed.*identical"):
+                cls.from_dict(data)
 
     def test_invalid_value_rejected_on_load(self):
         data = ScenarioSpec().to_dict()
