@@ -57,8 +57,18 @@ class TestApproAlgBasics:
             appro_alg(problem, s=0)
 
     def test_stats_add_up(self):
-        # 20 users and five capacity-4 UAVs: the first subset already
-        # serves everyone, so the served-cap stop skips the other nine.
+        # Two UAVs over five single-user locations never reach the cap of
+        # min(8, 5) served, so the served-cap stop never fires.
+        problem = make_line_instance(users_per_location=1, capacities=(4, 4))
+        result = appro_alg(problem, s=2)
+        st_ = result.stats
+        assert st_.subsets_bound_skipped == 0
+        assert st_.subsets_total == st_.subsets_pruned + st_.subsets_evaluated
+
+    def test_stats_add_up_with_bound_prune(self):
+        # The served-cap stop is the one remaining bound-based skip.  20
+        # users and five capacity-4 UAVs: the first subset already serves
+        # everyone, so the stop skips the other nine.
         problem = make_line_instance()
         result = appro_alg(problem, s=2)
         st_ = result.stats
