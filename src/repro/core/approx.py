@@ -16,10 +16,11 @@ The enumeration runs on a shared :class:`repro.core.context.SolverContext`
   (vectorised; decisions identical to the scalar reference);
 * once the best served count reaches the served cap — ``min(Σ fleet
   capacities, total demand)``, which no deployment can exceed — the
-  remaining subsets are skipped (counted in
-  ``ApproxStats.subsets_bound_skipped``).  Later subsets could only tie,
-  and a tie goes to the lexicographically first anchors, so the stop is
-  lossless;
+  subsets whose anchors come after the best's are skipped (counted in
+  ``ApproxStats.subsets_bound_skipped``).  They could only tie, and a tie
+  goes to the lexicographically first anchors, so the stop is lossless,
+  also when a resumed best comes from a later range than the one being
+  filled in;
 * ``workers=N`` fans chunks of the surviving subsets out over a process
   pool; each worker receives the context once via the pool initializer,
   and per-chunk bests merge under the canonical tie-break (served
@@ -309,20 +310,21 @@ def _served_cap(problem: ProblemInstance) -> int:
 
 
 def _eval_chunk(problem, context, plan, order, eval_kw,
-                subsets: np.ndarray, cap: int, engine=None):
-    """Evaluate one contiguous chunk of subsets: the chunk-local best (or
-    ``None``) plus (evaluated, infeasible, skipped) counts.  Once the
-    chunk-local best reaches ``cap`` the rest of the chunk is skipped.
-    Shared by the in-parent sweep, pool workers and the quarantine
-    fallback, so every path produces exactly the same chunk result."""
+                subsets: np.ndarray, cap: int, engine=None, best=None):
+    """Evaluate one contiguous chunk of subsets, starting from ``best``
+    (the in-parent sweep's running best; ``None`` in pool workers): the
+    best plus (evaluated, infeasible, skipped) counts.  The served-cap
+    stop skips the rest of the chunk once the best is at ``cap`` with
+    smaller anchors: those subsets could only tie and lose the tie.  The
+    anchor check keeps it lossless when a resumed best comes from a
+    later range.  Shared by every path, so each gives the same result."""
     if engine is None:
         engine = new_engine_for(problem.graph)
-    best: "tuple[int, dict, tuple] | None" = None
     evaluated = infeasible = 0
     for row in subsets:
-        if best is not None and best[0] >= cap:
-            break
         subset = tuple(int(x) for x in row)
+        if best is not None and best[0] >= cap and best[2] < subset:
+            break
         evaluated += 1
         outcome = _evaluate_subset(
             problem, subset, plan, order, context=context, engine=engine,
@@ -408,10 +410,8 @@ def _enumerate(
     counters, progress and checkpoint, and drains on an interrupt.  With
     one worker (or too few subsets to split) the chunks are single
     subsets evaluated in the parent on one warm flow engine; otherwise
-    they fan out over :class:`ChunkDispatcher`.  Either way, once the best
-    reaches the served cap the remaining subsets are skipped: they are
-    visited later, so they could only tie, and a tie loses to the earlier
-    anchors."""
+    they fan out over :class:`ChunkDispatcher`.  Either way the
+    served-cap stop lives in :func:`_eval_chunk`."""
     total = stats.subsets_total
     stats.subsets_pruned = int(prunable.sum())
     sub = subsets[~prunable]
@@ -469,12 +469,9 @@ def _enumerate(
         engine = new_engine_for(problem.graph)
         for glo, ghi in gaps:
             for lo in range(glo, ghi):
-                if best is not None and best[0] >= cap:
-                    handle(lo, ghi, (None, 0, 0, ghi - lo))
-                    break
                 handle(lo, lo + 1, _eval_chunk(
                     problem, context, plan, order, eval_kw,
-                    sub[lo:lo + 1], cap, engine,
+                    sub[lo:lo + 1], cap, engine, best,
                 ))
         return best
 

@@ -139,7 +139,11 @@ def _run_group_json(chunk_id: int, payload: "tuple",
     """Process-pool entry point (one group per dispatcher chunk): hydrate
     specs from JSON and run the group with a freshly constructed pipeline
     (pipelines hold no picklable state worth shipping; workers always use
-    the default registry)."""
+    the default registry).
+
+    A spec error is returned, not raised: it is deterministic, so the
+    parent re-raises it at once instead of the dispatcher retrying the
+    group.  Only a dead worker leads to a retry."""
     spec_jsons, strict, prebuild_context, checkpoint_dir, resume = payload
     pipeline = SolvePipeline(
         strict=strict, prebuild_context=prebuild_context,
@@ -147,7 +151,10 @@ def _run_group_json(chunk_id: int, payload: "tuple",
     )
     group = [(index, ScenarioSpec.from_json(text))
              for index, text in spec_jsons]
-    return _run_group(pipeline, group)
+    try:
+        return _run_group(pipeline, group)
+    except Exception as exc:
+        return exc
 
 
 class BatchRunner:
@@ -281,6 +288,8 @@ class BatchRunner:
         outcomes: dict = {}
 
         def handle(chunk_id: int, outcome: "tuple") -> None:
+            if isinstance(outcome, Exception):
+                raise outcome
             self._record_items(ledger, outcome[0])
             outcomes[chunk_id] = outcome
 

@@ -108,12 +108,11 @@ class TestApproAlgBasics:
         assert calls, "progress callback never invoked"
         done, total = calls[-1]
         assert done == total
-        # One call for the pruned subsets, one per evaluated subset, and
-        # one for the subsets the served-cap stop skipped.
+        # One call for the pruned subsets, then one per surviving subset,
+        # evaluated or skipped by the served-cap stop.
         st_ = result.stats
         assert len(calls) == (
-            (st_.subsets_pruned > 0) + st_.subsets_evaluated
-            + (st_.subsets_bound_skipped > 0)
+            (st_.subsets_pruned > 0) + st_.subsets_total - st_.subsets_pruned
         )
 
 

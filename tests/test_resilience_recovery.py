@@ -18,7 +18,7 @@ from repro.core.checkpoint import (
     CheckpointConfig,
 )
 from repro.core.dispatch import FaultPolicy
-from repro.ops.chaos import ChaosSpec
+from repro.ops.chaos import ChaosEvent, ChaosSpec
 from repro.util.interrupt import (
     SolveInterrupted,
     clear_interrupt,
@@ -26,6 +26,8 @@ from repro.util.interrupt import (
     request_interrupt,
 )
 from repro.workload.scenarios import paper_scenario
+from tests.conftest import make_line_instance
+from tests.test_reference_sweep import reference_sweep
 
 SEEDS = [1, 3, 8]
 
@@ -195,6 +197,39 @@ def test_resume_across_different_worker_counts(tmp_path):
         )
         _same(resumed, baseline)
         assert resumed.stats.resume_subsets_skipped > 0, (before, after)
+
+
+@pytest.mark.timeout_guard(180)
+def test_serial_resume_of_out_of_order_pooled_checkpoint(tmp_path):
+    """Two user clusters, both saturating the 90-unit fleet.  Chunk 0 is
+    delayed, so the pooled run checkpoints chunk 1 (the second cluster,
+    at the cap) with chunk 0 still open; the serial resume must still
+    evaluate chunk 0, whose first subset wins the tie."""
+    problem = make_line_instance(
+        num_locations=12,
+        users_per_location=[40, 40, 40, 40, 0, 40, 40, 40, 40, 0, 0, 0],
+        capacities=[30, 25, 20, 15],
+    )
+    (served, placements, anchors), _ = reference_sweep(problem, 2)
+    path = tmp_path / "ck.json"
+    try:
+        with pytest.raises(SolveInterrupted):
+            appro_alg(
+                problem, s=2, workers=2, progress=_interrupt_partway(30),
+                checkpoint=CheckpointConfig(path=path),
+                chaos=ChaosSpec((ChaosEvent(0, "delay", delay_s=1.5),)),
+            )
+    finally:
+        clear_interrupt()
+    snapshot = json.loads(path.read_text())
+    assert snapshot["completed"][0][0] > 0
+    assert snapshot["best"]["served"] == served == 90
+    resumed = appro_alg(
+        problem, s=2, checkpoint=CheckpointConfig(path=path, resume=True)
+    )
+    assert resumed.stats.resume_subsets_skipped > 0
+    assert (resumed.served, resumed.anchors) == (served, anchors)
+    assert resumed.deployment.placements == placements
 
 
 def test_completed_checkpoint_short_circuits(tmp_path):

@@ -89,20 +89,28 @@ def _group_killed_once(chunk_id, payload, attempt=0):
     return _RUN_GROUP(chunk_id, payload, attempt)
 
 
+def _traced_pooled_run(specs):
+    """``(result or raised exception, counters)`` of a workers=2 batch."""
+    obs.reset()
+    obs.enable()
+    try:
+        try:
+            outcome = BatchRunner(workers=2).run(specs)
+        except Exception as exc:
+            outcome = exc
+        return outcome, obs.metrics_snapshot().get("counters", {})
+    finally:
+        obs.disable()
+        obs.reset()
+
+
 class TestPooledRecovery:
     @pytest.mark.timeout_guard(120)
     def test_killed_group_worker_is_redispatched(self, monkeypatch):
         monkeypatch.setattr(batch_module, "_run_group_json",
                             _group_killed_once)
         sequential = BatchRunner(workers=1).run(SHOOTOUT)
-        obs.reset()
-        obs.enable()
-        try:
-            pooled = BatchRunner(workers=2).run(SHOOTOUT)
-            counters = obs.metrics_snapshot().get("counters", {})
-        finally:
-            obs.disable()
-            obs.reset()
+        pooled, counters = _traced_pooled_run(SHOOTOUT)
         assert counters.get("dispatch.pool_respawns", 0) >= 1
         assert counters.get("dispatch.chunks_redispatched", 0) >= 1
         for a, b in zip(sequential.items, pooled.items):
@@ -112,9 +120,13 @@ class TestPooledRecovery:
 
     @pytest.mark.timeout_guard(120)
     def test_pooled_strict_raises_the_spec_error(self):
+        """The spec's own exception, raised on its first failure: a
+        deterministic spec error is not retried like a lost worker."""
         bad = BASE.with_overrides(algorithm_params={"bogus": True})
-        with pytest.raises(TypeError):
-            BatchRunner(workers=2).run([bad, SHOOTOUT[3]])
+        raised, counters = _traced_pooled_run([bad, SHOOTOUT[3]])
+        assert isinstance(raised, TypeError)
+        assert counters.get("dispatch.retries", 0) == 0
+        assert counters.get("dispatch.chunks_quarantined", 0) == 0
 
 
 class TestFailureHandling:
