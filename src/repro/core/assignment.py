@@ -9,13 +9,63 @@ also the final step (line 25) of Algorithm 2.
 
 from __future__ import annotations
 
-from itertools import repeat
-
 import numpy as np
 
 from repro.flow.dinic import Dinic
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import CellDeployment, Deployment
+
+
+def _station_flows(supply: np.ndarray, deployed: list, fleet: list,
+                   covers: list, arc_caps: list,
+                   seeds: "list | None" = None) -> tuple:
+    """Max flow on ``source -> point -> station -> sink`` and the flow on
+    every point -> station arc.
+
+    Node ids: 0 = source, 1..p = points, then one per station
+    (``deployed`` order), last = sink.  Arcs, in insertion order: source
+    -> point ``i`` with capacity ``supply[i]``, then per station its arcs
+    from the points in ``covers[st]`` (capacities ``arc_caps[st]``) and
+    its sink arc (the UAV's capacity).  ``seeds`` optionally gives a
+    feasible flow to start from: the source arcs' flows, then per
+    station its point arcs' flows (the sink arc carries their sum).
+    Returns ``(points, uavs, flows)``, one entry per point -> station
+    arc, station by station in cover order."""
+    p = supply.size
+    sink = p + len(deployed) + 1
+    tails, heads, caps = [np.zeros(p)], [np.arange(1, p + 1)], [supply]
+    flows = None if seeds is None else [seeds[0]]
+    for st, ((k, _loc), cover) in enumerate(zip(deployed, covers)):
+        station = p + 1 + st
+        tails += [1 + cover, [station]]
+        heads += [np.full(cover.size, station), [sink]]
+        caps += [arc_caps[st], [fleet[k].capacity]]
+        if seeds is not None:
+            flows += [seeds[1 + st], [int(seeds[1 + st].sum())]]
+    solver = Dinic(sink + 1)
+    arcs = solver.add_edges(
+        *(np.concatenate(part) for part in (tails, heads, caps)),
+        None if flows is None else np.concatenate(flows),
+    )
+    solver.max_flow(0, sink)
+    sizes = [cover.size for cover in covers]
+    point_arcs = np.delete(arcs[p:], np.cumsum(np.add(sizes, 1)) - 1)
+    return (np.concatenate(covers),
+            np.repeat([k for k, _ in deployed], sizes),
+            solver.flows_on(point_arcs))
+
+
+def _checked_stations(graph: CoverageGraph, fleet: list,
+                      placements: dict) -> list:
+    deployed = sorted(placements.items())
+    for k, loc in deployed:
+        if not (0 <= k < len(fleet)):
+            raise IndexError(f"UAV index {k} outside fleet of {len(fleet)}")
+        if not (0 <= loc < graph.num_locations):
+            raise IndexError(
+                f"location {loc} outside [0, {graph.num_locations})"
+            )
+    return deployed
 
 
 def optimal_assignment(
@@ -28,59 +78,39 @@ def optimal_assignment(
     problem, a subproblem where the placements are given (Section II-D).
     Returns a :class:`Deployment` with the optimal assignment filled in.
     """
-    deployed = sorted(placements.items())
-    for k, loc in deployed:
-        if not (0 <= k < len(fleet)):
-            raise IndexError(f"UAV index {k} outside fleet of {len(fleet)}")
-        if not (0 <= loc < graph.num_locations):
-            raise IndexError(
-                f"location {loc} outside [0, {graph.num_locations})"
-            )
-
+    deployed = _checked_stations(graph, fleet, placements)
     n = graph.num_users
-    num_stations = len(deployed)
-    if num_stations == 0 or n == 0:
+    if not deployed or n == 0:
         return Deployment(placements=dict(placements), assignment={})
-
-    # Node ids: 0 = source, 1..n = users, n+1..n+stations = stations, last = sink.
-    source = 0
-    sink = n + num_stations + 1
-    solver = Dinic(sink + 1)
-    source_arcs = [solver.add_edge(source, 1 + u, 1) for u in range(n)]
 
     # Dinic's first phase on this network is a greedy pass: users in index
     # order each join the first station (in placement order) that covers
     # them and has spare capacity.  Equivalently, each station takes the
     # lowest C_k of its covered users that no earlier station took.  That
-    # flow is seeded here in one step, so max_flow starts at phase 2 and
+    # flow is seeded with the arcs, so max_flow starts at phase 2 and
     # ends on the same flow as from zero.
-    taken = np.zeros(n, dtype=bool)
-    user_station_arcs: list = []  # (arc_id, user, uav_index)
-    for st, (k, loc) in enumerate(deployed):
-        uav = fleet[k]
-        station_node = n + 1 + st
-        cover = graph.coverable_array(loc, uav)
-        users = cover.tolist()
-        arcs = [solver.add_edge(1 + u, station_node, 1) for u in users]
-        user_station_arcs.extend(zip(arcs, users, repeat(k)))
-        sink_arc = solver.add_edge(station_node, sink, uav.capacity)
-        picks = np.flatnonzero(~taken[cover])[:uav.capacity]
-        taken[cover[picks]] = True
-        for i in picks.tolist():
-            solver.add_flow(source_arcs[users[i]], 1)
-            solver.add_flow(arcs[i], 1)
-        solver.add_flow(sink_arc, len(picks))
-
-    solver.max_flow(source, sink)
-
-    assignment = {}
-    for arc, u, k in user_station_arcs:
-        if solver.flow_on(arc) == 1:
-            if u in assignment:
-                raise AssertionError(
-                    f"user {u} saturates two assignment arcs; flow is corrupt"
-                )
-            assignment[u] = k
+    covers = [graph.coverable_array(loc, fleet[k]) for k, loc in deployed]
+    taken = np.zeros(n, dtype=np.int64)
+    picked = []
+    for (k, _loc), cover in zip(deployed, covers):
+        mine = np.zeros(cover.size, dtype=np.int64)
+        if fleet[k].capacity > 0:
+            picks = np.flatnonzero(taken[cover] == 0)[:fleet[k].capacity]
+            mine[picks] = 1
+            taken[cover[picks]] = 1
+        picked.append(mine)
+    users, uavs, flows = _station_flows(
+        np.ones(n, dtype=np.int64), deployed, fleet, covers,
+        [np.ones(cover.size, dtype=np.int64) for cover in covers],
+        [taken] + picked,
+    )
+    served = flows == 1
+    users, uavs = users[served], uavs[served]
+    if users.size and np.bincount(users).max() > 1:
+        raise AssertionError(
+            "a user saturates two assignment arcs; flow is corrupt"
+        )
+    assignment = dict(zip(users.tolist(), uavs.tolist()))
     return Deployment(placements=dict(placements), assignment=assignment)
 
 
@@ -96,44 +126,19 @@ def optimal_cell_assignment(
     cell may be split across stations, which :class:`CellDeployment`
     represents as a flow.
     """
-    deployed = sorted(placements.items())
-    for k, loc in deployed:
-        if not (0 <= k < len(fleet)):
-            raise IndexError(f"UAV index {k} outside fleet of {len(fleet)}")
-        if not (0 <= loc < graph.num_locations):
-            raise IndexError(
-                f"location {loc} outside [0, {graph.num_locations})"
-            )
-
+    deployed = _checked_stations(graph, fleet, placements)
     demands = graph.cell_demands
-    d = len(demands)
-    num_stations = len(deployed)
-    if num_stations == 0 or d == 0:
+    if not deployed or len(demands) == 0:
         return CellDeployment(placements=dict(placements), flows={})
 
-    # Node ids: 0 = source, 1..d = cells, d+1..d+stations, last = sink.
-    source = 0
-    sink = d + num_stations + 1
-    solver = Dinic(sink + 1)
-    for c in range(d):
-        solver.add_edge(source, 1 + c, int(demands[c]))
-
-    cell_station_arcs: list = []  # (arc_id, cell, uav_index)
-    for st, (k, loc) in enumerate(deployed):
-        uav = fleet[k]
-        station_node = d + 1 + st
-        for c in graph.coverable_users(loc, uav):
-            arc = solver.add_edge(1 + c, station_node, int(demands[c]))
-            cell_station_arcs.append((arc, c, k))
-        solver.add_edge(station_node, sink, uav.capacity)
-
-    solver.max_flow(source, sink)
-
-    flows: dict = {}
-    for arc, c, k in cell_station_arcs:
-        units = solver.flow_on(arc)
-        if units > 0:
-            flows[(c, k)] = units
+    covers = [graph.coverable_array(loc, fleet[k]) for k, loc in deployed]
+    cells, uavs, units = _station_flows(
+        demands, deployed, fleet, covers,
+        [demands[cover] for cover in covers],
+    )
+    used = units > 0
+    flows = dict(zip(zip(cells[used].tolist(), uavs[used].tolist()),
+                     units[used].tolist()))
     return CellDeployment(placements=dict(placements), flows=flows)
 
 

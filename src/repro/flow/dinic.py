@@ -4,27 +4,39 @@ This is the "algorithm in [1]" the paper invokes for the maximum assignment
 problem of Section II-D: build the flow network s -> users -> locations -> t
 and find an integral max flow.  Dinic runs in O(V^2 E) generally and
 O(E sqrt(V)) on unit-capacity bipartite networks, which is the regime here.
+
+Each phase finds the BFS levels with a numpy frontier sweep over the
+residual arcs, keeps the level-graph arcs that lie on some source-sink
+path, and pushes a blocking flow by DFS over those arcs alone.  The DFS
+scans a node's arcs in arc-id order with one resume pointer per node,
+so the flow it leaves is the flow of the textbook loop that scans every
+arc and walks into dead ends: an arc into a dead end, or not in the
+level graph, would push nothing there.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import numpy as np
 
 
 class Dinic:
     """Max-flow solver over an explicit arc list with residual capacities.
 
-    Arcs are stored as parallel arrays; arc ``i`` and its residual twin
+    Arcs are stored as parallel lists; arc ``i`` and its residual twin
     ``i ^ 1`` are adjacent, the usual trick for O(1) residual updates.
+    A node's arcs, forward and twin, are its arc ids in ascending order.
     """
 
     def __init__(self, num_nodes: int) -> None:
         if num_nodes < 2:
             raise ValueError(f"need at least 2 nodes, got {num_nodes}")
         self.num_nodes = num_nodes
-        self._head: list = []   # arc target
+        self._head: list = []   # arc target (arc i's source: head[i ^ 1])
         self._cap: list = []    # residual capacity
-        self._out: list = [[] for _ in range(num_nodes)]  # arc ids per node
+        # int64 array copies of (tail, head) and of the residual
+        # capacities for the numpy passes; None until first needed.
+        self._ends: "tuple | None" = None
+        self._residual: "np.ndarray | None" = None
 
     def add_edge(self, u: int, v: int, capacity: int) -> int:
         """Add directed arc u -> v; returns the arc id (for flow queries)."""
@@ -33,13 +45,52 @@ class Dinic:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         arc_id = len(self._head)
-        self._head.append(v)
-        self._cap.append(capacity)
-        self._out[u].append(arc_id)
-        self._head.append(u)
-        self._cap.append(0)
-        self._out[v].append(arc_id + 1)
+        self._head += (v, u)
+        self._cap += (capacity, 0)
+        self._ends = self._residual = None
         return arc_id
+
+    def add_edges(self, tails, heads, capacities, flows=None) -> np.ndarray:
+        """Add arcs ``tails[i] -> heads[i]`` in order, as repeated
+        :meth:`add_edge` calls would (same arc ids and twins), each
+        carrying ``flows[i]`` units already (default none; the caller
+        keeps conservation, as with :meth:`add_flow`).  Returns the arc
+        ids as an int64 array."""
+        tails = np.asarray(tails, dtype=np.int64).ravel()
+        heads = np.asarray(heads, dtype=np.int64).ravel()
+        caps = np.asarray(capacities, dtype=np.int64).ravel()
+        flow = (np.zeros_like(caps) if flows is None
+                else np.asarray(flows, dtype=np.int64).ravel())
+        if not tails.size == heads.size == caps.size == flow.size:
+            raise ValueError("tails, heads, capacities and flows differ "
+                             "in length")
+        outside = (tails < 0) | (tails >= self.num_nodes) \
+            | (heads < 0) | (heads >= self.num_nodes)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise IndexError(
+                f"arc ({tails[i]}, {heads[i]}) outside node range"
+            )
+        if (caps < 0).any():
+            raise ValueError(
+                f"capacity must be non-negative, got {caps.min()}"
+            )
+        if ((flow < 0) | (flow > caps)).any():
+            raise ValueError("seeded flow outside [0, capacity] on some arc")
+        base = len(self._head)
+        ends = np.empty((tails.size, 2), dtype=np.int64)
+        ends[:, 0], ends[:, 1] = tails, heads
+        tail, head = ends.ravel(), ends[:, ::-1].ravel()
+        residual = np.empty((caps.size, 2), dtype=np.int64)
+        residual[:, 0], residual[:, 1] = caps - flow, flow
+        residual = residual.ravel()
+        self._head += head.tolist()
+        self._cap += residual.tolist()
+        if base == 0:
+            self._ends, self._residual = (tail, head), residual
+        else:
+            self._ends = self._residual = None
+        return base + 2 * np.arange(tails.size, dtype=np.int64)
 
     def add_flow(self, arc_id: int, amount: int) -> None:
         """Push ``amount`` units along arc ``arc_id`` — for seeding a flow
@@ -53,44 +104,76 @@ class Dinic:
             )
         self._cap[arc_id] -= amount
         self._cap[arc_id ^ 1] += amount
+        if self._residual is not None:
+            self._residual[arc_id] -= amount
+            self._residual[arc_id ^ 1] += amount
 
     def flow_on(self, arc_id: int) -> int:
         """Flow currently pushed through arc ``arc_id`` (its twin's residual)."""
         return self._cap[arc_id ^ 1]
 
-    def _bfs_levels(self, source: int, sink: int) -> "list | None":
-        level = [-1] * self.num_nodes
-        level[source] = 0
-        queue: deque = deque([source])
-        while queue:
-            u = queue.popleft()
-            for arc in self._out[u]:
-                v = self._head[arc]
-                if self._cap[arc] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[sink] >= 0 else None
+    def flows_on(self, arc_ids) -> np.ndarray:
+        """:meth:`flow_on` of every arc in ``arc_ids``, as an int64 array."""
+        return self._residual_array()[np.asarray(arc_ids, dtype=np.int64) ^ 1]
 
-    def _dfs_push(self, u: int, sink: int, limit: int,
-                  level: list, it: list) -> int:
-        if u == sink:
-            return limit
-        pushed_total = 0
-        while it[u] < len(self._out[u]):
-            arc = self._out[u][it[u]]
-            v = self._head[arc]
-            if self._cap[arc] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs_push(
-                    v, sink, min(limit - pushed_total, self._cap[arc]), level, it
-                )
-                if pushed > 0:
-                    self._cap[arc] -= pushed
-                    self._cap[arc ^ 1] += pushed
-                    pushed_total += pushed
-                    if pushed_total == limit:
-                        return pushed_total
-            it[u] += 1
-        return pushed_total
+    def _arrays(self) -> tuple:
+        if self._ends is None:
+            head = np.array(self._head, dtype=np.int64)
+            self._ends = (head.reshape(-1, 2)[:, ::-1].ravel(), head)
+        return self._ends
+
+    def _residual_array(self) -> np.ndarray:
+        if self._residual is None:
+            self._residual = np.array(self._cap, dtype=np.int64)
+        return self._residual
+
+    def _live(self) -> tuple:
+        """``(arc ids, tails, heads)`` of the arcs with residual capacity,
+        in arc-id order."""
+        tail, head = self._arrays()
+        live = np.flatnonzero(self._residual_array() > 0)
+        return live, tail[live], head[live]
+
+    def _levels(self, source: int, sink: "int | None", tail: np.ndarray,
+                head: np.ndarray) -> np.ndarray:
+        """BFS hop levels over the arcs ``tail -> head`` (``-1`` when
+        unreached), one numpy pass per level; stops once ``sink`` has a
+        level, since no phase uses a node beyond it."""
+        level = np.full(self.num_nodes, -1, dtype=np.int64)
+        level[source] = 0
+        depth = 0
+        while True:
+            reached = head[level[tail] == depth]
+            reached = reached[level[reached] < 0]
+            if reached.size == 0:
+                return level
+            depth += 1
+            level[reached] = depth
+            if sink is not None and level[sink] >= 0:
+                return level
+
+    def _level_arcs(self, level: np.ndarray, sink: int, live: np.ndarray,
+                    tail: np.ndarray, head: np.ndarray) -> tuple:
+        """The level-graph arcs on some source-sink path, grouped by tail
+        in arc-id order: ``(arcs, start, end)`` with node ``u``'s arcs at
+        ``arcs[start[u]:end[u]]``.  ``live``, ``tail`` and ``head`` are
+        :meth:`_live`'s arcs, the ones :meth:`_levels` swept."""
+        top = level[sink]
+        lt = level[tail]
+        step = np.flatnonzero((lt >= 0) & (level[head] == lt + 1) & (lt < top))
+        on_path = np.zeros(self.num_nodes, dtype=bool)
+        on_path[sink] = True
+        keep = []
+        for d in range(top - 1, -1, -1):
+            at = step[lt[step] == d]
+            at = at[on_path[head[at]]]
+            on_path[tail[at]] = True
+            keep.append(at)
+        at = np.sort(np.concatenate(keep))
+        at = at[np.argsort(tail[at], kind="stable")]
+        counts = np.bincount(tail[at], minlength=self.num_nodes)
+        end = np.cumsum(counts)
+        return live[at].tolist(), (end - counts).tolist(), end.tolist()
 
     def max_flow(self, source: int, sink: int) -> int:
         """Compute the max flow value from ``source`` to ``sink``."""
@@ -98,16 +181,49 @@ class Dinic:
             raise ValueError("source and sink must differ")
         total = 0
         inf = 1 << 60
+        cap = self._cap
+        head = self._head
+        cap_now = self._residual_array()
         while True:
-            level = self._bfs_levels(source, sink)
-            if level is None:
+            live, tail, head_now = self._live()
+            level = self._levels(source, sink, tail, head_now)
+            if level[sink] < 0:
                 return total
-            it = [0] * self.num_nodes
+            arcs, it, end = self._level_arcs(level, sink, live, tail,
+                                             head_now)
+            moved: list = []
+
+            def push(u: int, limit: int) -> int:
+                if u == sink:
+                    return limit
+                i, stop, pushed_total = it[u], end[u], 0
+                while i < stop:
+                    arc = arcs[i]
+                    room = cap[arc]
+                    if room > 0:
+                        pushed = push(head[arc],
+                                      min(limit - pushed_total, room))
+                        if pushed > 0:
+                            cap[arc] -= pushed
+                            cap[arc ^ 1] += pushed
+                            moved.append(arc)
+                            pushed_total += pushed
+                            if pushed_total == limit:
+                                it[u] = i
+                                return pushed_total
+                    i += 1
+                it[u] = i
+                return pushed_total
+
             while True:
-                pushed = self._dfs_push(source, sink, inf, level, it)
+                pushed = push(source, inf)
                 if pushed == 0:
                     break
                 total += pushed
+            # Bring the array copy of the residuals up to date.
+            touched = np.array(moved, dtype=np.int64)
+            touched = np.concatenate((touched, touched ^ 1))
+            cap_now[touched] = [cap[a] for a in touched.tolist()]
 
     def min_cut_reachable(self, source: int) -> set:
         """Nodes reachable from ``source`` in the residual graph.
@@ -115,13 +231,6 @@ class Dinic:
         Call after :meth:`max_flow`; the arcs from this set to its complement
         form a minimum cut (used by property tests to check optimality).
         """
-        seen = {source}
-        queue: deque = deque([source])
-        while queue:
-            u = queue.popleft()
-            for arc in self._out[u]:
-                v = self._head[arc]
-                if self._cap[arc] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+        _, tail, head = self._live()
+        level = self._levels(source, None, tail, head)
+        return set(np.flatnonzero(level >= 0).tolist())

@@ -8,9 +8,10 @@ minimum requirement.  Because the latter depends on the UAV's radio, the
 coverage sets are exposed per (location, UAV) and cached by radio signature.
 
 Every coverage set comes from one kernel over a block of locations: a
-dense ground distance to every user (plus a per-user pad, ``0.0`` here
-and the cell radius on demand-cell graphs), the 3-D range test, and the
-path loss and Shannon rate test on the in-range pairs only.  The hop
+squared ground-distance prefilter against every user, then, on the pairs
+it keeps, the ground distance (plus a per-user pad, ``0.0`` here and the
+cell radius on demand-cell graphs), the 3-D range test, and the path
+loss and Shannon rate test on the in-range pairs only.  The hop
 matrix over the location graph is one all-sources bitset BFS
 (:func:`repro.graphs.bfs.all_pairs_hops`).
 
@@ -19,6 +20,8 @@ all baselines) consumes.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,7 +42,7 @@ from repro.graphs.bfs import (
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
 from repro.network.users import User, UserTable
-from repro.util.bits import pack_indices
+from repro.util.bits import pack_indices, pack_pairs
 
 
 class CoverageGraph:
@@ -241,6 +244,11 @@ class CoverageGraph:
     #: block's float temporaries to a few MB whatever ``m * n`` is.
     _KERNEL_PAIRS = 1 << 16
 
+    #: Metres added to a layer's ground reach in the kernel's prefilter.
+    #: Rounding moves the exact tests' boundary by far less, so the
+    #: prefilter keeps every pair they could pass.
+    _PREFILTER_SLACK_M = 1.0
+
     def _user_pad(self) -> np.ndarray:
         """Per-user pad added to the ground distance before the range and
         rate tests.  Users are points, so ``0.0`` (``x + 0.0 == x``);
@@ -253,10 +261,15 @@ class CoverageGraph:
         locations: ``(rows, cols, pathloss)`` for every (location, user)
         pair whose padded 3-D distance is within ``range_m``.
 
-        The dense padded ground distance is computed per altitude layer
-        (the vectorised path loss takes a scalar altitude) in chunks of
-        :attr:`_KERNEL_PAIRS`; path loss is evaluated on the in-range
-        pairs only.  Pairs come out grouped by layer, location-major.
+        Per altitude layer (the vectorised path loss takes a scalar
+        altitude) and in chunks of :attr:`_KERNEL_PAIRS`, a squared
+        ground-distance prefilter keeps the pairs within the layer's
+        ground reach ``sqrt(range² - alt²)`` plus a slack, less the pad;
+        a layer above ``range_m`` is skipped whole.  The padded ground
+        distance, the 3-D range test and the path loss then run on the
+        kept pairs only, as the same elementwise expressions a dense
+        pass would evaluate.  Pairs come out grouped by layer,
+        location-major.
 
         ``users`` restricts the kernel to a block of user indices (the
         mission's arrival update); ``cols`` stay global user indices."""
@@ -264,21 +277,41 @@ class CoverageGraph:
         user_xy = self._user_xy
         if users is not None:
             pad, user_xy = pad[users], user_xy[users]
-        step = max(1, self._KERNEL_PAIRS // max(1, len(user_xy)))
+        n = len(user_xy)
+        ux, uy = user_xy[:, 0], user_xy[:, 1]
+        step = max(1, self._KERNEL_PAIRS // max(1, n))
         xyz = self._loc_xyz[loc_index]
+        rows_max = min(step, len(loc_index))
+        d2_buf, dy2_buf = np.empty((2, rows_max, n))
+        kept_buf = np.empty((rows_max, n), dtype=bool)
         parts = []
         for alt in sorted(set(xyz[:, 2].tolist())):
+            if range_m < alt:
+                continue
+            reach = (math.sqrt(max(range_m * range_m - alt * alt, 0.0))
+                     + self._PREFILTER_SLACK_M - pad)
+            limit = np.where(reach >= 0.0, reach * reach, -1.0)
             layer = np.flatnonzero(xyz[:, 2] == alt)
             for lo in range(0, layer.size, step):
                 block = layer[lo:lo + step]
-                horiz = np.hypot(
-                    user_xy[:, 0] - xyz[block, 0, None],
-                    user_xy[:, 1] - xyz[block, 1, None],
-                ) + pad
-                r, c = np.nonzero(np.hypot(horiz, alt) <= range_m)
+                d2, dy2 = d2_buf[:block.size], dy2_buf[:block.size]
+                np.subtract(ux, xyz[block, 0, None], out=d2)
+                np.multiply(d2, d2, out=d2)
+                np.subtract(uy, xyz[block, 1, None], out=dy2)
+                np.multiply(dy2, dy2, out=dy2)
+                kept = np.flatnonzero(np.less_equal(
+                    np.add(d2, dy2, out=d2), limit, out=kept_buf[:block.size]
+                ))
+                r = kept // n
+                c = kept - r * n
+                at = block[r]
+                horiz = np.hypot(ux[c] - xyz[at, 0], uy[c] - xyz[at, 1]) \
+                    + pad[c]
+                inside = np.hypot(horiz, alt) <= range_m
+                at, c, horiz = at[inside], c[inside], horiz[inside]
                 parts.append((
-                    loc_index[block[r]], c if users is None else users[c],
-                    self.channel.pathloss_vector_db(horiz[r, c], alt),
+                    loc_index[at], c if users is None else users[c],
+                    self.channel.pathloss_vector_db(horiz, alt),
                 ))
         if len(parts) == 1:
             return parts[0]
@@ -286,10 +319,57 @@ class CoverageGraph:
                  np.zeros(0))
         return tuple(np.concatenate(field) for field in zip(empty, *parts))
 
-    def _rate_ok(self, cols: np.ndarray, loss: np.ndarray,
-                 uav: UAV) -> np.ndarray:
+    #: Half-width (dB) of the band around a user's SNR floor in which
+    #: :meth:`_rate_ok` evaluates the rate expression itself.  The float
+    #: error of that expression, seen as an SNR shift, is below 1e-9 dB
+    #: for every floor in ``_SNR_FLOOR_RANGE_DB``.
+    _SNR_BAND_DB = 1e-6
+    _SNR_FLOOR_RANGE_DB = (-60.0, 300.0)
+
+    def _snr_floor_db(self) -> np.ndarray:
+        """Per-user SNR (dB) at which the Shannon rate equals the user's
+        minimum, ``10 log10(2^(r_min / B) - 1)``; NaN where it lies
+        outside :attr:`_SNR_FLOOR_RANGE_DB` (a zero, negative or huge
+        minimum rate), so those users always take the exact path."""
+        floor = self._coverage_cache.get("snr-floor")
+        if floor is None:
+            with np.errstate(divide="ignore", invalid="ignore",
+                             over="ignore"):
+                floor = 10.0 * np.log10(np.expm1(
+                    self._user_min_rate / self.bandwidth_hz * math.log(2.0)
+                ))
+            lo, hi = self._SNR_FLOOR_RANGE_DB
+            floor[~((floor >= lo) & (floor <= hi))] = np.nan
+            self._coverage_cache["snr-floor"] = floor
+        return floor
+
+    def _rate_ok(self, cols: np.ndarray, loss: np.ndarray, uav: UAV,
+                 need: "np.ndarray | None" = None) -> np.ndarray:
         """The rate half of the kernel: whether each in-range pair's
-        Shannon rate under ``uav``'s radio meets its user's minimum."""
+        Shannon rate under ``uav``'s radio meets its user's minimum.
+
+        The rate is monotone in the SNR, so a pair passes exactly when
+        ``loss + floor`` (``need``, per pair; computed when not given) is
+        at most the radio's EIRP less the noise, ``floor`` being the
+        user's :meth:`_snr_floor_db`.  Pairs further than
+        :attr:`_SNR_BAND_DB` from that line are decided by the
+        comparison; the others, and users without a floor, by the rate
+        expression itself (:meth:`_rate_meets`), so the answer is that
+        expression's on every pair."""
+        if need is None:
+            need = loss + self._snr_floor_db()[cols]
+        with np.errstate(invalid="ignore"):
+            gap = need - (uav.tx_power_dbm + uav.antenna_gain_db
+                          - self.noise_dbm)
+            ok = gap < -self._SNR_BAND_DB
+            unsure = ~(np.abs(gap) > self._SNR_BAND_DB)
+        if unsure.any():
+            ok[unsure] = self._rate_meets(cols[unsure], loss[unsure], uav)
+        return ok
+
+    def _rate_meets(self, cols: np.ndarray, loss: np.ndarray,
+                    uav: UAV) -> np.ndarray:
+        """The Shannon rate test itself, pair by pair."""
         snr_db = uav.tx_power_dbm + uav.antenna_gain_db - loss - self.noise_dbm
         rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
         return rates >= self._user_min_rate[cols]
@@ -384,10 +464,15 @@ class CoverageGraph:
             )
             self._coverage_cache[pairs_key] = pairs
         rows, cols, loss = pairs
-        ok = self._rate_ok(cols, loss, uav)
-        mask = np.zeros((self.num_locations, self.num_users), dtype=bool)
-        mask[rows[ok], cols[ok]] = True
-        cached = np.packbits(mask, axis=1)
+        need_key = ("need", uav.user_range_m)
+        need = self._coverage_cache.get(need_key)
+        if need is None:
+            need = loss + self._snr_floor_db()[cols]
+            self._coverage_cache[need_key] = need
+        ok = self._rate_ok(cols, loss, uav, need)
+        cached = pack_pairs(
+            rows[ok], cols[ok], self.num_locations, self.num_users
+        )
         self._coverage_cache[key] = cached
         return cached
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Integral
 
 
 @dataclass(frozen=True)
@@ -35,9 +36,7 @@ class Deployment:
             raise ValueError(
                 f"multiple UAVs share hovering location(s) {sorted(clashes)}"
             )
-        missing = {
-            k for k in self.assignment.values() if k not in self.placements
-        }
+        missing = set(self.assignment.values()) - self.placements.keys()
         if missing:
             raise ValueError(
                 f"users assigned to undeployed UAV(s) {sorted(missing)}"
@@ -81,6 +80,15 @@ class Deployment:
         return Deployment(placements={}, assignment={})
 
 
+def whole_units(units) -> bool:
+    """Whether ``units`` is a valid cell flow: an integer (Python or
+    numpy, not ``bool``) of at least one."""
+    return (
+        isinstance(units, Integral) and not isinstance(units, bool)
+        and units >= 1
+    )
+
+
 @dataclass(frozen=True)
 class CellDeployment:
     """A placement of UAVs plus a demand-cell flow assignment.
@@ -97,8 +105,9 @@ class CellDeployment:
         Mapping ``uav_index -> location_index``.  Only deployed UAVs
         appear.
     flows:
-        Mapping ``(cell_index, uav_index) -> units`` with positive
-        integer values; every UAV mentioned must be deployed.
+        Mapping ``(cell_index, uav_index) -> units`` with integer values
+        of at least one (:func:`whole_units`); every UAV mentioned must be
+        deployed.
     """
 
     placements: dict
@@ -118,9 +127,14 @@ class CellDeployment:
             raise ValueError(
                 f"cells assigned to undeployed UAV(s) {sorted(missing)}"
             )
-        bad = [(c, k) for (c, k), units in self.flows.items() if units < 1]
+        bad = [
+            (c, k) for (c, k), units in self.flows.items()
+            if not whole_units(units)
+        ]
         if bad:
-            raise ValueError(f"non-positive flow on arc(s) {sorted(bad)}")
+            raise ValueError(
+                f"non-positive or fractional flow on arc(s) {sorted(bad)}"
+            )
 
     @property
     def served_count(self) -> int:

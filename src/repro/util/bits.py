@@ -48,6 +48,20 @@ def pack_indices(indices: np.ndarray, num_bits: int) -> np.ndarray:
     return np.packbits(mask)
 
 
+def pack_pairs(rows: np.ndarray, cols: np.ndarray, num_rows: int,
+               num_bits: int) -> np.ndarray:
+    """Pack distinct ``(row, col)`` pairs into a ``(num_rows, words)``
+    ``uint8`` bitset matrix, row ``r`` equal to :func:`pack_indices` of
+    its columns, without a dense ``(num_rows, num_bits)`` temporary: the
+    pairs' bits are distinct, so summing them per byte is their OR."""
+    words = (num_bits + 7) // 8
+    cols = np.asarray(cols, dtype=np.int64)
+    byte = np.asarray(rows, dtype=np.int64) * words + (cols >> 3)
+    sums = np.bincount(byte, weights=128 >> (cols & 7),
+                       minlength=num_rows * words)
+    return sums.astype(np.uint8).reshape(num_rows, words)
+
+
 def unpack_indices(packed: np.ndarray, num_bits: int) -> list:
     """Inverse of :func:`pack_indices`: the sorted list of set bits."""
     if num_bits == 0:

@@ -505,3 +505,103 @@ def test_radio_domination_implies_cover_subset(seed, cell_size_m):
         )
         graph, _ = cell_graph_pair(cells, locations)
     assert assert_domination_gives_subsets(graph, fleet) >= len(fleet)
+
+
+# -- boundary radios -----------------------------------------------------------
+
+def boundary_radio_instance(seed: int) -> tuple:
+    """:func:`make_instance` plus users directly below every location of
+    the lowest layer (and a few 1 cm beside), and two radios at the
+    prefilter's corners: range equal to the lowest layer's altitude
+    (ground reach 0 there: only users directly below are covered) and
+    range below every location (every layer skipped)."""
+    users, locations, fleet = make_instance(seed)
+    low = LAYERS_M[0]
+    under = [p for p in locations if p.z == low]
+    users = users + [
+        User(Point3D(p.x, p.y, 0.0), 2000.0) for p in under
+    ] + [
+        User(Point3D(p.x + 0.01, p.y, 0.0), 2000.0) for p in under[:3]
+    ]
+    radios = [
+        UAV(capacity=9, tx_power_dbm=36.0, antenna_gain_db=3.0,
+            user_range_m=low),
+        UAV(capacity=9, tx_power_dbm=36.0, antenna_gain_db=3.0,
+            user_range_m=min(p.z for p in locations) / 2.0),
+    ]
+    return users, locations, fleet[:2] + radios
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_boundary_radios_match_reference(seed):
+    users, locations, fleet = boundary_radio_instance(seed)
+    assert_same_coverage(lambda: graph_pair(users, locations), fleet)
+    assert_same_context(*graph_pair(users, locations), fleet)
+    kernel, _ = graph_pair(users, locations)
+    at_range, below_all = fleet[-2], fleet[-1]
+    for v, p in enumerate(locations):
+        if p.z == at_range.user_range_m:
+            covered = kernel.coverable_users(v, at_range)
+            assert covered
+            assert {(users[u].position.x, users[u].position.y)
+                    for u in covered} == {(p.x, p.y)}
+    assert not kernel.coverage_bits_matrix(below_all).any()
+
+
+@pytest.mark.parametrize("cell_size_m", [None, 90.0])
+@pytest.mark.parametrize("seed", range(2))
+def test_boundary_radios_match_reference_on_cells(seed, cell_size_m):
+    """Padded cells: a radius above the ground reach drops a cell even
+    directly below; singleton cells keep the per-user answer."""
+    users, locations, fleet = boundary_radio_instance(seed)
+    cells = (
+        singleton_cells(users) if cell_size_m is None
+        else aggregate_users(users, cell_size_m)
+    )
+    assert_same_coverage(lambda: cell_graph_pair(cells, locations), fleet)
+    assert_same_context(*cell_graph_pair(cells, locations), fleet)
+    kernel, _ = cell_graph_pair(cells, locations)
+    assert not kernel.coverage_bits_matrix(fleet[-1]).any()
+
+
+# -- the rate test at the SNR floor ------------------------------------------
+
+def test_rate_test_equals_the_rate_expression_at_the_floor():
+    """``_rate_ok`` decides pairs away from a user's SNR floor by one
+    comparison and the rest by the rate expression; on every pair it
+    must equal the expression (``_rate_meets``).  Pairs are placed on
+    the floor, within a few ulps and around the band's edges, for users
+    whose floor is in range and users without one (zero, tiny and huge
+    minimum rates)."""
+    rng = np.random.default_rng(11)
+    num_users = 60
+    rates = np.concatenate([
+        rng.uniform(1.0e3, 4.0e6, num_users - 6),
+        [0.0, 1e-3, 1.0, 2000.0, 4.0e6, 1e12],
+    ])
+    xy = rng.uniform(0.0, 1000.0, size=(num_users, 2))
+    graph = CoverageGraph(
+        users=[User(Point3D(float(x), float(y), 0.0), float(r))
+               for (x, y), r in zip(xy, rates)],
+        locations=[Point3D(500.0, 500.0, 300.0)], uav_range_m=450.0,
+    )
+    floor = graph._snr_floor_db()
+    assert np.isnan(floor[[-6, -5, -1]]).all()
+    assert not np.isnan(floor[:-6]).any() and not np.isnan(floor[-4]).any()
+    band = CoverageGraph._SNR_BAND_DB
+    for uav in make_fleet(np.random.default_rng(3)):
+        line = uav.tx_power_dbm + uav.antenna_gain_db - graph.noise_dbm
+        offsets = np.array([0.0, band, -band, 2 * band, -2 * band,
+                            0.5 * band, 1e-3, -1e-3, 20.0, -20.0])
+        cols = np.repeat(np.arange(num_users), offsets.size + 4)
+        base = np.where(np.isnan(floor), 100.0, line - floor)[cols]
+        shift = np.tile(np.concatenate([offsets, [0.0] * 4]), num_users)
+        loss = base + shift
+        # Within a few ulps of the line.
+        for i, steps in zip(range(offsets.size, offsets.size + 4),
+                            (1, -1, 3, -3)):
+            at = np.arange(num_users) * (offsets.size + 4) + i
+            loss[at] = loss[at] + steps * np.spacing(loss[at])
+        want = graph._rate_meets(cols, loss, uav)
+        np.testing.assert_array_equal(graph._rate_ok(cols, loss, uav), want)
+        assert want.any() and not want.all()

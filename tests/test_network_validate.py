@@ -1,6 +1,7 @@
 """Failure-injection tests for the independent deployment validator: every
 constraint of Section II-C must be caught when violated."""
 
+import numpy as np
 import pytest
 
 from repro.network.deployment import Deployment
@@ -76,6 +77,20 @@ class TestViolations:
         with pytest.raises(ValidationError, match="user index"):
             validate_deployment(problem.graph, problem.fleet, dep)
 
+    def test_user_index_beyond_int64(self, problem):
+        dep = Deployment(placements={0: 0}, assignment={0: 0, 10**30: 0})
+        with pytest.raises(ValidationError, match="user index"):
+            validate_deployment(problem.graph, problem.fleet, dep)
+
+    def test_user_index_on_a_graph_without_users(self, problem):
+        from repro.network.coverage import CoverageGraph
+
+        graph = CoverageGraph(users=[], locations=problem.graph.locations,
+                              uav_range_m=600.0)
+        dep = Deployment(placements={0: 0}, assignment={0: 0})
+        with pytest.raises(ValidationError, match="user index"):
+            validate_deployment(graph, problem.fleet, dep)
+
     def test_rate_violation(self):
         """A user with an enormous min-rate requirement cannot be served
         even in range."""
@@ -113,3 +128,75 @@ class TestViolations:
         dep = Deployment(placements={0: 0, 99: 1}, assignment={0: 0, 3: 99})
         with pytest.raises(ValidationError):
             validate_deployment(problem.graph, problem.fleet, dep)
+
+
+class TestMutatedStructure:
+    """Deployments are frozen dataclasses over plain dicts: what the
+    constructors check can be broken afterwards, and the validators
+    check it again."""
+
+    @pytest.fixture
+    def cell_problem(self, problem):
+        from repro.workload.aggregate import aggregate_problem
+
+        return aggregate_problem(problem, 40.0)
+
+    @pytest.fixture
+    def cell_deployment(self, cell_problem):
+        from repro.core.assignment import optimal_cell_assignment
+
+        dep = optimal_cell_assignment(
+            cell_problem.graph, cell_problem.fleet, {0: 0, 1: 1}
+        )
+        assert dep.flows and max(dep.flows.values()) > 1
+        return dep
+
+    def test_two_uavs_on_one_location(self, problem):
+        dep = Deployment(placements={0: 0, 1: 1},
+                         assignment={0: 0, 1: 0, 3: 1})
+        validate_deployment(problem.graph, problem.fleet, dep)
+        dep.placements[1] = dep.placements[0]
+        with pytest.raises(ValidationError, match="share hovering location"):
+            validate_deployment(problem.graph, problem.fleet, dep)
+
+    def test_two_uavs_on_one_cell_location(self, cell_problem,
+                                           cell_deployment):
+        from repro.network.validate import validate_cell_deployment
+
+        graph, fleet = cell_problem.graph, cell_problem.fleet
+        validate_cell_deployment(graph, fleet, cell_deployment)
+        cell_deployment.placements[1] = cell_deployment.placements[0]
+        with pytest.raises(ValidationError, match="share hovering location"):
+            validate_cell_deployment(graph, fleet, cell_deployment)
+
+    def test_fractional_flow(self, cell_problem, cell_deployment):
+        from repro.network.deployment import CellDeployment
+        from repro.network.validate import validate_cell_deployment
+
+        arc = next(iter(cell_deployment.flows))
+        with pytest.raises(ValueError, match="fractional"):
+            CellDeployment(placements=dict(cell_deployment.placements),
+                           flows={arc: 1.5})
+        with pytest.raises(ValueError):
+            CellDeployment(placements=dict(cell_deployment.placements),
+                           flows={arc: True})
+        CellDeployment(placements=dict(cell_deployment.placements),
+                       flows={arc: np.int64(2)})
+        cell_deployment.flows[arc] = cell_deployment.flows[arc] - 0.5
+        with pytest.raises(ValidationError, match="whole number"):
+            validate_cell_deployment(cell_problem.graph, cell_problem.fleet,
+                                     cell_deployment)
+
+    def test_non_positive_flow(self, cell_problem, cell_deployment):
+        from repro.network.deployment import CellDeployment
+        from repro.network.validate import validate_cell_deployment
+
+        arc = next(iter(cell_deployment.flows))
+        for units in (0, -3):
+            with pytest.raises(ValueError, match="non-positive"):
+                CellDeployment(placements=dict(cell_deployment.placements),
+                               flows={arc: units})
+        cell_deployment.flows[arc] = -3
+        with pytest.raises(ValidationError, match="whole number"):
+            validate_cell_deployment(cell_problem.graph, cell_problem.fleet,
+                                     cell_deployment)
