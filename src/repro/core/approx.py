@@ -139,19 +139,28 @@ def _check_integer(value: object, name: str) -> None:
         raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
-def _anchor_pool(
-    problem: ProblemInstance,
-    anchor_candidates: "list | None",
-    max_anchor_candidates: "int | None",
-    s: int,
-) -> list:
-    """The locations anchors may be drawn from."""
+def _check_pool_room(max_anchor_candidates: "int | None", s: int) -> None:
+    """Reject an anchor pool cap below ``s``."""
     if max_anchor_candidates is not None and max_anchor_candidates < s:
         raise ValueError(
             f"max_anchor_candidates = {max_anchor_candidates} is smaller "
             f"than s = {s}: the restricted anchor pool could never host an "
             "anchor subset; raise max_anchor_candidates or lower s"
         )
+
+
+def _anchor_pool(
+    problem: ProblemInstance,
+    anchor_candidates: "list | None",
+    max_anchor_candidates: "int | None",
+    s: int,
+    context: "SolverContext | None" = None,
+) -> list:
+    """The locations anchors may be drawn from.  A capped pool keeps the
+    locations that cover the most (demand-weighted) users under the
+    largest-capacity UAV's radio, ties to lower index; the counts are
+    ``context``'s, built here when none is given."""
+    _check_pool_room(max_anchor_candidates, s)
     if anchor_candidates is not None:
         pool = sorted({int(v) for v in anchor_candidates})
         for v in pool:
@@ -160,12 +169,12 @@ def _anchor_pool(
     else:
         pool = list(range(problem.num_locations))
     if max_anchor_candidates is not None and len(pool) > max_anchor_candidates:
-        # Keep the locations that can cover the most users (evaluated with
-        # the largest-capacity UAV's radio), ties to lower index.
-        strongest = problem.fleet[problem.capacity_order()[0]]
-        graph = problem.graph
-        pool.sort(key=lambda v: (-graph.coverage_weight(v, strongest), v))
-        pool = sorted(pool[:max_anchor_candidates])
+        if context is None:
+            context = SolverContext.from_problem(problem)
+        counts = context.counts_for_uav(problem.capacity_order()[0])
+        pool = np.array(pool, dtype=np.int64)
+        ranked = pool[np.lexsort((pool, -counts[pool].astype(np.int64)))]
+        pool = sorted(ranked[:max_anchor_candidates].tolist())
     return pool
 
 
@@ -613,16 +622,8 @@ def appro_alg(
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     s = min(s, problem.num_uavs)
-    pool = _anchor_pool(problem, anchor_candidates, max_anchor_candidates, s)
-    if len(pool) < s:
-        raise ValueError(
-            f"anchor pool of {len(pool)} locations cannot host s = {s} anchors"
-        )
-
-    obs.counter_inc("approx.runs")
-    order = problem.capacity_order()
+    _check_pool_room(max_anchor_candidates, s)
     stats = ApproxStats(workers=workers)
-    plan = optimal_segments(problem.num_uavs, s)
     if context is None:
         with obs.span("approx.context_build"):
             context = SolverContext.from_problem(problem)
@@ -633,6 +634,17 @@ def appro_alg(
             f"(context: {context.num_locations} locations, "
             f"{context.num_users} users, {context.num_uavs} UAVs)"
         )
+    pool = _anchor_pool(
+        problem, anchor_candidates, max_anchor_candidates, s, context
+    )
+    if len(pool) < s:
+        raise ValueError(
+            f"anchor pool of {len(pool)} locations cannot host s = {s} anchors"
+        )
+
+    obs.counter_inc("approx.runs")
+    order = problem.capacity_order()
+    plan = optimal_segments(problem.num_uavs, s)
 
     eval_kw = dict(
         inner=inner, gain_mode=gain_mode, augment_leftover=augment_leftover

@@ -67,7 +67,7 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.util.bits import drop_bit, popcount_rows
+from repro.util.bits import drop_bit, drop_row, popcount_rows
 
 # Bit-reversal per byte: maps the little-endian bytes of an LSB-first
 # integer bitset onto numpy's MSB-first packbits layout.
@@ -457,8 +457,8 @@ class IncrementalAssignment:
         self._assigned_int = drop_bit(self._assigned_int, user)
         self._cover_ints = [drop_bit(bits, user) for bits in self._cover_ints]
         self._slot_ints = [drop_bit(bits, user) for bits in self._slot_ints]
-        self._assigned_id = np.delete(self._assigned_id, user)
-        self._assigned_mask = np.delete(self._assigned_mask, user)
+        self._assigned_id = drop_row(self._assigned_id, user)
+        self._assigned_mask = drop_row(self._assigned_mask, user)
         self.num_users -= 1
         self._cover_int_cache.clear()
         if slot < 0:

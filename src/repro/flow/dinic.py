@@ -8,10 +8,12 @@ O(E sqrt(V)) on unit-capacity bipartite networks, which is the regime here.
 Each phase finds the BFS levels with a numpy frontier sweep over the
 residual arcs, keeps the level-graph arcs that lie on some source-sink
 path, and pushes a blocking flow by DFS over those arcs alone.  The DFS
-scans a node's arcs in arc-id order with one resume pointer per node,
-so the flow it leaves is the flow of the textbook loop that scans every
-arc and walks into dead ends: an arc into a dead end, or not in the
-level graph, would push nothing there.
+keeps its path on an explicit stack, so an augmenting path may be longer
+than the interpreter's recursion limit.  It scans a node's arcs in
+arc-id order with one resume pointer per node, so the flow it leaves is
+the flow of the textbook loop that scans every arc and walks into dead
+ends: an arc into a dead end, or not in the level graph, would push
+nothing there.
 """
 
 from __future__ import annotations
@@ -175,6 +177,62 @@ class Dinic:
         end = np.cumsum(counts)
         return live[at].tolist(), (end - counts).tolist(), end.tolist()
 
+    def _push(self, source: int, sink: int, limit: int, arcs: list,
+              it: list, end: list, moved: list) -> int:
+        """One blocking-flow push from ``source``: the units a recursive
+        ``push(u, limit)`` would move, walked on an explicit stack so the
+        depth of an augmenting path is not bounded by the interpreter's
+        recursion limit.
+
+        ``push(u, limit)`` scans ``u``'s level arcs from its resume
+        pointer ``it[u]``; an arc with room pushes
+        ``min(limit - pushed, room)`` into its head (the sink takes all
+        of it), updates the residuals and records the arc in ``moved``.
+        ``u`` returns once it has pushed ``limit`` (resuming at the same
+        arc next time) or has run out of arcs."""
+        cap, head = self._cap, self._head
+        # The frames below the current node ``u``: (node, arc index,
+        # limit, units pushed so far).
+        path: list = []
+        enter, leave = path.append, path.pop
+        u, i, total = source, it[source], 0
+        while True:
+            stop = end[u]
+            while i < stop and cap[arcs[i]] <= 0:
+                i += 1
+            if i < stop:
+                arc = arcs[i]
+                want = limit - total
+                if cap[arc] < want:
+                    want = cap[arc]
+                v = head[arc]
+                if v != sink:
+                    enter((u, i, limit, total))
+                    u, i, limit, total = v, it[v], want, 0
+                    continue
+                back = want
+            else:
+                it[u] = i
+                if not path:
+                    return total
+                back = total
+                u, i, limit, total = leave()
+            # ``back`` units went through ``u``'s arc ``arcs[i]``.
+            while back > 0:
+                arc = arcs[i]
+                cap[arc] -= back
+                cap[arc ^ 1] += back
+                moved.append(arc)
+                total += back
+                if total < limit:
+                    break
+                it[u] = i
+                if not path:
+                    return total
+                back = total
+                u, i, limit, total = leave()
+            i += 1
+
     def max_flow(self, source: int, sink: int) -> int:
         """Compute the max flow value from ``source`` to ``sink``."""
         if source == sink:
@@ -182,7 +240,6 @@ class Dinic:
         total = 0
         inf = 1 << 60
         cap = self._cap
-        head = self._head
         cap_now = self._residual_array()
         while True:
             live, tail, head_now = self._live()
@@ -192,31 +249,8 @@ class Dinic:
             arcs, it, end = self._level_arcs(level, sink, live, tail,
                                              head_now)
             moved: list = []
-
-            def push(u: int, limit: int) -> int:
-                if u == sink:
-                    return limit
-                i, stop, pushed_total = it[u], end[u], 0
-                while i < stop:
-                    arc = arcs[i]
-                    room = cap[arc]
-                    if room > 0:
-                        pushed = push(head[arc],
-                                      min(limit - pushed_total, room))
-                        if pushed > 0:
-                            cap[arc] -= pushed
-                            cap[arc ^ 1] += pushed
-                            moved.append(arc)
-                            pushed_total += pushed
-                            if pushed_total == limit:
-                                it[u] = i
-                                return pushed_total
-                    i += 1
-                it[u] = i
-                return pushed_total
-
             while True:
-                pushed = push(source, inf)
+                pushed = self._push(source, sink, inf, arcs, it, end, moved)
                 if pushed == 0:
                     break
                 total += pushed

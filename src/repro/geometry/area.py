@@ -12,6 +12,9 @@ from dataclasses import dataclass, field
 
 from repro.geometry.point import Point2D, Point3D
 
+#: Default airspace ceiling ``gamma`` (metres, paper: 500).
+AIRSPACE_CEILING_M = 500.0
+
 
 @dataclass(frozen=True)
 class DisasterArea:
@@ -28,7 +31,7 @@ class DisasterArea:
 
     length: float
     width: float
-    height: float = 500.0
+    height: float = AIRSPACE_CEILING_M
 
     def __post_init__(self) -> None:
         if self.length <= 0 or self.width <= 0 or self.height <= 0:

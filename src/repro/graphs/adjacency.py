@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 
 class Graph:
     """Undirected simple graph with optional edge weights."""
@@ -19,6 +21,10 @@ class Graph:
         self._adj: list = [[] for _ in range(num_nodes)]
         self._weights: dict = {}
         self._num_edges = 0
+        #: Shortest hop paths keyed ``(source, target)``, filled by
+        #: :func:`repro.graphs.steiner.steiner_connect`; an edge insert
+        #: clears it.
+        self.path_memo: dict = {}
 
     @classmethod
     def from_edges(
@@ -33,6 +39,52 @@ class Graph:
             else:
                 u, v = edge[0], edge[1]
                 g.add_edge(u, v)
+        return g
+
+    @classmethod
+    def from_arrays(cls, num_nodes: int, us, vs,
+                    weights: "float | Iterable" = 1.0) -> "Graph":
+        """The graph repeated :meth:`add_edge` calls over the edges
+        ``(us[i], vs[i])`` in order would build: each node lists its
+        neighbours in edge order, and the weights (a scalar for every
+        edge, or one per edge) keep that insertion order.  Node ranges
+        and self-loops are checked over the whole arrays, a repeated edge
+        by the weight table's size, not edge by edge."""
+        g = cls(num_nodes)
+        us = np.asarray(us, dtype=np.int64).ravel()
+        vs = np.asarray(vs, dtype=np.int64).ravel()
+        if us.size != vs.size:
+            raise ValueError("us and vs differ in length")
+        if not us.size:
+            return g
+        lo, hi = min(us.min(), vs.min()), max(us.max(), vs.max())
+        if lo < 0 or hi >= num_nodes:
+            raise IndexError(
+                f"node {lo if lo < 0 else hi} outside [0, {num_nodes})"
+            )
+        if (us == vs).any():
+            raise ValueError(
+                f"self-loop on node {us[np.argmax(us == vs)]} not allowed"
+            )
+        # Edge i adds arc us[i] -> vs[i] and then vs[i] -> us[i]; a
+        # stable sort by tail leaves each node's arcs in edge order.
+        tails = np.column_stack((us, vs)).ravel()
+        heads = np.column_stack((vs, us)).ravel()
+        heads = heads[np.argsort(tails, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(tails, minlength=num_nodes)).tolist()
+        g._adj = [heads[a:b] for a, b in zip([0] + ends[:-1], ends)]
+        keys = zip(np.minimum(us, vs).tolist(), np.maximum(us, vs).tolist())
+        if isinstance(weights, (int, float)):
+            g._weights = dict.fromkeys(keys, weights)
+        else:
+            weights = (weights.tolist() if isinstance(weights, np.ndarray)
+                       else list(weights))
+            if len(weights) != us.size:
+                raise ValueError("weights and edges differ in length")
+            g._weights = dict(zip(keys, weights))
+        if len(g._weights) != us.size:
+            raise ValueError("an edge is present more than once")
+        g._num_edges = int(us.size)
         return g
 
     @property
@@ -60,6 +112,7 @@ class Graph:
         self._adj[v].append(u)
         self._weights[(min(u, v), max(u, v))] = weight
         self._num_edges += 1
+        self.path_memo.clear()
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_node(u)

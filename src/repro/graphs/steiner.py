@@ -28,6 +28,11 @@ def steiner_connect(
     the list of terminal pairs that were joined, as
     ``(terminal_u, terminal_v, path)`` with ``path`` the node list used.
 
+    Each MST edge's path is memoised on ``graph``
+    (:attr:`~repro.graphs.adjacency.Graph.path_memo`, keyed by the
+    terminal pair): every caller sharing the graph reuses it, and callers
+    must treat the returned paths as read-only.
+
     ``hop_rows``, if given, is a callable ``node -> hop-distance row``
     replacing the per-terminal BFS (callers with a cached all-pairs hop
     matrix — e.g. :class:`repro.network.coverage.CoverageGraph` — pass
@@ -45,8 +50,8 @@ def steiner_connect(
         # Pairwise hop distances among terminals via one BFS per terminal.
         rows = {t: bfs_hops(graph, t) for t in terms}
         hop_rows = rows.__getitem__
-    metric = Graph(len(terms))
-    for a in range(len(terms)):
+    pairs_a, pairs_b, hops = [], [], []
+    for a in range(len(terms) - 1):
         row = hop_rows(terms[a])
         for b in range(a + 1, len(terms)):
             d = row[terms[b]]
@@ -54,16 +59,25 @@ def steiner_connect(
                 raise ValueError(
                     f"terminals {terms[a]} and {terms[b]} are disconnected"
                 )
-            metric.add_edge(a, b, d)
+            pairs_a.append(a)
+            pairs_b.append(b)
+            hops.append(d)
+    metric = Graph.from_arrays(len(terms), pairs_a, pairs_b, hops)
 
     mst_edges = minimum_spanning_tree(metric)
     nodes: set = set(terms)
     expanded = []
+    memo = graph.path_memo
     for a, b, _w in mst_edges:
         u, v = terms[a], terms[b]
-        path = shortest_hop_path(graph, u, v)
-        if path is None:  # cannot happen after the distance check above
-            raise AssertionError(f"no path between terminals {u} and {v}")
+        path = memo.get((u, v))
+        if path is None:
+            path = shortest_hop_path(graph, u, v)
+            if path is None:  # cannot happen after the distance check above
+                raise AssertionError(
+                    f"no path between terminals {u} and {v}"
+                )
+            memo[(u, v)] = path
         nodes.update(path)
         expanded.append((u, v, path))
     return nodes, expanded

@@ -29,7 +29,6 @@ from repro.channel.atg import AirToGroundChannel
 from repro.channel.constants import DEFAULT_BANDWIDTH_HZ
 from repro.channel.link import noise_power_dbm, shannon_rate_bps
 from repro.channel.presets import URBAN
-from repro.geometry.grid import SpatialHash
 from repro.geometry.point import Point3D
 from repro.graphs.adjacency import Graph
 from repro.graphs.bfs import (
@@ -42,7 +41,13 @@ from repro.graphs.bfs import (
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
 from repro.network.users import User, UserTable
-from repro.util.bits import pack_indices, pack_pairs
+from repro.util.bits import drop_row, pack_indices, pack_pairs
+
+
+def _no_pairs() -> tuple:
+    """The coverage kernel's ``(rows, cols, pathloss)`` with no pair."""
+    return (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+            np.zeros(0))
 
 
 class CoverageGraph:
@@ -104,18 +109,68 @@ class CoverageGraph:
         """The user columns as a :class:`UserTable` (shared arrays)."""
         return UserTable(self._user_xy, self._user_min_rate)
 
+    #: Relative half-width of the band around ``uav_range_m`` in which
+    #: :meth:`_build_location_graph` decides a pair by
+    #: :meth:`Point3D.distance_to` itself.  Its ``** 2`` is the C
+    #: library's ``pow``, which can differ from numpy's square by an ulp;
+    #: the distance then moves by a few ulps, far inside the band.
+    _RANGE_BAND = 1e-9
+
+    #: Location pairs per block of :meth:`_build_location_graph`, an
+    #: eighth of :attr:`_KERNEL_PAIRS`: each float temporary stays at
+    #: 64 KB, below the allocator's default ``mmap`` threshold (blocks
+    #: of :attr:`_KERNEL_PAIRS` raised ``dynamic-mission``'s peak RSS by
+    #: ~1%).
+    _GRAPH_PAIRS = 1 << 13
+
     def _build_location_graph(self) -> Graph:
-        graph = Graph(len(self.locations))
-        if not self.locations:
-            return graph
-        loc_hash = SpatialHash(
-            [p.ground() for p in self.locations], cell_size=self.uav_range_m
-        )
-        for j, loc in enumerate(self.locations):
-            for k in loc_hash.query_disc(loc.ground(), self.uav_range_m):
-                if k > j and self.locations[j].distance_to(self.locations[k]) <= self.uav_range_m:
-                    graph.add_edge(j, k)
-        return graph
+        """Edges between locations within ``uav_range_m`` in 3-D, in the
+        order a spatial hash with ``uav_range_m`` buckets finds them: for
+        each location ``j`` in turn, the higher-indexed ``k`` its disc
+        query returns, by bucket ``floor(x / R)``, then ``floor(y / R)``,
+        then index.  BFS breaks ties by this neighbour order.
+
+        One numpy pass per block of rows (at most :attr:`_GRAPH_PAIRS`
+        pairs) keeps the pairs the hash would return: ``k`` in a bucket
+        the query scans and ``dx*dx + dy*dy <= R*R``.  Their 3-D distance
+        is then the same expression as :meth:`Point3D.distance_to`, with
+        the pairs within :attr:`_RANGE_BAND` of the range decided by
+        that method."""
+        m = self.num_locations
+        r = self.uav_range_m
+        x, y, z = self._loc_xyz.T
+        bx, by = np.floor(x / r), np.floor(y / r)
+        scan = (np.floor((x - r) / r), np.floor((x + r) / r),
+                np.floor((y - r) / r), np.floor((y + r) / r))
+        step = max(1, self._GRAPH_PAIRS // max(1, m))
+        found_j, found_k = [], []
+        for lo in range(0, m - 1, step):
+            hi = min(lo + step, m - 1)
+            dx = x[lo + 1:] - x[lo:hi, None]
+            dy = y[lo + 1:] - y[lo:hi, None]
+            kept = np.flatnonzero(dx * dx + dy * dy <= r * r)
+            row, col = np.divmod(kept, m - lo - 1)
+            j, k = lo + row, lo + 1 + col
+            hit = (k > j) & (bx[k] >= scan[0][j]) & (bx[k] <= scan[1][j]) \
+                & (by[k] >= scan[2][j]) & (by[k] <= scan[3][j])
+            j, k = j[hit], k[hit]
+            ddx, ddy, ddz = x[j] - x[k], y[j] - y[k], z[j] - z[k]
+            dist = np.sqrt(ddx * ddx + ddy * ddy + ddz * ddz)
+            inside = dist <= r
+            near = np.flatnonzero(np.abs(dist - r) <= self._RANGE_BAND * r)
+            if near.size:
+                locs = self.locations
+                inside[near] = [
+                    locs[a].distance_to(locs[b]) <= r
+                    for a, b in zip(j[near].tolist(), k[near].tolist())
+                ]
+            found_j.append(j[inside])
+            found_k.append(k[inside])
+        if not found_j:
+            return Graph(m)
+        j, k = np.concatenate(found_j), np.concatenate(found_k)
+        order = np.lexsort((k, by[k], bx[k], j))
+        return Graph.from_arrays(m, j[order], k[order])
 
     # -- incremental user updates -------------------------------------------
     #
@@ -164,8 +219,8 @@ class CoverageGraph:
         """Delete user ``index``: one row out of the user columns, later
         users shift down by one.  Drops the coverage cache like
         :meth:`replace_users`."""
-        self._user_xy = np.delete(self._user_xy, index, axis=0)
-        self._user_min_rate = np.delete(self._user_min_rate, index)
+        self._user_xy = drop_row(self._user_xy, index)
+        self._user_min_rate = drop_row(self._user_min_rate, index)
         if self._users is not None:
             del self._users[index]
         self._coverage_cache = {}
@@ -261,15 +316,16 @@ class CoverageGraph:
         locations: ``(rows, cols, pathloss)`` for every (location, user)
         pair whose padded 3-D distance is within ``range_m``.
 
-        Per altitude layer (the vectorised path loss takes a scalar
-        altitude) and in chunks of :attr:`_KERNEL_PAIRS`, a squared
-        ground-distance prefilter keeps the pairs within the layer's
-        ground reach ``sqrt(range² - alt²)`` plus a slack, less the pad;
-        a layer above ``range_m`` is skipped whole.  The padded ground
-        distance, the 3-D range test and the path loss then run on the
-        kept pairs only, as the same elementwise expressions a dense
-        pass would evaluate.  Pairs come out grouped by layer,
-        location-major.
+        A squared ground-distance prefilter, in chunks of
+        :attr:`_KERNEL_PAIRS` over the locations of every layer at or
+        below ``range_m`` (a higher layer is skipped whole), keeps the
+        pairs within the lowest such layer's ground reach
+        ``sqrt(range² - alt²)`` plus a slack, less the pad: a superset of
+        every layer's pairs.  Per altitude layer (the vectorised path
+        loss takes a scalar altitude), the padded ground distance, the
+        3-D range test and the path loss then run on the kept pairs
+        only, as the same elementwise expressions a dense pass would
+        evaluate.  Pairs come out grouped by layer, location-major.
 
         ``users`` restricts the kernel to a block of user indices (the
         mission's arrival update); ``cols`` stay global user indices."""
@@ -279,45 +335,56 @@ class CoverageGraph:
             pad, user_xy = pad[users], user_xy[users]
         n = len(user_xy)
         ux, uy = user_xy[:, 0], user_xy[:, 1]
-        step = max(1, self._KERNEL_PAIRS // max(1, n))
         xyz = self._loc_xyz[loc_index]
-        rows_max = min(step, len(loc_index))
+        alts = sorted(alt for alt in set(xyz[:, 2].tolist()) if alt <= range_m)
+        if not alts:
+            return _no_pairs()
+        reach = (math.sqrt(max(range_m * range_m - alts[0] * alts[0], 0.0))
+                 + self._PREFILTER_SLACK_M - pad)
+        limit = np.where(reach >= 0.0, reach * reach, -1.0)
+        low = np.flatnonzero(xyz[:, 2] <= range_m)
+        step = max(1, self._KERNEL_PAIRS // max(1, n))
+        rows_max = min(step, low.size)
         d2_buf, dy2_buf = np.empty((2, rows_max, n))
         kept_buf = np.empty((rows_max, n), dtype=bool)
+        found_at, found_c = [], []
+        for lo in range(0, low.size, step):
+            block = low[lo:lo + step]
+            d2, dy2 = d2_buf[:block.size], dy2_buf[:block.size]
+            np.subtract(ux, xyz[block, 0, None], out=d2)
+            np.multiply(d2, d2, out=d2)
+            np.subtract(uy, xyz[block, 1, None], out=dy2)
+            np.multiply(dy2, dy2, out=dy2)
+            kept = np.flatnonzero(np.less_equal(
+                np.add(d2, dy2, out=d2), limit, out=kept_buf[:block.size]
+            ))
+            r = kept // n
+            found_at.append(block[r])
+            found_c.append(kept - r * n)
+        at_all = np.concatenate(found_at)
+        c_all = np.concatenate(found_c)
+        z = xyz[at_all, 2] if len(alts) > 1 else None
         parts = []
-        for alt in sorted(set(xyz[:, 2].tolist())):
-            if range_m < alt:
+        for alt in alts:
+            if z is None:
+                at, c = at_all, c_all
+            else:
+                sel = np.flatnonzero(z == alt)
+                at, c = at_all[sel], c_all[sel]
+            if not at.size:
                 continue
-            reach = (math.sqrt(max(range_m * range_m - alt * alt, 0.0))
-                     + self._PREFILTER_SLACK_M - pad)
-            limit = np.where(reach >= 0.0, reach * reach, -1.0)
-            layer = np.flatnonzero(xyz[:, 2] == alt)
-            for lo in range(0, layer.size, step):
-                block = layer[lo:lo + step]
-                d2, dy2 = d2_buf[:block.size], dy2_buf[:block.size]
-                np.subtract(ux, xyz[block, 0, None], out=d2)
-                np.multiply(d2, d2, out=d2)
-                np.subtract(uy, xyz[block, 1, None], out=dy2)
-                np.multiply(dy2, dy2, out=dy2)
-                kept = np.flatnonzero(np.less_equal(
-                    np.add(d2, dy2, out=d2), limit, out=kept_buf[:block.size]
-                ))
-                r = kept // n
-                c = kept - r * n
-                at = block[r]
-                horiz = np.hypot(ux[c] - xyz[at, 0], uy[c] - xyz[at, 1]) \
-                    + pad[c]
-                inside = np.hypot(horiz, alt) <= range_m
-                at, c, horiz = at[inside], c[inside], horiz[inside]
-                parts.append((
-                    loc_index[at], c if users is None else users[c],
-                    self.channel.pathloss_vector_db(horiz, alt),
-                ))
+            horiz = np.hypot(ux[c] - xyz[at, 0], uy[c] - xyz[at, 1]) + pad[c]
+            inside = np.hypot(horiz, alt) <= range_m
+            at, c, horiz = at[inside], c[inside], horiz[inside]
+            parts.append((
+                loc_index[at], c if users is None else users[c],
+                self.channel.pathloss_vector_db(horiz, alt),
+            ))
         if len(parts) == 1:
             return parts[0]
-        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                 np.zeros(0))
-        return tuple(np.concatenate(field) for field in zip(empty, *parts))
+        return tuple(
+            np.concatenate(field) for field in zip(_no_pairs(), *parts)
+        )
 
     #: Half-width (dB) of the band around a user's SNR floor in which
     #: :meth:`_rate_ok` evaluates the rate expression itself.  The float
@@ -343,34 +410,47 @@ class CoverageGraph:
             self._coverage_cache["snr-floor"] = floor
         return floor
 
-    def _rate_ok(self, cols: np.ndarray, loss: np.ndarray, uav: UAV,
+    @staticmethod
+    def _eirp(radio: "UAV | float | np.ndarray") -> "float | np.ndarray":
+        """EIRP (dBm) for the rate test: a :class:`UAV`'s transmit power
+        plus antenna gain, or a given EIRP (a scalar, or one per pair)."""
+        if isinstance(radio, UAV):
+            return radio.tx_power_dbm + radio.antenna_gain_db
+        return radio
+
+    def _rate_ok(self, cols: np.ndarray, loss: np.ndarray,
+                 radio: "UAV | float | np.ndarray",
                  need: "np.ndarray | None" = None) -> np.ndarray:
         """The rate half of the kernel: whether each in-range pair's
-        Shannon rate under ``uav``'s radio meets its user's minimum.
+        Shannon rate under ``radio`` (a UAV, or an EIRP per pair, see
+        :meth:`_eirp`) meets its user's minimum.
 
         The rate is monotone in the SNR, so a pair passes exactly when
         ``loss + floor`` (``need``, per pair; computed when not given) is
-        at most the radio's EIRP less the noise, ``floor`` being the
-        user's :meth:`_snr_floor_db`.  Pairs further than
-        :attr:`_SNR_BAND_DB` from that line are decided by the
-        comparison; the others, and users without a floor, by the rate
-        expression itself (:meth:`_rate_meets`), so the answer is that
-        expression's on every pair."""
+        at most the EIRP less the noise, ``floor`` being the user's
+        :meth:`_snr_floor_db`.  Pairs further than :attr:`_SNR_BAND_DB`
+        from that line are decided by the comparison; the others, and
+        users without a floor, by the rate expression itself
+        (:meth:`_rate_meets`), so the answer is that expression's on
+        every pair."""
+        eirp = self._eirp(radio)
         if need is None:
             need = loss + self._snr_floor_db()[cols]
         with np.errstate(invalid="ignore"):
-            gap = need - (uav.tx_power_dbm + uav.antenna_gain_db
-                          - self.noise_dbm)
+            gap = need - (eirp - self.noise_dbm)
             ok = gap < -self._SNR_BAND_DB
             unsure = ~(np.abs(gap) > self._SNR_BAND_DB)
         if unsure.any():
-            ok[unsure] = self._rate_meets(cols[unsure], loss[unsure], uav)
+            ok[unsure] = self._rate_meets(
+                cols[unsure], loss[unsure],
+                eirp[unsure] if isinstance(eirp, np.ndarray) else eirp,
+            )
         return ok
 
     def _rate_meets(self, cols: np.ndarray, loss: np.ndarray,
-                    uav: UAV) -> np.ndarray:
+                    radio: "UAV | float | np.ndarray") -> np.ndarray:
         """The Shannon rate test itself, pair by pair."""
-        snr_db = uav.tx_power_dbm + uav.antenna_gain_db - loss - self.noise_dbm
+        snr_db = self._eirp(radio) - loss - self.noise_dbm
         rates = self.bandwidth_hz * np.log2(1.0 + 10.0 ** (snr_db / 10.0))
         return rates >= self._user_min_rate[cols]
 
@@ -379,20 +459,39 @@ class CoverageGraph:
         """Covered user indices (sorted int64 arrays) for each
         ``(location, uav)`` station, optionally only among the user block
         ``users``: one kernel call per distinct radio range over the
-        stations' locations, then each station's rate test."""
+        stations' locations, then one rate test over every (station,
+        in-range pair of its location) match, each with its station's
+        EIRP."""
         by_range: dict = {}
         for i, (_, uav) in enumerate(stations):
             by_range.setdefault(uav.user_range_m, []).append(i)
         covers: list = [None] * len(stations)
         for range_m, members in by_range.items():
+            at = np.array([stations[i][0] for i in members], dtype=np.int64)
+            eirp = np.array([self._eirp(stations[i][1]) for i in members])
             locs = np.array(sorted({stations[i][0] for i in members}),
                             dtype=np.int64)
             rows, cols, loss = self._in_range(locs, range_m, users)
-            for i in members:
-                loc, uav = stations[i]
-                here = rows == loc
-                found = cols[here]
-                covers[i] = found[self._rate_ok(found, loss[here], uav)]
+            if not rows.size:
+                for i in members:
+                    covers[i] = cols
+                continue
+            # A location's pairs, in kernel order, are one run of the
+            # stably sorted rows.
+            order = np.argsort(rows, kind="stable")
+            ranked = rows[order]
+            start = np.searchsorted(ranked, at, side="left")
+            count = np.searchsorted(ranked, at, side="right") - start
+            member = np.repeat(np.arange(at.size), count)
+            first = np.cumsum(count) - count
+            pair = order[start[member] + np.arange(member.size)
+                         - first[member]]
+            ok = self._rate_ok(cols[pair], loss[pair], eirp[member])
+            found = cols[pair[ok]]
+            ends = np.cumsum(np.bincount(member[ok], minlength=at.size))
+            for i, lo, hi in zip(members, [0, *ends[:-1].tolist()],
+                                 ends.tolist()):
+                covers[i] = found[lo:hi]
         return covers
 
     # -- coverage sets -------------------------------------------------------

@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro.channel.presets import ENVIRONMENTS
 from repro.core.problem import ProblemInstance
+from repro.geometry.area import AIRSPACE_CEILING_M
 from repro.util.rng import derive_seed
 from repro.workload.fat_tailed import FatTailedWorkload
 from repro.workload.scenarios import SCALES, ScenarioConfig, build_scenario
@@ -90,6 +91,17 @@ def _check_optional_number(value: object, name: str) -> None:
         isinstance(value, (int, float)) and not isinstance(value, bool)
         and value > 0,
         f"{name} must be a positive number, got {value!r}",
+    )
+
+
+def _check_optional_altitude(value: object, name: str) -> None:
+    """A hovering altitude inside the scenario airspace
+    ``(0, AIRSPACE_CEILING_M]``."""
+    _check_optional_number(value, name)
+    _require(
+        value is None or value <= AIRSPACE_CEILING_M,
+        f"{name} {value!r} is above the {AIRSPACE_CEILING_M:g} m airspace "
+        "ceiling",
     )
 
 
@@ -161,7 +173,7 @@ class ScenarioSpec:
         _check_optional_int(self.num_users, "num_users")
         _check_optional_int(self.num_uavs, "num_uavs")
         _check_optional_number(self.grid_side_m, "grid_side_m")
-        _check_optional_number(self.altitude_m, "altitude_m")
+        _check_optional_altitude(self.altitude_m, "altitude_m")
         _require(
             isinstance(self.altitude_layers_m, (tuple, list)),
             "altitude_layers_m must be a sequence of altitudes, got "
@@ -171,7 +183,7 @@ class ScenarioSpec:
             self, "altitude_layers_m", tuple(self.altitude_layers_m)
         )
         for altitude in self.altitude_layers_m:
-            _check_optional_number(altitude, "altitude_layers_m entry")
+            _check_optional_altitude(altitude, "altitude_layers_m entry")
         if self.environment is not None:
             _require(
                 self.environment in ENVIRONMENTS,

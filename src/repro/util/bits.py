@@ -74,3 +74,14 @@ def drop_bit(bits: int, index: int) -> int:
     """An integer bitset without bit ``index``; higher bits shift down one
     (the user-index shift after a departure)."""
     return (bits & ((1 << index) - 1)) | ((bits >> (index + 1)) << index)
+
+
+def drop_row(rows: np.ndarray, index: int) -> np.ndarray:
+    """``rows`` without row ``index``; later rows shift down one (the
+    array form of :func:`drop_bit`, ``np.delete`` along axis 0 without
+    its argument handling; a negative ``index`` counts from the end)."""
+    n = len(rows)
+    if not -n <= index < n:
+        raise IndexError(f"index {index} is out of bounds for {n} rows")
+    index %= n
+    return np.concatenate((rows[:index], rows[index + 1:]))

@@ -304,3 +304,59 @@ def test_paper_assignment_networks_match(seed):
         ours.add_edges(tails, heads, caps)
         assert ours.max_flow(0, sink) == reference.max_flow(0, sink)
         assert_same_residuals(ours, reference)
+
+
+def deep_network(seed: int, width: int, depth: int) -> tuple:
+    """A layered network ``depth`` layers deep and ``width`` wide, each
+    node linked to two random nodes of the next layer, plus random arcs
+    back to the same or an earlier layer: augmenting paths hundreds of
+    arcs long that branch and share arcs."""
+    rng = np.random.default_rng(seed)
+    n = 2 + width * depth
+    source, sink = 0, n - 1
+
+    def node(layer: int, i: int) -> int:
+        return 1 + layer * width + i
+
+    arcs = [(source, node(0, i)) for i in range(width)]
+    arcs += [(node(depth - 1, i), sink) for i in range(width)]
+    for layer in range(depth - 1):
+        for i in range(width):
+            for j in rng.choice(width, size=2, replace=False).tolist():
+                arcs.append((node(layer, i), node(layer + 1, j)))
+    for _ in range(width * depth // 3):
+        a, b = sorted(rng.integers(0, depth, size=2).tolist(), reverse=True)
+        arcs.append((node(a, int(rng.integers(width))),
+                     node(b, int(rng.integers(width)))))
+    tails, heads = (np.array(side) for side in zip(*arcs))
+    caps = rng.integers(1, 4, size=len(arcs))
+    return n, source, sink, tails, heads, caps
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_deep_networks_match(seed):
+    """Pushes hundreds of levels deep, still within the recursive
+    reference's reach."""
+    n, source, sink, tails, heads, caps = deep_network(seed, 3, 200)
+    reference = reference_network(n, tails, heads, caps)
+    ours = Dinic(n)
+    ours.add_edges(tails, heads, caps)
+    want = reference.max_flow(source, sink)
+    assert want > 0
+    assert ours.max_flow(source, sink) == want
+    assert_same_residuals(ours, reference)
+
+
+def test_ten_thousand_node_chain():
+    """A 10^4-node chain: one augmenting path longer than the
+    interpreter's recursion limit.  The flow is the chain's bottleneck
+    and every arc carries it."""
+    n = 10_000
+    rng = np.random.default_rng(3)
+    caps = rng.integers(5, 50, size=n - 1)
+    caps[n // 2] = 4
+    ours = Dinic(n)
+    ids = ours.add_edges(np.arange(n - 1), np.arange(1, n), caps)
+    assert ours.max_flow(0, n - 1) == 4
+    np.testing.assert_array_equal(ours.flows_on(ids), np.full(n - 1, 4))
+    assert ours.min_cut_reachable(0) == set(range(n // 2 + 1))

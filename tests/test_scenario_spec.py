@@ -262,3 +262,31 @@ class TestPresets:
 
     def test_presets_cover_all_scales(self):
         assert {p.scale for p in PRESETS.values()} == set(SCALES)
+
+
+class TestAirspace:
+    """Hovering altitudes outside the scenario airspace ``(0, 500] m``
+    fail validation naming the field, before anything is built."""
+
+    @pytest.mark.parametrize("value", [1e6, 500.5, float("inf")])
+    def test_altitude_above_the_ceiling_rejected(self, value):
+        with pytest.raises(SpecError, match="altitude_m .* ceiling"):
+            ScenarioSpec(altitude_m=value)
+
+    def test_layer_above_the_ceiling_rejected(self):
+        with pytest.raises(SpecError, match="altitude_layers_m entry"):
+            ScenarioSpec(altitude_layers_m=(200.0, 1e6))
+
+    def test_dynamic_and_json_specs_rejected(self):
+        with pytest.raises(SpecError, match="altitude_m"):
+            DynamicSpec(altitude_m=1e6)
+        text = ScenarioSpec(scale="small").to_json().replace(
+            '"altitude_m": null', '"altitude_m": 1000000.0'
+        )
+        assert "1000000.0" in text
+        with pytest.raises(SpecError, match="altitude_m"):
+            ScenarioSpec.from_json(text)
+
+    def test_altitude_at_the_ceiling_builds(self):
+        problem = ScenarioSpec(scale="small", altitude_m=500.0).build()
+        assert {p.z for p in problem.graph.locations} == {500.0}
