@@ -3,9 +3,6 @@
 * capacity-range sweep — how the heterogeneity *spread* [C_min, C_max]
   affects served users at fixed mean capacity: the wider the spread, the
   more capacity-aware placement matters;
-* local-search polish — approAlg followed by connectivity-preserving
-  relocation hill-climbing (future-work flavour: how far from locally
-  optimal are Algorithm 2's solutions?);
 * interference audit — fraction of the SNR-planned service that survives
   a reuse-1 SINR recheck.
 """
@@ -14,16 +11,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines.random_connected import random_connected
 from repro.channel.interference import audit_interference
 from repro.core.approx import appro_alg
-from repro.core.local_search import local_search
 from repro.core.problem import ProblemInstance
 from repro.network.fleet import heterogeneous_fleet
 from repro.workload.scenarios import paper_scenario
 
 TITLE_CAP = "Capacity-spread sweep - served users (n=2000, K=12, mean C=175)"
-TITLE_LS = "Local-search polish - served users (n=1500, K=10)"
+TITLE_SINR = "Interference audit - reuse-1 SINR survival (n=1500, K=10)"
 
 CAPACITY_RANGES = ((175, 175), (125, 225), (50, 300))
 
@@ -48,31 +43,6 @@ def test_capacity_spread(benchmark, figure_report, scenario_cache, cap_range):
     assert result.served > 0
 
 
-@pytest.mark.parametrize("start", ("approAlg", "random"))
-def test_local_search_polish(benchmark, figure_report, scenario_cache, start):
-    problem = scenario_cache(1500, 10, seed=31)
-    if start == "approAlg":
-        initial = appro_alg(problem, s=2, gain_mode="fast",
-                            max_anchor_candidates=8).deployment
-    else:
-        initial = random_connected(problem, seed=31)
-
-    polished = benchmark.pedantic(
-        lambda: local_search(problem, initial, max_rounds=5),
-        rounds=1,
-        iterations=1,
-    )
-    figure_report.record(
-        "extended-ls", TITLE_LS, f"{start}: before", "served",
-        initial.served_count, 0.0,
-    )
-    figure_report.record(
-        "extended-ls", TITLE_LS, f"{start}: after LS", "served",
-        polished.served, round(benchmark.stats.stats.mean, 3),
-    )
-    assert polished.served >= initial.served_count
-
-
 def test_interference_audit(benchmark, figure_report, scenario_cache):
     problem = scenario_cache(1500, 10, seed=31)
     deployment = appro_alg(problem, s=2, gain_mode="fast",
@@ -84,7 +54,7 @@ def test_interference_audit(benchmark, figure_report, scenario_cache):
         iterations=1,
     )
     figure_report.record(
-        "extended-ls", TITLE_LS, "reuse-1 SINR survival %", "served",
+        "extended-sinr", TITLE_SINR, "reuse-1 SINR survival %", "served",
         round(100 * audit.survival_fraction, 1),
         round(audit.mean_sinr_loss_db, 1),
     )

@@ -1,20 +1,17 @@
-"""Mission operations: gateway link, endurance budget, user mobility.
+"""Mission operations: endurance budget, user mobility, single failures.
 
 Goes beyond the paper's one-shot placement into the operational questions
-its system model raises (Fig. 1 / Section II):
+its system model raises (Section II):
 
-1. the network must include a *gateway* UAV within range of the emergency
-   communication vehicle — we retrofit that constraint;
-2. batteries are finite — how long can the network stay aloft?
-3. trapped users move — how fast does a stale deployment decay, and how
+1. batteries are finite — how long can the network stay aloft?
+2. trapped users move — how fast does a stale deployment decay, and how
    much does periodic re-deployment (Section II-C) recover?
+3. UAVs fail — which single failure hurts most?
 
 Run:  python examples/mission_operations.py
 """
 
 from repro import appro_alg, paper_scenario
-from repro.core.gateway import Gateway, appro_alg_with_gateway, has_gateway_link
-from repro.geometry.point import Point2D
 from repro.network.energy import EnergyModel, fleet_endurance_s, mission_endurance_s
 from repro.sim.mobility import GaussianWalk, compare_policies
 from repro.sim.render import ascii_map
@@ -25,15 +22,11 @@ def main() -> None:
     problem = paper_scenario(num_users=400, num_uavs=6, scale="small", seed=11)
     planner_kwargs = dict(s=2, gain_mode="fast")
 
-    # 1. Gateway: the emergency communication vehicle parks at the SW corner.
-    gateway = Gateway(position=Point2D(0.0, 0.0))
-    deployment = appro_alg_with_gateway(problem, gateway, **planner_kwargs)
-    assert deployment is not None, "gateway unreachable — move the vehicle"
-    print("deployment with gateway link "
-          f"(linked: {has_gateway_link(problem, deployment, gateway)}):\n")
+    deployment = appro_alg(problem, **planner_kwargs).deployment
+    print("deployment:\n")
     print(ascii_map(problem, deployment, cols=45, rows=12))
 
-    # 2. Endurance: who lands first?
+    # 1. Endurance: who lands first?
     model = EnergyModel()
     per_uav = fleet_endurance_s(problem.fleet, deployment, model)
     rows = [
@@ -49,7 +42,7 @@ def main() -> None:
     print(f"\nnetwork endurance (first battery empty): {mission_min:.0f} min "
           "- plan battery swaps accordingly.")
 
-    # 3. Mobility: stale vs periodically refreshed placement.
+    # 2. Mobility: stale vs periodically refreshed placement.
     stale, refreshed = compare_policies(
         problem,
         planner=lambda p: appro_alg(p, **planner_kwargs).deployment,
@@ -73,7 +66,7 @@ def main() -> None:
         f"({refreshed.redeploys - 1} re-deployments)"
     )
 
-    # 4. Resilience: which single UAV failure hurts most?
+    # 3. Resilience: which single UAV failure hurts most?
     from repro.network.resilience import single_failure_impacts
 
     impacts = single_failure_impacts(problem, deployment)

@@ -7,8 +7,6 @@ from repro.core.approx import ApproxResult, ApproxStats, appro_alg
 from repro.core.assignment import optimal_assignment
 from repro.core.context import SolverContext
 from repro.core.exact import exact_optimum
-from repro.core.gateway import Gateway, appro_alg_with_gateway, ensure_gateway
-from repro.core.local_search import LocalSearchResult, local_search
 from repro.core.problem import ProblemInstance
 from repro.core.ratio import approximation_ratio, l1_of
 from repro.core.segments import (
@@ -26,11 +24,6 @@ __all__ = [
     "appro_alg",
     "optimal_assignment",
     "exact_optimum",
-    "Gateway",
-    "appro_alg_with_gateway",
-    "ensure_gateway",
-    "LocalSearchResult",
-    "local_search",
     "ProblemInstance",
     "approximation_ratio",
     "l1_of",

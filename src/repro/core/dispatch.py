@@ -8,7 +8,9 @@ to the serial loop:
 
 * a chunk whose future fails (worker death → ``BrokenProcessPool``, or
   an in-worker exception) is **re-dispatched**, with the pool respawned
-  after an exponential backoff when it broke;
+  after an exponential backoff when it broke; so is a chunk whose
+  ``submit`` finds the pool already broken by a worker that died since
+  the last wait;
 * chunks lost as innocent bystanders of a pool breakage are
   re-dispatched too (the executor cannot tell which in-flight chunk
   killed it, so every in-flight chunk pays one attempt — conservative
@@ -181,32 +183,37 @@ class ChunkDispatcher:
             while queue or futures:
                 # Drain the queue: quarantine over-budget chunks, submit
                 # the rest to a (possibly fresh) pool.
-                while queue:
-                    chunk_id, args, attempt = queue[0]
+                broken = False
+                while queue and not broken:
+                    chunk_id, args, attempt = queue.popleft()
                     if attempt >= self.policy.max_attempts:
-                        queue.popleft()
                         self.stats.chunks_quarantined += 1
                         obs.counter_inc("dispatch.chunks_quarantined")
                         finish(chunk_id, serial_eval(chunk_id, args))
                         continue
                     if executor is None:
                         executor = self._spawn()
-                    queue.popleft()
                     if attempt > 0:
                         self.stats.chunks_redispatched += 1
                         obs.counter_inc("dispatch.chunks_redispatched")
                     if on_submit is not None:
                         on_submit(chunk_id, attempt)
-                    future = executor.submit(
-                        self.chunk_fn, chunk_id, *args, attempt
-                    )
-                    futures[future] = (chunk_id, args, attempt)
-                if not futures:
+                    try:
+                        future = executor.submit(
+                            self.chunk_fn, chunk_id, *args, attempt
+                        )
+                    except BrokenExecutor:
+                        # A worker died since the last wait: the chunk
+                        # never ran.  Respawn below, like a broken future.
+                        broken = True
+                        queue.append((chunk_id, args, attempt + 1))
+                    else:
+                        futures[future] = (chunk_id, args, attempt)
+                if not (futures or broken):
                     continue
-                finished, _ = wait(
+                finished = () if broken else wait(
                     set(futures), return_when=FIRST_COMPLETED
-                )
-                broken = False
+                )[0]
                 for future in finished:
                     chunk_id, args, attempt = futures.pop(future)
                     try:

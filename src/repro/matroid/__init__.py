@@ -1,24 +1,17 @@
-"""Matroids and submodular maximisation (Sections II-E, III-B, III-C).
+"""The hop-counting matroid ``M2`` (Section III-C).
 
 The proposed algorithm maximises a monotone submodular coverage function
 subject to the intersection of two matroids: the partition matroid ``M1``
 (each UAV deployed at most once) and the hop-counting matroid ``M2`` (node
 counts per hop distance from the anchor set bounded by ``Q_h``, Eq. 1).
-Fisher–Nemhauser–Wolsey greedy gives a 1/(ρ+1) = 1/3 approximation for
-ρ = 2 matroids.
+The solver's greedies (:mod:`repro.core.greedy`) enforce ``M1`` by
+construction and ``M2`` through :class:`IncrementalHopFilter`; the
+generic FNW greedy they specialise lives in ``tests/reference/fnw.py``.
 """
 
-from repro.matroid.base import Matroid
-from repro.matroid.hop import HopCountingMatroid
-from repro.matroid.intersection import independent_in_all
-from repro.matroid.partition import PartitionMatroid
-from repro.matroid.submodular import CoverageObjective, fnw_greedy
+from repro.matroid.hop import HopCountingMatroid, IncrementalHopFilter
 
 __all__ = [
-    "Matroid",
     "HopCountingMatroid",
-    "independent_in_all",
-    "PartitionMatroid",
-    "CoverageObjective",
-    "fnw_greedy",
+    "IncrementalHopFilter",
 ]

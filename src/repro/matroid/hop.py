@@ -16,12 +16,12 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 
 from repro.graphs.bfs import UNREACHABLE
-from repro.matroid.base import Matroid
 
 
-class HopCountingMatroid(Matroid):
+class HopCountingMatroid:
     """Laminar matroid over location indices, parameterised by hop distances
-    to the anchors and the bound vector ``Q_0..Q_hmax``."""
+    to the anchors and the bound vector ``Q_0..Q_hmax``; an independence
+    oracle (``ground_set`` / ``is_independent`` / ``can_extend``)."""
 
     def __init__(self, hops_to_anchors: list, q_bounds: list) -> None:
         if not q_bounds:

@@ -62,6 +62,14 @@ class SpecError(ValueError):
     """A scenario spec failed validation (bad field, unknown key, ...)."""
 
 
+#: Most candidate locations a spec may ask for (grid cells per altitude
+#: layer times the layers).  The build and the solver's hop matrix grow
+#: with the square of the count: 2,500 locations (a 60 m grid over the
+#: 3 x 3 km ``bench`` zone) take 0.5-0.6 s to build and 1.6 s with the
+#: solver context (169 MB peak RSS, 2-core VM), while 3,600 take 0.9-1.2 s
+#: and 4.5 s.  The largest preset asks for 300.
+MAX_LOCATIONS = 2500
+
 #: A removed engine option that saved format-1 documents still carry.
 _REMOVED_BOUND_PRUNE = "bound_prune"
 
@@ -337,6 +345,13 @@ class ScenarioSpec:
         instead of calling this per tile).
         """
         config = self.to_config()
+        _require(
+            config.num_locations <= MAX_LOCATIONS,
+            f"grid_side_m {config.grid_side_m:g} over "
+            f"{len(config.altitude_layers_m) or 1} altitude layer(s) "
+            f"(altitude_layers_m) asks for {config.num_locations} candidate "
+            f"locations; at most {MAX_LOCATIONS} are allowed",
+        )
         _require(
             config.num_uavs <= config.num_locations,
             f"cannot deploy {config.num_uavs} UAVs on only "

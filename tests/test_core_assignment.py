@@ -89,7 +89,7 @@ class TestOptimalAssignment:
     def test_random_instances_match_incremental(self, seed):
         """optimal_assignment (Dinic) and CoverageObjective (incremental
         augmentation) must agree on random sub-fleets."""
-        from repro.matroid.submodular import CoverageObjective
+        from tests.reference.fnw import CoverageObjective
 
         problem = make_line_instance(
             num_locations=5, users_per_location=3,

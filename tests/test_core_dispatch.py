@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -152,6 +154,47 @@ def test_dispatcher_survives_worker_kill():
     assert got == {cid: _serial(cid, args) for cid, args in chunks}
     assert stats.pool_respawns >= 1
     assert stats.chunks_redispatched >= 1
+
+
+class _InlinePool:
+    """A stand-in executor that runs each chunk at submit time; with
+    ``broken_at`` set, that submission raises ``BrokenProcessPool`` as a
+    pool whose worker died since the last wait does."""
+
+    def __init__(self, broken_at: "int | None" = None):
+        self.broken_at = broken_at
+        self.submits = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        if self.submits == self.broken_at:
+            raise BrokenProcessPool("a worker died since the last wait")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+@pytest.mark.parametrize("broken_at", [1, 3])
+def test_broken_pool_at_submit_respawns_and_requeues(broken_at):
+    """No real processes: the first pool breaks on its ``broken_at``-th
+    submit.  That chunk (and any still in flight) is re-run on one fresh
+    pool, and every chunk is handled exactly once."""
+    chunks = _chunks()
+    pools = [_InlinePool(broken_at=broken_at), _InlinePool()]
+    dispatcher = ChunkDispatcher(_sum_chunk, workers=2, policy=FAST)
+    dispatcher._spawn = lambda: pools.pop(0)
+    handled = []
+    stats = dispatcher.run(
+        chunks, lambda cid, res: handled.append((cid, res)), _serial
+    )
+    assert sorted(handled) == [(cid, _serial(cid, args)) for cid, args in chunks]
+    assert stats.pool_respawns == 1
+    assert stats.chunks_redispatched >= 1
+    assert stats.chunks_quarantined == 0
+    assert pools == []
 
 
 @pytest.mark.timeout_guard(120)

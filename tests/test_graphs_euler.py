@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs.euler import (
+from tests.reference.euler import (
     eulerian_path_by_doubling,
     is_eulerian_path,
     split_path,

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.core.segments import q_bounds
 from repro.matroid.hop import HopCountingMatroid
-from repro.matroid.partition import PartitionMatroid
+from tests.reference.fnw import PartitionMatroid
 
 
 def check_axioms_exhaustive(matroid, max_ground: int = 9) -> None:

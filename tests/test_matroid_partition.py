@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.matroid.partition import PartitionMatroid
+from tests.reference.fnw import PartitionMatroid
 
 
 class TestUavPlacementMatroid:

@@ -6,9 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matroid.partition import PartitionMatroid
-from repro.matroid.submodular import CoverageObjective, fnw_greedy
 from tests.conftest import make_line_instance
+from tests.reference.fnw import CoverageObjective, PartitionMatroid, fnw_greedy
 
 
 def tiny_objective():

@@ -1,11 +1,13 @@
 """Tests for the declarative ScenarioSpec (schema, JSON, presets)."""
 
 import dataclasses
+import time
 
 import pytest
 
 from repro.dynamics.spec import DynamicSpec
 from repro.scenario.spec import (
+    MAX_LOCATIONS,
     PRESETS,
     ScenarioSpec,
     SpecError,
@@ -260,6 +262,10 @@ class TestPresets:
         assert problem.num_users == 300
         assert problem.num_uavs == 6
 
+    def test_presets_within_the_location_cap(self):
+        for name in preset_names():
+            assert get_preset(name).to_config().num_locations <= MAX_LOCATIONS
+
     def test_presets_cover_all_scales(self):
         assert {p.scale for p in PRESETS.values()} == set(SCALES)
 
@@ -290,3 +296,23 @@ class TestAirspace:
     def test_altitude_at_the_ceiling_builds(self):
         problem = ScenarioSpec(scale="small", altitude_m=500.0).build()
         assert {p.z for p in problem.graph.locations} == {500.0}
+
+
+class TestLocationCap:
+    """A grid that asks for more than ``MAX_LOCATIONS`` candidate
+    locations fails fast, naming the fields, instead of building for
+    minutes."""
+
+    def test_one_metre_grid_rejected_quickly(self):
+        spec = ScenarioSpec(name="x", scale="small", grid_side_m=1.0)
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match="grid_side_m .* 2250000"):
+            spec.build()
+        assert time.perf_counter() - start < 1.0
+
+    def test_layers_count_towards_the_cap(self):
+        # 60 m over the 3 km bench zone: 2,500 locations per layer.
+        spec = ScenarioSpec(scale="bench", grid_side_m=60.0)
+        assert spec.to_config().num_locations == MAX_LOCATIONS
+        with pytest.raises(SpecError, match="altitude_layers_m"):
+            spec.with_overrides(altitude_layers_m=(200.0, 300.0)).build()
