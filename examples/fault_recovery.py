@@ -1,16 +1,18 @@
-"""Fault-tolerant mission runtime: crash two UAVs, watch the network heal.
+"""Fault-injected mission: crash two UAVs, degrade two links, watch it heal.
 
-A five-UAV chain deployment over disjoint user clusters makes every
-recovery mechanism visible and deterministic:
+``repro mission`` runs the dynamics engine on the ``mission-small``
+preset: 400 users, six UAVs, two crashes drawn from the spec's derived
+``"faults"`` seed, and here two link faults that heal 30 s after they hit.
 
-1. a battery depletion at the chain's end degrades coverage; re-planning
-   with the shrunken fleet cannot do better, so the recovery loop backs
-   off exponentially between retries and finally gives up — until the
-   battery swap completes and the returning UAV triggers a repair that
-   restores full service;
-2. a mid-chain crash splits the network at an articulation point; the
-   controller keeps the largest connected remnant online and re-dispatches
-   the stranded survivors into a validated, connected deployment;
+1. every fault shrinks the network to its largest connected remnant — a
+   degraded link between two neighbouring UAVs splits it, and only the
+   bigger piece keeps serving;
+2. every fault (and every healing) triggers a repair: the physical UAVs
+   are paired to a plan for the flyable fleet, which is adopted only if it
+   is connected under the degraded links and serves strictly more users.
+   The solver never sees links, so after a link change the last plan is
+   checked again instead of being solved again (the re-solve table lists
+   only real solves);
 3. separately, the solver watchdog runs ``approAlg`` under a tiny
    wall-clock budget and falls back through the configured chain instead
    of raising.
@@ -18,55 +20,19 @@ recovery mechanism visible and deterministic:
 Run:  python examples/fault_recovery.py
 """
 
-from repro.core.problem import ProblemInstance
-from repro.geometry.point import Point3D
-from repro.network.coverage import CoverageGraph
-from repro.network.uav import UAV
-from repro.network.users import users_from_points
-from repro.ops import (
-    BATTERY,
-    CRASH,
-    Fault,
-    FaultSchedule,
-    MissionConfig,
-    RecoveryPolicy,
-    run_mission,
-)
-from repro.sim.report import mission_report
+from repro.core.assignment import optimal_assignment
+from repro.dynamics import get_dynamic_preset, run_dynamic
+from repro.network.validate import validate_deployment
+from repro.ops import residual_connected
 from repro.sim.runner import WatchdogConfig, solve_with_fallback
-
-NUM_LOCATIONS = 5
-USERS_PER_CLUSTER = 4
-SPACING_M = 500.0
-
-
-def chain_problem() -> ProblemInstance:
-    """Five candidate locations on a line, four users under each; adjacent
-    locations are within UAV range, so feasible networks are sub-chains and
-    every interior UAV is an articulation point."""
-    locations = [
-        Point3D(SPACING_M * (j + 1), 0.0, 300.0) for j in range(NUM_LOCATIONS)
-    ]
-    points = [
-        (SPACING_M * (j + 1) + 5.0 * i, 0.0)
-        for j in range(NUM_LOCATIONS)
-        for i in range(USERS_PER_CLUSTER)
-    ]
-    graph = CoverageGraph(
-        users=users_from_points(points),
-        locations=locations,
-        uav_range_m=600.0,
-    )
-    fleet = [
-        UAV(capacity=6, user_range_m=500.0, name=f"uav{k}")
-        for k in range(NUM_LOCATIONS)
-    ]
-    return ProblemInstance(graph=graph, fleet=fleet)
+from repro.util.tables import format_table
 
 
 def main() -> None:
-    problem = chain_problem()
-    watchdog = WatchdogConfig(params={"approAlg": {"s": 2}})
+    spec = get_dynamic_preset("mission-small").with_overrides(
+        seed=4, num_links=2
+    )
+    problem = spec.build()
 
     # --- watchdog: a tiny budget must fall back, not raise -------------
     squeezed = solve_with_fallback(
@@ -80,37 +46,40 @@ def main() -> None:
     assert squeezed.ok, "the fallback chain's last resort must answer"
     assert squeezed.record.attempts[0].status == "timeout"
 
-    # --- plan, then script faults against the planned deployment -------
-    initial = solve_with_fallback(problem, watchdog)
-    occupant = {loc: k for k, loc in initial.deployment.placements.items()}
-    end_uav = occupant[NUM_LOCATIONS - 1]   # chain end: degrades, no split
-    mid_uav = occupant[2]                   # articulation point: splits
-
-    schedule = FaultSchedule(faults=(
-        Fault(time_s=20.0, kind=BATTERY, uav_index=end_uav, duration_s=60.0),
-        Fault(time_s=100.0, kind=CRASH, uav_index=mid_uav),
+    # --- the mission ----------------------------------------------------
+    result = run_dynamic(spec)
+    served_after = {t: served for t, served, _ in result.timeline}
+    changes = []
+    for t in sorted(served_after):
+        if not changes or changes[-1][1] != served_after[t]:
+            changes.append((t, served_after[t]))
+    print(format_table(
+        ["t (s)", "served"],
+        [[f"{t:.1f}", served] for t, served in changes],
+        title=f"served users over the mission ({result.faults} faults)",
     ))
-    config = MissionConfig(
-        duration_s=150.0,
-        policy=RecoveryPolicy(
-            max_retries=3,
-            backoff_initial_s=5.0,
-            backoff_factor=2.0,
-            watchdog=watchdog,
-        ),
-    )
-    result = run_mission(problem, schedule, config)
-    print(mission_report(problem, result, include_map=False))
+    print()
+    print(format_table(
+        ["t (s)", "trigger", "plan serves", "UAVs placed"],
+        [[f"{e.t_s:.1f}", e.trigger, e.served, e.num_placed]
+         for e in result.epochs],
+        title="re-solves",
+    ))
 
-    counts = result.log.counts()
-    assert result.faults_injected == 2
-    assert counts.get("backoff", 0) >= 1, "expected backed-off retries"
-    assert result.repairs >= 1 and counts.get("repair", 0) >= 1
-    assert result.final_valid and result.final_connected
-    assert result.served_min < result.served_initial
+    served = [s for _, s in changes]
+    assert result.faults == 4
+    assert min(served) < served[0], "the faults must cost coverage"
+    assert served[-1] > min(served), "a healing must restore coverage"
+    final = optimal_assignment(
+        problem.graph, problem.fleet, result.final_placements
+    )
+    validate_deployment(problem.graph, problem.fleet, final)
+    assert residual_connected(problem, result.final_placements)
+    assert final.served_count == result.final_served
     print(
-        f"\nrecovered: served dipped to {result.served_min}, ended at "
-        f"{result.served_final}/{problem.num_users} — validated and connected."
+        f"\nrecovered: served dipped to {min(served)}, ended at "
+        f"{result.final_served}/{problem.num_users} — validated and "
+        "connected."
     )
 
 

@@ -12,8 +12,8 @@ Run:  python examples/mission_operations.py
 """
 
 from repro import appro_alg, paper_scenario
+from repro.dynamics import DynamicSpec, run_dynamic
 from repro.network.energy import EnergyModel, fleet_endurance_s, mission_endurance_s
-from repro.sim.mobility import GaussianWalk, compare_policies
 from repro.sim.render import ascii_map
 from repro.util.tables import format_table
 
@@ -42,29 +42,39 @@ def main() -> None:
     print(f"\nnetwork endurance (first battery empty): {mission_min:.0f} min "
           "- plan battery swaps accordingly.")
 
-    # 2. Mobility: stale vs periodically refreshed placement.
-    stale, refreshed = compare_policies(
-        problem,
-        planner=lambda p: appro_alg(p, **planner_kwargs).deployment,
-        steps=10,
-        redeploy_every=3,
-        mobility=GaussianWalk(sigma_m=120.0),
-        seed=4,
+    # 2. Mobility: the same scenario as a mobility-only mission.  The
+    # "event" policy never re-plans for mobility (stale); "periodic"
+    # re-plans every third step (refreshed).
+    mobile = DynamicSpec(
+        name="mobility", scale="small", num_users=400, num_uavs=6, seed=11,
+        algorithm="approAlg", algorithm_params=planner_kwargs,
+        duration_s=300.0, epoch_s=90.0, mobility_step_s=30.0,
+        mobility_sigma_m=120.0, arrival_rate_per_s=0.0,
+        hotspot_drift_mps=0.0, resolve_policy="event",
     )
+    stale = run_dynamic(mobile)
+    refreshed = run_dynamic(mobile.with_overrides(resolve_policy="periodic"))
+
+    def per_step(result) -> list:
+        """Served users after each mobility step (the last value at t)."""
+        after = {t: served for t, served, _ in result.timeline}
+        return [after[30.0 * i] for i in range(1, 11)]
+
     print()
     print(format_table(
-        ["step"] + [str(i) for i in range(1, len(stale.served) + 1)],
+        ["step"] + [str(i) for i in range(1, 11)],
         [
-            ["stale"] + stale.served,
-            ["refresh/3"] + refreshed.served,
+            ["event (stale)"] + per_step(stale),
+            ["periodic/3"] + per_step(refreshed),
         ],
         title="served users while people move (sigma = 120 m/step)",
     ))
     print(
-        f"\nmean served: stale {stale.mean_served:.0f} vs refreshed "
-        f"{refreshed.mean_served:.0f} "
-        f"({refreshed.redeploys - 1} re-deployments)"
+        f"\nmean coverage: stale {stale.mean_coverage:.3f} vs refreshed "
+        f"{refreshed.mean_coverage:.3f} "
+        f"({len(refreshed.epochs) - 1} re-deployments)"
     )
+    assert len(refreshed.epochs) > len(stale.epochs) == 1
 
     # 3. Resilience: which single UAV failure hurts most?
     from repro.network.resilience import single_failure_impacts

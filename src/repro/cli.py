@@ -18,10 +18,10 @@ come from the spec; legacy ``save_scenario`` files still work, taking
 solver settings from the flags); ``repro batch`` runs many spec files
 through the ``BatchRunner``, building shared scenarios once.
 
-Observability: the ``run``, ``fig4/5/6a/6b``, ``batch`` and ``mission``
-commands accept ``--trace PATH`` / ``--timeline PATH`` (write the JSONL
-run record: spec, spans, timeline, metrics), ``--metrics-out PATH`` (just
-the metrics snapshot) and ``--archive`` (store the record under
+Observability: the ``run``, ``fig4/5/6a/6b``, ``batch``, ``dynamic`` and
+``mission`` commands accept ``--trace PATH`` / ``--timeline PATH`` (write
+the JSONL run record: spec, spans, timeline, metrics), ``--metrics-out
+PATH`` (just the metrics snapshot) and ``--archive`` (store the record under
 ``.repro/runs``); ``repro trace-report`` summarizes a record — timeline
 sparklines included — and can export Chrome trace format.  ``repro
 profile SCENARIO`` runs a preset/spec under the sampling profiler and
@@ -30,7 +30,7 @@ archive; ``repro perf-diff --attribute`` names the regressed kernel.
 Without these flags the observability layer stays off and adds no
 overhead.
 
-Crash safety: ``run``, ``fig4/5/6a/6b``, ``batch`` and ``mission`` accept
+Crash safety: ``run``, ``fig4/5/6a/6b`` and ``batch`` accept
 ``--checkpoint DIR`` (journal solver and sweep progress into DIR with
 atomic snapshots) and ``--resume`` (pick up where a previous identical
 invocation stopped).  A first Ctrl-C drains gracefully — the solver
@@ -60,7 +60,7 @@ def add_engine_args(
     anchor_pool_default: int = DEFAULT_ANCHOR_POOL,
 ) -> None:
     """The shared solver-engine flags (seed, workers, anchor pool).
-    Every solving subcommand — run, fig4/5/6a/6b, mission — wires these
+    Every static solving subcommand — run, fig4/5/6a/6b — wires these
     through this one helper, so the flags stay consistent."""
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     parser.add_argument(
@@ -109,6 +109,50 @@ def add_resilience_args(parser: argparse.ArgumentParser) -> None:
         "invocation, skipping work it already finished (a checkpoint "
         "from different settings is detected and ignored)",
     )
+
+
+def add_dynamic_parser(sub, command: str, default: str, about: str) -> None:
+    """A dynamic-mission subcommand whose ``--scenario`` defaults to the
+    ``default`` preset (``repro dynamic`` and ``repro mission`` differ
+    only there)."""
+    parser = sub.add_parser(command, help=about)
+    parser.add_argument(
+        "--scenario", default=default,
+        help="dynamic preset name (dynamic-small, dynamic-surge, "
+        "dynamic-headline, mission-small) or DynamicSpec JSON file "
+        f"(default {default})",
+    )
+    parser.add_argument(
+        "--seeds", type=int, default=1,
+        help="run a seed grid of this size (spec.seed, spec.seed+1, ...) "
+        "and print the aggregated table (default 1 = single run)",
+    )
+    parser.add_argument(
+        "--policy", choices=("periodic", "drift", "event"), default=None,
+        help="override the spec's re-solve policy",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=None,
+        help="override the mission duration (seconds)",
+    )
+    parser.add_argument(
+        "--epoch", type=float, default=None,
+        help="override the epoch cadence (seconds)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override seed")
+    parser.add_argument(
+        "--cold", action="store_true",
+        help="disable warm-starting (every epoch re-solve rebuilds the "
+        "graph and context from scratch; results are identical, only "
+        "slower)",
+    )
+    parser.add_argument(
+        "--record-bench", action="store_true",
+        help="also run the mission cold and merge the warm-vs-cold "
+        "re-solve latency point into BENCH_approx.json",
+    )
+    add_obs_args(parser)
 
 
 def add_obs_args(parser: argparse.ArgumentParser) -> None:
@@ -493,78 +537,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_mission(args: argparse.Namespace) -> int:
-    """Run a fault-injected mission: plan, inject failures, self-heal."""
-    from repro.ops import FaultSchedule, MissionConfig, RecoveryPolicy, run_mission
-    from repro.scenario import ScenarioSpec
-    from repro.sim.report import mission_report
-    from repro.sim.runner import WatchdogConfig
-
-    if args.duration <= 0:
-        print(f"error: --duration must be positive, got {args.duration}")
-        return 2
-    seed = args.seed if args.seed is not None else 7
-    spec = ScenarioSpec(
-        name="cli-mission",
-        scale=args.scale,
-        num_users=args.users,
-        num_uavs=args.uavs,
-        seed=seed,
-    )
-    args._spec = spec
-    problem = spec.build()
-    try:
-        # The fault draw runs on its own derived stream (see
-        # repro.util.rng.derive_seed), so it never perturbs — and is never
-        # perturbed by — the scenario draw for the same root seed.
-        schedule = FaultSchedule.random(
-            num_uavs=args.uavs,
-            num_crashes=args.crashes,
-            num_battery=args.battery,
-            num_links=args.links,
-            window_s=(args.duration * 0.1, args.duration * 0.7),
-            seed=spec.derived_seed("faults"),
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    pool = _pool(args)
-    appro_params: dict = {"s": 2, "gain_mode": "fast"}
-    if pool is not None:
-        appro_params["max_anchor_candidates"] = min(
-            pool, problem.num_locations
-        )
-    if args.workers != 1:
-        appro_params["workers"] = args.workers
-    if args.checkpoint is not None:
-        # One snapshot file per mission; each re-plan solves a different
-        # problem (the surviving fleet), so a stale snapshot is detected
-        # by its run key and simply overwritten.
-        from pathlib import Path
-
-        from repro.core.checkpoint import CheckpointConfig
-
-        appro_params["checkpoint"] = CheckpointConfig(
-            path=Path(args.checkpoint) / "solve-mission.json",
-            resume=args.resume,
-        )
-    watchdog = WatchdogConfig(
-        budget_s=args.budget,
-        params={"approAlg": appro_params},
-    )
-    config = MissionConfig(
-        duration_s=args.duration,
-        policy=RecoveryPolicy(
-            max_retries=args.retries,
-            backoff_initial_s=args.backoff,
-            watchdog=watchdog,
-        ),
-    )
-    result = run_mission(problem, schedule, config)
-    print(mission_report(problem, result, include_map=not args.no_map))
-    return 0 if result.final_valid else 1
-
-
 def _dynamic_spec(args: argparse.Namespace):
     """Resolve ``repro dynamic --scenario``: preset name or DynamicSpec
     JSON file."""
@@ -605,7 +577,11 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     if args.epoch is not None:
         overrides["epoch_s"] = args.epoch
     if overrides:
-        spec = spec.with_overrides(**overrides)
+        try:
+            spec = spec.with_overrides(**overrides)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     args._spec = spec
     warm = False if args.cold else None
 
@@ -1123,49 +1099,17 @@ def main(argv: "list | None" = None) -> int:
     add_obs_args(batch_cmd)
     add_resilience_args(batch_cmd)
 
-    dynamic_cmd = sub.add_parser(
-        "dynamic",
-        help="long-horizon dynamic mission: streaming churn, moving "
-        "hotspots, rotation sorties, faults, and warm-started epoch "
-        "re-solves (see docs/DYNAMICS.md)",
-    )
-    dynamic_cmd.add_argument(
-        "--scenario", default="dynamic-small",
-        help="dynamic preset name (dynamic-small, dynamic-surge, "
-        "dynamic-headline) or DynamicSpec JSON file "
-        "(default dynamic-small)",
-    )
-    dynamic_cmd.add_argument(
-        "--seeds", type=int, default=1,
-        help="run a seed grid of this size (spec.seed, spec.seed+1, ...) "
-        "and print the aggregated table (default 1 = single run)",
-    )
-    dynamic_cmd.add_argument(
-        "--policy", choices=("periodic", "drift", "event"), default=None,
-        help="override the spec's re-solve policy",
-    )
-    dynamic_cmd.add_argument(
-        "--duration", type=float, default=None,
-        help="override the mission duration (seconds)",
-    )
-    dynamic_cmd.add_argument(
-        "--epoch", type=float, default=None,
-        help="override the epoch cadence (seconds)",
-    )
-    dynamic_cmd.add_argument(
-        "--seed", type=int, default=None, help="override seed")
-    dynamic_cmd.add_argument(
-        "--cold", action="store_true",
-        help="disable warm-starting (every epoch re-solve rebuilds the "
-        "graph and context from scratch; results are identical, only "
-        "slower)",
-    )
-    dynamic_cmd.add_argument(
-        "--record-bench", action="store_true",
-        help="also run the mission cold and merge the warm-vs-cold "
-        "re-solve latency point into BENCH_approx.json",
-    )
-    add_obs_args(dynamic_cmd)
+    for command, default, about in (
+        ("dynamic", "dynamic-small",
+         "long-horizon dynamic mission: streaming churn, moving hotspots, "
+         "rotation sorties, faults, and warm-started epoch re-solves (see "
+         "docs/DYNAMICS.md)"),
+        ("mission", "mission-small",
+         "fault-injected mission: UAV crashes and link faults, each "
+         "answered by a repair re-solve ('repro dynamic' with another "
+         "default scenario)"),
+    ):
+        add_dynamic_parser(sub, command, default, about)
 
     scenario_cmd = sub.add_parser(
         "scenario", help="inspect the named scenario presets"
@@ -1173,32 +1117,6 @@ def main(argv: "list | None" = None) -> int:
     scenario_cmd.add_argument("action", choices=("list", "show"))
     scenario_cmd.add_argument("preset", nargs="?", default=None,
                               help="preset name (for 'show')")
-
-    mission_cmd = sub.add_parser(
-        "mission", help="fault-injected mission with self-healing recovery"
-    )
-    mission_cmd.add_argument("--users", type=int, default=400)
-    mission_cmd.add_argument("--uavs", type=int, default=6)
-    mission_cmd.add_argument("--scale", choices=sorted(SCALES), default="small")
-    mission_cmd.add_argument("--duration", type=float, default=120.0,
-                             help="mission length in seconds")
-    mission_cmd.add_argument("--crashes", type=int, default=2,
-                             help="UAV crashes to inject")
-    mission_cmd.add_argument("--battery", type=int, default=0,
-                             help="battery depletions to inject")
-    mission_cmd.add_argument("--links", type=int, default=0,
-                             help="link degradations to inject")
-    mission_cmd.add_argument("--budget", type=float, default=None,
-                             help="solver wall-clock budget (s) per re-plan")
-    mission_cmd.add_argument("--retries", type=int, default=3,
-                             help="repair attempts before giving up")
-    mission_cmd.add_argument("--backoff", type=float, default=5.0,
-                             help="initial retry backoff (s)")
-    mission_cmd.add_argument("--no-map", action="store_true",
-                             help="skip the final ASCII map")
-    add_engine_args(mission_cmd)
-    add_obs_args(mission_cmd)
-    add_resilience_args(mission_cmd)
 
     sub.add_parser("selfcheck", help="quick end-to-end installation check")
 
@@ -1342,13 +1260,11 @@ def _dispatch_handler(args: argparse.Namespace):
         return _cmd_map
     if args.command == "ratio":
         return _cmd_ratio
-    if args.command == "mission":
-        return _cmd_mission
     if args.command == "run":
         return _cmd_run
     if args.command == "batch":
         return _cmd_batch
-    if args.command == "dynamic":
+    if args.command in ("dynamic", "mission"):
         return _cmd_dynamic
     if args.command == "scenario":
         return _cmd_scenario

@@ -1,11 +1,11 @@
-"""The unified discrete-event mission loop (ROADMAP item 4).
+"""The discrete-event mission loop: the repo's one loop in simulated time.
 
 One :class:`~repro.simnet.events.EventQueue` carries every time-dimension
-concern that used to live in five silos — user churn and mobility
-(:mod:`repro.sim.mobility`), battery rotation (:mod:`repro.sim.rotation`),
-relocation transit (:mod:`repro.sim.relocation`), fault injection
-(:mod:`repro.ops.faults`) — and a pluggable re-solve policy
-(:mod:`repro.dynamics.policy`) decides when to re-plan.
+concern — user churn and mobility (:class:`~repro.sim.mobility.GaussianWalk`),
+battery rotation (:mod:`repro.sim.rotation`), relocation transit
+(:mod:`repro.sim.relocation`), fault injection (:mod:`repro.ops.faults`)
+— and a pluggable re-solve policy (:mod:`repro.dynamics.policy`) decides
+when to re-plan.  ``repro dynamic`` and ``repro mission`` both run it.
 
 Epoch re-solves are **warm-started**: the previous epoch's
 :class:`~repro.core.context.SolverContext` is refreshed through
@@ -21,6 +21,13 @@ Consecutive placements become minimal-motion transitions via
 :func:`~repro.sim.relocation.plan_relocation` (bottleneck pairing), with
 transit modelled as a delayed adoption event when the spec carries a
 relocation speed.
+
+A fault (crash, battery, link change, restore) shrinks the network to its
+largest connected remnant (:meth:`WorldState.active_placements`), and a
+fault-triggered re-solve is a repair: the physical UAVs are paired to the
+plan, which is adopted only if it is connected under the degraded links
+and serves strictly more users than the remnant
+(:meth:`WorldState.repairs`).
 
 Observability: the engine sets ``dynamic.*`` gauges/counters, records
 re-solve latency histograms, and calls :func:`repro.obs.record_mark`
@@ -187,11 +194,18 @@ class _Engine:
     # -- solving -------------------------------------------------------------
 
     def resolve(self, trigger: str, now: float) -> None:
-        """Re-plan with the flyable fleet; warm or cold per the mode."""
+        """Re-plan with the flyable fleet and move to the plan."""
         world = self.world
         available = world.available_uavs()
         if not available or not world.num_active:
             return
+        placements, assignment = self._solve(available, trigger, now)
+        self._transition(placements, assignment, trigger == FAULT, now)
+
+    def _solve(self, available: list, trigger: str, now: float) -> tuple:
+        """One solve over the ``available`` UAVs, warm or cold per the
+        mode: (placements, assignment) in fleet indices."""
+        world = self.world
         fleet_sub = [world.fleet[k] for k in available]
         start = time.perf_counter()
         with obs.span("dynamic.resolve", trigger=trigger, warm=self.warm):
@@ -233,36 +247,46 @@ class _Engine:
         ))
         obs.counter_inc("dynamic.resolves")
         obs.observe("dynamic.resolve_seconds", latency)
-        self._transition(placements, assignment, now)
+        return placements, assignment
 
     def _transition(
-        self, placements: dict, assignment: dict, now: float
+        self, placements: dict, assignment: dict, repair: bool, now: float
     ) -> None:
-        """Turn the new plan into a minimal-motion transition."""
+        """Turn the new plan into a minimal-motion transition.
+
+        The physical UAVs are paired to the planned positions (bottleneck
+        pairing) whenever the fleet is in the air and flies at a finite
+        speed, and always for a repair.  Any relocation still in transit
+        is withdrawn.  A repair is adopted only if the paired network is
+        connected under the degraded links and serves strictly more users
+        than the current remnant; a rejected repair leaves the fleet where
+        it is.
+        """
+        world = self.world
+        old_active = world.active_placements()
+        speed = self.spec.relocation_speed_mps
+        transit_s = 0.0
+        if repair or (old_active and speed is not None):
+            full = ProblemInstance(graph=world.graph, fleet=world.fleet)
+            plan = plan_relocation(
+                full,
+                Deployment(placements=old_active),
+                Deployment(placements=placements, assignment=assignment),
+                policy="makespan",
+            )
+            placements = {k: dst for k, (_, dst) in plan.moves.items()}
+            if old_active and speed is not None:
+                transit_s = plan.max_distance_m / speed
         if self.pending_relocate is not None:
             self.queue.cancel(self.pending_relocate)
             self.pending_relocate = None
-        old_active = self.world.active_placements()
-        speed = self.spec.relocation_speed_mps
-        if not old_active or speed is None:
+        if repair and not world.repairs(placements, now):
+            return
+        if transit_s <= 0:
             self._adopt(placements, now)
             return
-        full = ProblemInstance(
-            graph=self.world.graph, fleet=self.world.fleet
-        )
-        plan = plan_relocation(
-            full,
-            Deployment(placements=old_active),
-            Deployment(placements=placements, assignment=assignment),
-            policy="makespan",
-        )
-        moved = {k: dst for k, (_, dst) in plan.moves.items()}
-        transit_s = plan.max_distance_m / speed
-        if transit_s <= 0:
-            self._adopt(moved, now)
-            return
         self.pending_relocate = self.queue.schedule(
-            now + transit_s, ("relocate", tuple(sorted(moved.items())))
+            now + transit_s, ("relocate", tuple(sorted(placements.items())))
         )
 
     def _adopt(self, placements: dict, now: float) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.scenario.spec import ScenarioSpec, _require
+from repro.workload.scenarios import SCALES
 
 DYNAMIC_SPEC_FORMAT = 1
 DYNAMIC_SPEC_KIND = "dynamic-spec"
@@ -126,6 +127,15 @@ class DynamicSpec(ScenarioSpec):
                 and value >= 0,
                 f"{name} must be an integer >= 0, got {value!r}",
             )
+        fleet_size = (
+            SCALES[self.scale].num_uavs if self.num_uavs is None
+            else self.num_uavs
+        )
+        _require(
+            self.num_crashes <= fleet_size,
+            f"num_crashes {self.num_crashes} exceeds the fleet of "
+            f"{fleet_size} UAVs (each UAV crashes at most once)",
+        )
         if self.relocation_speed_mps is not None:
             _check_positive(self.relocation_speed_mps, "relocation_speed_mps")
         _require(
@@ -157,6 +167,17 @@ DYNAMIC_PRESETS = {
         drift_threshold=0.1, arrival_rate_per_s=0.25, mean_dwell_s=180.0,
         hotspot_drift_mps=4.0, mobility_sigma_m=30.0, num_crashes=2,
         relocation_speed_mps=10.0,
+    ),
+    # A fault-injected mission with no churn and no mobility: two UAV
+    # crashes (``num_links`` adds link faults), each answered by a repair
+    # re-solve.  ``repro mission`` runs it by default.
+    "mission-small": DynamicSpec(
+        name="mission-small", scale="small", num_users=400, num_uavs=6,
+        seed=7, algorithm="approAlg",
+        algorithm_params={"s": 2, "gain_mode": "fast",
+                          "max_anchor_candidates": 10},
+        duration_s=120.0, resolve_policy="event", arrival_rate_per_s=0.0,
+        hotspot_drift_mps=0.0, mobility_sigma_m=0.0, num_crashes=2,
     ),
     # The benchmark mission: paper-scale candidate grid (where the hop
     # rebuild dominates a cold re-solve) with three altitude layers,

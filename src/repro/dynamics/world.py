@@ -18,6 +18,11 @@ served count off it.  The served count is the unique max-flow value, so
 it equals :func:`~repro.core.assignment.optimal_assignment`'s; the served
 *set* can differ from that solver's only when a placed UAV is saturated.
 
+Only a connected network relays traffic, so the UAVs that count are the
+largest connected remnant of the flying ones (:meth:`active_placements`):
+grounded UAVs and degraded links are removed first, and a network that
+splits serves users from its largest piece only.
+
 Users carry stable ids across their lifetime so the engine can attribute
 "time to serve" per arrival: :meth:`evaluate` stamps the first time each
 user id was actually served.
@@ -29,12 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.assignment import optimal_assignment
 from repro.core.problem import ProblemInstance
 from repro.flow.bipartite import IncrementalAssignment
 from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import Deployment
 from repro.network.users import DEFAULT_MIN_RATE_BPS, User
+from repro.ops.recovery import residual_connected, uav_components
 from repro.util.bits import drop_bit
 
 
@@ -56,6 +63,8 @@ class WorldState:
     _live: "IncrementalAssignment | None" = None
     _live_key: tuple = ()         # the stations _live was built over
     _live_moves: int = -1         # _moves when _live was built
+    _remnant: dict = field(default_factory=dict)
+    _remnant_key: tuple = ()      # (placements, down, degraded_links)
 
     @classmethod
     def from_problem(cls, problem: ProblemInstance) -> "WorldState":
@@ -92,11 +101,34 @@ class WorldState:
         return sorted(set(range(len(self.fleet))) - self.down)
 
     def active_placements(self) -> dict:
-        """Current placements minus grounded UAVs."""
-        return {
-            k: loc for k, loc in self.placements.items()
-            if k not in self.down
-        }
+        """The largest connected remnant of the flying UAVs.
+
+        Grounded UAVs are removed, then the network minus degraded links
+        is split into components; the one with the most UAVs is kept
+        (ties: most capacity, then lowest fleet index).  The remnant is
+        recomputed only when placements, grounded UAVs or degraded links
+        changed since the last call.
+        """
+        key = (tuple(self.placements.items()), frozenset(self.down),
+               frozenset(self.degraded_links))
+        if key != self._remnant_key:
+            flying = {
+                k: loc for k, loc in self.placements.items()
+                if k not in self.down
+            }
+            components = uav_components(
+                self.base_problem, flying, self.degraded_links
+            )
+            best = max(components, default=[], key=lambda comp: (
+                len(comp), sum(self.fleet[k].capacity for k in comp),
+                -min(comp),
+            ))
+            keep = set(best)
+            self._remnant = {
+                k: loc for k, loc in flying.items() if k in keep
+            }
+            self._remnant_key = key
+        return dict(self._remnant)
 
     def bounds(self) -> tuple:
         """(lo_x, hi_x, lo_y, hi_y) box spanning users and locations."""
@@ -172,6 +204,16 @@ class WorldState:
             self.first_served_s[self.user_ids[low.bit_length() - 1]] = now
             fresh ^= low
         return live.served_count
+
+    def repairs(self, placements: dict, now: float) -> bool:
+        """Whether moving to ``placements`` repairs the network: they are
+        connected once degraded links are removed, and serve strictly more
+        users than the current remnant."""
+        return residual_connected(
+            self.base_problem, placements, self.degraded_links
+        ) and optimal_assignment(
+            self.graph, self.fleet, placements
+        ).served_count > self.evaluate(now)
 
     def deployment(self) -> Deployment:
         """The live assignment as a :class:`Deployment` over the current

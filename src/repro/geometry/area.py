@@ -16,6 +16,15 @@ from repro.geometry.point import Point2D, Point3D
 AIRSPACE_CEILING_M = 500.0
 
 
+def grid_divides(length: float, width: float, side: float) -> bool:
+    """Whether squares of side ``side`` tile a ``length`` x ``width``
+    area exactly (the paper's divisibility assumption)."""
+    return all(
+        abs(round(extent / side) * side - extent) <= 1e-9
+        for extent in (length, width)
+    )
+
+
 @dataclass(frozen=True)
 class DisasterArea:
     """A rectangular disaster zone.
@@ -60,15 +69,14 @@ class DisasterArea:
             )
         if side <= 0:
             raise ValueError(f"grid side must be positive, got {side}")
-        cols = round(self.length / side)
-        rows = round(self.width / side)
-        if abs(cols * side - self.length) > 1e-9 or abs(rows * side - self.width) > 1e-9:
+        if not grid_divides(self.length, self.width, side):
             raise ValueError(
                 f"area {self.length} x {self.width} is not divisible by "
                 f"grid side {side}"
             )
         return HoveringGrid(area=self, side=side, altitude=altitude,
-                            cols=cols, rows=rows)
+                            cols=round(self.length / side),
+                            rows=round(self.width / side))
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,29 @@
-"""Fault-tolerant mission operations (extension).
+"""Fault injection for missions and for the solver process (extension).
 
-The paper plans one deployment for a disaster area; this package keeps it
-alive once UAVs start failing.  Three pieces compose into a self-healing
-runtime:
+The paper plans one deployment for a disaster area; this package supplies
+the failures that test keeping it alive:
 
 * :mod:`repro.ops.faults` — deterministic failure injection
   (:class:`FaultSchedule`): UAV crashes, battery depletions and inter-UAV
-  link degradations on a mission timeline;
-* :mod:`repro.ops.recovery` — graceful degradation to the largest
-  connected remnant plus watchdog-guarded re-planning with bounded,
-  exponentially backed-off retries (:class:`RecoveryPolicy`);
-* :mod:`repro.ops.mission` — the event loop (:func:`run_mission`) tying
-  both to the :mod:`repro.simnet` event queue, producing a structured
-  :class:`~repro.ops.log.MissionLog`.
+  link degradations on a mission timeline, which the dynamics engine
+  (:func:`repro.dynamics.run_dynamic`) drains;
+* :mod:`repro.ops.recovery` — connectivity of the deployed network once
+  degraded links are subtracted (:func:`uav_components`,
+  :func:`residual_connected`).
 
 The solver watchdog itself lives with the algorithm registry in
 :mod:`repro.sim.runner` (``solve_with_fallback``).
 
-A fourth piece targets the *solver process* rather than the mission:
-:mod:`repro.ops.chaos` injects deterministic worker kills / exceptions /
-delays into the parallel subset fan-out, exercising the fault-tolerant
-dispatch and checkpoint/resume machinery of :mod:`repro.core.dispatch`
-and :mod:`repro.core.checkpoint` (see ``docs/RESILIENCE.md``).
+:mod:`repro.ops.chaos` targets the *solver process* rather than the
+mission: it injects deterministic worker kills / exceptions / delays into
+the parallel subset fan-out, exercising the fault-tolerant dispatch and
+checkpoint/resume machinery of :mod:`repro.core.dispatch` and
+:mod:`repro.core.checkpoint` (see ``docs/RESILIENCE.md``).
 """
 
 from repro.ops.chaos import ChaosError, ChaosEvent, ChaosSpec
 from repro.ops.faults import BATTERY, CRASH, LINK, Fault, FaultSchedule
-from repro.ops.log import MissionEvent, MissionLog
-from repro.ops.mission import (
-    MissionConfig,
-    MissionResult,
-    run_mission,
-    run_mission_spec,
-)
-from repro.ops.recovery import (
-    DegradeResult,
-    RecoveryPolicy,
-    RepairOutcome,
-    degrade_to_remnant,
-    plan_repair,
-    residual_connected,
-    uav_components,
-)
+from repro.ops.recovery import residual_connected, uav_components
 
 __all__ = [
     "BATTERY",
@@ -52,17 +34,6 @@ __all__ = [
     "ChaosSpec",
     "Fault",
     "FaultSchedule",
-    "MissionEvent",
-    "MissionLog",
-    "MissionConfig",
-    "MissionResult",
-    "run_mission",
-    "run_mission_spec",
-    "DegradeResult",
-    "RecoveryPolicy",
-    "RepairOutcome",
-    "degrade_to_remnant",
-    "plan_repair",
     "residual_connected",
     "uav_components",
 ]

@@ -2,7 +2,7 @@
 
 A :class:`FaultSchedule` is a time-ordered list of :class:`Fault` events —
 UAV crashes, battery depletions, and inter-UAV link degradations — that the
-mission runtime (:mod:`repro.ops.mission`) feeds into the existing
+dynamics engine (:mod:`repro.dynamics.engine`) feeds into its
 :class:`repro.simnet.events.EventQueue`.  Schedules are plain data: build
 them explicitly for scripted scenarios, draw them from a seeded RNG
 (:meth:`FaultSchedule.random`, via :mod:`repro.util.rng` discipline so the
@@ -66,17 +66,6 @@ class Fault:
                 f"duration must be positive, got {self.duration_s}"
             )
 
-    def describe(self) -> str:
-        if self.kind == LINK:
-            a, b = self.link
-            healing = (
-                f", heals after {self.duration_s:.0f}s"
-                if self.duration_s is not None else ""
-            )
-            return f"link {a}<->{b} degraded{healing}"
-        verb = "crashed" if self.kind == CRASH else "battery depleted"
-        return f"UAV {self.uav_index} {verb}"
-
 
 @dataclass(frozen=True)
 class FaultSchedule:
@@ -96,17 +85,11 @@ class FaultSchedule:
     def __iter__(self):
         return iter(self.faults)
 
-    def uavs_lost(self) -> set:
-        """UAV indices permanently removed by the schedule."""
-        return {
-            f.uav_index for f in self.faults if f.kind in (CRASH, BATTERY)
-        }
-
     def inject(self, queue: EventQueue) -> None:
         """Schedule every fault (and every link healing) into ``queue``.
 
         Payloads are ``("fault", Fault)`` and ``("link_restored", pair)``
-        tuples, matching what the mission runtime dispatches on.
+        tuples, matching what the dynamics engine dispatches on.
         """
         for fault in self.faults:
             queue.schedule(fault.time_s, ("fault", fault))

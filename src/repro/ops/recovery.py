@@ -1,63 +1,16 @@
-"""Fault recovery: graceful degradation and watchdog-guarded repair.
+"""Connectivity of a deployed UAV network under link faults.
 
-On each fault the mission runtime calls into this module to
-
-1. **degrade** — detect whether the surviving UAV network is partitioned
-   (reusing :func:`repro.network.resilience.articulation_points` for the
-   diagnosis) and shrink service to the largest connected remnant, with
-   users re-assigned optimally (Section II-D max-flow); then
-2. **repair** — re-plan with every UAV still flyable (survivors plus
-   never-launched reserves) through the solver watchdog's fallback chain,
-   pair physical UAVs to the new positions with the relocation planner
-   (:mod:`repro.sim.relocation`), and re-validate the result from first
-   principles before adopting it.
-
-Repair attempts are bounded: the runtime retries with exponential backoff
-(:meth:`RecoveryPolicy.backoff_s`) and gives up after
-``max_retries`` failures, staying degraded rather than crashing.
+A deployment relays traffic only between UAVs whose hovering locations
+are adjacent in the candidate-location graph.  :func:`uav_components`
+splits the deployed UAVs into the components that remain once degraded
+inter-UAV links are subtracted; the dynamics engine keeps the largest one
+online (:meth:`repro.dynamics.WorldState.active_placements`) and adopts a
+repair plan only if :func:`residual_connected` holds for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.core.assignment import optimal_assignment
 from repro.core.problem import ProblemInstance
-from repro.network.deployment import Deployment
-from repro.network.resilience import articulation_points
-from repro.network.validate import ValidationError, validate_deployment
-from repro.sim.relocation import RelocationPlan, plan_relocation
-from repro.sim.runner import FallbackResult, WatchdogConfig, solve_with_fallback
-
-
-@dataclass(frozen=True)
-class RecoveryPolicy:
-    """Knobs of the self-healing loop."""
-
-    max_retries: int = 3
-    backoff_initial_s: float = 5.0
-    backoff_factor: float = 2.0
-    relocation: str = "makespan"         # restore service fastest
-    watchdog: WatchdogConfig = field(default_factory=WatchdogConfig)
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.backoff_initial_s < 0:
-            raise ValueError(
-                "backoff_initial_s must be non-negative, got "
-                f"{self.backoff_initial_s}"
-            )
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
-            )
-
-    def backoff_s(self, attempt: int) -> float:
-        """Wait before retry number ``attempt`` (1-based): exponential."""
-        if attempt < 1:
-            raise ValueError(f"attempt must be >= 1, got {attempt}")
-        return self.backoff_initial_s * self.backoff_factor ** (attempt - 1)
 
 
 def _degraded_location_pairs(placements: dict, degraded_links: set) -> set:
@@ -109,180 +62,3 @@ def residual_connected(
     """Whether the deployed network is one component once degraded links are
     subtracted (empty and single-UAV deployments count as connected)."""
     return len(uav_components(problem, placements, degraded_links)) <= 1
-
-
-@dataclass(frozen=True)
-class DegradeResult:
-    """Outcome of shrinking to the largest connected remnant."""
-
-    deployment: Deployment
-    dropped_uavs: tuple         # stranded outside the chosen remnant
-    num_components: int
-    hit_articulation_point: bool
-
-
-def degrade_to_remnant(
-    problem: ProblemInstance,
-    placements: dict,
-    degraded_links: set = frozenset(),
-    failed_location: "int | None" = None,
-) -> DegradeResult:
-    """Keep the largest connected remnant online and re-assign users
-    optimally to it.
-
-    The remnant is the component with the most UAVs (ties: largest total
-    capacity, then smallest fleet index — deterministic).  When
-    ``failed_location`` is given, the result reports whether the fault
-    removed an articulation point of the pre-fault topology (that is, the
-    locations in ``placements`` plus the failed one).
-    """
-    hit_cut = False
-    if failed_location is not None:
-        before = sorted(set(placements.values()) | {failed_location})
-        cuts = articulation_points(problem.graph.location_graph, before)
-        hit_cut = failed_location in cuts
-
-    components = uav_components(problem, placements, degraded_links)
-    if not components:
-        return DegradeResult(
-            deployment=Deployment.empty(),
-            dropped_uavs=(),
-            num_components=0,
-            hit_articulation_point=hit_cut,
-        )
-    fleet = problem.fleet
-    best = max(
-        components,
-        key=lambda comp: (
-            len(comp),
-            sum(fleet[k].capacity for k in comp),
-            -min(comp),
-        ),
-    )
-    keep = set(best)
-    remnant = {k: loc for k, loc in placements.items() if k in keep}
-    dropped = tuple(sorted(set(placements) - keep))
-    deployment = optimal_assignment(problem.graph, fleet, remnant)
-    return DegradeResult(
-        deployment=deployment,
-        dropped_uavs=dropped,
-        num_components=len(components),
-        hit_articulation_point=hit_cut,
-    )
-
-
-@dataclass(frozen=True)
-class RepairOutcome:
-    """One repair attempt's result.
-
-    ``status``: ``"repaired"`` (validated plan adopted), ``"no_better"``
-    (plan valid but serves no more than the degraded remnant),
-    ``"no_uavs"`` (nothing left to fly), ``"solver_failed"`` (every
-    watchdog tier failed), ``"invalid"`` (plan failed re-validation or is
-    disconnected under currently degraded links).
-    """
-
-    status: str
-    deployment: "Deployment | None" = None
-    relocation: "RelocationPlan | None" = None
-    solver: "FallbackResult | None" = None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "repaired"
-
-
-def plan_repair(
-    problem: ProblemInstance,
-    current: Deployment,
-    available: list,
-    degraded_links: set = frozenset(),
-    policy: "RecoveryPolicy | None" = None,
-) -> RepairOutcome:
-    """Re-plan the network with the ``available`` fleet subset and pair
-    surviving/reserve UAVs to the new positions.
-
-    The sub-fleet re-plan runs through :func:`solve_with_fallback`, so a
-    stuck or crashing solver degrades to a baseline instead of aborting
-    recovery.  The candidate plan is adopted only if it (a) re-validates
-    with :func:`validate_deployment`, (b) stays connected after removing
-    currently degraded links, and (c) serves strictly more users than the
-    degraded ``current`` deployment.
-    """
-    policy = policy if policy is not None else RecoveryPolicy()
-    available = sorted(set(available))
-    if not available:
-        return RepairOutcome(status="no_uavs", detail="no flyable UAVs remain")
-    sub_fleet = [problem.fleet[k] for k in available]
-    if len(sub_fleet) > problem.num_locations:
-        sub_fleet = sub_fleet[: problem.num_locations]
-        available = available[: problem.num_locations]
-    sub_problem = ProblemInstance(graph=problem.graph, fleet=sub_fleet)
-
-    solved = solve_with_fallback(sub_problem, policy.watchdog)
-    if not solved.ok:
-        return RepairOutcome(
-            status="solver_failed",
-            solver=solved,
-            detail=solved.record.error or "all fallback tiers failed",
-        )
-
-    # Pair physical UAVs to the planned positions (capacity-aware), then
-    # translate sub-fleet indices back to fleet indices.
-    old_sub = Deployment(placements={
-        i: current.placements[k]
-        for i, k in enumerate(available)
-        if k in current.placements
-    })
-    relocation_sub = plan_relocation(
-        sub_problem, old_sub, solved.deployment, policy=policy.relocation
-    )
-    placements = {
-        available[i]: dst for i, (_, dst) in relocation_sub.moves.items()
-    }
-    moves = {
-        available[i]: (src, dst)
-        for i, (src, dst) in relocation_sub.moves.items()
-    }
-    relocation = RelocationPlan(
-        moves=moves,
-        total_distance_m=relocation_sub.total_distance_m,
-        max_distance_m=relocation_sub.max_distance_m,
-        policy=relocation_sub.policy,
-    )
-    repaired = optimal_assignment(problem.graph, problem.fleet, placements)
-
-    try:
-        validate_deployment(problem.graph, problem.fleet, repaired)
-    except ValidationError as exc:
-        return RepairOutcome(
-            status="invalid", solver=solved, detail=str(exc)
-        )
-    if not residual_connected(problem, repaired.placements, degraded_links):
-        return RepairOutcome(
-            status="invalid",
-            solver=solved,
-            detail="plan disconnected under currently degraded links",
-        )
-    if repaired.served_count <= current.served_count:
-        return RepairOutcome(
-            status="no_better",
-            deployment=repaired,
-            relocation=relocation,
-            solver=solved,
-            detail=(
-                f"plan serves {repaired.served_count} <= degraded "
-                f"{current.served_count}"
-            ),
-        )
-    return RepairOutcome(
-        status="repaired",
-        deployment=repaired,
-        relocation=relocation,
-        solver=solved,
-        detail=(
-            f"{solved.answered_by} restored {repaired.served_count} served "
-            f"with {len(placements)} UAVs"
-        ),
-    )

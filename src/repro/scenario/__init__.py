@@ -10,7 +10,7 @@
   contexts, optional process pool.
 
 This package sits *below* :mod:`repro.sim`: the sweep drivers, the CLI
-and the mission runtime are thin adapters over it (see
+and the dynamics engine are thin adapters over it (see
 ``docs/ARCHITECTURE.md``).
 """
 

@@ -29,7 +29,7 @@ Each stage is a named, traced, swappable callable over a shared
 Swap a stage with :meth:`SolvePipeline.with_stage` to intercept any step
 (e.g. a caching build, a custom report) without forking the flow.  The
 golden-equivalence test (``tests/test_golden_equivalence.py``) pins the
-pipeline's output bit-identical to the legacy CLI/sweep/mission paths.
+pipeline's output bit-identical to the legacy CLI and sweep paths.
 """
 
 from __future__ import annotations

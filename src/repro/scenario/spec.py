@@ -4,7 +4,7 @@ A spec is the single, serialisable description of one solve: *which*
 scenario (scale preset + overrides, channel environment, workload model,
 fleet mix, seed) and *how* to solve it (algorithm, algorithm parameters,
 engine options).  Every entry point — ``repro run``, the figure sweeps,
-the mission runtime, the batch runner — reduces to building a spec and
+the dynamics engine, the batch runner — reduces to building a spec and
 handing it to :class:`repro.scenario.pipeline.SolvePipeline`, so adding a
 scenario knob means touching this file, not five call sites.
 
@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro.channel.presets import ENVIRONMENTS
 from repro.core.problem import ProblemInstance
-from repro.geometry.area import AIRSPACE_CEILING_M
+from repro.geometry.area import AIRSPACE_CEILING_M, grid_divides
 from repro.util.rng import derive_seed
 from repro.workload.fat_tailed import FatTailedWorkload
 from repro.workload.scenarios import SCALES, ScenarioConfig, build_scenario
@@ -346,6 +346,13 @@ class ScenarioSpec:
         """
         config = self.to_config()
         _require(
+            grid_divides(config.area_length_m, config.area_width_m,
+                         config.grid_side_m),
+            f"grid_side_m {config.grid_side_m:g} does not divide the "
+            f"{config.area_length_m:g} x {config.area_width_m:g} m area "
+            f"of scale {self.scale!r}",
+        )
+        _require(
             config.num_locations <= MAX_LOCATIONS,
             f"grid_side_m {config.grid_side_m:g} over "
             f"{len(config.altitude_layers_m) or 1} altitude layer(s) "
@@ -474,12 +481,6 @@ PRESETS = {
         seed=0, algorithm="approAlg",
         algorithm_params={"s": 2, "gain_mode": "fast",
                           "max_anchor_candidates": 10},
-    ),
-    "mission-small": ScenarioSpec(
-        name="mission-small", scale="small", num_users=400, num_uavs=6,
-        seed=7, algorithm="approAlg",
-        algorithm_params={"s": 2, "gain_mode": "fast",
-                          "max_anchor_candidates": 9},
     ),
     "paper-fig4": ScenarioSpec(
         name="paper-fig4", scale="bench", num_users=3000, num_uavs=20,

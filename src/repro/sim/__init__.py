@@ -4,7 +4,7 @@ for regenerating every figure of the paper's Section IV."""
 from repro.sim.compare import PairedComparison, compare_algorithms
 from repro.sim.experiments import fig4_sweep, fig5_sweep, fig6_sweep
 from repro.sim.metrics import DeploymentMetrics, summarize
-from repro.sim.mobility import GaussianWalk, compare_policies, simulate_mobility
+from repro.sim.mobility import GaussianWalk
 from repro.sim.planning import coverage_curve, uavs_needed_for_target
 from repro.sim.relocation import naive_relocation, plan_relocation
 from repro.sim.render import ascii_map
@@ -29,8 +29,6 @@ __all__ = [
     "DeploymentMetrics",
     "summarize",
     "GaussianWalk",
-    "compare_policies",
-    "simulate_mobility",
     "ascii_map",
     "RunRecord",
     "SweepResult",

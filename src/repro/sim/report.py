@@ -84,41 +84,3 @@ def deployment_report(
     if include_map:
         sections.append("== map ==\n" + ascii_map(problem, deployment))
     return "\n\n".join(sections)
-
-
-def mission_report(
-    problem: ProblemInstance,
-    result,
-    include_map: bool = True,
-) -> str:
-    """Render a :class:`repro.ops.mission.MissionResult`: the headline
-    numbers, the initial watchdog trail, the structured fault/recovery log,
-    and the final network state."""
-    record = result.initial_record
-    sections = [
-        "== mission ==\n"
-        f"initial plan by {record.algorithm} "
-        f"({record.status}, {record.runtime_s:.2f}s): "
-        f"{result.served_initial}/{problem.num_users} users served; "
-        f"{result.faults_injected} fault(s) injected, "
-        f"{result.repairs} repair(s) adopted; served dipped to "
-        f"{result.served_min}, ended at {result.served_final} "
-        f"({'valid' if result.final_valid else 'INVALID'}, "
-        f"{'connected' if result.final_connected else 'PARTITIONED'})"
-    ]
-    if record.attempts:
-        rows = [
-            [a.algorithm, f"{a.elapsed_s:.2f}", a.status, a.error or "-"]
-            for a in record.attempts
-        ]
-        sections.append(format_table(
-            ["solver", "elapsed (s)", "status", "error"],
-            rows,
-            title="== initial watchdog trail ==",
-        ))
-    sections.append(result.log.to_text(title="== mission log =="))
-    if include_map and result.final_deployment.placements:
-        sections.append(
-            "== final map ==\n" + ascii_map(problem, result.final_deployment)
-        )
-    return "\n\n".join(sections)

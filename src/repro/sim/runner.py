@@ -4,10 +4,10 @@ Every algorithm takes a :class:`ProblemInstance` and returns a
 :class:`Deployment`; the runner times it, validates the output against the
 problem constraints, and wraps everything into a :class:`RunRecord`.
 
-:func:`solve_with_fallback` adds the fault-tolerant path used by the
-mission runtime (:mod:`repro.ops`): run the preferred solver under a
-wall-clock budget and, when it times out, raises, or produces an invalid
-deployment, fall back deterministically through a configured chain
+:func:`solve_with_fallback` adds a fault-tolerant path for callers with a
+deadline: run the preferred solver under a wall-clock budget and, when it
+times out, raises, or produces an invalid deployment, fall back
+deterministically through a configured chain
 (default ``approAlg -> MCS -> GreedyAssign``), recording every attempt
 instead of crashing the experiment.
 """

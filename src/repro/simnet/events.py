@@ -2,9 +2,9 @@
 
 Events are ``(time, payload)``; ties break by insertion order (FIFO), so
 simultaneous events are deterministic.  :meth:`EventQueue.schedule` returns
-a token that can later be passed to :meth:`EventQueue.cancel` — the mission
-runtime uses this to withdraw a pending recovery retry when a newer fault
-supersedes it.
+a token that can later be passed to :meth:`EventQueue.cancel` — the
+dynamics engine uses this to withdraw a pending relocation or rotation swap
+when a newer plan supersedes it.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ class EventQueue:
     with a monotonically increasing sequence number, and the heap orders
     by ``(time, seq)``.  Events sharing a timestamp therefore pop in
     exactly the order they were scheduled (FIFO), independent of payload
-    contents — the property every consumer (mission runtime, dynamics
-    engine) relies on for deterministic replays.  The sequence number is
+    contents — the property every consumer (the dynamics engine, the
+    queueing simulator) relies on for deterministic replays.  The sequence number is
     also the cancellation token, so a token never collides with another
     event's and cancelling one of several same-timestamp events leaves
     the others' relative order intact.
@@ -90,8 +90,8 @@ class EventQueue:
     def drain(self, until: "float | None" = None) -> Iterator:
         """Iterate ``(time, payload)`` over live events, advancing the
         clock, until the queue empties or the next event lies strictly
-        beyond ``until`` (which then stays scheduled).  The shared mission
-        clock of the mission runtime and the dynamics engine: handlers may
+        beyond ``until`` (which then stays scheduled).  The mission clock of
+        the dynamics engine: handlers may
         schedule or cancel further events mid-iteration and the generator
         picks them up, exactly like the explicit peek/pop loop it
         replaces."""

@@ -20,7 +20,7 @@ Seed derivation — the one documented scheme, used everywhere:
   root seed (:mod:`repro.ops`, ``repro mission``).
 
 Given the same root seed, every entry point — CLI, sweeps, batch runner,
-mission runtime — therefore reproduces the same runs bit-exactly.
+dynamics engine — therefore reproduces the same runs bit-exactly.
 """
 
 from __future__ import annotations

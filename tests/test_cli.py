@@ -145,16 +145,18 @@ class TestCli:
         assert "MCS: served" in out
 
     def test_mission_smoke(self, capsys):
-        assert main([
-            "mission", "--users", "80", "--uavs", "4", "--scale", "small",
-            "--seed", "3", "--duration", "60", "--crashes", "1",
-            "--no-map",
-        ]) == 0
+        """``repro mission`` is ``repro dynamic`` on ``mission-small``."""
+        assert main(["mission", "--duration", "60", "--seed", "3"]) == 0
         out = capsys.readouterr().out
-        assert "== mission ==" in out
-        assert "== mission log ==" in out
-        assert "fault" in out
-        assert "mission_end" in out
+        assert "dynamic mission-small:" in out
+        assert "event policy" in out
+        assert "2 faults" in out
+
+    def test_mission_bad_override_fails_cleanly(self, capsys):
+        assert main(["mission", "--duration", "-5"]) == 2
+        assert "duration_s must be a positive number" in (
+            capsys.readouterr().err
+        )
 
     def test_run_with_trace_and_metrics(self, capsys, tmp_path):
         from repro import obs
@@ -208,15 +210,14 @@ class TestCli:
 
         trace = tmp_path / "mission.jsonl"
         assert main([
-            "mission", "--users", "80", "--uavs", "4", "--scale", "small",
-            "--seed", "3", "--duration", "60", "--crashes", "1",
-            "--no-map", "--trace", str(trace),
+            "mission", "--duration", "60", "--seed", "3",
+            "--trace", str(trace),
         ]) == 0
         data = obs.read_record(trace)
-        assert data.spec["name"] == "cli-mission" and data.seed == 3
+        assert data.spec["name"] == "mission-small" and data.seed == 3
         names = {s["name"] for s in data.spans}
-        assert "mission.run" in names and "mission.plan" in names
-        assert data.metrics["counters"]["mission.faults"] == 1
+        assert "dynamic.run" in names and "dynamic.plan" in names
+        assert data.metrics["counters"]["dynamic.faults"] == 2
 
     def test_trace_report_notes_zero_span_trace(self, capsys, tmp_path):
         """A trace with a manifest and metrics but no spans must say so

@@ -10,7 +10,7 @@ from repro.dynamics.spec import (
     dynamic_preset_names,
     get_dynamic_preset,
 )
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, SpecError
 
 
 def small_spec(**overrides) -> DynamicSpec:
@@ -52,6 +52,12 @@ class TestValidation:
     def test_rejects_bad_field(self, field, value):
         with pytest.raises(ValueError):
             small_spec(**{field: value})
+
+    def test_more_crashes_than_uavs_rejected(self):
+        with pytest.raises(SpecError, match="num_crashes 4 exceeds the "
+                           "fleet of 3 UAVs"):
+            small_spec(num_crashes=4)
+        assert small_spec(num_crashes=3).num_crashes == 3
 
     def test_inherits_static_validation(self):
         with pytest.raises(ValueError):
@@ -95,8 +101,8 @@ class TestPresets:
     def test_names_sorted_and_complete(self):
         names = dynamic_preset_names()
         assert names == sorted(names)
-        assert {"dynamic-small", "dynamic-surge", "dynamic-headline"} \
-            <= set(names)
+        assert {"dynamic-small", "dynamic-surge", "dynamic-headline",
+                "mission-small"} <= set(names)
 
     def test_presets_validate(self):
         for name, spec in DYNAMIC_PRESETS.items():

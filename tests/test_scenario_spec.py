@@ -92,6 +92,14 @@ class TestSchemaValidation:
                                          num_uavs=18)
         assert two_layers.build().num_uavs == 18
 
+    def test_grid_side_must_divide_the_area(self):
+        with pytest.raises(SpecError, match="grid_side_m 70 does not divide "
+                           "the 3000 x 3000 m area of scale 'bench'"):
+            ScenarioSpec(scale="bench", grid_side_m=70.0).build()
+        with pytest.raises(SpecError, match="grid_side_m"):
+            get_preset("demo-small").with_overrides(grid_side_m=400.0).build()
+        assert ScenarioSpec(scale="bench", grid_side_m=600.0).build()
+
     def test_tile_overlap_wider_than_a_tile_rejected(self):
         # demo-small's 1500 m area cut 2x2 gives 750 m tiles.
         spec = get_preset("demo-small").with_overrides(tiles="2x2")

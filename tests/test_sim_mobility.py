@@ -1,25 +1,30 @@
-"""Tests for the mobility / re-deployment extension."""
+"""User mobility and re-deployment (Section II-C) on the dynamics engine.
+
+A mobility-only mission: no churn, users take a Gaussian walk every
+``mobility_step_s``.  The ``event`` policy never re-plans for mobility
+(the deployment goes stale); ``periodic`` re-plans every epoch.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core.approx import appro_alg
-from repro.sim.mobility import (
-    GaussianWalk,
-    MobilityTrace,
-    compare_policies,
-    simulate_mobility,
-)
-from repro.workload.scenarios import paper_scenario
+from repro.dynamics import DynamicSpec, run_dynamic
+from repro.dynamics.engine import DynamicResult, _Engine
+from repro.scenario.spec import SpecError
+from repro.sim.mobility import GaussianWalk
 
 
-def planner(problem):
-    return appro_alg(problem, s=1, gain_mode="fast").deployment
-
-
-@pytest.fixture(scope="module")
-def problem():
-    return paper_scenario(num_users=150, num_uavs=4, scale="small", seed=8)
+def mobility_spec(**overrides) -> DynamicSpec:
+    base = dict(
+        name="mobility", scale="small", num_users=150, num_uavs=4, seed=8,
+        algorithm="approAlg",
+        algorithm_params={"s": 1, "gain_mode": "fast"},
+        duration_s=300.0, epoch_s=60.0, resolve_policy="event",
+        arrival_rate_per_s=0.0, hotspot_drift_mps=0.0,
+        mobility_sigma_m=150.0, mobility_step_s=30.0,
+    )
+    base.update(overrides)
+    return DynamicSpec(**base)
 
 
 class TestGaussianWalk:
@@ -44,90 +49,93 @@ class TestGaussianWalk:
 
 
 class TestSimulateMobility:
-    def test_trace_shape(self, problem):
-        trace = simulate_mobility(problem, planner, steps=5, seed=0)
-        assert len(trace.served) == 5
-        assert trace.policy == "stale"
-        assert trace.redeploys == 1
-        assert all(0 <= s <= problem.num_users for s in trace.served)
+    def test_trace_shape(self):
+        spec = mobility_spec()
+        result = run_dynamic(spec)
+        assert result.policy == "event"
+        assert [e.trigger for e in result.epochs] == ["initial"]
+        assert result.timeline[0][0] == 0.0
+        assert result.timeline[-1][0] == spec.duration_s
+        assert all(0 <= s <= a == 150 for _, s, a in result.timeline)
 
-    def test_static_users_static_service(self, problem):
+    def test_static_users_static_service(self):
         """With sigma = 0 every step serves the same count."""
-        trace = simulate_mobility(
-            problem, planner, steps=4,
-            mobility=GaussianWalk(sigma_m=0.0), seed=0,
-        )
-        assert len(set(trace.served)) == 1
+        result = run_dynamic(mobility_spec(mobility_sigma_m=0.0))
+        assert len({served for _, served, _ in result.timeline}) == 1
 
-    def test_refresh_counts_redeploys(self, problem):
-        trace = simulate_mobility(
-            problem, planner, steps=9, redeploy_every=3, seed=0,
-        )
-        assert trace.policy == "refresh/3"
-        # Initial plan + re-plans at steps 3 and 6 (step > 0 only).
-        assert trace.redeploys == 3
+    def test_refresh_counts_redeploys(self):
+        result = run_dynamic(mobility_spec(resolve_policy="periodic"))
+        # The initial plan plus one re-plan per epoch tick (60 ... 300 s).
+        assert [e.t_s for e in result.epochs] == [
+            0.0, 60.0, 120.0, 180.0, 240.0, 300.0,
+        ]
 
-    def test_validation(self, problem):
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3, redeploy_every=0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3,
-                              relocation_speed_mps=0.0)
-        with pytest.raises(ValueError):
-            simulate_mobility(problem, planner, steps=3, step_s=0.0)
+    def test_validation(self):
+        for field, value in (
+            ("mobility_step_s", 0.0),
+            ("mobility_sigma_m", -1.0),
+            ("relocation_speed_mps", 0.0),
+            ("epoch_s", 0.0),
+        ):
+            with pytest.raises(SpecError, match=field):
+                mobility_spec(**{field: value})
 
-    def test_relocation_downtime_counted(self, problem):
-        """With a very slow fleet, re-deployments spend steps in transit
-        (serving from the old positions meanwhile)."""
-        slow = simulate_mobility(
-            problem, planner, steps=10, redeploy_every=3,
-            relocation_speed_mps=0.5, step_s=60.0, seed=2,
-            mobility=GaussianWalk(sigma_m=200.0),
-        )
-        instant = simulate_mobility(
-            problem, planner, steps=10, redeploy_every=3,
-            relocation_speed_mps=None, seed=2,
-            mobility=GaussianWalk(sigma_m=200.0),
-        )
-        assert instant.transit_steps == 0
-        # Slow fleet: unless every replan is a no-move, transit happens.
-        assert slow.transit_steps >= 0
-        assert len(slow.served) == len(instant.served) == 10
+    def test_relocation_downtime_counted(self, monkeypatch):
+        """With a slow fleet, re-deployments are adopted only after the
+        slowest UAV arrives (serving from the old positions meanwhile)."""
+        adopted = []
+        adopt = _Engine._adopt
 
-    def test_fast_fleet_equals_instant(self, problem):
-        """A very fast fleet (transit < one step) behaves like the
-        instantaneous model."""
-        fast = simulate_mobility(
-            problem, planner, steps=8, redeploy_every=2,
-            relocation_speed_mps=1e9, seed=3,
-        )
-        instant = simulate_mobility(
-            problem, planner, steps=8, redeploy_every=2,
-            relocation_speed_mps=None, seed=3,
-        )
-        assert fast.served == instant.served
-        assert fast.transit_steps == 0
+        def recording(engine, placements, now):
+            adopted.append(now)
+            adopt(engine, placements, now)
+
+        monkeypatch.setattr(_Engine, "_adopt", recording)
+        spec = mobility_spec(resolve_policy="periodic")
+        run_dynamic(spec)
+        instant = list(adopted)
+        adopted.clear()
+        run_dynamic(spec.with_overrides(relocation_speed_mps=20.0))
+        assert instant == [0.0, 60.0, 120.0, 180.0, 240.0, 300.0]
+        # Some re-plans land between epoch ticks, after their transit.
+        assert set(adopted) - set(instant)
+        assert adopted == sorted(adopted)
+
+    def test_fast_fleet_equals_instant(self):
+        """A very fast fleet (transit far below the mobility step) serves
+        like the instantaneous model at every step between epochs."""
+        spec = mobility_spec(resolve_policy="periodic")
+        fast = run_dynamic(spec.with_overrides(relocation_speed_mps=1e9))
+        instant = run_dynamic(spec)
+
+        def between_epochs(result):
+            return {t: s for t, s, _ in result.timeline if t % 60 == 30}
+
+        assert between_epochs(fast) == between_epochs(instant)
+        assert len(between_epochs(fast)) == 5
+        assert len(fast.epochs) == len(instant.epochs)
 
 
 class TestComparePolicies:
-    def test_refresh_at_least_stale_on_average(self, problem):
+    def test_refresh_at_least_stale_on_average(self):
         """Re-deployment can only use fresher information; over a strong
         drift it must not lose (tolerance for assignment noise)."""
-        stale, refreshed = compare_policies(
-            problem,
-            planner,
-            steps=8,
-            redeploy_every=2,
-            mobility=GaussianWalk(sigma_m=150.0),
-            seed=3,
-        )
-        assert refreshed.mean_served >= stale.mean_served * 0.95
-        assert refreshed.redeploys > stale.redeploys
+        stale = run_dynamic(mobility_spec())
+        refreshed = run_dynamic(mobility_spec(resolve_policy="periodic"))
+        assert refreshed.mean_coverage >= stale.mean_coverage * 0.95
+        assert len(refreshed.epochs) > len(stale.epochs)
 
     def test_trace_helpers(self):
-        t = MobilityTrace(policy="x", served=[2, 4])
-        assert t.mean_served == 3.0
-        assert t.final_served == 4
-        assert MobilityTrace(policy="y").mean_served == 0.0
+        result = DynamicResult(
+            name="x", policy="event", warm=True, duration_s=10.0,
+            timeline=[(0.0, 2, 4), (5.0, 4, 4), (10.0, 3, 0)],
+        )
+        assert result.coverage_series == [0.5, 1.0, 1.0]
+        assert result.mean_coverage == pytest.approx(2.5 / 3)
+        assert result.min_coverage == 0.5
+        assert result.final_served == 3
+        empty = DynamicResult(
+            name="y", policy="event", warm=True, duration_s=10.0
+        )
+        assert empty.mean_coverage == 0.0
+        assert empty.final_served == 0

@@ -2,8 +2,7 @@
 
 The queue's documented contract — ``(time, seq)`` ordering, FIFO among
 same-timestamp events, cancellation tokens that never collide — is what
-the mission runtime and the dynamics engine lean on for deterministic
-replays.  These tests pin it, including randomized property checks that
+the dynamics engine leans on for deterministic replays.  These tests pin it, including randomized property checks that
 race cancellations against bursts of same-timestamp events.
 """
 
