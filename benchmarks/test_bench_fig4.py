@@ -11,7 +11,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import ANCHOR_POOL
-from repro.sim.runner import run_algorithm
+from repro.scenario.pipeline import SolvePipeline
+
+# prebuild_context=False keeps the context build inside the timed solve,
+# as in the figure sweeps (repro.sim.experiments).
+PIPELINE = SolvePipeline(prebuild_context=False)
 
 KS = (4, 8, 12, 16, 20)
 ALGORITHMS = ("approAlg", "maxThroughput", "MotionCtrl", "MCS", "GreedyAssign")
@@ -38,7 +42,7 @@ def test_fig4_point(benchmark, scenario_cache, figure_report, perf_trajectory,
     )
 
     record = benchmark.pedantic(
-        lambda: run_algorithm(problem, algorithm, **params),
+        lambda: PIPELINE.solve(problem, algorithm, params).record,
         rounds=1,
         iterations=1,
     )

@@ -9,7 +9,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import ANCHOR_POOL
-from repro.sim.runner import run_algorithm
+from repro.scenario.pipeline import SolvePipeline
+
+# prebuild_context=False keeps the context build inside the timed solve,
+# as in the figure sweeps (repro.sim.experiments).
+PIPELINE = SolvePipeline(prebuild_context=False)
 
 NS = (1000, 1500, 2000, 2500, 3000)
 ALGORITHMS = ("approAlg", "maxThroughput", "MotionCtrl", "MCS", "GreedyAssign")
@@ -28,7 +32,7 @@ def test_fig5_point(benchmark, scenario_cache, figure_report, n, algorithm):
         else {}
     )
     record = benchmark.pedantic(
-        lambda: run_algorithm(problem, algorithm, **params),
+        lambda: PIPELINE.solve(problem, algorithm, params).record,
         rounds=1,
         iterations=1,
     )

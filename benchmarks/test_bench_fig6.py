@@ -15,7 +15,11 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import ANCHOR_POOL
-from repro.sim.runner import run_algorithm
+from repro.scenario.pipeline import SolvePipeline
+
+# prebuild_context=False keeps the context build inside the timed solve,
+# as in the figure sweeps (repro.sim.experiments).
+PIPELINE = SolvePipeline(prebuild_context=False)
 
 SS = (1, 2, 3, 4)
 BASELINES = ("maxThroughput", "MotionCtrl", "MCS", "GreedyAssign")
@@ -28,13 +32,11 @@ TITLE = "Fig. 6 - served users (a) and runtime (b) vs s (n=3000, K=20)"
 def test_fig6_appro_point(benchmark, scenario_cache, figure_report, s):
     problem = scenario_cache(N_USERS, K)
     record = benchmark.pedantic(
-        lambda: run_algorithm(
-            problem,
-            "approAlg",
-            s=s,
-            max_anchor_candidates=ANCHOR_POOL,
-            gain_mode="fast",
-        ),
+        lambda: PIPELINE.solve(problem, "approAlg", {
+            "s": s,
+            "max_anchor_candidates": ANCHOR_POOL,
+            "gain_mode": "fast",
+        }).record,
         rounds=1,
         iterations=1,
     )
@@ -49,7 +51,7 @@ def test_fig6_baseline_rows(benchmark, scenario_cache, figure_report,
                             algorithm):
     problem = scenario_cache(N_USERS, K)
     record = benchmark.pedantic(
-        lambda: run_algorithm(problem, algorithm),
+        lambda: PIPELINE.solve(problem, algorithm).record,
         rounds=1,
         iterations=1,
     )

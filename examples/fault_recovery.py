@@ -7,15 +7,12 @@ preset: 400 users, six UAVs, two crashes drawn from the spec's derived
 1. every fault shrinks the network to its largest connected remnant — a
    degraded link between two neighbouring UAVs splits it, and only the
    bigger piece keeps serving;
-2. every fault (and every healing) triggers a repair: the physical UAVs
-   are paired to a plan for the flyable fleet, which is adopted only if it
-   is connected under the degraded links and serves strictly more users.
-   The solver never sees links, so after a link change the last plan is
-   checked again instead of being solved again (the re-solve table lists
-   only real solves);
-3. separately, the solver watchdog runs ``approAlg`` under a tiny
-   wall-clock budget and falls back through the configured chain instead
-   of raising.
+2. every fault (and every healing) triggers a repair: the planner solves
+   again for the flyable fleet, and the physical UAVs are paired to the
+   new plan, which is adopted only if it is connected under the degraded
+   links and serves strictly more users.  The solver never sees links,
+   so a link change can yield a plan that the connectivity check
+   rejects; every fault is still a real re-solve in the table.
 
 Run:  python examples/fault_recovery.py
 """
@@ -24,7 +21,6 @@ from repro.core.assignment import optimal_assignment
 from repro.dynamics import get_dynamic_preset, run_dynamic
 from repro.network.validate import validate_deployment
 from repro.ops import residual_connected
-from repro.sim.runner import WatchdogConfig, solve_with_fallback
 from repro.util.tables import format_table
 
 
@@ -34,19 +30,6 @@ def main() -> None:
     )
     problem = spec.build()
 
-    # --- watchdog: a tiny budget must fall back, not raise -------------
-    squeezed = solve_with_fallback(
-        problem, WatchdogConfig(params={"approAlg": {"s": 2}}, budget_s=1e-9)
-    )
-    trail = ", ".join(
-        f"{a.algorithm}={a.status}" for a in squeezed.record.attempts
-    )
-    print("watchdog under a 1 ns budget: answered by "
-          f"{squeezed.answered_by} [{trail}]\n")
-    assert squeezed.ok, "the fallback chain's last resort must answer"
-    assert squeezed.record.attempts[0].status == "timeout"
-
-    # --- the mission ----------------------------------------------------
     result = run_dynamic(spec)
     served_after = {t: served for t, served, _ in result.timeline}
     changes = []

@@ -68,27 +68,22 @@ class CheckpointError(ValueError):
 class CheckpointConfig:
     """Where and how often to checkpoint one solve.
 
-    ``every_chunks`` / ``every_subsets`` bound the work lost to a crash:
-    the parallel dispatcher flushes after that many completed chunks, the
-    serial loop after that many visited subsets (whichever cadence a path
-    hits first).  ``key`` folds an external identity — typically a
-    spec's ``scenario_key()`` — into the fingerprint so checkpoints of
-    different scenarios can never cross-resume even at equal shapes.
+    The parallel dispatcher flushes after every completed chunk; the
+    serial loop after ``every_subsets`` visited subsets, which bounds the
+    work a crash loses there.  ``key`` folds an external identity —
+    typically a spec's ``scenario_key()`` — into the fingerprint so
+    checkpoints of different scenarios can never cross-resume even at
+    equal shapes.
     ``resume=True`` loads a matching existing file; a missing file just
     starts fresh.
     """
 
     path: "str | Path"
     resume: bool = False
-    every_chunks: int = 1
     every_subsets: int = 64
     key: "str | None" = None
 
     def __post_init__(self) -> None:
-        if self.every_chunks < 1:
-            raise ValueError(
-                f"every_chunks must be >= 1, got {self.every_chunks}"
-            )
         if self.every_subsets < 1:
             raise ValueError(
                 f"every_subsets must be >= 1, got {self.every_subsets}"
@@ -177,7 +172,7 @@ class SolveCheckpoint:
         self.mismatched = False
         self.writes = 0
         self._payload: "dict | None" = None
-        self._chunks_since_flush = 0
+        self._chunk_done = False
         self._units_since_flush = 0
         if config.resume and self.path.exists():
             payload = self._load()
@@ -264,14 +259,14 @@ class SolveCheckpoint:
 
     def mark_range(self, lo: int, hi: int, chunk: bool = True) -> None:
         """One contiguous index range finished.  ``chunk=True`` (a pool
-        chunk) counts toward the ``every_chunks`` flush cadence; the
-        in-parent sweep passes ``chunk=False`` for its per-subset marks
-        so only the ``every_subsets`` cadence applies."""
+        chunk) makes the next :meth:`maybe_flush` write; the in-parent
+        sweep passes ``chunk=False`` for its per-subset marks so only the
+        ``every_subsets`` cadence applies."""
         if hi <= lo:
             return
         self.completed = merge_ranges(self.completed + [(lo, hi)])
         if chunk:
-            self._chunks_since_flush += 1
+            self._chunk_done = True
         self._units_since_flush += hi - lo
 
     def record_counts(self, pruned: int, evaluated: int, infeasible: int,
@@ -288,7 +283,7 @@ class SolveCheckpoint:
 
     def maybe_flush(self) -> None:
         if (
-            self._chunks_since_flush >= self.config.every_chunks
+            self._chunk_done
             or self._units_since_flush >= self.config.every_subsets
         ):
             self.flush()
@@ -308,7 +303,7 @@ class SolveCheckpoint:
             "complete": self.complete,
             "created_unix": time.time(),
         })
-        self._chunks_since_flush = 0
+        self._chunk_done = False
         self._units_since_flush = 0
         self.writes += 1
         obs.counter_inc("checkpoint.writes")

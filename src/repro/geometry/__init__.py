@@ -1,5 +1,5 @@
-"""Geometry of the disaster zone: points, the grid of candidate hovering
-locations, and spatial indexing.
+"""Geometry of the disaster zone: points and the grid of candidate hovering
+locations.
 
 The paper models the disaster zone as a 3-D box of length ``alpha``, width
 ``beta`` and height ``gamma``.  Users live on the ground plane (z = 0); UAVs
@@ -9,7 +9,6 @@ locations ``v_1..v_m`` (Section II-A).
 """
 
 from repro.geometry.area import DisasterArea
-from repro.geometry.grid import Grid, SpatialHash
 from repro.geometry.point import Point2D, Point3D
 
-__all__ = ["DisasterArea", "Grid", "SpatialHash", "Point2D", "Point3D"]
+__all__ = ["DisasterArea", "Point2D", "Point3D"]

@@ -11,9 +11,6 @@ the failures that test keeping it alive:
   degraded links are subtracted (:func:`uav_components`,
   :func:`residual_connected`).
 
-The solver watchdog itself lives with the algorithm registry in
-:mod:`repro.sim.runner` (``solve_with_fallback``).
-
 :mod:`repro.ops.chaos` targets the *solver process* rather than the
 mission: it injects deterministic worker kills / exceptions / delays into
 the parallel subset fan-out, exercising the fault-tolerant dispatch and

@@ -6,8 +6,7 @@ dynamics engine (:mod:`repro.dynamics.engine`) feeds into its
 :class:`repro.simnet.events.EventQueue`.  Schedules are plain data: build
 them explicitly for scripted scenarios, draw them from a seeded RNG
 (:meth:`FaultSchedule.random`, via :mod:`repro.util.rng` discipline so the
-same seed always yields the same faults), or derive battery events from the
-energy model (:meth:`FaultSchedule.from_endurance`).
+same seed always yields the same faults).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.network.energy import EnergyModel, fleet_endurance_s
 from repro.simnet.events import EventQueue
 from repro.util.rng import ensure_rng
 
@@ -149,24 +147,4 @@ class FaultSchedule:
                 link=pair,
                 duration_s=link_duration_s,
             ))
-        return cls(faults=tuple(faults))
-
-    @classmethod
-    def from_endurance(
-        cls,
-        fleet: list,
-        deployment,
-        model: "EnergyModel | None" = None,
-        horizon_s: "float | None" = None,
-    ) -> "FaultSchedule":
-        """Battery-depletion faults at each deployed UAV's hover endurance
-        (from :mod:`repro.network.energy`), optionally clipped to a mission
-        horizon."""
-        model = model if model is not None else EnergyModel()
-        endurance = fleet_endurance_s(fleet, deployment, model)
-        faults = [
-            Fault(time_s=float(secs), kind=BATTERY, uav_index=k)
-            for k, secs in sorted(endurance.items())
-            if horizon_s is None or secs <= horizon_s
-        ]
         return cls(faults=tuple(faults))

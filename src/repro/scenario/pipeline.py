@@ -14,10 +14,9 @@ Each stage is a named, traced, swappable callable over a shared
     solvers that accept one (lossless: the solver would build the
     identical structure internally), enabling reuse across runs;
 ``solve``
-    the timed dispatch through the algorithm registry — behaviourally
-    identical to the legacy ``sim.runner.run_algorithm`` body, emitting
-    the same ``runner.solve`` span and ``runner.solves`` /
-    ``runner.solve_seconds`` metrics so dashboards and traces carry over;
+    the timed dispatch through the algorithm registry, emitting the
+    ``runner.solve`` span and the ``runner.solves`` /
+    ``runner.solve_seconds`` metrics;
 ``validate``
     re-check the deployment against the problem constraints
     (connectivity-exempt algorithms are honoured via the registry's
@@ -29,7 +28,8 @@ Each stage is a named, traced, swappable callable over a shared
 Swap a stage with :meth:`SolvePipeline.with_stage` to intercept any step
 (e.g. a caching build, a custom report) without forking the flow.  The
 golden-equivalence test (``tests/test_golden_equivalence.py``) pins the
-pipeline's output bit-identical to the legacy CLI and sweep paths.
+pipeline's output bit-identical to direct registry calls and to a
+hand-rolled sweep loop.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ def context_stage(state: PipelineState) -> PipelineState:
 def solve_stage(state: PipelineState) -> PipelineState:
     """Timed dispatch through the registry entry.
 
-    Must stay behaviourally identical to the legacy
-    ``sim.runner.run_algorithm`` solve body (same metrics, same error
-    capture) — the dispatch-equivalence tests pin this.
+    With ``strict`` a raising solver propagates; otherwise the error is
+    captured into the state (``status="error"``).
     """
     params = dict(state.params)
     if state.context is not None and state.entry.supports_context:
@@ -229,7 +228,7 @@ class SolvePipeline:
 
     ``strict=False`` captures solver errors / invalid deployments into the
     record (``status`` = ``"error"`` / ``"invalid"``) instead of raising,
-    mirroring the legacy runner.  ``prebuild_context=False`` skips the
+    so a sweep survives one bad run.  ``prebuild_context=False`` skips the
     context stage's precomputation, leaving context-aware solvers to build
     their own — the sweep drivers use this to keep per-point cost exactly
     as before.
@@ -355,9 +354,9 @@ class SolvePipeline:
     ) -> PipelineState:
         """Drive an already-built problem through the stages.
 
-        This is the adapter the sweep drivers and the paired comparison
-        use — the successor of the legacy ``run_algorithm`` call, with the
-        deployment kept on the returned state instead of discarded.
+        This is the adapter the figure sweeps, the paired comparison and
+        the figure benchmarks use; the deployment is kept on the returned
+        state.
         ``checkpoint`` is forwarded to the solver when it supports one
         (silently dropped otherwise, so sweep drivers can pass it
         unconditionally).

@@ -1,17 +1,15 @@
 """The algorithm registry: names -> solver entries with capability flags.
 
 This is the single source of truth for "what can this repo solve with,
-and what does each solver support".  :data:`DEFAULT_REGISTRY` subsumes the
-ad-hoc dispatch tables that used to live in :mod:`repro.sim.runner`
-(``ALGORITHMS`` plus the ``_UNCONNECTED_OK`` / ``_COOPERATIVE`` side
-sets): the runner now *derives* those views from here, and the solve
-pipeline (:mod:`repro.scenario.pipeline`) consults the capability flags to
-decide which engine options (``workers``, a prebuilt
-:class:`~repro.core.context.SolverContext`, a watchdog ``progress`` hook)
-an algorithm may legally receive.
+and what does each solver support".  The solve pipeline
+(:mod:`repro.scenario.pipeline`) dispatches through
+:data:`DEFAULT_REGISTRY` and consults the capability flags to decide which
+engine options (``workers``, a prebuilt
+:class:`~repro.core.context.SolverContext`, a checkpoint) an algorithm may
+legally receive.
 
 Registering a new solver is one :meth:`AlgorithmRegistry.register` call;
-every entry point (CLI, sweeps, batch runner, watchdog chains) picks it up
+every entry point (CLI, sweeps, batch runner, dynamics engine) picks it up
 from there.
 """
 
@@ -40,11 +38,8 @@ class AlgorithmEntry:
 
     ``solve`` maps ``(problem, **params) -> Deployment``.  The flags gate
     engine options: the pipeline only forwards ``workers=N`` when
-    ``supports_workers`` is set, and the solver watchdog only installs a
-    mid-run abort hook when ``cooperative`` is set (the solver calls
-    ``progress(done, total)`` between units of work).  ``watchdog_tier``
-    orders the default fallback chain (lower answers first; ``None`` keeps
-    the solver out of the chain).
+    ``supports_workers`` is set, and validates connectivity only when
+    ``requires_connected`` is set.
     """
 
     name: str
@@ -53,9 +48,7 @@ class AlgorithmEntry:
     supports_workers: bool = False
     supports_context: bool = False
     supports_checkpoint: bool = False
-    cooperative: bool = False
     requires_connected: bool = True
-    watchdog_tier: "int | None" = None
     #: The solver understands demand-cell problems (graphs carrying
     #: ``cell_demands``; see :mod:`repro.workload.aggregate`) — it weights
     #: gains by demand and emits a cell-arc assignment.  The pipeline
@@ -108,29 +101,6 @@ class AlgorithmRegistry:
     def entries(self) -> list:
         return [self._entries[name] for name in sorted(self._entries)]
 
-    def callables(self) -> dict:
-        """A fresh ``name -> solve`` dict (the legacy ``ALGORITHMS`` shape;
-        :mod:`repro.sim.runner` builds its mutable table from this)."""
-        return {name: e.solve for name, e in self._entries.items()}
-
-    def unconnected_ok(self) -> frozenset:
-        return frozenset(
-            name for name, e in self._entries.items()
-            if not e.requires_connected
-        )
-
-    def cooperative(self) -> frozenset:
-        return frozenset(
-            name for name, e in self._entries.items() if e.cooperative
-        )
-
-    def fallback_chain(self) -> tuple:
-        """Watchdog fallback order: entries with a tier, best first."""
-        tiered = [e for e in self._entries.values()
-                  if e.watchdog_tier is not None]
-        tiered.sort(key=lambda e: e.watchdog_tier)
-        return tuple(e.name for e in tiered)
-
     def __contains__(self, name: object) -> bool:
         return name in self._entries
 
@@ -152,13 +122,12 @@ def default_registry() -> AlgorithmRegistry:
             description="Algorithm 2: anchored matroid greedy + MST connect "
             "(the paper's O(sqrt(s/K))-approximation)",
             supports_workers=True, supports_context=True,
-            supports_checkpoint=True, cooperative=True, watchdog_tier=0,
+            supports_checkpoint=True,
             supports_cells=True, supports_warm_start=True,
         ),
         AlgorithmEntry(
             "MCS", mcs,
             description="maximum connected-component seeding baseline",
-            watchdog_tier=1,
         ),
         AlgorithmEntry(
             "MotionCtrl", motion_ctrl,
@@ -167,7 +136,6 @@ def default_registry() -> AlgorithmRegistry:
         AlgorithmEntry(
             "GreedyAssign", greedy_assign,
             description="capacity-greedy assignment baseline",
-            watchdog_tier=2,
         ),
         AlgorithmEntry(
             "maxThroughput", max_throughput,

@@ -1,5 +1,6 @@
-"""Experiment harness: algorithm registry, sweep runners and result tables
-for regenerating every figure of the paper's Section IV."""
+"""Experiment harness: sweep runners and result tables for regenerating
+every figure of the paper's Section IV (solves run through
+:class:`repro.scenario.pipeline.SolvePipeline`)."""
 
 from repro.sim.compare import PairedComparison, compare_algorithms
 from repro.sim.experiments import fig4_sweep, fig5_sweep, fig6_sweep
@@ -11,7 +12,6 @@ from repro.sim.render import ascii_map
 from repro.sim.report import deployment_report
 from repro.sim.results import RunRecord, SweepResult
 from repro.sim.rotation import max_sustainable_mission_s, plan_rotation
-from repro.sim.runner import ALGORITHMS
 
 __all__ = [
     "PairedComparison",
@@ -32,5 +32,4 @@ __all__ = [
     "ascii_map",
     "RunRecord",
     "SweepResult",
-    "ALGORITHMS",
 ]

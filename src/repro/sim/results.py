@@ -11,13 +11,10 @@ from repro.util.tables import format_markdown_table, format_table
 class RunRecord:
     """One algorithm run on one scenario.
 
-    ``status`` is ``"ok"`` for a successful validated run; non-strict runs
-    and the watchdog executor (:mod:`repro.sim.runner`) also produce
-    ``"error"`` (the solver raised), ``"invalid"`` (the output failed
-    :func:`repro.network.validate.validate_deployment`) and ``"failed"``
-    (every fallback tier was exhausted).  ``attempts`` holds one
-    :class:`AttemptRecord` per solver tried, in order, so experiments keep
-    a full audit trail instead of crashing.
+    ``status`` is ``"ok"`` for a successful validated run; non-strict
+    pipeline runs (:class:`repro.scenario.pipeline.SolvePipeline`) also
+    produce ``"error"`` (the solver raised) and ``"invalid"`` (the output
+    failed :func:`repro.network.validate.validate_deployment`).
     """
 
     algorithm: str
@@ -28,7 +25,6 @@ class RunRecord:
     params: dict = field(default_factory=dict)
     status: str = "ok"
     error: "str | None" = None
-    attempts: tuple = ()
 
     @property
     def served_fraction(self) -> float:
@@ -49,11 +45,12 @@ class RunRecord:
             "params": _json_safe_params(self.params),
             "status": self.status,
             "error": self.error,
-            "attempts": [a.to_dict() for a in self.attempts],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "RunRecord":
+        # Ledgers written before the solver watchdog was removed carry an
+        # "attempts" trail; it is ignored.
         return RunRecord(
             algorithm=data["algorithm"],
             served=int(data["served"]),
@@ -63,9 +60,6 @@ class RunRecord:
             params=dict(data.get("params", {})),
             status=data.get("status", "ok"),
             error=data.get("error"),
-            attempts=tuple(
-                AttemptRecord.from_dict(a) for a in data.get("attempts", ())
-            ),
         )
 
 
@@ -84,33 +78,6 @@ def _json_safe_params(params: dict) -> dict:
         else:
             out[key] = repr(value)
     return out
-
-
-@dataclass(frozen=True)
-class AttemptRecord:
-    """One solver attempt inside a watchdog/fallback run."""
-
-    algorithm: str
-    elapsed_s: float
-    status: str            # "ok" | "timeout" | "error" | "invalid"
-    error: "str | None" = None
-
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "elapsed_s": self.elapsed_s,
-            "status": self.status,
-            "error": self.error,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "AttemptRecord":
-        return AttemptRecord(
-            algorithm=data["algorithm"],
-            elapsed_s=float(data["elapsed_s"]),
-            status=data["status"],
-            error=data.get("error"),
-        )
 
 
 @dataclass

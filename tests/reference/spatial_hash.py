@@ -1,8 +1,11 @@
-"""Spatial indexing for range queries.
+"""A uniform-cell spatial hash, kept as a test reference.
 
-Coverage-graph construction needs "all users within radius R of location v"
-for every location; a uniform-cell spatial hash turns that from O(n*m) naive
-pair scans into O(n + m * hits) in practice.
+Range queries by bucket scan: "all users within radius R of location v"
+in O(n + m * hits) instead of O(n * m) pair scans.  The solver never calls
+this; it builds coverage and the location graph with array kernels, and
+the oracle tests (``test_location_graph_oracle``,
+``test_coverage_kernel``, ``test_network_coverage``) check those kernels
+against these scalar queries.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ import pytest
 from repro.core.approx import appro_alg
 from repro.core.context import SolverContext
 from repro.scenario.spec import get_preset
-from repro.sim.runner import SolverTimeout
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
 
@@ -75,16 +74,20 @@ def test_progress_monotonic_across_fallback():
     assert totals[-1] >= result.stats.subsets_total
 
 
+class _Cancelled(Exception):
+    """Raised from a progress callback to cancel a pooled solve."""
+
+
 @pytest.mark.timeout_guard(180)
-def test_watchdog_abort_with_workers():
-    """A SolverTimeout raised from the progress callback must abort the
+def test_progress_abort_with_workers():
+    """An exception raised from the progress callback must abort the
     parallel run promptly and propagate."""
     problem = paper_scenario(num_users=150, num_uavs=5, scale="small", seed=4)
 
     def abort(done, total):
-        raise SolverTimeout("budget exhausted")
+        raise _Cancelled("stop")
 
-    with pytest.raises(SolverTimeout):
+    with pytest.raises(_Cancelled):
         appro_alg(problem, s=2, workers=2, progress=abort)
 
 

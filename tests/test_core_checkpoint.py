@@ -48,8 +48,6 @@ def test_completed_plus_missing_cover_everything(total):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="every_chunks"):
-        CheckpointConfig(path="x.json", every_chunks=0)
     with pytest.raises(ValueError, match="every_subsets"):
         CheckpointConfig(path="x.json", every_subsets=0)
 
@@ -191,9 +189,9 @@ def test_missing_file_starts_fresh(tmp_path):
 
 
 def test_flush_cadence_chunks_vs_subsets(tmp_path):
-    # every_chunks=1: each pool chunk flushes; serial per-subset marks
-    # (chunk=False) only flush at the every_subsets cadence.
-    ck = _fresh(tmp_path, every_chunks=1, every_subsets=10)
+    # Each pool chunk flushes; serial per-subset marks (chunk=False) only
+    # flush at the every_subsets cadence.
+    ck = _fresh(tmp_path, every_subsets=10)
     ck.enter_level(2, 100)
     for i in range(5):
         ck.mark_range(i, i + 1, chunk=False)
@@ -205,7 +203,7 @@ def test_flush_cadence_chunks_vs_subsets(tmp_path):
     assert ck.writes == 1
     ck.mark_range(10, 20, chunk=True)
     ck.maybe_flush()
-    assert ck.writes == 2, "a pool chunk flushes at every_chunks=1"
+    assert ck.writes == 2, "a pool chunk flushes"
 
 
 def test_empty_range_is_a_no_op(tmp_path):

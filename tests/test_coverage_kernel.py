@@ -22,7 +22,6 @@ import pytest
 
 from repro.core.context import SolverContext
 from repro.core.problem import ProblemInstance
-from repro.geometry.grid import SpatialHash
 from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
@@ -33,6 +32,7 @@ from repro.workload.aggregate import (
     aggregate_users,
     singleton_cells,
 )
+from tests.reference.spatial_hash import SpatialHash
 
 SIDE_M = 1800.0
 LAYERS_M = (120.0, 300.0, 450.0)

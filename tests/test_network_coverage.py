@@ -4,12 +4,12 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from repro.geometry.grid import pairwise_within
 from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
 from repro.network.users import users_from_points
 from repro.workload.scenarios import paper_scenario
+from tests.reference.spatial_hash import pairwise_within
 
 
 def random_coverage_graph(seed=0, n_users=60, cols=4, rows=3):

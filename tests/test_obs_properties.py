@@ -4,8 +4,8 @@ Four invariants the observability layer must never lose:
 
 * span balance — however instrumented code exits (returns, raises,
   nests), every entered span is closed and recorded; no open span
-  survives, including when the watchdog aborts a cooperative solver with
-  :class:`~repro.sim.runner.SolverTimeout` mid-run;
+  survives, including when a ``progress`` callback aborts ``approAlg``
+  mid-run, serial or pooled;
 * engine equivalence — identical seeds yield bit-identical metric
   counters serial vs ``workers=N`` (counter merging is commutative
   addition of worker deltas, so chunking must not show through);
@@ -21,7 +21,6 @@ from __future__ import annotations
 import io
 import json
 import tempfile
-import time
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,6 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.approx import appro_alg
-from repro.sim.runner import WatchdogConfig, solve_with_fallback
 from repro.workload.scenarios import paper_scenario
 
 
@@ -110,38 +108,34 @@ def test_traced_decorator_balances_on_exception():
     assert span.name == "boomer" and span.error == "_Boom"
 
 
-def test_spans_balance_under_watchdog_solver_timeout():
-    """A SolverTimeout aborting approAlg mid-enumeration must not leave
-    the runner/approx spans open; the aborted tier's span records the
-    timeout as its error."""
-    problem = paper_scenario(num_users=120, num_uavs=4, scale="small", seed=2)
-    obs.enable()
-    result = solve_with_fallback(
-        problem,
-        WatchdogConfig(
-            chain=("approAlg", "GreedyAssign"),
-            budget_s=0.05,
-            params={"approAlg": {
-                "s": 2,
-                "gain_mode": "fast",
-                # Burn past the deadline on the first progress call so the
-                # timeout deterministically fires *inside* the solver.
-                "progress": lambda done, total: time.sleep(0.1),
-            }},
-        ),
-    )
-    assert obs.open_span_count() == 0
-    spans = obs.drain_spans()
-    counters = obs.metrics_snapshot()["counters"]
-    obs.disable()
+class _Abort(Exception):
+    """Raised from a progress callback to stop a solve partway."""
 
-    assert result.ok and result.answered_by == "GreedyAssign"
-    statuses = {a.algorithm: a.status for a in result.record.attempts}
-    assert statuses["approAlg"] == "timeout"
-    aborted = [s for s in spans if s.name == "runner.tier" and s.error]
-    assert len(aborted) == 1
-    assert aborted[0].error == "SolverTimeout"
-    assert counters.get("runner.timeouts") == 1
+
+@pytest.mark.timeout_guard(180)
+def test_spans_balance_under_mid_solve_abort():
+    """An exception raised from approAlg's ``progress`` callback partway
+    through the enumeration — serial, and from the parent between pooled
+    chunks — must not leave the approx spans open; every span it escaped
+    through records it as its error."""
+    problem = paper_scenario(num_users=120, num_uavs=4, scale="small", seed=2)
+
+    def abort(done, total):
+        if done:
+            raise _Abort(f"stopped after {done}/{total} subsets")
+
+    for workers in (1, 2):
+        obs.reset()
+        obs.enable()
+        with pytest.raises(_Abort):
+            appro_alg(problem, s=2, gain_mode="fast", workers=workers,
+                      progress=abort)
+        assert obs.open_span_count() == 0, workers
+        spans = obs.drain_spans()
+        obs.disable()
+        aborted = [s for s in spans if s.error == "_Abort"]
+        assert aborted, workers
+        assert any(s.name == "approx.enumerate" for s in aborted), workers
 
 
 # -- engine equivalence ------------------------------------------------------

@@ -1,11 +1,9 @@
 """Tests for failure injection: fault validation, schedule determinism,
-event-queue integration, endurance-derived schedules."""
+event-queue integration."""
 
 import pytest
 
-from repro.network.deployment import Deployment
-from repro.network.uav import UAV
-from repro.ops.faults import BATTERY, CRASH, LINK, Fault, FaultSchedule
+from repro.ops.faults import CRASH, LINK, Fault, FaultSchedule
 from repro.simnet.events import EventQueue
 
 
@@ -82,24 +80,3 @@ class TestFaultSchedule:
         assert times_kinds == [
             (1.0, "fault"), (2.0, "fault"), (5.0, "link_restored"),
         ]
-
-    def test_from_endurance(self):
-        fleet = [UAV(capacity=10, battery_wh=200.0),
-                 UAV(capacity=10, battery_wh=800.0)]
-        deployment = Deployment(placements={0: 0, 1: 1})
-        schedule = FaultSchedule.from_endurance(fleet, deployment)
-        assert len(schedule) == 2
-        assert all(f.kind == BATTERY for f in schedule)
-        by_uav = {f.uav_index: f.time_s for f in schedule}
-        # The bigger battery keeps its UAV up longer.
-        assert by_uav[1] > by_uav[0]
-
-    def test_from_endurance_horizon_clips(self):
-        fleet = [UAV(capacity=10, battery_wh=200.0),
-                 UAV(capacity=10, battery_wh=800.0)]
-        deployment = Deployment(placements={0: 0, 1: 1})
-        full = FaultSchedule.from_endurance(fleet, deployment)
-        short = FaultSchedule.from_endurance(
-            fleet, deployment, horizon_s=min(f.time_s for f in full) + 1.0
-        )
-        assert len(short) == 1

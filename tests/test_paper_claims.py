@@ -9,7 +9,7 @@ Scales are trimmed so the whole module runs in seconds.
 import pytest
 
 from repro.core.approx import appro_alg
-from repro.sim.runner import run_algorithm
+from repro.scenario.pipeline import SolvePipeline
 from repro.workload.scenarios import paper_scenario
 
 BASELINES = ("maxThroughput", "MotionCtrl", "MCS", "GreedyAssign")
@@ -32,7 +32,7 @@ class TestHeadlineClaim:
     def test_beats_every_baseline(self, headline_problem, appro_served):
         """Fig. 4/5's core claim: approAlg serves the most users."""
         for name in BASELINES:
-            baseline = run_algorithm(headline_problem, name).served
+            baseline = SolvePipeline().solve(headline_problem, name).served
             assert appro_served >= baseline, (
                 f"approAlg ({appro_served}) lost to {name} ({baseline})"
             )
@@ -42,7 +42,7 @@ class TestHeadlineClaim:
         """The paper reports up to 22% over the baselines; at our reduced
         scale the margin over the weakest baseline should still be >= 5%."""
         weakest = min(
-            run_algorithm(headline_problem, name).served
+            SolvePipeline().solve(headline_problem, name).served
             for name in BASELINES
         )
         assert appro_served >= 1.05 * weakest

@@ -5,11 +5,11 @@ from pathlib import Path
 
 import pytest
 
-import repro.sim.runner as runner
+from repro.network.validate import validate_deployment
+from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.registry import (
     DEFAULT_REGISTRY,
     AlgorithmEntry,
-    AlgorithmRegistry,
     default_registry,
 )
 
@@ -25,15 +25,14 @@ class TestEntries:
         entry = DEFAULT_REGISTRY.get("approAlg")
         assert entry.supports_workers
         assert entry.supports_context
-        assert entry.cooperative
-        assert entry.watchdog_tier == 0
+        assert entry.supports_checkpoint
 
     def test_baselines_have_no_engine_capabilities(self):
         for name in ("MCS", "GreedyAssign", "maxThroughput"):
             entry = DEFAULT_REGISTRY.get(name)
             assert not entry.supports_workers
             assert not entry.supports_context
-            assert not entry.cooperative
+            assert not entry.supports_checkpoint
 
     def test_unconstrained_is_connectivity_exempt(self):
         assert not DEFAULT_REGISTRY.get("Unconstrained").requires_connected
@@ -64,38 +63,9 @@ class TestEntries:
         assert [e.name for e in DEFAULT_REGISTRY] == DEFAULT_REGISTRY.names()
 
 
-class TestRunnerViews:
-    """sim.runner's dispatch tables are views of this registry."""
-
-    def test_algorithms_table_matches(self):
-        assert runner.ALGORITHMS == DEFAULT_REGISTRY.callables()
-
-    def test_algorithms_table_is_independent_mutable_copy(self):
-        table = DEFAULT_REGISTRY.callables()
-        table["Stub"] = lambda p: None
-        assert "Stub" not in DEFAULT_REGISTRY
-        assert "Stub" not in runner.ALGORITHMS
-
-    def test_unconnected_ok_view(self):
-        assert runner._UNCONNECTED_OK == frozenset({"Unconstrained"})
-        assert runner._UNCONNECTED_OK == DEFAULT_REGISTRY.unconnected_ok()
-
-    def test_cooperative_view(self):
-        assert runner._COOPERATIVE == frozenset({"approAlg"})
-        assert runner._COOPERATIVE == DEFAULT_REGISTRY.cooperative()
-
-    def test_fallback_chain_ordered_by_tier(self):
-        assert DEFAULT_REGISTRY.fallback_chain() == (
-            "approAlg", "MCS", "GreedyAssign"
-        )
-        assert runner.DEFAULT_FALLBACK_CHAIN == (
-            "approAlg", "MCS", "GreedyAssign"
-        )
-
-
 class TestDispatchEquivalence:
-    """Registry dispatch produces the same deployments as the legacy
-    run_algorithm table for every deterministic solver."""
+    """The pipeline's dispatch produces the same deployments and records
+    as a direct registry call for every deterministic solver."""
 
     DETERMINISTIC = (
         "approAlg", "MCS", "MotionCtrl", "GreedyAssign",
@@ -103,33 +73,36 @@ class TestDispatchEquivalence:
     )
 
     def test_same_deployments(self, small_scenario):
-        for name in self.DETERMINISTIC:
-            params = {"s": 2} if name == "approAlg" else {}
-            via_registry = DEFAULT_REGISTRY.get(name).solve(
-                small_scenario, **params
-            )
-            via_legacy = runner.ALGORITHMS[name](small_scenario, **params)
-            assert via_registry.placements == via_legacy.placements, name
-            assert via_registry.assignment == via_legacy.assignment, name
-
-    def test_record_equivalence(self, small_scenario):
-        from repro.scenario.pipeline import SolvePipeline
-
         pipeline = SolvePipeline(prebuild_context=False)
         for name in self.DETERMINISTIC:
             params = {"s": 2} if name == "approAlg" else {}
+            direct = DEFAULT_REGISTRY.get(name).solve(small_scenario, **params)
+            state = pipeline.solve(small_scenario, name, params)
+            assert state.deployment.placements == direct.placements, name
+            assert state.deployment.assignment == direct.assignment, name
+
+    def test_record_equivalence(self, small_scenario):
+        pipeline = SolvePipeline()
+        for name in self.DETERMINISTIC:
+            entry = DEFAULT_REGISTRY.get(name)
+            params = {"s": 2} if name == "approAlg" else {}
             record = pipeline.solve(small_scenario, name, params).record
-            legacy = runner.run_algorithm(small_scenario, name, **params)
-            assert record.algorithm == legacy.algorithm
-            assert record.served == legacy.served
-            assert record.status == legacy.status
-            assert record.params == legacy.params
+            direct = entry.solve(small_scenario, **params)
+            validate_deployment(
+                small_scenario.graph, small_scenario.fleet, direct,
+                require_connected=entry.requires_connected,
+            )
+            assert record.algorithm == name
+            assert record.served == direct.served_count
+            assert record.status == "ok"
+            assert record.params == params
+            assert record.num_users == small_scenario.num_users
+            assert record.num_uavs == small_scenario.num_uavs
 
 
 class TestLayering:
     """The scenario package sits below repro.sim: no module-level import
-    of the sim package (the grep lint in CI enforces the run_algorithm
-    half of this; here we check the whole package boundary)."""
+    of the sim package."""
 
     PACKAGE_DIR = Path(__file__).parent.parent / "src" / "repro" / "scenario"
 
@@ -150,13 +123,3 @@ class TestLayering:
                         "level imports of leaf submodules are the allowed "
                         "escape hatch)"
                     )
-
-    def test_never_calls_run_algorithm(self):
-        for path in sorted(self.PACKAGE_DIR.glob("*.py")):
-            tree = ast.parse(path.read_text())
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom):
-                    imported = [alias.name for alias in node.names]
-                    assert "run_algorithm" not in imported, path.name
-                if isinstance(node, ast.Attribute):
-                    assert node.attr != "run_algorithm", path.name

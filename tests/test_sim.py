@@ -1,10 +1,11 @@
-"""Tests for the simulation harness: runner, results, sweeps."""
+"""Tests for the simulation harness: solves, results, sweeps."""
 
 import pytest
 
+from repro.scenario.pipeline import SolvePipeline
+from repro.scenario.registry import DEFAULT_REGISTRY
 from repro.sim.experiments import fig4_sweep, fig5_sweep, fig6_sweep
 from repro.sim.results import RunRecord, SweepResult
-from repro.sim.runner import ALGORITHMS, run_algorithm
 from repro.workload.scenarios import paper_scenario
 
 
@@ -23,14 +24,14 @@ class TestRunner:
             "maxThroughput",
             "RandomConnected",
             "Unconstrained",
-        } == set(ALGORITHMS)
+        } == set(DEFAULT_REGISTRY.names())
 
     def test_unknown_algorithm(self, tiny):
         with pytest.raises(KeyError, match="known"):
-            run_algorithm(tiny, "Oracle9000")
+            SolvePipeline().solve(tiny, "Oracle9000")
 
     def test_run_records_fields(self, tiny):
-        rec = run_algorithm(tiny, "MCS")
+        rec = SolvePipeline().solve(tiny, "MCS").record
         assert rec.algorithm == "MCS"
         assert 0 <= rec.served <= tiny.num_users
         assert rec.runtime_s >= 0.0
@@ -39,10 +40,32 @@ class TestRunner:
         assert 0.0 <= rec.served_fraction <= 1.0
 
     def test_every_algorithm_valid_on_tiny(self, tiny):
-        for name in ALGORITHMS:
+        for name in DEFAULT_REGISTRY.names():
             params = {"s": 2, "gain_mode": "fast"} if name == "approAlg" else {}
-            rec = run_algorithm(tiny, name, **params)  # validates internally
-            assert rec.served >= 0
+            # The pipeline validates (strictly) before it reports.
+            rec = SolvePipeline().solve(tiny, name, params).record
+            assert rec.ok and rec.served >= 0
+
+
+class TestRunRecord:
+    def test_from_dict_ignores_a_legacy_attempts_trail(self):
+        """Ledgers written while a solver watchdog existed carry an
+        ``attempts`` list per record; they still load, without it."""
+        payload = {
+            "algorithm": "GreedyAssign", "served": 40, "runtime_s": 0.2,
+            "num_users": 120, "num_uavs": 4, "params": {},
+            "status": "ok", "error": None,
+            "attempts": [
+                {"algorithm": "approAlg", "elapsed_s": 0.1,
+                 "status": "timeout", "error": "budget exhausted"},
+                {"algorithm": "GreedyAssign", "elapsed_s": 0.1,
+                 "status": "ok", "error": None},
+            ],
+        }
+        rec = RunRecord.from_dict(payload)
+        assert rec == RunRecord("GreedyAssign", 40, 0.2, 120, 4)
+        assert "attempts" not in rec.to_dict()
+        assert RunRecord.from_dict(rec.to_dict()) == rec
 
 
 class TestSweepResult:
