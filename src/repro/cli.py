@@ -1,15 +1,13 @@
 """Command-line interface.
 
-    repro fig4 [--scale bench] [--reps 1] ...
-    repro fig5 ...
-    repro fig6a / fig6b ...
+    repro experiments {fig4,fig5,fig6a,fig6b} [--scale bench] [--reps 1] ...
     repro demo            # tiny end-to-end run
     repro run [--scenario SPEC.json] ...
     repro batch SPEC.json [...] [--workers N]
     repro scenario list|show [PRESET]
 
-Each figure command regenerates the corresponding paper figure's data as
-an ASCII table on stdout.
+``repro experiments FIGURE`` regenerates the corresponding paper figure's
+data as an ASCII table on stdout.
 
 Scenario specs: ``repro scenario list`` names the built-in presets and
 ``repro scenario show demo-small`` prints one as JSON; ``repro run
@@ -18,7 +16,7 @@ come from the spec; legacy ``save_scenario`` files still work, taking
 solver settings from the flags); ``repro batch`` runs many spec files
 through the ``BatchRunner``, building shared scenarios once.
 
-Observability: the ``run``, ``fig4/5/6a/6b``, ``batch``, ``dynamic`` and
+Observability: the ``run``, ``experiments``, ``batch``, ``dynamic`` and
 ``mission`` commands accept ``--trace PATH`` / ``--timeline PATH`` (write
 the JSONL run record: spec, spans, timeline, metrics), ``--metrics-out
 PATH`` (just the metrics snapshot) and ``--archive`` (store the record under
@@ -30,8 +28,8 @@ archive; ``repro perf-diff --attribute`` names the regressed kernel.
 Without these flags the observability layer stays off and adds no
 overhead.
 
-Crash safety: ``run``, ``fig4/5/6a/6b`` and ``batch`` accept
-``--checkpoint DIR`` (journal solver and sweep progress into DIR with
+Crash safety: ``run``, ``experiments`` and ``batch`` accept
+``--checkpoint DIR`` (journal solver and batch progress into DIR with
 atomic snapshots) and ``--resume`` (pick up where a previous identical
 invocation stopped).  A first Ctrl-C drains gracefully — the solver
 flushes a final checkpoint, the command reports the partial state and
@@ -55,12 +53,25 @@ from repro.sim.experiments import (
 from repro.workload.scenarios import SCALES, paper_scenario
 
 
+#: figure -> (sweep, metric, table title)
+_FIGURES = {
+    "fig4": (fig4_sweep, "served",
+             "Fig. 4 - served users vs K (n=3000, s=3)"),
+    "fig5": (fig5_sweep, "served",
+             "Fig. 5 - served users vs n (K=20, s=3)"),
+    "fig6a": (fig6_sweep, "served",
+              "Fig. 6(a) - served users vs s (n=3000, K=20)"),
+    "fig6b": (fig6_sweep, "runtime_s",
+              "Fig. 6(b) - running time (s) vs s (n=3000, K=20)"),
+}
+
+
 def add_engine_args(
     parser: argparse.ArgumentParser,
     anchor_pool_default: int = DEFAULT_ANCHOR_POOL,
 ) -> None:
     """The shared solver-engine flags (seed, workers, anchor pool).
-    Every static solving subcommand — run, fig4/5/6a/6b — wires these
+    Every static solving subcommand — run, experiments — wires these
     through this one helper, so the flags stay consistent."""
     parser.add_argument("--seed", type=int, default=None, help="override seed")
     parser.add_argument(
@@ -75,8 +86,17 @@ def add_engine_args(
     )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    """Flags shared by the figure sweeps."""
+def _add_experiments(sub) -> None:
+    """``repro experiments FIGURE`` and its flags."""
+    parser = sub.add_parser(
+        "experiments",
+        help="regenerate one paper figure's data (Figs. 4-6 of Section IV)",
+    )
+    parser.add_argument(
+        "figure", choices=sorted(_FIGURES),
+        help="fig4: served vs K; fig5: served vs n; fig6a: served vs s; "
+        "fig6b: running time vs s",
+    )
     parser.add_argument(
         "--scale",
         choices=sorted(SCALES),
@@ -206,16 +226,6 @@ def _pool(args: argparse.Namespace) -> "int | None":
     return None if args.anchor_pool == 0 else args.anchor_pool
 
 
-def _print_result(args: argparse.Namespace, result, metric: str,
-                  title: str) -> None:
-    print(result.to_text(metric=metric, title=title))
-    if args.chart:
-        from repro.util.charts import ascii_chart
-
-        print()
-        print(ascii_chart(result.series(metric), title=f"{title} [chart]"))
-
-
 def _resilience_kwargs(args: argparse.Namespace) -> dict:
     return dict(
         checkpoint_dir=getattr(args, "checkpoint", None),
@@ -237,7 +247,9 @@ def _report_interrupt(exc) -> int:
     return 130
 
 
-def _cmd_fig4(args: argparse.Namespace) -> int:
+def _cmd_experiments(args: argparse.Namespace) -> int:
+    """Run one figure's sweep and print its table (and chart)."""
+    sweep, metric, title = _FIGURES[args.figure]
     kwargs = dict(
         scale=args.scale,
         repetitions=args.reps,
@@ -247,40 +259,15 @@ def _cmd_fig4(args: argparse.Namespace) -> int:
     )
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    result = fig4_sweep(**kwargs)
-    _print_result(args, result, "served",
-                  "Fig. 4 - served users vs K (n=3000, s=3)")
-    return 0
+    result = sweep(**kwargs)
+    # The run record names the specs that ran, as `repro batch` does.
+    args._spec = result.specs
+    print(result.to_text(metric=metric, title=title))
+    if args.chart:
+        from repro.util.charts import ascii_chart
 
-
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    kwargs = dict(
-        scale=args.scale,
-        repetitions=args.reps,
-        max_anchor_candidates=_pool(args),
-        workers=args.workers,
-        **_resilience_kwargs(args),
-    )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = fig5_sweep(**kwargs)
-    _print_result(args, result, "served",
-                  "Fig. 5 - served users vs n (K=20, s=3)")
-    return 0
-
-
-def _cmd_fig6(args: argparse.Namespace, metric: str, title: str) -> int:
-    kwargs = dict(
-        scale=args.scale,
-        repetitions=args.reps,
-        max_anchor_candidates=_pool(args),
-        workers=args.workers,
-        **_resilience_kwargs(args),
-    )
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    result = fig6_sweep(**kwargs)
-    _print_result(args, result, metric, title)
+        print()
+        print(ascii_chart(result.series(metric), title=f"{title} [chart]"))
     return 0
 
 
@@ -1005,14 +992,7 @@ def main(argv: "list | None" = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("fig4", "served users vs number of UAVs"),
-        ("fig5", "served users vs number of users"),
-        ("fig6a", "served users vs parameter s"),
-        ("fig6b", "running time vs parameter s"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+    _add_experiments(sub)
 
     demo = sub.add_parser("demo", help="tiny end-to-end run")
     demo.add_argument("--seed", type=int, default=None)
@@ -1242,18 +1222,8 @@ def main(argv: "list | None" = None) -> int:
 
 def _dispatch_handler(args: argparse.Namespace):
     """Resolve the subcommand to its handler (a callable of ``args``)."""
-    if args.command == "fig4":
-        return _cmd_fig4
-    if args.command == "fig5":
-        return _cmd_fig5
-    if args.command == "fig6a":
-        return lambda a: _cmd_fig6(
-            a, "served", "Fig. 6(a) - served users vs s (n=3000, K=20)"
-        )
-    if args.command == "fig6b":
-        return lambda a: _cmd_fig6(
-            a, "runtime_s", "Fig. 6(b) - running time (s) vs s (n=3000, K=20)"
-        )
+    if args.command == "experiments":
+        return _cmd_experiments
     if args.command == "demo":
         return _cmd_demo
     if args.command == "map":

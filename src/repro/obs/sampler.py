@@ -28,7 +28,7 @@ from repro.obs.profile import current_rss_mb
 #: watches their sum plus the progress counter).
 DEFAULT_ACTIVITY_COUNTERS = (
     "approx.subsets_done", "approx.subsets_evaluated", "approx.subsets_pruned",
-    "greedy.oracle_calls", "flow.try_opens", "sweep.points",
+    "greedy.oracle_calls", "flow.try_opens", "batch.specs_done",
 )
 PROGRESS_COUNTER = "approx.subsets_done"
 TOTAL_COUNTER = "approx.subsets_planned"
@@ -201,7 +201,7 @@ class Sampler:
             stalled=self._flat >= self.config.stall_intervals,
             workers=snap["workers"],
             counters={name: int(counters[name])
-                      for name in ("greedy.oracle_calls", "sweep.points")
+                      for name in ("greedy.oracle_calls", "batch.specs_done")
                       if counters.get(name)},
         )
 

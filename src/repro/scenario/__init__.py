@@ -14,7 +14,7 @@ and the dynamics engine are thin adapters over it (see
 ``docs/ARCHITECTURE.md``).
 """
 
-from repro.scenario.batch import BatchItem, BatchResult, BatchRunner, run_specs
+from repro.scenario.batch import BatchItem, BatchResult, BatchRunner
 from repro.scenario.pipeline import PipelineState, SolvePipeline
 from repro.scenario.registry import (
     DEFAULT_REGISTRY,
@@ -48,6 +48,5 @@ __all__ = [
     "default_registry",
     "get_preset",
     "preset_names",
-    "run_specs",
     "solve_tiled",
 ]

@@ -19,17 +19,20 @@ failing runs in the parent, where a genuine error raises as itself.
 Results come back in submission order either way, so batch output is
 deterministic and equal to a sequential run of the same specs.
 
-Crash safety: with ``checkpoint_dir`` set the runner journals every
-finished spec into a :class:`~repro.util.ledger.ProgressLedger`
-(``batch-ledger.json``, atomic writes), and ``resume=True`` skips specs
+Crash safety: with ``checkpoint_dir`` set the runner journals each spec
+into a :class:`~repro.util.ledger.ProgressLedger` (``batch-ledger.json``,
+atomic writes) as soon as it finishes, and ``resume=True`` skips specs
 the ledger already records — their :class:`RunRecord`\\ s are rehydrated
 (``deployment=None``: the solution object is not journaled, only the
 result), counted in ``resume.specs_skipped``.  The ledger is
 fingerprinted on the full ordered spec list, so it can never resume a
-*different* batch.  The same directory also hosts the per-solve chunk
-checkpoints (:mod:`repro.core.checkpoint`) for checkpoint-capable
+*different* batch; ``workers`` is left out of the fingerprint, since
+results do not depend on it.  The same directory also hosts the per-solve
+chunk checkpoints (:mod:`repro.core.checkpoint`) for checkpoint-capable
 algorithms, so a spec that was killed *mid-solve* resumes inside the
-solve rather than restarting it.
+solve rather than restarting it.  In the parent (one worker) an
+interrupt request is honoured after every finished spec, so a drain never
+waits for the rest of a group.
 """
 
 from __future__ import annotations
@@ -111,8 +114,10 @@ def _needs_context(group: "list") -> bool:
     )
 
 
-def _run_group(pipeline: SolvePipeline, group: "list") -> "tuple":
-    """Run one scenario group; returns (items, contexts_built)."""
+def _run_group(pipeline: SolvePipeline, group: "list",
+               on_item=None) -> "tuple":
+    """Run one scenario group; returns (items, contexts_built).
+    ``on_item(item)`` (optional) runs after each finished spec."""
     first = group[0][1]
     with obs.span("batch.build", scenario=first.name, specs=len(group)), \
             obs.stage_watermark("batch.build"):
@@ -131,6 +136,8 @@ def _run_group(pipeline: SolvePipeline, group: "list") -> "tuple":
             index=index, spec=spec, record=state.record,
             deployment=state.deployment, report=state.report,
         ))
+        if on_item is not None:
+            on_item(items[-1])
     return items, built
 
 
@@ -206,7 +213,10 @@ class BatchRunner:
             return None
         ledger = ProgressLedger(
             self.checkpoint_dir / "batch-ledger.json",
-            {"kind": "batch", "specs": [spec.to_json() for spec in specs]},
+            {"kind": "batch", "specs": [
+                {k: v for k, v in spec.to_dict().items() if k != "workers"}
+                for spec in specs
+            ]},
             resume=self.resume,
         )
         if ledger.stale:
@@ -266,18 +276,6 @@ class BatchRunner:
             specs_skipped=skipped,
         )
 
-    def _record_items(self, ledger: "ProgressLedger | None",
-                      group_items: "list") -> None:
-        if ledger is None:
-            return
-        for item in group_items:
-            ledger.mark(
-                str(item.index),
-                {"record": item.record.to_dict(), "report": item.report},
-                flush=False,
-            )
-        ledger.flush()
-
     def _run_groups(self, groups: "list",
                     ledger: "ProgressLedger | None",
                     resumed: int, start: float) -> "list":
@@ -286,11 +284,23 @@ class BatchRunner:
         :class:`ChunkDispatcher`.  Returns the ``(items, contexts_built)``
         outcomes in group order."""
         outcomes: dict = {}
+        done = resumed
+
+        def record(item: BatchItem) -> None:
+            nonlocal done
+            done += 1
+            obs.counter_inc("batch.specs_done")
+            if ledger is not None:
+                ledger.mark(
+                    str(item.index),
+                    {"record": item.record.to_dict(), "report": item.report},
+                )
 
         def handle(chunk_id: int, outcome: "tuple") -> None:
             if isinstance(outcome, Exception):
                 raise outcome
-            self._record_items(ledger, outcome[0])
+            for item in outcome[0]:
+                record(item)
             outcomes[chunk_id] = outcome
 
         def serial_eval(chunk_id: int, args: "tuple") -> "tuple":
@@ -298,18 +308,22 @@ class BatchRunner:
 
         def boundary() -> None:
             if interrupt_requested():
-                finished = resumed + sum(
-                    len(group_items) for group_items, _ in outcomes.values()
-                )
                 raise SolveInterrupted(
-                    f"batch interrupted after {finished} spec(s); "
+                    f"batch interrupted after {done} spec(s); "
                     + ("ledger records completed specs"
                        if ledger is not None
                        else "no checkpoint configured"),
                     checkpoint_path=None if ledger is None else ledger.path,
-                    partial={"specs_done": finished,
+                    partial={"specs_done": done,
                              "elapsed_s": time.perf_counter() - start},
                 )
+
+        total = resumed + sum(len(group) for group in groups)
+
+        def finish(item: BatchItem) -> None:
+            record(item)
+            if done < total:
+                boundary()
 
         workers = min(self.workers, len(groups))
         if workers > 1:
@@ -332,10 +346,15 @@ class BatchRunner:
             )
         else:
             # Zero groups (everything rehydrated) lands here too: never
-            # spin up a pool for nothing.
-            for chunk_id in range(len(groups)):
+            # spin up a pool for nothing.  In the parent each spec is
+            # journaled as soon as it finishes, and the interrupt checked
+            # before the next one starts.
+            if groups:
                 boundary()
-                handle(chunk_id, serial_eval(chunk_id, ()))
+            for chunk_id, group in enumerate(groups):
+                outcomes[chunk_id] = _run_group(
+                    self.pipeline, group, on_item=finish
+                )
         return [outcomes[chunk_id] for chunk_id in range(len(groups))]
 
 
@@ -347,17 +366,3 @@ def _regroup(indexed_specs: "list") -> "list":
         groups.setdefault(spec.scenario_key(), []).append((index, spec))
     return list(groups.values())
 
-
-def run_specs(
-    specs: "list | tuple",
-    workers: int = 1,
-    strict: bool = True,
-    checkpoint_dir: "str | Path | None" = None,
-    resume: bool = False,
-) -> BatchResult:
-    """One-call convenience: ``BatchRunner(...).run(specs)``."""
-    pipeline = SolvePipeline(strict=strict)
-    return BatchRunner(
-        pipeline=pipeline, workers=workers,
-        checkpoint_dir=checkpoint_dir, resume=resume,
-    ).run(specs)

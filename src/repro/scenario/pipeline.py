@@ -7,8 +7,8 @@ Each stage is a named, traced, swappable callable over a shared
 
 ``build``
     instantiate the spec's :class:`~repro.core.problem.ProblemInstance`
-    (skipped when the caller injects a prebuilt problem — the sweep
-    drivers and the batch runner do);
+    (skipped when the caller injects a prebuilt problem — the batch
+    runner and the dynamics engine do);
 ``context``
     precompute the shared :class:`~repro.core.context.SolverContext` for
     solvers that accept one (lossless: the solver would build the
@@ -230,8 +230,8 @@ class SolvePipeline:
     record (``status`` = ``"error"`` / ``"invalid"``) instead of raising,
     so a sweep survives one bad run.  ``prebuild_context=False`` skips the
     context stage's precomputation, leaving context-aware solvers to build
-    their own — the sweep drivers use this to keep per-point cost exactly
-    as before.
+    their own — the experiment grids use this so each solve's timed stage
+    covers its own context build.
     """
 
     def __init__(
@@ -348,17 +348,16 @@ class SolvePipeline:
         problem: "object",
         algorithm: str,
         params: "dict | None" = None,
-        validate: bool = True,
         context: "SolverContext | None" = None,
         checkpoint: "CheckpointConfig | None" = None,
     ) -> PipelineState:
         """Drive an already-built problem through the stages.
 
-        This is the adapter the figure sweeps, the paired comparison and
-        the figure benchmarks use; the deployment is kept on the returned
-        state.
-        ``checkpoint`` is forwarded to the solver when it supports one
-        (silently dropped otherwise, so sweep drivers can pass it
+        This is the adapter the CLI's ``selfcheck`` and legacy-scenario
+        paths, the dynamics engine and the figure benchmarks use; the
+        deployment is kept on the returned state, which is always
+        validated.  ``checkpoint`` is forwarded to the solver when it
+        supports one (silently dropped otherwise, so callers can pass it
         unconditionally).
         """
         entry = self.registry.get(algorithm)
@@ -367,8 +366,7 @@ class SolvePipeline:
             params["checkpoint"] = checkpoint
         state = PipelineState(
             entry=entry, registry=self.registry, spec=None,
-            strict=self.strict, validate=validate,
-            prebuild_context=self.prebuild_context,
+            strict=self.strict, prebuild_context=self.prebuild_context,
             params=params, problem=problem, context=context,
         )
         return self._execute(state)

@@ -1,6 +1,6 @@
 """Experiment harness: sweep runners and result tables for regenerating
-every figure of the paper's Section IV (solves run through
-:class:`repro.scenario.pipeline.SolvePipeline`)."""
+every figure of the paper's Section IV (each sweep is a list of
+``ScenarioSpec`` rows run through :class:`repro.scenario.batch.BatchRunner`)."""
 
 from repro.sim.compare import PairedComparison, compare_algorithms
 from repro.sim.experiments import fig4_sweep, fig5_sweep, fig6_sweep

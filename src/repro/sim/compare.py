@@ -1,10 +1,12 @@
 """Paired statistical comparison of placement algorithms (extension).
 
 A single seed can flatter either side; this module runs two algorithms on
-the *same* sequence of random scenarios (paired design) and tests whether
-the served-user difference is real, using a paired sign test and a paired
-permutation test — both implemented from scratch (scipy is a test oracle
-only elsewhere in this repo; here the statistics are simple enough to own).
+the *same* sequence of random scenarios (paired design: one pair of
+``ScenarioSpec`` rows per repetition, run by the experiment grid) and
+tests whether the served-user difference is real, using a paired sign test
+and a paired permutation test — both implemented from scratch (scipy is a
+test oracle only elsewhere in this repo; here the statistics are simple
+enough to own).
 """
 
 from __future__ import annotations
@@ -14,13 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.scenario.pipeline import SolvePipeline
-from repro.util.rng import ensure_rng, spawn_rngs
-from repro.workload.scenarios import paper_scenario
-
-# Context prebuilding off: each paired solve is timed end to end, exactly
-# as the comparison historically measured it.
-_PIPELINE = SolvePipeline(prebuild_context=False)
+from repro.scenario.spec import ScenarioSpec
+from repro.sim.experiments import run_grid
+from repro.util.rng import ensure_rng, spawn_seeds
 
 
 @dataclass
@@ -88,16 +86,22 @@ def compare_algorithms(
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be positive, got {repetitions}")
-    result = PairedComparison(algorithm_a=algorithm_a, algorithm_b=algorithm_b)
-    rng = ensure_rng(seed)
-    for child in spawn_rngs(rng, repetitions):
-        problem = paper_scenario(
-            num_users=num_users, num_uavs=num_uavs, scale=scale, seed=child
-        )
-        served_a = _PIPELINE.solve(problem, algorithm_a, params_a).served
-        served_b = _PIPELINE.solve(problem, algorithm_b, params_b).served
-        result.served_a.append(served_a)
-        result.served_b.append(served_b)
+    rows: list = []
+    for rep, rep_seed in enumerate(spawn_seeds(seed, repetitions)):
+        for algorithm, params in ((algorithm_a, params_a),
+                                  (algorithm_b, params_b)):
+            rows.append((rep, ScenarioSpec(
+                scale=scale, num_users=num_users, num_uavs=num_uavs,
+                seed=rep_seed, algorithm=algorithm,
+                algorithm_params=dict(params or {}),
+            )))
+    served = [record.served
+              for _, record in run_grid("compare", "rep", rows).records]
+    result = PairedComparison(
+        algorithm_a=algorithm_a, algorithm_b=algorithm_b,
+        served_a=served[0::2], served_b=served[1::2],
+    )
+    for served_a, served_b in zip(result.served_a, result.served_b):
         if served_a > served_b:
             result.wins_a += 1
         elif served_b > served_a:

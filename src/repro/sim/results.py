@@ -87,6 +87,7 @@ class SweepResult:
     name: str                # e.g. "fig4"
     sweep_param: str          # e.g. "K"
     records: list = field(default_factory=list)
+    specs: list = field(default_factory=list)   # the ScenarioSpecs run
 
     def add(self, sweep_value: object, record: RunRecord) -> None:
         self.records.append((sweep_value, record))

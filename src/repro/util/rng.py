@@ -11,16 +11,18 @@ Seed derivation — the one documented scheme, used everywhere:
 * the **scenario stream** (user placement + fleet capacities) consumes the
   root seed directly, so ``ScenarioSpec(seed=7).build()`` samples exactly
   what the historical ``paper_scenario(..., seed=7)`` call did;
-* **sweeps** derive one child stream per repetition / sweep point with
-  :func:`spawn_rngs`, so inserting a point never perturbs the others
-  (:mod:`repro.sim.experiments`, :mod:`repro.sim.compare`);
+* **experiment grids** derive one child seed per repetition / sweep point
+  with :func:`spawn_seeds` and put it in that row's ``ScenarioSpec``, so
+  inserting a point never perturbs the others (the figure sweeps and the
+  paired comparison, :mod:`repro.sim.experiments`);
 * **named auxiliary streams** (e.g. the mission fault schedule) derive a
   child seed with :func:`derive_seed` keyed on a label path, so the faults
   are independent of the scenario draw yet fully reproducible from the one
-  root seed (:mod:`repro.ops`, ``repro mission``).
+  root seed (:mod:`repro.ops`, :mod:`repro.dynamics`).
 
-Given the same root seed, every entry point — CLI, sweeps, batch runner,
-dynamics engine — therefore reproduces the same runs bit-exactly.
+Given the same root seed, every entry point — CLI, experiment grids,
+batch runner, dynamics engine — therefore reproduces the same runs
+bit-exactly.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ def derive_seed(seed: "int | None", *labels: str) -> "int | None":
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-def spawn_rngs(seed: "int | np.random.Generator | None", count: int) -> list:
-    """Derive ``count`` independent child generators from ``seed``.
+def spawn_seeds(seed: "int | np.random.Generator | None", count: int) -> list:
+    """Derive ``count`` independent child seeds from ``seed``.
 
-    Used by parameter sweeps so that each sweep point gets its own stream and
-    inserting a new point does not perturb the others.
+    Each child is an ``int`` that seeds its own stream (a spec's
+    ``seed``).  The experiment grids use it so that each sweep point gets
+    its own stream and inserting a new point does not perturb the others.
     """
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     root = ensure_rng(seed)
     seeds = root.integers(0, 2**63 - 1, size=count, dtype=np.int64)
-    return [np.random.default_rng(int(s)) for s in seeds]
+    return [int(s) for s in seeds]

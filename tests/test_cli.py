@@ -7,6 +7,14 @@ import pytest
 from repro.cli import main
 
 
+def _stub_figure(monkeypatch, figure, sweep):
+    """Swap ``repro experiments FIGURE``'s sweep for ``sweep``."""
+    import repro.cli as cli
+
+    _, metric, title = cli._FIGURES[figure]
+    monkeypatch.setitem(cli._FIGURES, figure, (sweep, metric, title))
+
+
 class TestCli:
     def test_requires_command(self, capsys):
         with pytest.raises(SystemExit):
@@ -24,7 +32,6 @@ class TestCli:
 
     def test_fig4_smoke(self, capsys, monkeypatch):
         """Run fig4 on a stub sweep so the CLI path is covered quickly."""
-        import repro.cli as cli
         from repro.sim.results import RunRecord, SweepResult
 
         def stub_sweep(**kwargs):
@@ -32,13 +39,12 @@ class TestCli:
             sweep.add(2, RunRecord("approAlg", 42, 0.1, 100, 2))
             return sweep
 
-        monkeypatch.setattr(cli, "fig4_sweep", stub_sweep)
-        assert main(["fig4"]) == 0
+        _stub_figure(monkeypatch, "fig4", stub_sweep)
+        assert main(["experiments", "fig4"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 4" in out and "42" in out
 
     def test_fig4_chart_flag(self, capsys, monkeypatch):
-        import repro.cli as cli
         from repro.sim.results import RunRecord, SweepResult
 
         def stub_sweep(**kwargs):
@@ -47,14 +53,13 @@ class TestCli:
             sweep.add(4, RunRecord("approAlg", 30, 0.1, 100, 4))
             return sweep
 
-        monkeypatch.setattr(cli, "fig4_sweep", stub_sweep)
-        assert main(["fig4", "--chart"]) == 0
+        _stub_figure(monkeypatch, "fig4", stub_sweep)
+        assert main(["experiments", "fig4", "--chart"]) == 0
         out = capsys.readouterr().out
         assert "[chart]" in out
         assert "o=approAlg" in out
 
     def test_fig6b_prints_runtime(self, capsys, monkeypatch):
-        import repro.cli as cli
         from repro.sim.results import RunRecord, SweepResult
 
         def stub_sweep(**kwargs):
@@ -62,14 +67,12 @@ class TestCli:
             sweep.add(1, RunRecord("approAlg", 10, 0.25, 100, 4))
             return sweep
 
-        monkeypatch.setattr(cli, "fig6_sweep", stub_sweep)
-        assert main(["fig6b"]) == 0
+        _stub_figure(monkeypatch, "fig6b", stub_sweep)
+        assert main(["experiments", "fig6b"]) == 0
         out = capsys.readouterr().out
         assert "running time" in out and "0.25" in out
 
     def test_anchor_pool_zero_means_unrestricted(self, monkeypatch):
-        import repro.cli as cli
-
         captured = {}
 
         def stub_sweep(**kwargs):
@@ -77,8 +80,8 @@ class TestCli:
             from repro.sim.results import SweepResult
             return SweepResult(name="fig5", sweep_param="n")
 
-        monkeypatch.setattr(cli, "fig5_sweep", stub_sweep)
-        assert main(["fig5", "--anchor-pool", "0"]) == 0
+        _stub_figure(monkeypatch, "fig5", stub_sweep)
+        assert main(["experiments", "fig5", "--anchor-pool", "0"]) == 0
         assert captured["max_anchor_candidates"] is None
 
     def test_ratio_table(self, capsys):
@@ -260,9 +263,8 @@ class TestCli:
         assert not obs.is_enabled(), "the CLI must switch tracing back off"
 
     def test_fig4_live_smoke(self, capsys, monkeypatch):
-        """`repro fig4 --live` goes through the observed path and emits
+        """`repro experiments fig4 --live` goes through the observed path and emits
         at least the closing heartbeat line."""
-        import repro.cli as cli
         from repro.sim.results import RunRecord, SweepResult
 
         def stub_sweep(**kwargs):
@@ -270,8 +272,10 @@ class TestCli:
             sweep.add(2, RunRecord("approAlg", 42, 0.1, 100, 2))
             return sweep
 
-        monkeypatch.setattr(cli, "fig4_sweep", stub_sweep)
-        assert main(["fig4", "--scale", "small", "--live"]) == 0
+        _stub_figure(monkeypatch, "fig4", stub_sweep)
+        assert main(
+            ["experiments", "fig4", "--scale", "small", "--live"]
+        ) == 0
         captured = capsys.readouterr()
         assert "Fig. 4" in captured.out
         assert "[live]" in captured.err
@@ -321,8 +325,6 @@ class TestCli:
         assert "error:" in capsys.readouterr().err
 
     def test_seed_forwarded(self, monkeypatch):
-        import repro.cli as cli
-
         captured = {}
 
         def stub_sweep(**kwargs):
@@ -330,9 +332,44 @@ class TestCli:
             from repro.sim.results import SweepResult
             return SweepResult(name="fig4", sweep_param="K")
 
-        monkeypatch.setattr(cli, "fig4_sweep", stub_sweep)
-        assert main(["fig4", "--seed", "123"]) == 0
+        _stub_figure(monkeypatch, "fig4", stub_sweep)
+        assert main(["experiments", "fig4", "--seed", "123"]) == 0
         assert captured["seed"] == 123
+
+
+class TestExperimentsCommand:
+    """A real `repro experiments` run, checkpointed and then resumed."""
+
+    def test_fig4_small_resumes_from_the_batch_ledger(self, capsys,
+                                                      tmp_path):
+        checkpoint = tmp_path / "ck"
+        args = ["experiments", "fig4", "--scale", "small",
+                "--checkpoint", str(checkpoint)]
+        assert main(args) == 0
+        first = capsys.readouterr().out
+        assert (checkpoint / "fig4" / "batch-ledger.json").exists()
+
+        metrics = tmp_path / "metrics.json"
+        assert main(args + ["--resume", "--metrics-out", str(metrics)]) == 0
+        second = capsys.readouterr().out
+        assert second.startswith(first)
+        # K = 10..20 exceed the 9 locations of the small scale, so four
+        # K values run, each with the five paper algorithms.
+        counters = json.loads(metrics.read_text())["counters"]
+        assert counters["resume.specs_skipped"] == 4 * 5
+        assert counters["sweep.points_skipped"] == 6
+
+    def test_run_record_names_the_specs(self, capsys, tmp_path):
+        from repro.obs import read_record
+
+        trace = tmp_path / "trace.jsonl"
+        assert main(["experiments", "fig4", "--scale", "small",
+                     "--trace", str(trace)]) == 0
+        specs = read_record(trace).spec
+        assert [spec["name"] for spec in specs] == [
+            f"fig4-{i}" for i in range(4 * 5)
+        ]
+        assert {spec["num_uavs"] for spec in specs} == {2, 4, 6, 8}
 
 
 class TestScenarioCommands:

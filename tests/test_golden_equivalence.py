@@ -146,7 +146,7 @@ def test_sweep_points_match_legacy_loop():
     """The pipeline-backed fig5 sweep reproduces a hand-rolled loop
     (same RNG spawning, direct registry calls) point for point."""
     from repro.sim.experiments import fig5_sweep
-    from repro.util.rng import spawn_rngs
+    from repro.util.rng import spawn_seeds
 
     ns = (150, 250)
     swept = fig5_sweep(
@@ -155,11 +155,11 @@ def test_sweep_points_match_legacy_loop():
     )
     # Hand-rolled loop: the same RNG spawning, direct registry calls.
     loop_served = []
-    (rep_rng,) = spawn_rngs(11, 1)
-    point_rngs = spawn_rngs(rep_rng, len(ns))
-    for n, rng in zip(ns, point_rngs):
+    (rep_seed,) = spawn_seeds(11, 1)
+    point_seeds = spawn_seeds(rep_seed, len(ns))
+    for n, point_seed in zip(ns, point_seeds):
         problem = paper_scenario(
-            num_users=n, num_uavs=5, scale="small", seed=rng
+            num_users=n, num_uavs=5, scale="small", seed=point_seed
         )
         for name in ("approAlg", "MCS"):
             params = (

@@ -6,7 +6,7 @@ import pytest
 
 from repro import obs
 from repro.scenario import batch as batch_module
-from repro.scenario.batch import BatchRunner, run_specs
+from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
 from repro.scenario.spec import ScenarioSpec
 
@@ -147,11 +147,6 @@ class TestFailureHandling:
 
 
 class TestConvenience:
-    def test_run_specs_helper(self):
-        result = run_specs(SHOOTOUT[:2])
-        assert len(result.items) == 2
-        assert result.total_served == sum(i.served for i in result.items)
-
     def test_to_text_summarises(self):
         text = BatchRunner().run(SHOOTOUT[:2]).to_text()
         assert "2 specs" in text

@@ -1,5 +1,5 @@
-"""Resume at the orchestration layers: batch ledger, sweep journal,
-pipeline checkpoint identity."""
+"""Resume at the orchestration layers: batch ledger (also under the figure
+sweeps), pipeline checkpoint identity."""
 
 from __future__ import annotations
 
@@ -7,7 +7,13 @@ import pytest
 
 from repro import obs
 from repro.scenario import BatchRunner, ScenarioSpec, SolvePipeline
+from repro.scenario.pipeline import solve_stage
 from repro.sim.experiments import fig5_sweep
+from repro.util.interrupt import (
+    SolveInterrupted,
+    clear_interrupt,
+    request_interrupt,
+)
 
 
 def _specs(n=3):
@@ -68,7 +74,66 @@ def test_sweep_resume_skips_points(tmp_path, counters):
         (v, rec.algorithm, rec.served) for v, rec in result.records
     ]
     assert key(second) == key(first)
-    assert counters().get("resume.points_skipped", 0) == len(first.records)
+    assert counters().get("resume.specs_skipped", 0) == len(first.records)
+
+
+@pytest.mark.timeout_guard(120)
+def test_batch_resumes_under_a_different_worker_count(tmp_path):
+    """Results do not depend on ``workers``, so the ledger of a
+    ``workers=2`` batch resumes in full at ``workers=1``."""
+    specs = [spec.with_overrides(workers=2) for spec in _specs(2)]
+    first = BatchRunner(checkpoint_dir=tmp_path).run(specs)
+    serial = [spec.with_overrides(workers=1) for spec in specs]
+    second = BatchRunner(checkpoint_dir=tmp_path, resume=True).run(serial)
+    assert second.specs_skipped == len(specs)
+    assert [i.served for i in second.items] == [i.served for i in first.items]
+
+
+# One scenario group: four algorithms on the same spec scenario.
+_GROUP = [
+    _specs(1)[0].with_overrides(name=f"group{i}", algorithm=name,
+                                algorithm_params=params)
+    for i, (name, params) in enumerate([
+        ("approAlg", {"s": 2, "gain_mode": "fast"}), ("MCS", {}),
+        ("GreedyAssign", {}), ("maxThroughput", {}),
+    ])
+]
+
+
+def _interrupting_pipeline(after: int, how: str) -> SolvePipeline:
+    """A pipeline interrupted once ``after`` solves have finished: the
+    next solve either raises the drain itself (as approAlg does
+    mid-solve) or the last finished one requests it (as SIGINT does)."""
+    finished = []
+
+    def solve(state):
+        if how == "raise" and len(finished) == after:
+            raise SolveInterrupted("drained mid-group")
+        state = solve_stage(state)
+        finished.append(state.entry.name)
+        if how == "request" and len(finished) == after:
+            request_interrupt()
+        return state
+
+    return SolvePipeline().with_stage("solve", solve)
+
+
+@pytest.mark.parametrize("how", ["raise", "request"])
+def test_batch_interrupted_mid_group_resumes_finished_specs(tmp_path, how):
+    """Each finished spec is journaled at once, not when its group ends:
+    an interrupt inside a group loses no finished run."""
+    runner = BatchRunner(pipeline=_interrupting_pipeline(2, how),
+                         checkpoint_dir=tmp_path)
+    try:
+        with pytest.raises(SolveInterrupted):
+            runner.run(_GROUP)
+    finally:
+        clear_interrupt()
+    resumed = BatchRunner(checkpoint_dir=tmp_path, resume=True).run(_GROUP)
+    assert resumed.specs_skipped == 2
+    assert [i.resumed for i in resumed.items] == [True, True, False, False]
+    alone = BatchRunner().run(_GROUP)
+    assert [i.served for i in resumed.items] == [i.served for i in alone.items]
 
 
 def test_pipeline_spec_checkpoint_identity(tmp_path):
