@@ -149,9 +149,11 @@ def test_paper_headline_speedup(scenario_cache, perf_trajectory):
             context_build_s=round(context.build_seconds, 4),
             peak_rss_mb=peak_rss_mb(),
         )
-        # Fast-mode realisation tolerance, one-sided: the vectorised
-        # ranking may legitimately find a *better* subset (it does at
-        # n=3000: 2784 vs 2701), but must never be meaningfully worse.
+        # Fast-mode realisation tolerance, one-sided: the reference
+        # realises other equal-value assignments, so its direct bounds
+        # can rank differently and the vectorised path may find a
+        # *better* subset, but must never be meaningfully worse.  (At
+        # n=3000, seed 7, both serve 2793.)
         # Exact equality across the vectorised path's own variants is
         # pinned elsewhere (see docstring).
         assert engine.served >= reference.served - max(

@@ -33,7 +33,7 @@ def unconstrained_greedy(problem: ProblemInstance) -> Deployment:
     for k in problem.capacity_order():
         uav = fleet[k]
         v = int(free[lazy.argmax(k, free, lazy.static(k, free), (free,))])
-        engine.open((k, v), graph.coverable_array(v, uav), uav.capacity)
+        engine.open((k, v), lazy.table.cover(k, v), uav.capacity)
         placements[k] = v
         free = free[free != v]
     return optimal_assignment(graph, fleet, placements)

@@ -259,7 +259,15 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     )
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    result = sweep(**kwargs)
+    from repro.scenario import SpecError
+
+    try:
+        result = sweep(**kwargs)
+    except SpecError as exc:
+        # A figure's fixed fleet can outnumber the scale's locations.
+        print(f"error: {args.figure} --scale {args.scale}: {exc}",
+              file=sys.stderr)
+        return 2
     # The run record names the specs that ran, as `repro batch` does.
     args._spec = result.specs
     print(result.to_text(metric=metric, title=title))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.greedy import GreedyResult
-from repro.core.lazy import LazyGains
+from repro.core.lazy import CoverTable, LazyGains
 from repro.core.problem import ProblemInstance
 
 
@@ -88,7 +88,8 @@ def connect_and_deploy(
     engine = greedy.engine
     fast = gain_mode == "fast"
     batched = fast and context is not None
-    lazy = LazyGains(engine, graph, fleet, "connect.oracle_calls")
+    table = CoverTable.of(problem, context)
+    lazy = LazyGains(engine, graph, fleet, "connect.oracle_calls", table)
     pending = list(relays)
     for k in remaining[: len(relays)]:
         uav = fleet[k]
@@ -105,15 +106,13 @@ def connect_and_deploy(
             best_loc = pending[0]
             for loc in pending:
                 gain = engine.direct_gain_bound(
-                    graph.coverable_array(loc, uav), uav.capacity
+                    table.cover(k, loc), uav.capacity
                 )
                 if gain > best_gain:
                     best_gain, best_loc = gain, loc
         else:
             best_loc = _lazy_best(lazy, k, pending, context, floor=-1)
-        engine.open(
-            (k, best_loc), graph.coverable_array(best_loc, uav), uav.capacity
-        )
+        engine.open((k, best_loc), table.cover(k, best_loc), uav.capacity)
         placements[k] = best_loc
         pending.remove(best_loc)
 
@@ -152,7 +151,7 @@ def connect_and_deploy(
                     if min(uav.capacity, count) <= best_gain:
                         continue
                     gain = engine.direct_gain_bound(
-                        graph.coverable_array(loc, uav), uav.capacity
+                        table.cover(k, loc), uav.capacity
                     )
                     if gain > best_gain:
                         best_gain, best_loc = gain, loc
@@ -162,11 +161,7 @@ def connect_and_deploy(
                 )
             if best_loc < 0:
                 break  # nothing adjacent helps; stop deploying
-            engine.open(
-                (k, best_loc),
-                graph.coverable_array(best_loc, fleet[k]),
-                fleet[k].capacity,
-            )
+            engine.open((k, best_loc), table.cover(k, best_loc), uav.capacity)
             placements[k] = best_loc
             occupied.add(best_loc)
             frontier.discard(best_loc)

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.lazy import CoverTable
 from repro.core.problem import ProblemInstance
+from repro.flow.bipartite import cell_demands
 from repro.graphs.bfs import UNREACHABLE
 from repro.network.coverage import CoverageGraph
 from repro.util.bits import popcount_rows, unpack_indices
@@ -109,11 +111,8 @@ class SolverContext:
         bits = np.zeros((len(radio_keys), m, words), dtype=np.uint8)
         for key, r in key_row.items():
             bits[r, :, :] = graph.coverage_bits_matrix(representative[key])
-        demands_arr = getattr(graph, "cell_demands", None)
-        if (
-            demands_arr is not None and demands_arr.size
-            and int(demands_arr.max()) > 1
-        ):
+        demands_arr = cell_demands(graph)
+        if demands_arr is not None:
             # Demand-cell graph: weight every count by cell demand, so
             # the greedy's static bounds stay admissible in served
             # *units*.  Singleton-cell graphs (all demands 1)
@@ -140,6 +139,23 @@ class SolverContext:
             num_users=graph.num_users,
             build_seconds=time.perf_counter() - start,
         )
+
+    def cover_table(self, problem: ProblemInstance) -> CoverTable:
+        """The exact-gain path's per-problem :class:`CoverTable` for
+        ``problem``, built on first use and kept with this context, so
+        every greedy and connect call of a solve shares one."""
+        table = self.__dict__.get("_cover_table")
+        if table is None or not table.serves(problem):
+            table = CoverTable(problem.graph, problem.fleet)
+            object.__setattr__(self, "_cover_table", table)
+        return table
+
+    def __getstate__(self) -> dict:
+        # The cover table memoises the covers of one process's graph: a
+        # worker builds its own instead of unpickling the parent's.
+        state = dict(self.__dict__)
+        state.pop("_cover_table", None)
+        return state
 
     def matches(self, problem: ProblemInstance) -> bool:
         """Cheap sanity check that a (possibly recycled) context belongs to

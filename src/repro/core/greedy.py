@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.lazy import LazyGains
+from repro.core.lazy import CoverTable, LazyGains
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan
 from repro.flow.bipartite import IncrementalAssignment, new_engine_for
@@ -129,7 +129,8 @@ def anchored_greedy(
     universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
-    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls")
+    table = CoverTable.of(problem, context)
+    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
 
     if context is not None:
         universe_arr = np.asarray(universe, dtype=np.int64)
@@ -190,7 +191,7 @@ def anchored_greedy(
                         )
                     else:
                         gain = engine.direct_gain_bound(
-                            graph.coverable_array(v, uav), uav.capacity
+                            table.cover(k, v), uav.capacity
                         )
                     is_anchor = v in anchor_set
                     if gain > best_gain or (
@@ -204,9 +205,7 @@ def anchored_greedy(
                 best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
 
         assert best_v >= 0
-        engine.open(
-            (k, best_v), graph.coverable_array(best_v, fleet[k]), fleet[k].capacity
-        )
+        engine.open((k, best_v), table.cover(k, best_v), uav.capacity)
         hop_filter.add(best_v)
         used_locations.add(best_v)
         chosen.append((k, best_v))
@@ -268,7 +267,8 @@ def pair_greedy(
     universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
-    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls")
+    table = CoverTable.of(problem, context)
+    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
 
     chosen: list = []
     used_uavs: set = set()
@@ -294,8 +294,7 @@ def pair_greedy(
             # No station open: the static bound is the exact gain.
             pick = int(np.lexsort(tie + (-static,))[0])
         k, v = int(ks[pick]), int(vs[pick])
-        engine.open((k, v), graph.coverable_array(v, fleet[k]),
-                    fleet[k].capacity)
+        engine.open((k, v), table.cover(k, v), fleet[k].capacity)
         hop_filter.add(v)
         used_uavs.add(k)
         used_locations.add(v)

@@ -27,6 +27,14 @@ superset of those open at the measurement, so a :class:`LazyGains` lives
 for one greedy or connect call on one engine (and one fork): inside it
 every probe leaves the engine as it was and every pick is committed.  A
 zero bound needs no measurement at all — gains are never negative.
+
+What does not depend on the engine state lives in a :class:`CoverTable`,
+built once per problem (kept by the
+:class:`~repro.core.context.SolverContext` when there is one): each
+UAV's cover at each location in the form its engine takes — an integer
+bitset for the user engine, an index array for the demand-cell engine —
+and which UAVs dominate which.  Probes and committed opens both read
+their covers from it.
 """
 
 from __future__ import annotations
@@ -34,6 +42,62 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
+from repro.flow.bipartite import cell_demands
+
+
+#: The stale gain of a (UAV, location) never measured: no bound.
+_NEVER = np.iinfo(np.int64).max
+
+
+class CoverTable:
+    """The covers and gain dominance of one problem's fleet.
+
+    :meth:`cover` is the cover of UAV ``k`` at a location, fetched from
+    the graph on first use and kept per radio (UAVs sharing a radio share
+    it).  ``dominated[k]`` lists the UAVs, ``k`` among them, whose gain
+    at a location can never exceed ``k``'s there: capacity no larger and
+    a radio contained in ``k``'s."""
+
+    def __init__(self, graph, fleet: list) -> None:
+        self.graph = graph
+        self.fleet = fleet
+        radios: dict = {}
+        self.radio = [
+            radios.setdefault(graph.radio_signature(uav), len(radios))
+            for uav in fleet
+        ]
+        heads = [fleet[self.radio.index(r)] for r in range(len(radios))]
+        within = np.array(
+            [[graph.radio_within(other, head) for other in fleet]
+             for head in heads], dtype=bool,
+        )
+        capacity = np.array([uav.capacity for uav in fleet], dtype=np.int64)
+        dominates = (within[self.radio]
+                     & (capacity[None, :] <= capacity[:, None]))
+        self.dominated = [np.flatnonzero(row).tolist() for row in dominates]
+        self._rows = [[None] * graph.num_locations for _ in heads]
+        self._fetch = (graph.coverable_int if cell_demands(graph) is None
+                       else graph.coverable_array)
+
+    @classmethod
+    def of(cls, problem, context=None) -> "CoverTable":
+        """The context's table for ``problem`` when a context is given,
+        else a fresh one."""
+        if context is None:
+            return cls(problem.graph, problem.fleet)
+        return context.cover_table(problem)
+
+    def serves(self, problem) -> bool:
+        """Whether this table was built for ``problem``'s graph and fleet."""
+        return self.graph is problem.graph and self.fleet is problem.fleet
+
+    def cover(self, k: int, v: int):
+        """UAV ``k``'s cover at location ``v``, as its engine takes it."""
+        row = self._rows[self.radio[k]]
+        cover = row[v]
+        if cover is None:
+            cover = row[v] = self._fetch(v, self.fleet[k])
+        return cover
 
 
 class LazyGains:
@@ -41,18 +105,18 @@ class LazyGains:
     every measurement it made.
 
     ``counter`` names the observability counter each oracle call (one
-    probe) increments."""
+    probe) increments.  ``table`` is the :class:`CoverTable` of ``graph``
+    and ``fleet`` to read covers from, built here when not given."""
 
-    def __init__(self, engine, graph, fleet: list, counter: str) -> None:
+    def __init__(self, engine, graph, fleet: list, counter: str,
+                 table: "CoverTable | None" = None) -> None:
         self.engine = engine
-        self.graph = graph
-        self.fleet = fleet
+        self.table = CoverTable(graph, fleet) if table is None else table
         self.counter = counter
-        self._capacity = np.array([uav.capacity for uav in fleet],
-                                  dtype=np.int64)
-        # radio signature -> (which fleet UAVs that radio dominates, stale
-        # gain per location, capacity that measured it; -1 = never)
-        self._stale: dict = {}
+        # Per UAV and location: the least gain a UAV dominating it
+        # measured there.
+        m = self.table.graph.num_locations
+        self._stale = [[_NEVER] * m for _ in fleet]
 
     def static(self, k: int, locs: np.ndarray,
                context: "object | None" = None) -> np.ndarray:
@@ -60,12 +124,13 @@ class LazyGains:
         ``locs``: its gain with nothing else open.  Read from the
         :class:`~repro.core.context.SolverContext`'s counts when one is
         given (same values as the graph's)."""
-        uav = self.fleet[k]
+        uav = self.table.fleet[k]
         if context is not None:
             count = context.counts_for_uav(k)[locs].astype(np.int64)
         else:
+            graph = self.table.graph
             count = np.array(
-                [self.graph.coverage_weight(v, uav) for v in locs.tolist()],
+                [graph.coverage_weight(v, uav) for v in locs.tolist()],
                 dtype=np.int64,
             )
         return np.minimum(uav.capacity, count)
@@ -74,32 +139,23 @@ class LazyGains:
         """Upper bounds on the exact gain of each candidate ``(ks[i],
         locs[i])``: ``static`` tightened by every stale gain a dominating
         UAV left at the location."""
-        bound = np.asarray(static, dtype=np.int64)
-        for within, gains, caps in self._stale.values():
-            valid = within[ks] & (caps[locs] >= self._capacity[ks])
-            bound = np.where(valid, np.minimum(bound, gains[locs]), bound)
-        return bound
+        if np.ndim(ks) == 0:
+            stale = np.array(self._stale[ks])[locs]
+        else:
+            stale = np.array(self._stale)[ks, locs]
+        return np.minimum(np.asarray(static, dtype=np.int64), stale)
 
     def measure(self, k: int, v: int) -> int:
         """Exact gain of opening UAV ``k`` at location ``v`` (one engine
         probe), remembered as a stale bound for later rounds."""
-        uav = self.fleet[k]
+        table = self.table
+        capacity = table.fleet[k].capacity
         obs.counter_inc(self.counter)
-        gain = self.engine.gain(
-            (k, v), self.graph.coverable_array(v, uav), uav.capacity
-        )
-        sig = self.graph.radio_signature(uav)
-        entry = self._stale.get(sig)
-        if entry is None:
-            m = self.graph.num_locations
-            within = np.array(
-                [self.graph.radio_within(other, uav) for other in self.fleet]
-            )
-            entry = (within, np.zeros(m, dtype=np.int64),
-                     np.full(m, -1, dtype=np.int64))
-            self._stale[sig] = entry
-        entry[1][v] = gain
-        entry[2][v] = uav.capacity
+        gain = self.engine.gain((k, v), table.cover(k, v), capacity)
+        for j in table.dominated[k]:
+            row = self._stale[j]
+            if gain < row[v]:
+                row[v] = gain
         return gain
 
     def argmax(self, ks, locs: np.ndarray, static: np.ndarray,
@@ -114,7 +170,7 @@ class LazyGains:
         rank = np.empty(n, dtype=np.int64)
         rank[np.lexsort(tie_keys)] = np.arange(n)
         order = np.lexsort((rank, -bounds)).tolist()
-        ks = np.broadcast_to(ks, (n,)).tolist()
+        ks = [ks] * n if np.ndim(ks) == 0 else ks.tolist()
         locs, bounds, rank = locs.tolist(), bounds.tolist(), rank.tolist()
         best, best_gain = -1, floor
         for i in order:

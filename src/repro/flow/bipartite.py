@@ -7,17 +7,23 @@ instead maintains a maximum assignment and, for a tentative new station,
 augments it in two phases:
 
 1. *direct phase* — grab unassigned covered users until capacity, as one
-   bitset subtraction plus a batched array update;
+   bitset subtraction;
 2. *chain phase* — one alternating-path augmentation per remaining unit
    of capacity, stopping at the first failure.
 
+The assignment is kept as arbitrary-precision integer bitsets (bit ``u``
+= user ``u``): each open station's cover and its assigned users, and the
+union of all assigned users.  There is no per-user array: who holds a
+user is the one station whose assigned bitset has its bit.  Covers come
+in as integers (:meth:`repro.network.coverage.CoverageGraph.coverable_int`,
+what the greedy passes) or as user-index arrays, which are validated and
+packed once per call.
+
 The chain phase ships two interchangeable search strategies:
 
-* ``chain="bfs"`` (default) — a layered breadth-first search over user
-  *bitsets*.  Each open station keeps its cover and its currently
-  assigned users as arbitrary-precision integer bitsets (bit ``u`` =
-  user ``u``), so expanding a station is one word-parallel AND against
-  the not-yet-visited mask, the free-user test is another, and owner
+* ``chain="bfs"`` (default) — a layered breadth-first search over the
+  bitsets: expanding a station is one word-parallel AND against the
+  not-yet-visited mask, the free-user test is another, and owner
   discovery intersects the reached set with each station's assigned
   bitset — a handful of machine-word loops per layer instead of a Python
   walk over thousands of users.  Reached stations remember the *witness*
@@ -29,23 +35,34 @@ The chain phase ships two interchangeable search strategies:
   serial reference implementation: differential tests pin the BFS
   engine's served counts against it (both maintain exact maximum
   assignments; only *which* equal-value assignment is realised differs).
+  It keeps a per-user owner list and per-station cover lists for its
+  scan, next to the bitsets.
 
 Either way the result is an *exact* maximum assignment after every open:
 each augmentation increases the max flow by exactly one, and a failed
 search proves no further augmentation through the new station exists.
 
-``try_open``/``rollback`` journal all mutations so thousands of candidate
-evaluations reuse one engine.  A probe that only needs the number —
-every exact-gain measurement of the greedy — calls :meth:`gain`
-instead: the same search on local copies of the per-station bitsets,
-pushing each path's whole bottleneck at once, with no array write, no
-journal and no undo.  A max-flow value does not depend on which
-augmenting paths realise it, so the count equals ``try_open``'s.
-Committed opens keep the per-unit path: fast mode reads the assignment
-it leaves.
+Searches skip *dead* stations: those with no alternating path to a free
+user (:func:`_live_fixpoint`).  A dead station stays dead under opens and
+augmentations — an arc into it would need a user that was free or on an
+augmenting path, and either makes it live — so the live stations found
+once per committed state serve as the owner list of every probe and of
+the next open's searches.  Skipping the dead ones changes no search
+result: a dead station is never a leaf, never the parent of a live one,
+and only marks users that dead stations hold.
+
+``try_open``/``rollback`` journal all mutations so candidate evaluations
+can reuse one engine.  A probe that only needs the number — every
+exact-gain measurement of the greedy — calls :meth:`gain` instead: the
+same search on local copies of the per-station bitsets, pushing each
+path's whole bottleneck at once, with no write, no journal and no undo.
+A max-flow value does not depend on which augmenting paths realise it,
+so the count equals ``try_open``'s.  Committed opens augment one unit
+per path: fast mode ranks by the assignment they leave, so it must be
+the one the per-unit search realises.
 
 On top of that, :meth:`fork` opens a *warm-start scope*: it snapshots the
-committed state (flat-array copies, O(num_users)) so :meth:`rollback_fork`
+committed state (a few ints and list copies) so :meth:`rollback_fork`
 restores the forked state exactly no matter how many stations were opened
 in between.  The subset sweep uses this to evaluate adjacent anchor
 subsets on one engine instead of rebuilding it from scratch per subset.
@@ -55,9 +72,9 @@ lower bound for a whole candidate matrix of packed cover bitsets
 (:mod:`repro.util.bits` layout) in one masked popcount — the greedy's
 per-round candidate ranking.
 
-Every entry point that takes a cover reads it through :func:`_cover_array`:
-integer indices only (a boolean mask or float indices raise
-``TypeError``), each distinct node counted once.
+Every entry point that takes a cover array reads it through
+:func:`_cover_array`: integer indices only (a boolean mask or float
+indices raise ``TypeError``), each distinct node counted once.
 """
 
 from __future__ import annotations
@@ -67,21 +84,26 @@ from collections.abc import Hashable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.util.bits import drop_bit, drop_row, popcount_rows
-
-# Bit-reversal per byte: maps the little-endian bytes of an LSB-first
-# integer bitset onto numpy's MSB-first packbits layout.
-_BYTE_REVERSE = np.array(
-    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+from repro.util.bits import (
+    drop_bit,
+    int_to_packed,
+    pack_indices,
+    packed_to_int,
+    popcount_rows,
+    unpack_indices,
 )
 
 
-def _index_array(covered: "Sequence | np.ndarray", noun: str) -> np.ndarray:
-    """``covered`` as a one-dimensional int64 index array.
+def _cover_array(covered: "Sequence | np.ndarray", num_nodes: int,
+                noun: str) -> np.ndarray:
+    """``covered`` as validated int64 indices of distinct nodes.
 
     A boolean mask or float indices would silently name the wrong nodes,
     so any non-integer dtype raises ``TypeError`` (an empty list, which
-    numpy types as float, is allowed)."""
+    numpy types as float, is allowed).  Every index must lie in ``[0,
+    num_nodes)`` (``IndexError`` names the first one that does not), and
+    repeats are dropped, keeping first occurrences in order, so a count
+    over the result counts each node once."""
     cover = np.asarray(covered)
     if cover.ndim != 1:
         raise ValueError(f"covered_{noun}s must be one-dimensional")
@@ -90,18 +112,7 @@ def _index_array(covered: "Sequence | np.ndarray", noun: str) -> np.ndarray:
             f"covered_{noun}s must be integer {noun} indices, "
             f"got dtype {cover.dtype}"
         )
-    return cover.astype(np.int64, copy=False)
-
-
-def _cover_array(covered: "Sequence | np.ndarray", num_nodes: int,
-                noun: str) -> np.ndarray:
-    """``covered`` as validated int64 indices of distinct nodes.
-
-    :func:`_index_array`, then every index must lie in ``[0, num_nodes)``
-    (``IndexError`` names the first one that does not), and repeats are
-    dropped, keeping first occurrences in order, so a count over the
-    result counts each node once."""
-    cover = _index_array(covered, noun)
+    cover = cover.astype(np.int64, copy=False)
     if not cover.size:
         return cover
     # Graph covers are sorted and distinct: their range check is the ends.
@@ -123,7 +134,8 @@ class IncrementalAssignment:
     Users are integers ``0..num_users-1``; stations are arbitrary hashable
     keys (Algorithm 2 uses ``(uav_index, location_index)``).  Each user may
     be assigned to at most one station that covers it; each station serves
-    at most its capacity.
+    at most its capacity.  A cover is an integer bitset or a sequence of
+    user indices.
 
     ``chain`` selects the augmentation strategy (see the module docstring);
     ``None`` resolves to :attr:`DEFAULT_CHAIN`.
@@ -142,18 +154,16 @@ class IncrementalAssignment:
             raise ValueError(f"chain must be 'bfs' or 'dfs', got {chain!r}")
         self.num_users = num_users
         self._chain = chain
-        self._assigned_id = np.full(num_users, -1, dtype=np.int64)
-        self._assigned_mask = np.zeros(num_users, dtype=bool)
         self._assigned_int = 0        # bitset of assigned users (bit u = user u)
         # Station storage, slot-indexed in open order.  The pending station
         # is always the newest slot, so rollback pops from the tail.
         self._names: list = []        # slot -> station key
         self._slots: dict = {}        # station key -> slot
-        self._cover_ints: list = []   # slot -> cover bitset (bfs mode)
-        self._slot_ints: list = []    # slot -> assigned-user bitset (bfs mode)
+        self._cover_ints: list = []   # slot -> cover bitset
+        self._slot_ints: list = []    # slot -> assigned-user bitset
         self._caps: list = []
         self._loads: list = []
-        # Scalar-reference (dfs) bookkeeping only.
+        # Scalar-reference (dfs) scan state only.
         self._cover_lists: list = []
         self._assigned_list: list = (
             [-1] * num_users if chain == "dfs" else []
@@ -164,11 +174,9 @@ class IncrementalAssignment:
         self._pending: "Hashable | None" = None
         self._journal: list = []
         self._fork_state: "tuple | None" = None
-        self._cover_int_cache: dict = {}
-        # Users held by live stations (see _live_users); None = stale.
-        # Cleared by try_open (so a rollback finds it clear), rollback_fork
-        # and the user edits.
-        self._live: "int | None" = None
+        # (users, slots) of the live stations (_live_fixpoint) in the
+        # current state; None = not computed since the last change.
+        self._live: "tuple | None" = None
 
     # -- read API ---------------------------------------------------------
 
@@ -180,12 +188,12 @@ class IncrementalAssignment:
     @property
     def served_bits(self) -> int:
         """The assigned users as an integer bitset (bit ``u`` = user ``u``)."""
-        if self._chain == "dfs":
-            return self._users_to_int(np.flatnonzero(self._assigned_mask))
         return self._assigned_int
 
     def station_of(self, user: int) -> "Hashable | None":
-        slot = int(self._assigned_id[user])
+        if not 0 <= user < self.num_users:
+            raise IndexError(f"user {user} outside [0, {self.num_users})")
+        slot = self._slot_of(user)
         return None if slot < 0 else self._names[slot]
 
     def load_of(self, station: Hashable) -> int:
@@ -196,23 +204,21 @@ class IncrementalAssignment:
 
     def assignment(self) -> dict:
         """Mapping station -> sorted list of assigned users."""
-        out: dict = {station: [] for station in self._names}
-        names = self._names
-        for u in np.nonzero(self._assigned_mask)[0]:
-            out[names[self._assigned_id[u]]].append(int(u))
-        return out
+        return {
+            name: self._users_of(held)
+            for name, held in zip(self._names, self._slot_ints)
+        }
 
-    def direct_gain_bound(self, covered_users: "Sequence | np.ndarray",
+    def direct_gain_bound(self, covered_users: "int | Sequence | np.ndarray",
                           capacity: int) -> int:
         """Lower bound on the gain of opening a station with this coverage:
         the unassigned covered users it could take directly, capped by
         capacity.  (The exact gain adds alternating-chain augmentations on
-        top.)  Vectorised; O(|cover|)."""
-        cover = _cover_array(covered_users, self.num_users, "user")
-        if cover.size == 0 or capacity <= 0:
+        top.)"""
+        cover = self._cover_int(covered_users)
+        if capacity <= 0:
             return 0
-        free = int(cover.size - np.count_nonzero(self._assigned_mask[cover]))
-        return min(capacity, free)
+        return min(capacity, (cover & ~self._assigned_int).bit_count())
 
     def direct_gain_bounds(
         self, cover_bits: np.ndarray, capacities: "int | np.ndarray"
@@ -225,15 +231,9 @@ class IncrementalAssignment:
         greedy's per-round gain matrix.  Values equal calling
         :meth:`direct_gain_bound` per row."""
         bits = np.asarray(cover_bits, dtype=np.uint8)
-        # The packed free-user row comes straight from the assigned-int
-        # bitset: its little-endian bytes, bit-reversed per byte, are
-        # exactly ``np.packbits(assigned_mask)``.  Surplus pad bits end up
-        # set in the inverse but every cover row is zero there.
-        nbytes = (self.num_users + 7) >> 3
-        raw = np.frombuffer(
-            self._assigned_int.to_bytes(nbytes, "little"), dtype=np.uint8
-        )
-        free_bits = ~_BYTE_REVERSE[raw]
+        # Surplus pad bits end up set in the inverse but every cover row
+        # is zero there.
+        free_bits = ~int_to_packed(self._assigned_int, self.num_users)
         avail = popcount_rows(bits & free_bits)
         return np.minimum(np.asarray(capacities, dtype=np.int64), avail)
 
@@ -245,8 +245,8 @@ class IncrementalAssignment:
         opened and however users are reassigned in between.  One scope at
         a time; the scope must start with no pending station.
 
-        The snapshot is O(num_users) flat-array copies plus shallow list
-        copies of the per-station scalars — a few microseconds — so a
+        The snapshot is the assigned bitset plus shallow list copies of
+        the per-station bitsets and loads — a few microseconds — so a
         subset sweep forks/rolls back per subset instead of rebuilding
         the engine (or replaying a mutation journal) each time."""
         if self._pending is not None:
@@ -254,8 +254,6 @@ class IncrementalAssignment:
         if self._fork_state is not None:
             raise RuntimeError("a fork is already active")
         self._fork_state = (
-            self._assigned_id.copy(),
-            self._assigned_mask.copy(),
             self._assigned_int,
             list(self._slot_ints),
             list(self._loads),
@@ -272,24 +270,17 @@ class IncrementalAssignment:
         if self._pending is not None:
             self.rollback()
         self._live = None
-        (aid, amask, aint, sints, loads, nslots, served,
-         alist) = self._fork_state
+        (self._assigned_int, self._slot_ints, self._loads, nslots,
+         self._served, alist) = self._fork_state
         self._fork_state = None
-        np.copyto(self._assigned_id, aid)
-        np.copyto(self._assigned_mask, amask)
-        self._assigned_int = aint
-        self._slot_ints = sints
-        self._loads = loads
-        self._served = served
         for name in self._names[nslots:]:
             del self._slots[name]
         del self._names[nslots:]
         del self._caps[nslots:]
+        del self._cover_ints[nslots:]
         if self._chain == "dfs":
             self._assigned_list = alist
             del self._cover_lists[nslots:]
-        else:
-            del self._cover_ints[nslots:]
 
     def release_fork(self) -> None:
         """Close the warm-start scope keeping all its mutations."""
@@ -300,27 +291,22 @@ class IncrementalAssignment:
     # -- mutation API -----------------------------------------------------
 
     def try_open(
-        self, station: Hashable, covered_users: "Sequence | np.ndarray",
-        capacity: int
+        self, station: Hashable,
+        covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
         """Tentatively open ``station`` and return the exact gain in served
         users.  Must be followed by :meth:`commit` or :meth:`rollback`.
         """
         self._check_open(station, capacity)
-        self._live = None
+        cover = self._cover_int(covered_users)
+        slot = self._push_station(station, capacity)
+        self._cover_ints.append(cover)
+        self._slot_ints.append(0)
         if self._chain == "dfs":
-            cover = _cover_array(covered_users, self.num_users, "user")
-            slot = self._push_station(station, capacity)
-            self._cover_lists.append(cover.tolist())
+            self._cover_lists.append(self._users_of(cover))
             gain = self._open_direct_scalar(slot, capacity)
-            augment = self._augment_dfs
         else:
-            cint = self._cover_int(covered_users)
-            slot = self._push_station(station, capacity)
-            self._cover_ints.append(cint)
-            self._slot_ints.append(0)
             gain = self._open_direct_batch(slot, capacity)
-            augment = self._augment_bfs
         direct = gain
         # Chain phase: alternating-path augmentations for the remainder.
         # Successive augmentations of one open usually work along the same
@@ -328,43 +314,54 @@ class IncrementalAssignment:
         # and the next round first revalidates it with a couple of bitset
         # ANDs (fresh witness users) before paying for a full search.
         chain: "list | None" = None
+        owners = None
         while gain < capacity:
+            if self._chain == "dfs":
+                if not self._augment_dfs(slot):
+                    break
+                gain += 1
+                continue
             if chain is not None and self._replay_chain(chain):
                 gain += 1
                 continue
-            chain = [] if self._chain == "bfs" else None
-            if not augment(slot, chain):
+            if owners is None:
+                owners = self._live_state()[1]
+            chain = self._augment_bfs(slot, owners)
+            if chain is None:
                 break
             gain += 1
+        self._live = None
         obs.counter_inc("flow.try_opens")
         obs.counter_inc("flow.direct_assignments", direct)
         obs.counter_inc("flow.chain_augmentations", gain - direct)
         return gain
 
     def gain(
-        self, station: Hashable, covered_users: "Sequence | np.ndarray",
-        capacity: int
+        self, station: Hashable,
+        covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
         """The exact gain :meth:`try_open` would return, leaving the engine
         untouched: same checks, same counters, no commit or rollback.
 
         The gain is ``capacity`` when the free covered users fill it, and
         the free covered users alone when the cover holds no user of a
-        live station (:meth:`_live_users`): no alternating path can start.
-        Otherwise the chain phase runs on local copies of the bitsets
-        (:meth:`_probe_chains`).  The ``chain="dfs"`` reference keeps its
-        try + rollback."""
+        live station (:func:`_live_fixpoint`): no alternating path can
+        start.  Otherwise the chain phase runs on local copies of the
+        bitsets (:meth:`_probe_chains`).  The ``chain="dfs"`` reference
+        keeps its try + rollback."""
         if self._chain == "dfs":
             gain = self.try_open(station, covered_users, capacity)
             self.rollback()
             return gain
         self._check_open(station, capacity)
-        cint = self._cover_int(covered_users)
-        free = cint & ~self._assigned_int
+        cover = self._cover_int(covered_users)
+        free = cover & ~self._assigned_int
         direct = min(free.bit_count(), capacity)
         gain = direct
-        if direct < capacity and cint & self._live_users():
-            gain = self._probe_chains(cint, free, capacity)
+        if direct < capacity:
+            live, owners = self._live_state()
+            if cover & live:
+                gain = self._probe_chains(cover, free, capacity, owners)
         if obs.is_enabled():
             obs.counter_inc("flow.try_opens")
             obs.counter_inc("flow.direct_assignments", direct)
@@ -386,15 +383,15 @@ class IncrementalAssignment:
             if entry[0] == "direct":
                 self._undo_direct(entry[1], entry[2], entry[3])
             else:
-                self._undo(entry[0], entry[1])
+                self._undo(*entry)
         station = self._pending
         self._pending = None
         self._journal = []
         self._pop_station(station)
 
     def open(
-        self, station: Hashable, covered_users: "Sequence | np.ndarray",
-        capacity: int
+        self, station: Hashable,
+        covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
         """Open a station permanently; returns the gain."""
         gain = self.try_open(station, covered_users, capacity)
@@ -421,14 +418,12 @@ class IncrementalAssignment:
         slots = sorted(self._slots[station] for station in stations)
         user = self.num_users
         self.num_users += 1
-        self._assigned_id = np.append(self._assigned_id, -1)
-        self._assigned_mask = np.append(self._assigned_mask, False)
         bit = 1 << user
         for slot in slots:
             self._cover_ints[slot] |= bit
         for slot in slots:
             if self._loads[slot] < self._caps[slot]:
-                self._record_and_assign(user, slot)
+                self._move(user, -1, slot)
                 self._served += 1
                 obs.counter_inc("flow.direct_assignments")
                 return True
@@ -447,30 +442,26 @@ class IncrementalAssignment:
         When the user was served, one alternating-path search rooted at
         its station restores a maximum assignment: that station is the
         only one that gained residual capacity, so every augmenting path
-        ends there.  The cover-bitset memo is cleared: its hits skip index
-        validation, and the same bytes now name a shifted, smaller
-        population."""
+        ends there."""
         self._check_live_edit()
         if not 0 <= user < self.num_users:
             raise IndexError(f"user {user} outside [0, {self.num_users})")
-        slot = int(self._assigned_id[user])
+        slot = self._slot_of(user)
         self._assigned_int = drop_bit(self._assigned_int, user)
         self._cover_ints = [drop_bit(bits, user) for bits in self._cover_ints]
         self._slot_ints = [drop_bit(bits, user) for bits in self._slot_ints]
-        self._assigned_id = drop_row(self._assigned_id, user)
-        self._assigned_mask = drop_row(self._assigned_mask, user)
         self.num_users -= 1
-        self._cover_int_cache.clear()
         if slot < 0:
             return False
         self._loads[slot] -= 1
         self._served -= 1
         obs.counter_inc("flow.departure_searches")
-        found = self._augment_bfs(slot)
+        path = self._augment_bfs(slot, range(len(self._cover_ints)))
         self._journal = []
-        if found:
-            obs.counter_inc("flow.chain_augmentations")
-        return found
+        if path is None:
+            return False
+        obs.counter_inc("flow.chain_augmentations")
+        return True
 
     def _check_live_edit(self) -> None:
         if self._chain != "bfs":
@@ -512,7 +503,7 @@ class IncrementalAssignment:
                     if loads[other] < caps[other]:
                         while other >= 0:
                             prev, taken = parent[other]
-                            self._record_and_assign(taken, other)
+                            self._move(taken, prev, other)
                             other = prev
                         self._served += 1
                         return True
@@ -532,20 +523,19 @@ class IncrementalAssignment:
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
 
-    def _cover_int(self, covered_users: "Sequence | np.ndarray") -> int:
-        """The cover as an integer bitset.  Cover bitsets recur across a
-        sweep (same location, same radio), so the index-array -> int
-        conversion is memoised; a cache hit also proves the indices were
-        validated before."""
-        cover = _index_array(covered_users, "user")
-        key = cover.tobytes()
-        cint = self._cover_int_cache.get(key)
-        if cint is None:
-            cint = self._users_to_int(
-                _cover_array(cover, self.num_users, "user")
-            )
-            self._cover_int_cache[key] = cint
-        return cint
+    def _cover_int(self, covered_users: "int | Sequence | np.ndarray") -> int:
+        """The cover as an integer bitset: an ``int`` as it is (its bits
+        must name users), an index sequence validated and packed."""
+        if type(covered_users) is int:
+            if covered_users < 0 or covered_users >> self.num_users:
+                raise IndexError(
+                    f"cover bitset names users outside [0, {self.num_users})"
+                )
+            return covered_users
+        return packed_to_int(pack_indices(
+            _cover_array(covered_users, self.num_users, "user"),
+            self.num_users,
+        ))
 
     def _push_station(self, station: Hashable, capacity: int) -> int:
         slot = len(self._names)
@@ -557,26 +547,19 @@ class IncrementalAssignment:
         self._loads.append(0)
         return slot
 
-    def _users_to_int(self, users: np.ndarray) -> int:
-        """User-index array -> integer bitset (bit ``u`` = user ``u``)."""
-        mask = np.zeros(self.num_users, dtype=bool)
-        if users.size:
-            mask[users] = True
-        return int.from_bytes(
-            np.packbits(mask, bitorder="little").tobytes(), "little"
-        )
+    def _users_of(self, bits: int) -> list:
+        """An integer bitset as the sorted list of its users."""
+        return unpack_indices(int_to_packed(bits, self.num_users),
+                              self.num_users)
 
-    def _int_to_mask(self, bitset: int) -> np.ndarray:
-        """Integer bitset -> boolean user mask."""
-        nbytes = (self.num_users + 7) >> 3
-        raw = np.frombuffer(bitset.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.unpackbits(
-            raw, count=self.num_users, bitorder="little"
-        ).view(bool)
-
-    def _int_to_users(self, bitset: int) -> np.ndarray:
-        """Integer bitset -> sorted user-index array."""
-        return np.nonzero(self._int_to_mask(bitset))[0]
+    def _slot_of(self, user: int) -> int:
+        """The slot holding ``user``; ``-1`` when it is free."""
+        bit = 1 << user
+        if self._assigned_int & bit:
+            for slot, held in enumerate(self._slot_ints):
+                if held & bit:
+                    return slot
+        return -1
 
     def _open_direct_batch(self, slot: int, capacity: int) -> int:
         """Direct phase as one bitset subtraction: every free covered user
@@ -586,14 +569,9 @@ class IncrementalAssignment:
         take = self._cover_ints[slot] & ~self._assigned_int
         if not take:
             return 0
-        k = take.bit_count()
-        if k > capacity:
-            take = self._users_to_int(self._int_to_users(take)[:capacity])
-            k = capacity
-        mask = self._int_to_mask(take)
+        k = min(take.bit_count(), capacity)
+        take = _lowest_bits(take, k)
         self._journal.append(("direct", slot, take, k))
-        self._assigned_id[mask] = slot
-        self._assigned_mask |= mask
         self._assigned_int |= take
         self._slot_ints[slot] |= take
         self._loads[slot] += k
@@ -609,111 +587,95 @@ class IncrementalAssignment:
             if gain == capacity:
                 break
             if assigned[u] < 0:
-                self._record_and_assign(u, slot)
+                self._move(u, -1, slot)
                 self._served += 1
                 gain += 1
         return gain
 
-    def _augment_bfs(self, root: int, chain: "list | None" = None) -> bool:
+    def _augment_bfs(self, root: int, owners) -> "list | None":
         """One unit of augmentation ending at ``root`` (which has spare
-        capacity): :func:`_alternating_search`, then the free user joins
-        the leaf and each station up the parent chain takes its witness
-        user from its child.  A failed search proves no augmentation
-        through ``root`` exists — same exact maximum as the scalar DFS
-        reference; only which equal-value assignment is realised may
-        differ.
+        capacity): :func:`_alternating_search` over ``owners``, then
+        :meth:`_push_path` along the path found, which is returned (leaf
+        first).  ``None`` when the search fails, which proves no
+        augmentation through ``root`` exists — same exact maximum as the
+        scalar DFS reference; only which equal-value assignment is
+        realised may differ.
         """
-        slot_ints = self._slot_ints
         leaf, parent = _alternating_search(
-            self._cover_ints, slot_ints, self._assigned_int, root
+            self._cover_ints, self._slot_ints, self._assigned_int, root,
+            owners,
         )
         if leaf < 0:
-            return False
-        # Inlined _record_and_assign: this is the hottest path of every
-        # committed open.
+            return None
+        path, wits = [leaf], []
+        while path[-1] != root:
+            up, witness = parent[path[-1]]
+            path.append(up)
+            wits.append(witness)
+        self._push_path(path, wits)
+        return path
+
+    def _push_path(self, path: list, wits: list) -> None:
+        """Augment one unit along ``path`` (leaf first, root last): the
+        lowest free user the leaf covers joins it, and each ``wits[i]``
+        moves from ``path[i]`` up to ``path[i + 1]``.  :meth:`_move`
+        inlined: this is the hottest path of every committed open."""
         journal = self._journal
-        aid = self._assigned_id
+        slot_ints = self._slot_ints
         loads = self._loads
-        st = leaf
-        free = self._cover_ints[st] & ~self._assigned_int
-        user = (free & -free).bit_length() - 1
-        journal.append((user, -1))
-        slot_ints[st] |= 1 << user
-        self._assigned_int |= 1 << user
-        self._assigned_mask[user] = True
-        aid[user] = st
-        loads[st] += 1
-        if chain is not None:
-            chain.append(st)
-        while st != root:
-            ps, u = parent[st]
-            journal.append((u, st))
-            bit = 1 << u
-            slot_ints[ps] |= bit
-            slot_ints[st] &= ~bit
-            loads[st] -= 1
-            loads[ps] += 1
-            aid[u] = ps
-            st = ps
-            if chain is not None:
-                chain.append(st)
+        leaf = path[0]
+        free = self._cover_ints[leaf] & ~self._assigned_int
+        low = free & -free
+        journal.append((low.bit_length() - 1, -1, leaf))
+        slot_ints[leaf] |= low
+        self._assigned_int |= low
+        loads[leaf] += 1
+        for child, parent, user in zip(path, path[1:], wits):
+            journal.append((user, child, parent))
+            bit = 1 << user
+            slot_ints[parent] |= bit
+            slot_ints[child] &= ~bit
+            loads[child] -= 1
+            loads[parent] += 1
         self._served += 1
-        return True
 
-    def _live_users(self) -> int:
-        """The users held by *live* stations: those with an alternating
-        path to a free user, i.e. a station that covers a free user, or
-        one that covers a user held by a live station.  Computed once per
-        engine state, as a fixpoint over the open stations.
-
-        A probe whose cover holds none of these users, and whose free
-        covered users fall short of its capacity, gains only those free
-        users: every station its search can reach is dead, and taking the
-        free users only shrinks the free set."""
+    def _live_state(self) -> tuple:
+        """``(users, slots)`` of the live stations in the current state,
+        computed by :func:`_live_fixpoint` when not cached.  Probes share
+        it; an open keeps using it for its own searches (dead stays dead)
+        and clears it at the end, so the next probes see the stations
+        that open killed, and a rollback cannot leave a revived station
+        out.  Carrying the slots over commits instead measured slower:
+        the stale set stops far fewer probes before their search."""
         if self._live is None:
-            covers, held = self._cover_ints, self._slot_ints
-            free = ~self._assigned_int
-            live = 0
-            dead = []
-            for st, cover in enumerate(covers):
-                if cover & free:
-                    live |= held[st]
-                else:
-                    dead.append(st)
-            grew = True
-            while grew:
-                grew = False
-                still = []
-                for st in dead:
-                    if covers[st] & live:
-                        live |= held[st]
-                        grew = True
-                    else:
-                        still.append(st)
-                dead = still
-            self._live = live
+            self._live = _live_fixpoint(
+                self._cover_ints, self._slot_ints, self._assigned_int
+            )
         return self._live
 
-    def _probe_chains(self, cover: int, free: int, capacity: int) -> int:
+    def _probe_chains(self, cover: int, free: int, capacity: int,
+                      owners: list) -> int:
         """The gain of a station with cover bitset ``cover`` whose free
         covered users ``free`` fall short of ``capacity``, counted on
         local copies of the engine state.
 
         The station (the root) takes ``free``, then each
-        :func:`_alternating_search` that finds a path pushes its whole
-        bottleneck at once: the remaining capacity, the free users the
-        leaf covers, and for every link the users the child holds that
-        the parent covers.  Pushing ``b`` units moves ``b`` such users
-        one station up each link, so every unit is a valid augmenting
-        path; the search that fails certifies a maximum, as in
-        :meth:`try_open`."""
+        :func:`_alternating_search` over ``owners`` that finds a path
+        pushes its whole bottleneck at once: the remaining capacity, the
+        free users the leaf covers, and for every link the users the
+        child holds that the parent covers.  Pushing ``b`` units moves
+        ``b`` such users one station up each link, so every unit is a
+        valid augmenting path; the search that fails certifies a
+        maximum, as in :meth:`try_open`."""
         covers = self._cover_ints + [cover]
         held = self._slot_ints + [free]
         assigned = self._assigned_int | free
         root = len(covers) - 1
         gain = free.bit_count()
         while gain < capacity:
-            leaf, parent = _alternating_search(covers, held, assigned, root)
+            leaf, parent = _alternating_search(
+                covers, held, assigned, root, owners
+            )
             if leaf < 0:
                 break
             take = covers[leaf] & ~assigned
@@ -748,40 +710,18 @@ class IncrementalAssignment:
         """
         covers = self._cover_ints
         slot_ints = self._slot_ints
-        leaf = chain[0]
-        free = covers[leaf] & ~self._assigned_int
-        if not free:
+        if not covers[chain[0]] & ~self._assigned_int:
             return False
         wits = []
-        for i in range(len(chain) - 1):
-            hit = covers[chain[i + 1]] & slot_ints[chain[i]]
+        for child, parent in zip(chain, chain[1:]):
+            hit = covers[parent] & slot_ints[child]
             if not hit:
                 return False
             wits.append((hit & -hit).bit_length() - 1)
-        journal = self._journal
-        aid = self._assigned_id
-        loads = self._loads
-        user = (free & -free).bit_length() - 1
-        journal.append((user, -1))
-        slot_ints[leaf] |= 1 << user
-        self._assigned_int |= 1 << user
-        self._assigned_mask[user] = True
-        aid[user] = leaf
-        loads[leaf] += 1
-        for i, u in enumerate(wits):
-            child = chain[i]
-            parent = chain[i + 1]
-            journal.append((u, child))
-            bit = 1 << u
-            slot_ints[parent] |= bit
-            slot_ints[child] &= ~bit
-            loads[child] -= 1
-            loads[parent] += 1
-            aid[u] = parent
-        self._served += 1
+        self._push_path(chain, wits)
         return True
 
-    def _augment_dfs(self, root: int, chain: "list | None" = None) -> bool:
+    def _augment_dfs(self, root: int) -> bool:
         """The scalar reference: Kuhn-style alternating-path DFS.
 
         A path is root -> u1 (covered by root, assigned to T1) -> T1 -> u2
@@ -824,11 +764,10 @@ class IncrementalAssignment:
                     # Success: u joins this station; unwind the chain, each
                     # parent taking its claimed user from its child.
                     frame[1] = idx
-                    self._record_and_assign(u, station)
+                    self._move(u, -1, station)
                     for depth in range(len(frames) - 1, 0, -1):
                         child = frames[depth]
-                        parent_station = frames[depth - 1][0]
-                        self._record_and_assign(child[2], parent_station)
+                        self._move(child[2], child[0], frames[depth - 1][0])
                     self._served += 1
                     return True
                 if owner not in explored:
@@ -842,49 +781,38 @@ class IncrementalAssignment:
                 frames.pop()
         return False
 
-    def _record_and_assign(self, user: int, slot: int) -> None:
-        old = int(self._assigned_id[user])
+    def _move(self, user: int, old: int, new: int) -> None:
+        """Reassign ``user`` from slot ``old`` (``-1`` = free) to slot
+        ``new``, journalled while a station is pending.  The caller counts
+        a newly served user."""
         if self._pending is not None:
-            self._journal.append((user, old))
-        if self._chain == "dfs":
-            self._assigned_list[user] = slot
-        else:
-            bit = 1 << user
-            self._slot_ints[slot] |= bit
-            if old >= 0:
-                self._slot_ints[old] &= ~bit
-            else:
-                self._assigned_int |= bit
+            self._journal.append((user, old, new))
+        bit = 1 << user
+        self._slot_ints[new] |= bit
+        self._loads[new] += 1
         if old >= 0:
+            self._slot_ints[old] &= ~bit
             self._loads[old] -= 1
         else:
-            self._assigned_mask[user] = True
-        self._assigned_id[user] = slot
-        self._loads[slot] += 1
-
-    def _undo(self, user: int, old: int) -> None:
-        cur = int(self._assigned_id[user])
-        self._loads[cur] -= 1
-        self._assigned_id[user] = old
+            self._assigned_int |= bit
         if self._chain == "dfs":
-            self._assigned_list[user] = old
-        else:
-            bit = 1 << user
-            self._slot_ints[cur] &= ~bit
-            if old >= 0:
-                self._slot_ints[old] |= bit
-            else:
-                self._assigned_int &= ~bit
+            self._assigned_list[user] = new
+
+    def _undo(self, user: int, old: int, new: int) -> None:
+        """Reverse one journalled :meth:`_move`."""
+        bit = 1 << user
+        self._slot_ints[new] &= ~bit
+        self._loads[new] -= 1
         if old >= 0:
+            self._slot_ints[old] |= bit
             self._loads[old] += 1
         else:
-            self._assigned_mask[user] = False
+            self._assigned_int &= ~bit
             self._served -= 1
+        if self._chain == "dfs":
+            self._assigned_list[user] = old
 
     def _undo_direct(self, slot: int, bitset: int, k: int) -> None:
-        mask = self._int_to_mask(bitset)
-        self._assigned_id[mask] = -1
-        self._assigned_mask &= ~mask
         self._assigned_int &= ~bitset
         self._slot_ints[slot] &= ~bitset
         self._loads[slot] -= k
@@ -898,11 +826,10 @@ class IncrementalAssignment:
         self._names.pop()
         self._caps.pop()
         self._loads.pop()
+        self._cover_ints.pop()
+        self._slot_ints.pop()
         if self._chain == "dfs":
             self._cover_lists.pop()
-        else:
-            self._cover_ints.pop()
-            self._slot_ints.pop()
 
 
 class CellAssignment:
@@ -1184,26 +1111,28 @@ class CellAssignment:
 
 
 def _alternating_search(covers: list, held: list, assigned: int,
-                        root: int) -> tuple:
+                        root: int, owners) -> tuple:
     """Layered breadth-first search over user bitsets for an alternating
     path from a free user to the station ``root``.
 
     ``covers`` and ``held`` are per-station cover and assigned-user
-    bitsets, ``assigned`` the union of ``held``.  A layer holds stations
-    reachable from ``root``.  Expanding station ``st`` masks its cover
-    against the users already visited; a surviving *free* user ends the
-    search at ``st`` (the leaf), while surviving assigned users hand
-    reachability to their owner stations (``reach & held`` per station).
-    Returns ``(leaf, parent)``, where ``parent`` maps each reached station
-    to the station it was reached from and a witness user it holds that
-    that station covers; ``leaf`` is ``-1`` when no path exists.
+    bitsets, ``assigned`` the union of ``held``, and ``owners`` the
+    ascending slots the search may pass through: every station that can
+    reach a free user (:func:`_live_fixpoint`), or all of them.  A layer
+    holds stations reachable from ``root``.  Expanding station ``st``
+    masks its cover against the users already visited; a surviving *free*
+    user ends the search at ``st`` (the leaf), while surviving assigned
+    users hand reachability to their owner stations (``reach & held`` per
+    station).  Returns ``(leaf, parent)``, where ``parent`` maps each
+    reached station to the station it was reached from and a witness user
+    it holds that that station covers; ``leaf`` is ``-1`` when no path
+    exists.
     """
     parent: dict = {}
     seen = {root}
     seen_union = held[root]
     visited = 0
     frontier = [root]
-    num_slots = len(covers)
     while frontier:
         nxt: list = []
         for st in frontier:
@@ -1213,12 +1142,12 @@ def _alternating_search(covers: list, held: list, assigned: int,
             if reach & ~assigned:
                 return st, parent
             visited |= reach
-            # Owner discovery is the expensive part (one AND per open
-            # station); skip it entirely when every reached user belongs
-            # to an already-seen station.
+            # Owner discovery is the expensive part (one AND per owner);
+            # skip it entirely when every reached user belongs to an
+            # already-seen station.
             if not reach & ~seen_union:
                 continue
-            for owner in range(num_slots):
+            for owner in owners:
                 if owner in seen:
                     continue
                 hit = reach & held[owner]
@@ -1231,28 +1160,88 @@ def _alternating_search(covers: list, held: list, assigned: int,
     return -1, parent
 
 
+def _live_fixpoint(covers: list, held: list, assigned: int) -> tuple:
+    """``(users, slots)`` of the *live* stations: those with an
+    alternating path to a free user, i.e. a station that covers a free
+    user, or one that covers a user held by a live station.  ``users`` is
+    the union of what they hold, ``slots`` their ascending slot indices.
+
+    Every other station is dead and stays dead (module docstring), so a
+    search may skip it, and a probe whose cover holds none of ``users``
+    gains only its free covered users."""
+    free = ~assigned
+    live = 0
+    slots = []
+    dead = []
+    for st, cover in enumerate(covers):
+        if cover & free:
+            live |= held[st]
+            slots.append(st)
+        else:
+            dead.append(st)
+    grew = True
+    while grew and dead:
+        grew = False
+        still = []
+        for st in dead:
+            if covers[st] & live:
+                live |= held[st]
+                slots.append(st)
+                grew = True
+            else:
+                still.append(st)
+        dead = still
+    slots.sort()
+    return live, slots
+
+
+#: Up to this many bits :func:`_lowest_bits` peels them one at a time;
+#: beyond it, bisection is faster at a few thousand users.
+_LOWEST_BY_BIT = 6
+
+
 def _lowest_bits(bits: int, k: int) -> int:
     """The ``k`` lowest set bits of ``bits`` (``k`` <= its popcount)."""
     if k == bits.bit_count():
         return bits
-    out = 0
-    for _ in range(k):
-        low = bits & -bits
-        out |= low
-        bits ^= low
-    return out
+    if k <= _LOWEST_BY_BIT:
+        out = 0
+        for _ in range(k):
+            low = bits & -bits
+            out |= low
+            bits ^= low
+        return out
+    # The shortest prefix of ``bits`` holding ``k`` set bits, by bisection
+    # on its length: O(log n) masked popcounts instead of k bit steps.
+    lo, hi = 0, bits.bit_length()
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        if (bits & ((1 << mid) - 1)).bit_count() >= k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return bits & ((1 << lo) - 1)
+
+
+def cell_demands(graph) -> "np.ndarray | None":
+    """The graph's cell demands when some cell holds more than one user —
+    the graphs :class:`CellAssignment` serves, with index-array covers —
+    else ``None``: per-user graphs, and singleton-cell graphs, whose
+    demands are all 1.  A cell of demand 1 behaves exactly like a user,
+    and singleton cell indices coincide with user indices, so those run
+    the :class:`IncrementalAssignment` bitset engine, the identical code
+    path bit for bit."""
+    demands = getattr(graph, "cell_demands", None)
+    if demands is None or demands.size == 0 or int(demands.max()) <= 1:
+        return None
+    return demands
 
 
 def new_engine_for(graph, chain: "str | None" = None):
-    """The right incremental assignment engine for a coverage graph.
-
-    Per-user graphs — and singleton-cell graphs, whose demands are all
-    1 — get the :class:`IncrementalAssignment` bitset engine: a cell of
-    demand 1 behaves exactly like a user, and singleton cell indices
-    coincide with user indices, so the aggregated solve runs the
-    identical code path bit for bit.  Only graphs carrying a demand > 1
-    need :class:`CellAssignment`."""
-    demands = getattr(graph, "cell_demands", None)
-    if demands is None or demands.size == 0 or int(demands.max()) <= 1:
+    """The right incremental assignment engine for a coverage graph:
+    :class:`CellAssignment` when :func:`cell_demands` finds demands > 1,
+    else :class:`IncrementalAssignment`."""
+    demands = cell_demands(graph)
+    if demands is None:
         return IncrementalAssignment(graph.num_users, chain=chain)
     return CellAssignment(demands)

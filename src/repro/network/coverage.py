@@ -41,7 +41,7 @@ from repro.graphs.bfs import (
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
 from repro.network.users import User, UserTable
-from repro.util.bits import drop_row, pack_indices, pack_pairs
+from repro.util.bits import drop_row, pack_indices, pack_pairs, packed_to_int
 
 
 def _no_pairs() -> tuple:
@@ -540,6 +540,13 @@ class CoverageGraph:
         return pack_indices(
             self.coverable_array(loc_index, uav), self.num_users
         )
+
+    def coverable_int(self, loc_index: int, uav: UAV) -> int:
+        """:meth:`coverable_users` as an integer bitset (bit ``u`` = user
+        ``u``), the cover the flow engine works on: built from
+        :meth:`coverable_bits`, not cached here (see
+        :class:`repro.core.lazy.CoverTable`)."""
+        return packed_to_int(self.coverable_bits(loc_index, uav))
 
     def coverage_bits_matrix(self, uav: UAV) -> np.ndarray:
         """Packed ``(m, words)`` coverage bitsets for *all* locations under

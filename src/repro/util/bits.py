@@ -16,6 +16,12 @@ _POPCOUNT_TABLE = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint8
 )
 
+# Bit-reversal per byte: maps numpy's MSB-first packbits layout onto the
+# little-endian bytes of an LSB-first integer bitset and back.
+_BYTE_REVERSE = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
+
 
 def _bit_counts(packed: np.ndarray) -> np.ndarray:
     """Per-byte set-bit counts of a packed ``uint8`` array."""
@@ -68,6 +74,20 @@ def unpack_indices(packed: np.ndarray, num_bits: int) -> list:
         return []
     mask = np.unpackbits(np.asarray(packed, dtype=np.uint8), count=num_bits)
     return np.nonzero(mask)[0].tolist()
+
+
+def packed_to_int(packed: np.ndarray) -> int:
+    """A packed ``uint8`` bitset (:func:`numpy.packbits` layout) as an
+    integer bitset: bit ``i`` of the result is bit ``i`` of the row."""
+    return int.from_bytes(_BYTE_REVERSE[packed].tobytes(), "little")
+
+
+def int_to_packed(bits: int, num_bits: int) -> np.ndarray:
+    """Inverse of :func:`packed_to_int` for a non-negative ``bits`` below
+    ``2 ** num_bits``: the packed row of ``num_bits`` bits."""
+    raw = np.frombuffer(bits.to_bytes((num_bits + 7) >> 3, "little"),
+                        dtype=np.uint8)
+    return _BYTE_REVERSE[raw]
 
 
 def drop_bit(bits: int, index: int) -> int:

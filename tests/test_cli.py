@@ -359,6 +359,17 @@ class TestExperimentsCommand:
         assert counters["resume.specs_skipped"] == 4 * 5
         assert counters["sweep.points_skipped"] == 6
 
+    @pytest.mark.parametrize("figure", ["fig5", "fig6a"])
+    def test_fleet_larger_than_the_scale_is_a_usage_error(self, capsys,
+                                                          figure):
+        # fig5 and fig6a fix K = 20; the small scale has 9 locations.
+        assert main(["experiments", figure, "--scale", "small"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {figure} --scale small: ")
+        assert captured.err.count("\n") == 1
+        assert "9 candidate locations" in captured.err
+
     def test_run_record_names_the_specs(self, capsys, tmp_path):
         from repro.obs import read_record
 

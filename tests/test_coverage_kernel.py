@@ -447,6 +447,24 @@ def test_station_covers_equal_per_location_coverage():
         np.testing.assert_array_equal(sliced, want[np.isin(want, block)])
 
 
+def test_coverable_int_is_the_coverable_users_as_bits():
+    """The flow engine's cover form, from one location's kernel before
+    the radio's matrix is built and from the matrix row after."""
+    users, locations, fleet = make_instance(7)
+    kernel, _ = graph_pair(users, locations)
+    stations = [(v, fleet[v % len(fleet)]) for v in range(0, 40, 3)]
+
+    def as_bits(loc, uav):
+        return sum(1 << int(u) for u in kernel.coverable_array(loc, uav))
+
+    for loc, uav in stations:
+        assert kernel.coverable_int(loc, uav) == as_bits(loc, uav)
+    for _, uav in stations:
+        kernel.coverage_bits_matrix(uav)
+    for loc, uav in stations:
+        assert kernel.coverable_int(loc, uav) == as_bits(loc, uav)
+
+
 # -- radio domination ----------------------------------------------------------
 
 def dominance_fleet(rng) -> list:

@@ -54,12 +54,13 @@ def engines_for(num_users: int, stations: list) -> tuple:
 
 
 def state(engine: IncrementalAssignment) -> tuple:
+    """Everything a probe could disturb: who serves whom, the served set
+    and count, every station's load, and the station table itself."""
     return (
-        engine._assigned_id.tolist(), engine._assigned_mask.tolist(),
-        engine._assigned_int, list(engine._slot_ints),
-        list(engine._cover_ints), list(engine._loads), list(engine._caps),
-        engine.served_count, engine.stations(), dict(engine._slots),
-        engine._pending, engine._journal,
+        engine.assignment(), engine.served_bits, engine.served_count,
+        [engine.load_of(name) for name in engine.stations()],
+        list(engine._cover_ints), list(engine._caps), engine.stations(),
+        dict(engine._slots), engine._pending, engine._journal,
     )
 
 
@@ -324,6 +325,25 @@ def test_float_covers_are_rejected_not_truncated():
             CellAssignment([1, 2, 3]).try_open("a", cover, 2)
         with pytest.raises(TypeError):
             CellAssignment([1, 2, 3]).gain("a", cover, 2)
+
+
+def test_int_covers_count_like_their_users():
+    """An integer cover is bit ``u`` = user ``u``; it must name users
+    only."""
+    for chain in ("bfs", "dfs"):
+        by_int = IncrementalAssignment(6, chain=chain)
+        by_list = IncrementalAssignment(6, chain=chain)
+        by_int.open("A", 0b000111, 2)
+        by_list.open("A", [0, 1, 2], 2)
+        assert by_int.gain("B", 0b001110, 3) == by_list.gain("B", [1, 2, 3], 3)
+        assert by_int.direct_gain_bound(0b110001, 5) == 2
+        assert state(by_int) == state(by_list)
+    engine = IncrementalAssignment(3)
+    for bad in (-1, 1 << 3, 0b1001):
+        with pytest.raises(IndexError):
+            engine.gain("a", bad, 1)
+        with pytest.raises(IndexError):
+            engine.try_open("a", bad, 1)
 
 
 def test_empty_and_unsigned_covers_are_accepted():

@@ -13,7 +13,9 @@ import pytest
 
 from repro.util.bits import (
     _POPCOUNT_TABLE,
+    int_to_packed,
     pack_indices,
+    packed_to_int,
     popcount,
     popcount_rows,
     unpack_indices,
@@ -80,3 +82,13 @@ class TestPackRoundtrip:
     def test_popcount_rows_rejects_scalar(self):
         with pytest.raises(ValueError):
             popcount_rows(np.uint8(3))
+
+
+@pytest.mark.parametrize("num_bits", [0, 1, 7, 8, 9, 64, 301])
+def test_packed_rows_and_int_bitsets_convert_both_ways(num_bits):
+    rng = np.random.default_rng(num_bits)
+    indices = np.flatnonzero(rng.random(num_bits) < 0.4)
+    packed = pack_indices(indices, num_bits)
+    bits = packed_to_int(packed)
+    assert bits == sum(1 << int(i) for i in indices)
+    np.testing.assert_array_equal(int_to_packed(bits, num_bits), packed)
