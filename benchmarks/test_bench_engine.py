@@ -102,16 +102,19 @@ HEADLINE_PARAMS = {"s": S, "gain_mode": "fast"}
 
 def test_paper_headline_speedup(scenario_cache, perf_trajectory):
     """The headline point of the vectorised engine: the paper-scale
-    scenario (K=20), solved by the numpy-native path at workers 1/2/4,
-    against the scalar reference loop (Kuhn DFS chains, per-candidate
-    scalar gains, no shared context) that the pre-vectorisation engine
-    ran.
+    scenario (K=20), solved with the default breadth-first bitset chains
+    at workers 1/2/4 on one prebuilt context, against a serial reference
+    run whose flow engine uses the scalar Kuhn DFS chains
+    (``chain="dfs"``).  The reference's ``appro_alg`` builds its own
+    :class:`SolverContext` inside the timed region; the candidate loops
+    are the same batched ones (the scalar per-candidate loops live in
+    ``tests/reference/subsets.py``).
 
-    The reference realises the same greedy by construction in exact mode;
-    in fast mode only the direct-bound *ranking* realisation may differ,
-    so served counts are compared with a small tolerance instead of
-    bit-equality (the golden-equivalence suite pins bit-equality across
-    serial/parallel runs of the vectorised path itself).
+    The DFS engine realises other equal-value assignments, so in fast
+    mode the direct-bound *ranking* may differ, and served counts are
+    compared with a small tolerance instead of bit-equality (the
+    golden-equivalence suite pins bit-equality across serial/parallel
+    runs of the vectorised path itself).
     """
     from repro.flow.bipartite import IncrementalAssignment
 

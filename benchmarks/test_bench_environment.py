@@ -6,6 +6,10 @@ Al-Hourani presets.  Denser environments shrink effective coverage (the
 pathloss through the rate check) and concentrate service — a robustness
 check that the pipeline behaves physically, not an original paper figure.
 
+Each environment point runs
+:func:`repro.sim.experiments.environment_sweep`'s spec row, so the bench,
+the sweep and ``examples/out/environment.csv`` share one definition.
+
 Also ablates heterogeneous coverage radii (Section II-B allows per-UAV
 R_user; the evaluation fixes one value).
 """
@@ -17,39 +21,27 @@ import pytest
 from repro.core.approx import appro_alg
 from repro.core.problem import ProblemInstance
 from repro.network.fleet import heterogeneous_fleet
-from repro.workload.scenarios import SCALES, build_scenario
+from repro.sim.experiments import environment_sweep
 
 ENVIRONMENTS = ("suburban", "urban", "dense-urban", "highrise-urban")
 TITLE = "Environment sweep - approAlg served users (n=1500, K=10, s=2)"
 
-# The paper's 2 kbps floor never binds (SNR at 500 m is enormous); to make
-# the propagation environment matter, users here demand video-grade rates.
-VIDEO_RATE_BPS = 2.5e6
-
-
 @pytest.mark.parametrize("environment", ENVIRONMENTS)
 def test_environment_sweep(benchmark, figure_report, environment):
-    from repro.workload.fat_tailed import FatTailedWorkload
-
-    config = SCALES["bench"].with_overrides(
-        num_users=1500,
-        num_uavs=10,
-        environment=environment,
-        workload=FatTailedWorkload(min_rate_bps=VIDEO_RATE_BPS),
-    )
-    problem = build_scenario(config, seed=23)
-
-    result = benchmark.pedantic(
-        lambda: appro_alg(problem, s=2, gain_mode="fast",
-                          max_anchor_candidates=8),
+    # The sweep's users demand video-grade rates: the paper's 2 kbps floor
+    # never binds (SNR at 500 m is enormous), so the environment would
+    # not matter.
+    sweep = benchmark.pedantic(
+        lambda: environment_sweep(environments=(environment,)),
         rounds=1,
         iterations=1,
     )
+    ((_, record),) = sweep.records
     figure_report.record(
-        "environment", TITLE, environment, "approAlg", result.served,
-        round(benchmark.stats.stats.mean, 3),
+        "environment", TITLE, environment, "approAlg", record.served,
+        round(record.runtime_s, 3),
     )
-    assert result.served > 0
+    assert record.ok and record.served > 0
 
 
 def test_highrise_serves_no_more_than_suburban(figure_report):

@@ -2,7 +2,10 @@
 
 * capacity-range sweep — how the heterogeneity *spread* [C_min, C_max]
   affects served users at fixed mean capacity: the wider the spread, the
-  more capacity-aware placement matters;
+  more capacity-aware placement matters.  Each point runs
+  :func:`repro.sim.experiments.capacity_spread_sweep`'s spec row, so the
+  bench, the sweep and ``examples/out/capacity_spread.csv`` share one
+  definition;
 * interference audit — fraction of the SNR-planned service that survives
   a reuse-1 SINR recheck.
 """
@@ -13,9 +16,7 @@ import pytest
 
 from repro.channel.interference import audit_interference
 from repro.core.approx import appro_alg
-from repro.core.problem import ProblemInstance
-from repro.network.fleet import heterogeneous_fleet
-from repro.workload.scenarios import paper_scenario
+from repro.sim.experiments import capacity_spread_sweep
 
 TITLE_CAP = "Capacity-spread sweep - served users (n=2000, K=12, mean C=175)"
 TITLE_SINR = "Interference audit - reuse-1 SINR survival (n=1500, K=10)"
@@ -25,22 +26,19 @@ CAPACITY_RANGES = ((175, 175), (125, 225), (50, 300))
 
 @pytest.mark.parametrize("cap_range", CAPACITY_RANGES,
                          ids=lambda r: f"{r[0]}-{r[1]}")
-def test_capacity_spread(benchmark, figure_report, scenario_cache, cap_range):
-    base = scenario_cache(2000, 12, seed=29)
+def test_capacity_spread(benchmark, figure_report, cap_range):
     lo, hi = cap_range
-    fleet = heterogeneous_fleet(12, capacity_min=lo, capacity_max=hi, seed=29)
-    problem = ProblemInstance(graph=base.graph, fleet=fleet)
-    result = benchmark.pedantic(
-        lambda: appro_alg(problem, s=2, gain_mode="fast",
-                          max_anchor_candidates=8),
+    sweep = benchmark.pedantic(
+        lambda: capacity_spread_sweep(spreads=(cap_range,)),
         rounds=1,
         iterations=1,
     )
+    ((_, record),) = sweep.records
     figure_report.record(
         "extended-capacity", TITLE_CAP, f"C in [{lo},{hi}]", "approAlg",
-        result.served, round(benchmark.stats.stats.mean, 3),
+        record.served, round(record.runtime_s, 3),
     )
-    assert result.served > 0
+    assert record.ok and record.served > 0
 
 
 def test_interference_audit(benchmark, figure_report, scenario_cache):

@@ -158,9 +158,9 @@ def test_gain_matrix_kernel(benchmark, scenario_cache, perf_trajectory):
 
     gains = benchmark(lambda: eng.direct_gain_bounds(rows, uav.capacity))
     scalar = [
-        eng.direct_gain_bound(
-            problem.graph.coverable_users(v, uav), uav.capacity
-        )
+        min(uav.capacity,
+            (problem.graph.coverable_int(v, uav) & ~eng.served_bits)
+            .bit_count())
         for v in range(problem.num_locations)
     ]
     assert gains.tolist() == scalar

@@ -264,7 +264,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     try:
         result = sweep(**kwargs)
     except SpecError as exc:
-        # A figure's fixed fleet can outnumber the scale's locations.
+        # A figure's fixed fleet can outnumber the scale's locations, and
+        # --reps must be at least one.
         print(f"error: {args.figure} --scale {args.scale}: {exc}",
               file=sys.stderr)
         return 2
@@ -427,48 +428,50 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pipeline = SolvePipeline(**_resilience_kwargs(args))
     spec: "ScenarioSpec | None" = None
     state = None
-    if args.scenario is not None and not Path(args.scenario).exists():
-        # Not a file: try the named presets (repro scenario list).
-        try:
-            spec = get_preset(args.scenario)
-        except KeyError as exc:
-            print(f"error: {args.scenario}: not a spec file, and "
-                  f"{exc.args[0]}", file=sys.stderr)
-            return 2
-    elif args.scenario is not None:
-        data = json.loads(Path(args.scenario).read_text())
-        if data.get("kind") == "scenario-spec":
-            # Declarative spec: scenario AND algorithm/engine options come
-            # from the file; the solver flags on the command line are
-            # ignored in favour of the spec's (except the aggregation and
-            # tiling overrides, which compose with any spec).
-            spec = ScenarioSpec.from_dict(data)
-        else:
-            # Legacy scenario file: just the problem; algorithm and
-            # engine options still come from the flags.
-            from repro.sim.io import load_scenario
+    # Flag specs are checked as they are built, so a bad flag (--users 0)
+    # fails here as cleanly as a bad spec file does.
+    try:
+        if args.scenario is not None and not Path(args.scenario).exists():
+            # Not a file: try the named presets (repro scenario list).
+            try:
+                spec = get_preset(args.scenario)
+            except KeyError as exc:
+                print(f"error: {args.scenario}: not a spec file, and "
+                      f"{exc.args[0]}", file=sys.stderr)
+                return 2
+        elif args.scenario is not None:
+            data = json.loads(Path(args.scenario).read_text())
+            if data.get("kind") == "scenario-spec":
+                # Declarative spec: scenario AND algorithm/engine options come
+                # from the file; the solver flags on the command line are
+                # ignored in favour of the spec's (except the aggregation and
+                # tiling overrides, which compose with any spec).
+                spec = ScenarioSpec.from_dict(data)
+            else:
+                # Legacy scenario file: just the problem; algorithm and
+                # engine options still come from the flags.
+                from repro.sim.io import load_scenario
 
+                spec = _run_spec_from_args(args)
+                params = solver_params(spec, pipeline.registry.get(spec.algorithm))
+                state = pipeline.solve(
+                    load_scenario(args.scenario), args.algorithm, params,
+                    checkpoint=pipeline.spec_checkpoint(spec),
+                )
+                spec = None
+        else:
             spec = _run_spec_from_args(args)
-            params = solver_params(spec, pipeline.registry.get(spec.algorithm))
-            state = pipeline.solve(
-                load_scenario(args.scenario), args.algorithm, params,
-                checkpoint=pipeline.spec_checkpoint(spec),
-            )
-            spec = None
-    else:
-        spec = _run_spec_from_args(args)
-    if state is None:
-        overrides = _scale_overrides(args)
-        try:
+        if state is None:
+            overrides = _scale_overrides(args)
             if overrides:
                 spec = spec.with_overrides(**overrides)
             # The run record names the spec that ran; stash it for
             # _observed, which only sees the parsed args.
             args._spec = spec
             state = pipeline.run(spec)
-        except SpecError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # The perf point's wall covers build and solve; record.runtime_s is
     # the solve alone.
     wall_s = time.perf_counter() - started
@@ -975,6 +978,12 @@ def _cmd_ratio(args: argparse.Namespace) -> int:
     from repro.core.segments import optimal_segments
     from repro.util.tables import format_table
 
+    for flag, values in (("--k", args.k), ("--s", args.s)):
+        bad = [v for v in values if v < 1]
+        if bad:
+            print(f"error: {flag} values must be >= 1, got {bad[0]}",
+                  file=sys.stderr)
+            return 2
     rows = []
     for k in args.k:
         for s in args.s:

@@ -80,7 +80,6 @@ from repro.core.greedy import anchored_greedy, pair_greedy
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan, optimal_segments
 from repro.flow.bipartite import new_engine_for
-from repro.graphs.bfs import UNREACHABLE
 from repro.network.deployment import Deployment
 from repro.util.interrupt import SolveInterrupted, interrupt_requested
 
@@ -190,26 +189,6 @@ def _final_assignment(graph, fleet, placements: dict):
     return optimal_assignment(graph, fleet, placements)
 
 
-def _prunable(problem: ProblemInstance, subset: tuple) -> bool:
-    """Scalar reference for the connectivity prune (the vectorised
-    :func:`repro.core.context.prunable_mask` must agree with it; property
-    tests assert this).  True if the anchors provably cannot appear in any
-    feasible solution: some pair is disconnected, or the path joining the
-    two farthest anchors alone already needs more than ``K`` nodes (a valid
-    lower bound on any connected subgraph containing the anchors; see
-    :func:`repro.graphs.steiner.connection_cost_lower_bound`)."""
-    graph = problem.graph
-    worst = 0
-    for a_pos in range(len(subset) - 1):
-        row = graph.hops_from(subset[a_pos])
-        for b in subset[a_pos + 1:]:
-            d = row[b]
-            if d == UNREACHABLE:
-                return True
-            worst = max(worst, d)
-    return max(len(subset), worst + 1) > problem.num_uavs
-
-
 def _fallback_single(problem: ProblemInstance) -> ApproxResult:
     """Last-resort feasible solution: the strongest UAV alone at the single
     location covering the most users."""
@@ -244,7 +223,7 @@ def _evaluate_subset(
     inner: str,
     gain_mode: str,
     augment_leftover: bool,
-    context: "SolverContext | None",
+    context: SolverContext,
     engine: "IncrementalAssignment | None" = None,
 ) -> "tuple[int, dict] | None":
     """Greedy + connect for one anchor subset; ``(served, placements)`` or

@@ -7,6 +7,12 @@ into a shortest path in the location graph, and deploy the remaining UAVs
 connected.  If the connected subgraph needs more than ``K`` nodes the
 anchor set is infeasible and ``None`` is returned.
 
+Every pick reads the :class:`~repro.core.context.SolverContext` (built
+from the problem when the caller passes none).  In fast mode one masked
+popcount over its packed cover rows ranks all pending relays, or the
+whole frontier, at once; its picks are pinned to the scalar scans of
+``tests/reference/subsets.py``.
+
 Performance note (results are identical to probing every candidate): with
 exact gains, relay staffing and leftover augmentation each pick with one
 lazy scan (:meth:`repro.core.lazy.LazyGains.argmax`).  Every gain a UAV
@@ -25,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.context import SolverContext
 from repro.core.greedy import GreedyResult
-from repro.core.lazy import CoverTable, LazyGains
+from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 
 
@@ -46,14 +53,14 @@ def connect_and_deploy(
     order: "list | None" = None,
     augment_leftover: bool = True,
     gain_mode: str = "exact",
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
 ) -> "ConnectedSolution | None":
     """Connect the greedy's locations and staff the relays with UAVs.
 
     ``context`` (a :class:`repro.core.context.SolverContext`) supplies
-    precomputed coverage counts for the frontier pre-filter; the connection
-    itself always runs on the graph's cached hop rows.  Results are
-    identical with or without it.
+    the coverage counts, packed cover rows and covers every pick reads;
+    one is built from ``problem`` when none is given.  The connection
+    itself runs on the graph's cached hop rows.
 
     Relay staffing follows the paper's "arbitrary, e.g. greedy" guidance:
     remaining UAVs are taken in decreasing capacity order and each is put on
@@ -85,31 +92,22 @@ def connect_and_deploy(
     remaining = [k for k in order if k not in used_uavs]
     assert len(remaining) >= len(relays), "q_j <= K must leave enough UAVs"
 
+    if context is None:
+        context = SolverContext.from_problem(problem)
     engine = greedy.engine
     fast = gain_mode == "fast"
-    batched = fast and context is not None
-    table = CoverTable.of(problem, context)
+    table = context.cover_table(problem)
     lazy = LazyGains(engine, graph, fleet, "connect.oracle_calls", table)
     pending = list(relays)
     for k in remaining[: len(relays)]:
         uav = fleet[k]
-        if batched:
+        if fast:
             # One masked popcount ranks every pending relay; argmax
-            # returns the first maximum, which is exactly where the scalar
-            # strict-improvement scan lands.
+            # returns the first maximum, as a strict-improvement scan does.
             gains = engine.direct_gain_bounds(
                 context.coverage_rows(k)[np.asarray(pending)], uav.capacity
             )
             best_loc = pending[int(np.argmax(gains))]
-        elif fast:
-            best_gain = -1
-            best_loc = pending[0]
-            for loc in pending:
-                gain = engine.direct_gain_bound(
-                    table.cover(k, loc), uav.capacity
-                )
-                if gain > best_gain:
-                    best_gain, best_loc = gain, loc
         else:
             best_loc = _lazy_best(lazy, k, pending, context, floor=-1)
         engine.open((k, best_loc), table.cover(k, best_loc), uav.capacity)
@@ -129,32 +127,15 @@ def connect_and_deploy(
             if not frontier:
                 break
             uav = fleet[k]
-            counts = None if context is None else context.counts_for_uav(k)
-            if batched:
-                # Batched form of the scan below: the static pre-filter is
-                # subsumed (every frontier gain lands in one reduction) and
-                # first-argmax-if-positive equals the scalar winner.
+            if fast:
+                # Every frontier gain lands in one reduction; the first
+                # maximum wins when it is positive.
                 locs = np.asarray(sorted(frontier))
                 gains = engine.direct_gain_bounds(
                     context.coverage_rows(k)[locs], uav.capacity
                 )
                 pos = int(np.argmax(gains))
                 best_loc = int(locs[pos]) if int(gains[pos]) > 0 else -1
-            elif fast:
-                best_gain = 0
-                best_loc = -1
-                for loc in sorted(frontier):
-                    count = (
-                        int(counts[loc]) if counts is not None
-                        else graph.coverage_weight(loc, uav)
-                    )
-                    if min(uav.capacity, count) <= best_gain:
-                        continue
-                    gain = engine.direct_gain_bound(
-                        table.cover(k, loc), uav.capacity
-                    )
-                    if gain > best_gain:
-                        best_gain, best_loc = gain, loc
             else:
                 best_loc = _lazy_best(
                     lazy, k, sorted(frontier), context, floor=0
@@ -177,8 +158,8 @@ def connect_and_deploy(
     )
 
 
-def _lazy_best(lazy: LazyGains, k: int, locs: list, context,
-               floor: int) -> int:
+def _lazy_best(lazy: LazyGains, k: int, locs: list,
+               context: SolverContext, floor: int) -> int:
     """The exact-gain winner for UAV ``k`` among the sorted ``locs``:
     largest gain, then lowest location; ``-1`` when no gain beats
     ``floor``."""

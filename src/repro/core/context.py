@@ -28,7 +28,7 @@ from repro.core.problem import ProblemInstance
 from repro.flow.bipartite import cell_demands
 from repro.graphs.bfs import UNREACHABLE
 from repro.network.coverage import CoverageGraph
-from repro.util.bits import popcount_rows, unpack_indices
+from repro.util.bits import popcount_rows, unpack_rows
 
 _INT16_INF = np.int16(np.iinfo(np.int16).max)
 
@@ -94,7 +94,6 @@ class SolverContext:
         cold (:meth:`from_problem`) and incremental (:meth:`updated`)
         paths so both produce bit-identical fields."""
         graph = problem.graph
-        m = graph.num_locations
 
         representative: dict = {}
         fleet_index = []
@@ -107,10 +106,8 @@ class SolverContext:
             key_row[graph.radio_signature(uav)] for uav in problem.fleet
         )
 
-        words = np.packbits(np.zeros(graph.num_users, dtype=bool)).size
-        bits = np.zeros((len(radio_keys), m, words), dtype=np.uint8)
-        for key, r in key_row.items():
-            bits[r, :, :] = graph.coverage_bits_matrix(representative[key])
+        bits = np.stack([graph.coverage_bits_matrix(representative[key])
+                         for key in radio_keys])
         demands_arr = cell_demands(graph)
         if demands_arr is not None:
             # Demand-cell graph: weight every count by cell demand, so
@@ -120,13 +117,8 @@ class SolverContext:
             # sums equal popcounts there, and the identical code path is
             # what the bit-identity oracle relies on.
             weights = np.asarray(demands_arr, dtype=np.int64)
-            unpacked = np.unpackbits(
-                bits.reshape(-1, words), axis=1, count=graph.num_users
-            )
-            counts = (
-                (unpacked.astype(np.int64) @ weights)
-                .reshape(len(radio_keys), m).astype(np.int32)
-            )
+            unpacked = unpack_rows(bits, graph.num_users)
+            counts = (unpacked.astype(np.int64) @ weights).astype(np.int32)
         else:
             counts = popcount_rows(bits).astype(np.int32)
         return cls(
@@ -180,8 +172,9 @@ class SolverContext:
 
     def hops_to_set_array(self, sources: list) -> np.ndarray:
         """Hop distance from each location to the nearest of ``sources``
-        as an int64 array; identical to :meth:`CoverageGraph.hops_to_set`
-        but a masked matrix min instead of a multi-source BFS."""
+        as an int64 array (the ``d_l`` of Section III-C); identical to
+        :func:`repro.graphs.bfs.multi_source_hops` but a masked matrix min
+        instead of a multi-source BFS."""
         rows = self.hop_matrix[np.asarray(list(sources), dtype=np.int64)]
         masked = np.where(rows == UNREACHABLE, _INT16_INF, rows)
         nearest = masked.min(axis=0).astype(np.int64)
@@ -189,7 +182,8 @@ class SolverContext:
         return nearest
 
     def hops_to_set(self, sources: list) -> list:
-        """List form of :meth:`hops_to_set_array` (the graph-API shape)."""
+        """List form of :meth:`hops_to_set_array` (what
+        :class:`~repro.matroid.hop.HopCountingMatroid` takes)."""
         return self.hops_to_set_array(sources).tolist()
 
     # -- coverage ------------------------------------------------------------
@@ -205,14 +199,6 @@ class SolverContext:
         :meth:`repro.flow.bipartite.IncrementalAssignment.direct_gain_bounds`).
         A view, not a copy."""
         return self.coverage_bits[self.fleet_radio_index[uav_index]]
-
-    def coverage_count(self, loc_index: int, uav_index: int) -> int:
-        return int(self.counts_for_uav(uav_index)[loc_index])
-
-    def coverable_users(self, loc_index: int, uav_index: int) -> list:
-        """Decode one coverage bitset back to the sorted user-index list."""
-        rows = self.coverage_bits[self.fleet_radio_index[uav_index]]
-        return unpack_indices(rows[loc_index], self.num_users)
 
     # -- worker adoption -----------------------------------------------------
 
@@ -239,8 +225,8 @@ def prunable_mask(
     """Vectorised form of the connectivity prune: ``True`` where an anchor
     subset provably cannot appear in any feasible solution (some pair
     disconnected, or the farthest pair's path alone already needs more than
-    ``K`` nodes).  Decisions are identical to the scalar ``_prunable``
-    reference in :mod:`repro.core.approx`."""
+    ``K`` nodes).  Decisions are identical to the scalar ``prunable``
+    reference in ``tests/reference/subsets.py``."""
     n, s = subsets.shape
     out = np.zeros(n, dtype=bool)
     hop = context.hop_matrix

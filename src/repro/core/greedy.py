@@ -23,12 +23,15 @@ Performance notes (results are identical to the naive implementation):
   bound;
 * in the first iteration the gain is exactly ``min(capacity, |coverable|)``
   (no other stations to interact with), so no flow computation is needed;
-* with a :class:`~repro.core.context.SolverContext` the candidate set is
+* every round reads the :class:`~repro.core.context.SolverContext` (built
+  from the problem when the caller passes none), so the candidate set is
   numpy-native: matroid feasibility is one comparison against the hop
   array (:meth:`IncrementalHopFilter.max_addable_hop`), static bounds one
   gather from the context's coverage counts, and fast-mode gains one
   masked popcount over its packed coverage matrix
-  (:meth:`IncrementalAssignment.direct_gain_bounds`).
+  (:meth:`IncrementalAssignment.direct_gain_bounds`).  Its picks are
+  pinned, round for round, to the scalar per-candidate loop of
+  ``tests/reference/subsets.py``.
 
 Zero-gain ties are broken in favour of anchors, then lowest location index
 (determinism).  The counting bounds ``Q_h`` guarantee all ``s`` anchors are
@@ -42,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import obs
-from repro.core.lazy import CoverTable, LazyGains
+from repro.core.context import SolverContext
+from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan
 from repro.flow.bipartite import IncrementalAssignment, new_engine_for
@@ -59,16 +63,15 @@ class GreedyResult:
 
 
 def _pick_max(cand: np.ndarray, gains: np.ndarray,
-              cand_anchor: np.ndarray) -> "tuple[int, int]":
+              cand_anchor: np.ndarray) -> int:
     """Vectorised winner rule over ascending candidate indices: among the
     max-gain candidates prefer anchors, then the lowest location index —
-    exactly what the scalar scan's ``gain > best or (tie and anchor)``
+    exactly what a scalar scan's ``gain > best or (tie and anchor)``
     update converges to."""
-    best_gain = int(gains.max())
-    ties = gains == best_gain
+    ties = gains == gains.max()
     tie_anchor = ties & cand_anchor
     pick = tie_anchor if tie_anchor.any() else ties
-    return int(cand[pick][0]), best_gain
+    return int(cand[pick][0])
 
 
 def anchored_greedy(
@@ -77,7 +80,7 @@ def anchored_greedy(
     plan: SegmentPlan,
     order: "list | None" = None,
     gain_mode: str = "exact",
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
     engine: "IncrementalAssignment | None" = None,
 ) -> GreedyResult:
     """Run the greedy for anchor set ``anchors`` under segment plan ``plan``.
@@ -97,10 +100,10 @@ def anchored_greedy(
       selection score is approximated.  The ablation bench quantifies the
       difference (typically nil to a fraction of a percent of coverage).
 
-    ``context`` (a :class:`repro.core.context.SolverContext`) supplies hop
-    rows and coverage counts from its precomputed arrays — same values as
-    the graph lookups, so results are identical either way — and switches
-    the candidate loop to its batched numpy form.
+    ``context`` (a :class:`repro.core.context.SolverContext`) supplies the
+    hop distances, coverage counts and packed cover rows every round
+    reads, and the covers the engine opens; one is built from
+    ``problem`` when none is given.
 
     ``engine`` optionally supplies a warm :class:`IncrementalAssignment`
     with no open stations — typically one the caller has :meth:`~
@@ -119,98 +122,48 @@ def anchored_greedy(
         )
     if order is None:
         order = problem.capacity_order()
+    if context is None:
+        context = SolverContext.from_problem(problem)
 
-    if context is not None:
-        hops = context.hops_to_set(list(anchor_set))
-    else:
-        hops = graph.hops_to_set(list(anchor_set))
+    hops = context.hops_to_set(list(anchor_set))
     matroid = HopCountingMatroid(hops, plan.q_bounds())
     hop_filter = IncrementalHopFilter(matroid)
-    universe = sorted(matroid.ground_set())
+    universe = np.asarray(sorted(matroid.ground_set()), dtype=np.int64)
     if engine is None:
         engine = new_engine_for(graph)
-    table = CoverTable.of(problem, context)
+    table = context.cover_table(problem)
     lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
-
-    if context is not None:
-        universe_arr = np.asarray(universe, dtype=np.int64)
-        uhops = np.asarray(hops, dtype=np.int64)[universe_arr]
-        anchor_flags = np.isin(
-            universe_arr, np.fromiter(anchor_set, dtype=np.int64)
-        )
-        avail = np.ones(universe_arr.size, dtype=bool)
+    uhops = np.asarray(hops, dtype=np.int64)[universe]
+    anchor_flags = np.isin(universe, np.fromiter(anchor_set, dtype=np.int64))
+    avail = np.ones(universe.size, dtype=bool)
 
     chosen: list = []
-    used_locations: set = set()
-    rounds = min(plan.lmax, len(order))
-    for k_pos in range(rounds):
-        k = order[k_pos]
+    for k in order[:plan.lmax]:
         uav = fleet[k]
-        first_iteration = not chosen
-
-        if context is not None:
-            # Numpy-native round: feasibility is one hop comparison,
-            # gains one batched reduction over the coverage matrix.
-            cand_mask = avail & (uhops <= hop_filter.max_addable_hop())
-            if not cand_mask.any():
-                break
-            cand = universe_arr[cand_mask]
-            cand_anchor = anchor_flags[cand_mask]
-            static = np.minimum(
-                uav.capacity,
-                context.counts_for_uav(k)[cand].astype(np.int64),
+        # Feasibility is one hop comparison, gains one batched reduction
+        # over the coverage matrix.
+        cand_mask = avail & (uhops <= hop_filter.max_addable_hop())
+        if not cand_mask.any():
+            break
+        cand = universe[cand_mask]
+        cand_anchor = anchor_flags[cand_mask]
+        static = lazy.static(k, cand, context)
+        if not chosen:
+            # With no open stations the static bound is the exact gain.
+            best_v = _pick_max(cand, static, cand_anchor)
+        elif gain_mode == "fast":
+            gains = engine.direct_gain_bounds(
+                context.coverage_rows(k)[cand], uav.capacity
             )
-            if first_iteration:
-                # With no open stations the static bound is the exact gain.
-                best_v, _ = _pick_max(cand, static, cand_anchor)
-            elif gain_mode == "fast":
-                gains = engine.direct_gain_bounds(
-                    context.coverage_rows(k)[cand], uav.capacity
-                )
-                best_v, _ = _pick_max(cand, gains, cand_anchor)
-            else:
-                best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
-            avail[np.searchsorted(universe_arr, best_v)] = False
+            best_v = _pick_max(cand, gains, cand_anchor)
         else:
-            candidates = [
-                v for v in universe
-                if v not in used_locations and hop_filter.can_add(v)
-            ]
-            if not candidates:
-                break
-            if first_iteration or gain_mode == "fast":
-                # With no open stations, min(capacity, |cover|) is the exact
-                # gain; in fast mode the direct bound is the selection score.
-                best_gain = -1
-                best_v = -1
-                best_is_anchor = False
-                for v in candidates:
-                    if first_iteration:
-                        gain = min(
-                            uav.capacity, graph.coverage_weight(v, uav)
-                        )
-                    else:
-                        gain = engine.direct_gain_bound(
-                            table.cover(k, v), uav.capacity
-                        )
-                    is_anchor = v in anchor_set
-                    if gain > best_gain or (
-                        gain == best_gain and is_anchor and not best_is_anchor
-                    ):
-                        best_gain, best_v, best_is_anchor = gain, v, is_anchor
-            else:
-                cand = np.asarray(candidates, dtype=np.int64)
-                static = lazy.static(k, cand)
-                cand_anchor = np.isin(cand, sorted(anchor_set))
-                best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
-
-        assert best_v >= 0
+            best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
+        avail[np.searchsorted(universe, best_v)] = False
         engine.open((k, best_v), table.cover(k, best_v), uav.capacity)
         hop_filter.add(best_v)
-        used_locations.add(best_v)
         chosen.append((k, best_v))
 
-    missing = anchor_set - used_locations
+    missing = anchor_set - {v for _, v in chosen}
     assert not missing, (
         f"anchors {sorted(missing)} not selected; the Q_h counting bounds "
         "should force all anchors into the solution"
@@ -233,7 +186,7 @@ def pair_greedy(
     problem: ProblemInstance,
     anchors: list,
     plan: SegmentPlan,
-    context: "object | None" = None,
+    context: "SolverContext | None" = None,
     engine: "IncrementalAssignment | None" = None,
 ) -> GreedyResult:
     """Textbook FNW greedy over the full ``X × V`` ground set.
@@ -248,8 +201,8 @@ def pair_greedy(
     Gains are exact: one :meth:`~repro.core.lazy.LazyGains.argmax` over
     every pair, bounded by ``min(capacity, |cover|)`` and by the stale
     gains of dominating UAVs.  Zero-gain ties prefer anchor locations so
-    the anchors always enter the solution.  ``engine`` works as in
-    :func:`anchored_greedy`.
+    the anchors always enter the solution.  ``context`` and ``engine``
+    work as in :func:`anchored_greedy`.
     """
     graph = problem.graph
     fleet = problem.fleet
@@ -258,16 +211,15 @@ def pair_greedy(
         raise ValueError(
             f"expected {plan.s} distinct anchors, got {sorted(anchor_set)}"
         )
-    if context is not None:
-        hops = context.hops_to_set(list(anchor_set))
-    else:
-        hops = graph.hops_to_set(list(anchor_set))
-    matroid = HopCountingMatroid(hops, plan.q_bounds())
+    if context is None:
+        context = SolverContext.from_problem(problem)
+    matroid = HopCountingMatroid(context.hops_to_set(list(anchor_set)),
+                                 plan.q_bounds())
     hop_filter = IncrementalHopFilter(matroid)
     universe = sorted(matroid.ground_set())
     if engine is None:
         engine = new_engine_for(graph)
-    table = CoverTable.of(problem, context)
+    table = context.cover_table(problem)
     lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
 
     chosen: list = []

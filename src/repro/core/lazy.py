@@ -29,12 +29,15 @@ every probe leaves the engine as it was and every pick is committed.  A
 zero bound needs no measurement at all — gains are never negative.
 
 What does not depend on the engine state lives in a :class:`CoverTable`,
-built once per problem (kept by the
-:class:`~repro.core.context.SolverContext` when there is one): each
-UAV's cover at each location in the form its engine takes — an integer
-bitset for the user engine, an index array for the demand-cell engine —
-and which UAVs dominate which.  Probes and committed opens both read
-their covers from it.
+built once per problem and kept by the
+:class:`~repro.core.context.SolverContext`
+(:meth:`~repro.core.context.SolverContext.cover_table`), so every greedy
+and connect call of a solve shares one: each UAV's cover at each
+location in the form its engine takes — an integer bitset for the user
+engine, an index array for the demand-cell engine — and which UAVs
+dominate which.  Probes and committed opens both read their covers from
+it.  A caller with no context (the connectivity-free baseline) builds
+its own table and reads static bounds from the graph.
 """
 
 from __future__ import annotations
@@ -78,14 +81,6 @@ class CoverTable:
         self._rows = [[None] * graph.num_locations for _ in heads]
         self._fetch = (graph.coverable_int if cell_demands(graph) is None
                        else graph.coverable_array)
-
-    @classmethod
-    def of(cls, problem, context=None) -> "CoverTable":
-        """The context's table for ``problem`` when a context is given,
-        else a fresh one."""
-        if context is None:
-            return cls(problem.graph, problem.fleet)
-        return context.cover_table(problem)
 
     def serves(self, problem) -> bool:
         """Whether this table was built for ``problem``'s graph and fleet."""

@@ -69,7 +69,7 @@ subsets on one engine instead of rebuilding it from scratch per subset.
 
 Batched scoring: :meth:`direct_gain_bounds` evaluates the direct-phase
 lower bound for a whole candidate matrix of packed cover bitsets
-(:mod:`repro.util.bits` layout) in one masked popcount — the greedy's
+(:mod:`repro.util.bits` layout) in one masked popcount — fast mode's
 per-round candidate ranking.
 
 Every entry point that takes a cover array reads it through
@@ -91,6 +91,7 @@ from repro.util.bits import (
     packed_to_int,
     popcount_rows,
     unpack_indices,
+    unpack_rows,
 )
 
 
@@ -209,27 +210,19 @@ class IncrementalAssignment:
             for name, held in zip(self._names, self._slot_ints)
         }
 
-    def direct_gain_bound(self, covered_users: "int | Sequence | np.ndarray",
-                          capacity: int) -> int:
-        """Lower bound on the gain of opening a station with this coverage:
-        the unassigned covered users it could take directly, capped by
-        capacity.  (The exact gain adds alternating-chain augmentations on
-        top.)"""
-        cover = self._cover_int(covered_users)
-        if capacity <= 0:
-            return 0
-        return min(capacity, (cover & ~self._assigned_int).bit_count())
-
     def direct_gain_bounds(
         self, cover_bits: np.ndarray, capacities: "int | np.ndarray"
     ) -> np.ndarray:
-        """Batched :meth:`direct_gain_bound` over a matrix of packed cover
-        bitsets (shape ``(..., words)``, :func:`numpy.packbits` layout —
-        e.g. rows of :attr:`repro.core.context.SolverContext.coverage_bits`).
+        """Lower bounds on the gain of opening a station on each of a
+        matrix of packed cover bitsets (shape ``(..., words)``,
+        :mod:`repro.util.bits` layout — e.g. rows of
+        :attr:`repro.core.context.SolverContext.coverage_bits`): the
+        unassigned covered users each could take directly, capped by
+        capacity.  (The exact gain adds alternating-chain augmentations on
+        top.)
 
         One masked popcount ranks a whole candidate set at once — the
-        greedy's per-round gain matrix.  Values equal calling
-        :meth:`direct_gain_bound` per row."""
+        greedy's per-round gain matrix."""
         bits = np.asarray(cover_bits, dtype=np.uint8)
         # Surplus pad bits end up set in the inverse but every cover row
         # is zero there.
@@ -900,28 +893,16 @@ class CellAssignment:
         """Alias of :meth:`flows` (API parity with the user engine)."""
         return self.flows()
 
-    def direct_gain_bound(self, covered_cells: "Sequence | np.ndarray",
-                          capacity: int) -> int:
-        """Residual demand reachable directly, capped by capacity."""
-        cover = _cover_array(covered_cells, self.num_users, "cell")
-        if cover.size == 0 or capacity <= 0:
-            return 0
-        return min(int(capacity), int(self._residual[cover].sum()))
-
     def direct_gain_bounds(
         self, cover_bits: np.ndarray, capacities: "int | np.ndarray"
     ) -> np.ndarray:
-        """Batched :meth:`direct_gain_bound` over packed cover bitsets
-        (one bit per *cell*, :func:`numpy.packbits` layout): unpack and
-        weight by the residual demand vector in one matmul."""
-        bits = np.asarray(cover_bits, dtype=np.uint8)
-        lead = bits.shape[:-1]
-        flat = bits.reshape(-1, bits.shape[-1])
-        members = np.unpackbits(flat, axis=1, count=self.num_users)
+        """Residual demand each packed cover bitset (one bit per *cell*,
+        :mod:`repro.util.bits` layout) reaches directly, capped by
+        capacity: unpack and weight by the residual demand vector in one
+        matmul."""
+        members = unpack_rows(cover_bits, self.num_users)
         avail = members.astype(np.int64) @ self._residual
-        return np.minimum(
-            np.asarray(capacities, dtype=np.int64), avail.reshape(lead)
-        )
+        return np.minimum(np.asarray(capacities, dtype=np.int64), avail)
 
     # -- warm-start scope -------------------------------------------------
 

@@ -36,12 +36,17 @@ from repro.graphs.bfs import (
     all_pairs_hops,
     bfs_hops,
     is_connected,
-    multi_source_hops,
 )
 from repro.graphs.steiner import steiner_connect
 from repro.network.uav import UAV
 from repro.network.users import User, UserTable
-from repro.util.bits import drop_row, pack_indices, pack_pairs, packed_to_int
+from repro.util.bits import (
+    drop_row,
+    pack_indices,
+    pack_pairs,
+    packed_to_int,
+    unpack_rows,
+)
 
 
 def _no_pairs() -> tuple:
@@ -519,7 +524,7 @@ class CoverageGraph:
             matrix = self._coverage_cache.get(("matrix", radio))
             if matrix is not None:
                 cached = np.flatnonzero(
-                    np.unpackbits(matrix[loc_index], count=self.num_users)
+                    unpack_rows(matrix[loc_index], self.num_users)
                 )
             else:
                 _, cols, loss = self._in_range(
@@ -531,7 +536,7 @@ class CoverageGraph:
 
     def coverable_bits(self, loc_index: int, uav: UAV) -> np.ndarray:
         """:meth:`coverable_users` as a packed ``uint8`` bitset (one bit per
-        user, :func:`numpy.packbits` layout): a row of the radio's bits
+        user, :mod:`repro.util.bits` layout): a row of the radio's bits
         matrix when one is cached, else packed from
         :meth:`coverable_array`."""
         matrix = self._coverage_cache.get(("matrix", self._radio_key(uav)))
@@ -639,11 +644,6 @@ class CoverageGraph:
     def hops_between(self, a: int, b: int) -> int:
         """Hop distance between two locations (-1 if disconnected)."""
         return self.hops_from(a)[b]
-
-    def hops_to_set(self, sources: list) -> list:
-        """Hop distance from each location to the nearest of ``sources``
-        (the ``d_l`` of Section III-C)."""
-        return multi_source_hops(self.location_graph, sources)
 
     def locations_connected(self, loc_indices: list) -> bool:
         """Whether the induced location subgraph is connected."""

@@ -25,7 +25,7 @@ from pathlib import Path
 from repro import obs
 from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.sim.results import SweepResult
 from repro.util.rng import spawn_seeds
 from repro.workload.scenarios import SCALES
@@ -100,6 +100,14 @@ def run_grid(
     return result
 
 
+def _repetition_seeds(seed, repetitions: int) -> list:
+    """One child seed per repetition; fewer than one repetition is a
+    :class:`SpecError`, not an empty sweep."""
+    if repetitions < 1:
+        raise SpecError(f"repetitions must be >= 1, got {repetitions}")
+    return spawn_seeds(seed, repetitions)
+
+
 def _feasible_ks(ks: Sequence, scale: str) -> list:
     """The K values deployable at this scale.
 
@@ -144,7 +152,7 @@ def fig4_sweep(
     """
     ks = _feasible_ks(list(ks), scale)
     rows: list = []
-    for rep_seed in spawn_seeds(seed, repetitions):
+    for rep_seed in _repetition_seeds(seed, repetitions):
         for k in ks:
             rows += _point_rows(
                 k, algorithms,
@@ -173,7 +181,7 @@ def fig5_sweep(
     ns = list(ns)
     appro = _appro_params(s, max_anchor_candidates, gain_mode)
     rows: list = []
-    for rep_seed in spawn_seeds(seed, repetitions):
+    for rep_seed in _repetition_seeds(seed, repetitions):
         for n, point_seed in zip(ns, spawn_seeds(rep_seed, len(ns))):
             rows += _point_rows(
                 n, algorithms, appro, scale=scale, num_users=n,
@@ -261,7 +269,7 @@ def fig6_sweep(
     Fig. 6(b)).
     """
     rows: list = []
-    for rep_seed in spawn_seeds(seed, repetitions):
+    for rep_seed in _repetition_seeds(seed, repetitions):
         for s in ss:
             rows += _point_rows(
                 s, algorithms,

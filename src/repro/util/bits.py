@@ -1,11 +1,18 @@
 """Packed-bitset helpers for the solver engine.
 
-Coverage sets are stored as numpy ``uint8`` arrays of packed bits (one bit
-per user, :func:`numpy.packbits` layout) so that union-coverage sizes and
-marginal-gain bounds become vectorised popcounts instead of Python set
-walks.  ``numpy >= 2.0`` ships a hardware popcount
-(:func:`numpy.bitwise_count`); older versions fall back to an 8-bit lookup
-table — same results, still vectorised.
+Coverage sets are stored as numpy ``uint8`` arrays of packed bits so
+that union-coverage sizes and marginal-gain bounds become vectorised
+popcounts instead of Python set walks.  The layout is little-endian
+throughout: bit ``i`` of a set is bit ``i % 8`` (weight ``1 << (i % 8)``)
+of byte ``i // 8`` (``numpy.packbits(..., bitorder="little")``).  That is
+also the byte layout of the integer bitsets the flow engine works on
+(bit ``i`` = user ``i``), so a packed row and an ``int`` convert by
+copying bytes (:func:`packed_to_int`, :func:`int_to_packed`).  Every
+pack and unpack goes through this module; no caller names the bit order.
+
+``numpy >= 2.0`` ships a hardware popcount (:func:`numpy.bitwise_count`);
+older versions fall back to an 8-bit lookup table — same results, still
+vectorised.
 """
 
 from __future__ import annotations
@@ -14,12 +21,6 @@ import numpy as np
 
 _POPCOUNT_TABLE = np.array(
     [bin(i).count("1") for i in range(256)], dtype=np.uint8
-)
-
-# Bit-reversal per byte: maps numpy's MSB-first packbits layout onto the
-# little-endian bytes of an LSB-first integer bitset and back.
-_BYTE_REVERSE = np.array(
-    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
 )
 
 
@@ -51,7 +52,7 @@ def pack_indices(indices: np.ndarray, num_bits: int) -> np.ndarray:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.size:
         mask[idx] = True
-    return np.packbits(mask)
+    return np.packbits(mask, bitorder="little")
 
 
 def pack_pairs(rows: np.ndarray, cols: np.ndarray, num_rows: int,
@@ -63,31 +64,36 @@ def pack_pairs(rows: np.ndarray, cols: np.ndarray, num_rows: int,
     words = (num_bits + 7) // 8
     cols = np.asarray(cols, dtype=np.int64)
     byte = np.asarray(rows, dtype=np.int64) * words + (cols >> 3)
-    sums = np.bincount(byte, weights=128 >> (cols & 7),
+    sums = np.bincount(byte, weights=1 << (cols & 7),
                        minlength=num_rows * words)
     return sums.astype(np.uint8).reshape(num_rows, words)
 
 
+def unpack_rows(packed: np.ndarray, num_bits: int) -> np.ndarray:
+    """The first ``num_bits`` bits along the last axis of packed rows as
+    a ``0``/``1`` ``uint8`` array (shape ``(..., words) -> (...,
+    num_bits)``): entry ``i`` is bit ``i``."""
+    return np.unpackbits(np.asarray(packed, dtype=np.uint8), axis=-1,
+                         count=num_bits, bitorder="little")
+
+
 def unpack_indices(packed: np.ndarray, num_bits: int) -> list:
     """Inverse of :func:`pack_indices`: the sorted list of set bits."""
-    if num_bits == 0:
-        return []
-    mask = np.unpackbits(np.asarray(packed, dtype=np.uint8), count=num_bits)
-    return np.nonzero(mask)[0].tolist()
+    return np.flatnonzero(unpack_rows(packed, num_bits)).tolist()
 
 
 def packed_to_int(packed: np.ndarray) -> int:
-    """A packed ``uint8`` bitset (:func:`numpy.packbits` layout) as an
-    integer bitset: bit ``i`` of the result is bit ``i`` of the row."""
-    return int.from_bytes(_BYTE_REVERSE[packed].tobytes(), "little")
+    """A packed ``uint8`` bitset as an integer bitset: bit ``i`` of the
+    result is bit ``i`` of the row."""
+    return int.from_bytes(np.asarray(packed, dtype=np.uint8).tobytes(),
+                          "little")
 
 
 def int_to_packed(bits: int, num_bits: int) -> np.ndarray:
     """Inverse of :func:`packed_to_int` for a non-negative ``bits`` below
     ``2 ** num_bits``: the packed row of ``num_bits`` bits."""
-    raw = np.frombuffer(bits.to_bytes((num_bits + 7) >> 3, "little"),
-                        dtype=np.uint8)
-    return _BYTE_REVERSE[raw]
+    return np.frombuffer(bits.to_bytes((num_bits + 7) >> 3, "little"),
+                         dtype=np.uint8).copy()
 
 
 def drop_bit(bits: int, index: int) -> int:

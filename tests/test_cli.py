@@ -383,6 +383,28 @@ class TestExperimentsCommand:
         assert {spec["num_uavs"] for spec in specs} == {2, 4, 6, 8}
 
 
+BAD_FLAG_VALUES = [
+    ["run", "--users", "0"],
+    ["run", "--uavs", "0"],
+    ["experiments", "fig4", "--reps", "0"],
+    ["experiments", "fig4", "--reps", "-2"],
+    ["ratio", "--s", "0"],
+    ["ratio", "--k", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES,
+                         ids=[" ".join(a) for a in BAD_FLAG_VALUES])
+def test_bad_flag_value_is_one_error_line(capsys, argv):
+    """A value the command cannot run with prints one ``error:`` line and
+    exits 2: no traceback, no empty table."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 class TestScenarioCommands:
     """The spec-driven commands: scenario list/show, run --scenario on a
     spec file, and batch."""

@@ -10,11 +10,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from repro.core.approx import _prunable, appro_alg
+from repro.core.approx import appro_alg
 from repro.core.context import SolverContext, prunable_mask
-from repro.graphs.bfs import bfs_hops
+from repro.graphs.bfs import bfs_hops, multi_source_hops
 from repro.network.coverage import CoverageGraph
+from repro.util.bits import unpack_indices
 from repro.workload.scenarios import paper_scenario
+from tests.reference.subsets import prunable
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,9 @@ def test_hop_matrix_matches_bfs(problem, context):
 def test_hops_to_set_matches_graph(problem, context):
     graph = problem.graph
     for sources in ([0], [1, 4], list(range(problem.num_locations))):
-        assert context.hops_to_set(sources) == graph.hops_to_set(sources)
+        assert context.hops_to_set(sources) == multi_source_hops(
+            graph.location_graph, sources
+        )
 
 
 def test_coverage_counts_match_cover_lists(problem, context):
@@ -46,8 +50,9 @@ def test_coverage_counts_match_cover_lists(problem, context):
     for k, uav in enumerate(problem.fleet):
         for v in range(problem.num_locations):
             users = graph.coverable_users(v, uav)
-            assert context.coverage_count(v, k) == len(users)
-            assert context.coverable_users(v, k) == users
+            assert context.counts_for_uav(k)[v] == len(users)
+            row = context.coverage_rows(k)[v]
+            assert unpack_indices(row, problem.num_users) == users
 
 
 def test_pickle_roundtrip(context):
@@ -91,4 +96,4 @@ def test_prunable_mask_matches_scalar_reference(problem, context, s):
     )
     mask = prunable_mask(context, subsets, problem.num_uavs)
     for row, flag in zip(subsets, mask):
-        assert bool(flag) == _prunable(problem, tuple(int(v) for v in row))
+        assert bool(flag) == prunable(problem, tuple(int(v) for v in row))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.greedy import anchored_greedy
 from repro.core.segments import optimal_segments
+from repro.graphs.bfs import multi_source_hops
 from tests.conftest import make_line_instance
 
 
@@ -58,7 +59,7 @@ class TestAnchoredGreedy:
         plan = optimal_segments(4, 2)  # tighter plan than the fleet size
         result = anchored_greedy(problem, [2, 3], plan,
                                  order=list(range(4)))
-        hops = problem.graph.hops_to_set([2, 3])
+        hops = multi_source_hops(problem.graph.location_graph, [2, 3])
         q = plan.q_bounds()
         chosen_locs = [loc for _, loc in result.chosen]
         for h in range(len(q)):

@@ -25,6 +25,7 @@ from repro.flow.bipartite import (
 from repro.flow.dinic import Dinic
 from repro.workload.aggregate import aggregate_problem
 from repro.workload.scenarios import paper_scenario
+from tests.reference.subsets import direct_gain_bound
 
 
 def _reference_max_flow(demands, stations) -> int:
@@ -152,7 +153,7 @@ def test_direct_gain_bound_upper_bounds_gain():
     demands, stations = _random_instance(rng)
     engine = CellAssignment(demands)
     for j, (cover, capacity) in enumerate(stations):
-        bound = engine.direct_gain_bound(cover, capacity)
+        bound = direct_gain_bound(engine, cover, capacity)
         gain = engine.open(f"s{j}", cover, capacity)
         # The direct phase alone drains exactly the bound; augmentation
         # can only add, and capacity caps everything.

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow.bipartite import IncrementalAssignment
+from tests.reference.subsets import direct_gain_bound
 from tests.test_flow_bipartite import dinic_value
 
 
@@ -84,7 +85,7 @@ def test_rollback_is_perfect_undo(seed):
     snapshot_served = engine.served_count
     probe = [int(u) for u in rng.choice(num_users,
                                         size=min(5, num_users), replace=False)]
-    snapshot_bound = engine.direct_gain_bound(probe, 3)
+    snapshot_bound = direct_gain_bound(engine, probe, 3)
 
     size = int(rng.integers(0, num_users + 1))
     covers = (
@@ -97,5 +98,5 @@ def test_rollback_is_perfect_undo(seed):
     assert [engine.station_of(u) for u in range(num_users)] == snapshot_assign
     assert {s: engine.load_of(s) for s in engine.stations()} == snapshot_loads
     assert engine.served_count == snapshot_served
-    assert engine.direct_gain_bound(probe, 3) == snapshot_bound
+    assert direct_gain_bound(engine, probe, 3) == snapshot_bound
     assert "tmp" not in engine.stations()

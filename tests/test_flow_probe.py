@@ -288,18 +288,17 @@ def test_probe_counts_what_try_and_rollback_count():
 
 
 def test_repeated_users_count_once():
-    assert IncrementalAssignment(5).direct_gain_bound([1, 1, 1], 3) == 1
     assert IncrementalAssignment(5).gain("a", [1, 1, 1], 3) == 1
     assert IncrementalAssignment(5, chain="dfs").gain("a", [3, 1, 3], 3) == 2
     cells = CellAssignment([2, 2, 2])
-    assert cells.direct_gain_bound([1, 1], 5) == 2
+    assert cells.gain("a", [1, 1], 5) == 2
     assert cells.try_open("a", [1, 1, 0], 5) == 4
 
 
 def test_boolean_masks_are_rejected():
     mask = np.array([True, False, True, False, True])
     with pytest.raises(TypeError):
-        IncrementalAssignment(5).direct_gain_bound(mask, 5)
+        IncrementalAssignment(5).gain("a", mask, 5)
     with pytest.raises(TypeError):
         IncrementalAssignment(5).try_open("a", mask, 5)
     with pytest.raises(TypeError):
@@ -307,16 +306,14 @@ def test_boolean_masks_are_rejected():
             "a", np.array([True, False, True]), 5
         )
     with pytest.raises(TypeError):
-        CellAssignment([2, 2, 2]).direct_gain_bound(
-            np.array([True, False, True]), 5
+        CellAssignment([2, 2, 2]).gain(
+            "a", np.array([True, False, True]), 5
         )
 
 
 def test_float_covers_are_rejected_not_truncated():
     covers = ([0.5, 1.7], np.array([1.0, 2.0]))
     for cover in covers:
-        with pytest.raises(TypeError):
-            IncrementalAssignment(3).direct_gain_bound(cover, 2)
         with pytest.raises(TypeError):
             IncrementalAssignment(3).gain("a", cover, 2)
         with pytest.raises(TypeError):
@@ -336,7 +333,7 @@ def test_int_covers_count_like_their_users():
         by_int.open("A", 0b000111, 2)
         by_list.open("A", [0, 1, 2], 2)
         assert by_int.gain("B", 0b001110, 3) == by_list.gain("B", [1, 2, 3], 3)
-        assert by_int.direct_gain_bound(0b110001, 5) == 2
+        assert by_int.gain("C", 0b110001, 5) == by_list.gain("C", [0, 4, 5], 5)
         assert state(by_int) == state(by_list)
     engine = IncrementalAssignment(3)
     for bad in (-1, 1 << 3, 0b1001):
@@ -348,7 +345,6 @@ def test_int_covers_count_like_their_users():
 
 def test_empty_and_unsigned_covers_are_accepted():
     engine = IncrementalAssignment(3)
-    assert engine.direct_gain_bound([], 2) == 0
     assert engine.gain("a", [], 2) == 0
     assert engine.open("a", np.array([0, 2], dtype=np.uint8), 2) == 2
     assert CellAssignment([1, 2]).open("a", [], 1) == 0

@@ -16,7 +16,7 @@ coverage weight)``), then the lowest UAV, then the lowest location.
 
 Instances: seeded line and ``paper_scenario(scale="small")`` problems, per
 user and as singleton cells, ``s`` in {1, 2}, every anchor subset of a
-small pool that the sweep hands to a greedy (``_prunable`` ones it never
+small pool that the sweep hands to a greedy (``prunable`` ones it never
 does), with and without a :class:`SolverContext`.
 """
 
@@ -27,17 +27,19 @@ from itertools import combinations
 
 import pytest
 
-from repro.core.approx import _anchor_pool, _prunable
+from repro.core.approx import _anchor_pool
 from repro.core.context import SolverContext
 from repro.core.greedy import anchored_greedy, pair_greedy
 from repro.core.problem import ProblemInstance
 from repro.core.segments import optimal_segments
+from repro.graphs.bfs import multi_source_hops
 from repro.matroid.hop import HopCountingMatroid
 from repro.network.uav import UAV
 from repro.workload.aggregate import aggregate_problem
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
 from tests.reference.fnw import CoverageObjective, PartitionMatroid, fnw_pick
+from tests.reference.subsets import prunable
 
 POOL_SIZE = 5
 
@@ -67,7 +69,8 @@ def reference_greedy(problem, anchors, plan, grounds) -> list:
         PartitionMatroid(every_pair, block_of=lambda pair: pair[0]),
         PartitionMatroid(every_pair, block_of=lambda pair: pair[1]),
         PairsOnLocations(HopCountingMatroid(
-            problem.graph.hops_to_set(list(anchors)), plan.q_bounds()
+            multi_source_hops(problem.graph.location_graph, list(anchors)),
+            plan.q_bounds(),
         )),
     ]
     f = CoverageObjective(problem.graph, problem.fleet)
@@ -165,7 +168,7 @@ def test_greedy_is_fnw(greedy, name, view, s):
     order = problem.capacity_order()
     rounds = min(plan.lmax, problem.num_uavs)
     pool = _anchor_pool(problem, None, POOL_SIZE, s)
-    subsets = [a for a in combinations(pool, s) if not _prunable(problem, a)]
+    subsets = [a for a in combinations(pool, s) if not prunable(problem, a)]
     assert subsets
     f = CoverageObjective(problem.graph, problem.fleet)
     for anchors in subsets:

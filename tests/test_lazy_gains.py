@@ -30,6 +30,7 @@ from repro.core.problem import ProblemInstance
 from repro.core.segments import optimal_segments
 from repro.geometry.point import Point3D
 from repro.flow.bipartite import new_engine_for
+from repro.graphs.bfs import multi_source_hops
 from repro.matroid.hop import HopCountingMatroid, IncrementalHopFilter
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
@@ -73,7 +74,7 @@ def probe(engine, graph, k, v, uav) -> int:
 
 
 def hop_filter_for(problem, anchors, plan):
-    hops = problem.graph.hops_to_set(list(anchors))
+    hops = multi_source_hops(problem.graph.location_graph, list(anchors))
     matroid = HopCountingMatroid(hops, plan.q_bounds())
     return IncrementalHopFilter(matroid), sorted(matroid.ground_set())
 

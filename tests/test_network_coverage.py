@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.geometry.point import Point3D
+from repro.graphs.bfs import multi_source_hops
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
 from repro.network.users import users_from_points
@@ -106,7 +107,7 @@ class TestHops:
     def test_hops_to_set(self):
         g = random_coverage_graph()
         sources = [0, g.num_locations - 1]
-        multi = g.hops_to_set(sources)
+        multi = multi_source_hops(g.location_graph, sources)
         for v in range(g.num_locations):
             assert multi[v] == min(g.hops_from(s)[v] for s in sources)
 

@@ -1,11 +1,13 @@
 """The anchor-subset sweep against an eager full enumeration.
 
 :func:`reference_sweep` is Algorithm 2's outer step and nothing more:
-every surviving subset in lexicographic order through
-``_evaluate_subset``, picked with ``_better`` — no served-cap stop, no
-chunks, no pool.  ``appro_alg`` must match it with and without a shared
-:class:`SolverContext`, serially and pooled, including on saturated
-instances where the served-cap stop fires.
+every subset the scalar connectivity prune keeps, in lexicographic order,
+evaluated by the scalar greedy and connect loops of
+``tests/reference/subsets.py`` on a fresh engine and picked with
+``_better`` — no served-cap stop, no chunks, no pool, no
+:class:`SolverContext`.  ``appro_alg`` must match it with and without a
+caller-supplied context, serially and pooled, in both gain modes,
+including on saturated instances where the served-cap stop fires.
 """
 
 from __future__ import annotations
@@ -16,18 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.approx import (
-    _anchor_pool,
-    _better,
-    _evaluate_subset,
-    _prunable,
-    appro_alg,
-)
+from repro.core.approx import _anchor_pool, _better, appro_alg
 from repro.core.context import SolverContext
 from repro.core.segments import optimal_segments
 from repro.scenario.spec import get_preset
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
+from tests.reference.subsets import evaluate_subset, prunable
 from tests.test_core_approx import random_tiny_problem
 
 
@@ -41,12 +38,11 @@ def reference_sweep(problem, s, max_anchor_candidates=None,
     plan = optimal_segments(problem.num_uavs, s)
     best, surviving = None, 0
     for subset in combinations(pool, s):
-        if _prunable(problem, subset):
+        if prunable(problem, subset):
             continue
         surviving += 1
-        outcome = _evaluate_subset(
-            problem, subset, plan, problem.capacity_order(), "sorted",
-            gain_mode, True, context=None,
+        outcome = evaluate_subset(
+            problem, subset, plan, problem.capacity_order(), gain_mode
         )
         if outcome is not None and _better((*outcome, subset), best):
             best = (*outcome, subset)
@@ -78,9 +74,11 @@ def test_sweep_matches_reference(seed):
     problem = paper_scenario(
         num_users=130, num_uavs=4, scale="small", seed=seed
     )
-    for workers in (1, 2):
-        for use_context in (False, True):
-            assert_matches_reference(problem, 2, workers, use_context)
+    for gain_mode in ("exact", "fast"):
+        for workers in (1, 2):
+            for use_context in (False, True):
+                assert_matches_reference(problem, 2, workers, use_context,
+                                         gain_mode=gain_mode)
 
 
 @pytest.mark.timeout_guard(180)
@@ -93,9 +91,11 @@ def test_pooled_sweep_matches_reference():
 @settings(max_examples=6, deadline=None)
 def test_sweep_matches_reference_on_tiny_problems(seed):
     problem = random_tiny_problem(seed)
-    for workers in (1, 2):
-        for use_context in (False, True):
-            assert_matches_reference(problem, 2, workers, use_context)
+    for gain_mode in ("exact", "fast"):
+        for workers in (1, 2):
+            for use_context in (False, True):
+                assert_matches_reference(problem, 2, workers, use_context,
+                                         gain_mode=gain_mode)
 
 
 @pytest.mark.timeout_guard(180)

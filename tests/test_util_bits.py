@@ -15,10 +15,12 @@ from repro.util.bits import (
     _POPCOUNT_TABLE,
     int_to_packed,
     pack_indices,
+    pack_pairs,
     packed_to_int,
     popcount,
     popcount_rows,
     unpack_indices,
+    unpack_rows,
 )
 
 
@@ -92,3 +94,39 @@ def test_packed_rows_and_int_bitsets_convert_both_ways(num_bits):
     bits = packed_to_int(packed)
     assert bits == sum(1 << int(i) for i in indices)
     np.testing.assert_array_equal(int_to_packed(bits, num_bits), packed)
+
+
+@pytest.mark.parametrize("num_bits", [1, 7, 8, 9, 64, 301])
+def test_bit_i_is_user_i_in_every_form(num_bits):
+    """Set one bit at a time: every pack, unpack and int conversion must
+    put it at index ``i``, and a packed row and an int share their bytes."""
+    picks = {0, 1, 7, num_bits // 2, num_bits - 1}
+    for i in sorted(i for i in picks if i < num_bits):
+        packed = pack_indices([i], num_bits)
+        assert packed.size == (num_bits + 7) // 8
+        assert packed[i // 8] == 1 << (i % 8)
+        assert packed_to_int(packed) == 1 << i
+        assert packed.tobytes() == (1 << i).to_bytes(packed.size, "little")
+        np.testing.assert_array_equal(int_to_packed(1 << i, num_bits),
+                                      packed)
+        assert unpack_indices(packed, num_bits) == [i]
+        assert np.flatnonzero(unpack_rows(packed, num_bits)).tolist() == [i]
+        pairs = pack_pairs([1], [i], 2, num_bits)
+        np.testing.assert_array_equal(pairs[1], packed)
+        assert not pairs[0].any()
+
+
+def test_pack_pairs_rows_equal_pack_indices():
+    rng = np.random.default_rng(5)
+    num_rows, num_bits = 6, 45
+    mask = rng.random((num_rows, num_bits)) < 0.3
+    rows, cols = np.nonzero(mask)
+    packed = pack_pairs(rows, cols, num_rows, num_bits)
+    np.testing.assert_array_equal(unpack_rows(packed, num_bits), mask)
+    for r in range(num_rows):
+        np.testing.assert_array_equal(
+            packed[r], pack_indices(np.flatnonzero(mask[r]), num_bits)
+        )
+        assert packed_to_int(packed[r]) == sum(
+            1 << int(c) for c in np.flatnonzero(mask[r])
+        )
