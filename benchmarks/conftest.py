@@ -2,8 +2,9 @@
 
 Each figure bench registers its per-point results (served users, runtime)
 into a session-scoped report; at session end the report prints the same
-rows/series the paper's figures show, and writes them to
-``benchmarks/out/`` for EXPERIMENTS.md.
+rows/series the paper's figures show, and merges them into
+``benchmarks/out/figures.txt`` for EXPERIMENTS.md (:func:`merge_figure_text`:
+the figures that did not run keep their tables).
 
 Environment knobs:
 
@@ -112,6 +113,16 @@ class PerfTrajectory:
         ))
 
 
+def merge_figure_text(existing: str, text: str) -> str:
+    """The tables of ``text`` (a :meth:`FigureReport.dump`) merged into
+    ``existing``: a table whose title line is already there replaces it
+    in place, a new one is appended, and every other table is kept."""
+    fresh = {block.split("\n", 1)[0]: block for block in text.split("\n\n")}
+    kept = [fresh.pop(block.split("\n", 1)[0], block)
+            for block in existing.strip().split("\n\n") if block]
+    return "\n\n".join(kept + list(fresh.values()))
+
+
 _report = FigureReport()
 _trajectory = PerfTrajectory()
 
@@ -144,7 +155,9 @@ def pytest_sessionfinish(session, exitstatus):
     text = _report.dump()
     print("\n\n===== reproduced figure data =====\n" + text + "\n")
     OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "figures.txt").write_text(text + "\n")
+    path = OUT_DIR / "figures.txt"
+    existing = path.read_text() if path.exists() else ""
+    path.write_text(merge_figure_text(existing, text) + "\n")
 
 
 @pytest.fixture(scope="session")

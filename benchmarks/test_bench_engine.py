@@ -100,34 +100,35 @@ HEADLINE_SCENARIO = (
 HEADLINE_PARAMS = {"s": S, "gain_mode": "fast"}
 
 
-def test_paper_headline_speedup(scenario_cache, perf_trajectory):
+def test_paper_headline_speedup(scenario_cache, perf_trajectory,
+                                monkeypatch):
     """The headline point of the vectorised engine: the paper-scale
-    scenario (K=20), solved with the default breadth-first bitset chains
-    at workers 1/2/4 on one prebuilt context, against a serial reference
-    run whose flow engine uses the scalar Kuhn DFS chains
-    (``chain="dfs"``).  The reference's ``appro_alg`` builds its own
-    :class:`SolverContext` inside the timed region; the candidate loops
-    are the same batched ones (the scalar per-candidate loops live in
-    ``tests/reference/subsets.py``).
+    scenario (K=20) solved with the bitset flow engine at workers 1/2/4
+    on one prebuilt context, against a serial reference run whose flow
+    engine is the scalar Kuhn DFS of ``tests/reference/kuhn.py``,
+    injected by replacing the ``new_engine_for`` that ``appro_alg``
+    builds its engines with.  The reference's ``appro_alg`` builds its
+    own :class:`SolverContext` inside the timed region; the candidate
+    loops are the same batched ones (the scalar per-candidate loops live
+    in ``tests/reference/subsets.py``).
 
-    The DFS engine realises other equal-value assignments, so in fast
+    The Kuhn engine realises other equal-value assignments, so in fast
     mode the direct-bound *ranking* may differ, and served counts are
     compared with a small tolerance instead of bit-equality (the
     golden-equivalence suite pins bit-equality across serial/parallel
     runs of the vectorised path itself).
     """
-    from repro.flow.bipartite import IncrementalAssignment
+    import repro.core.approx as approx
+    from tests.reference.kuhn import KuhnAssignment
 
     problem = scenario_cache(HEADLINE_USERS, HEADLINE_UAVS, seed=SEED)
 
-    saved_chain = IncrementalAssignment.DEFAULT_CHAIN
-    IncrementalAssignment.DEFAULT_CHAIN = "dfs"
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(approx, "new_engine_for",
+                      lambda graph: KuhnAssignment(graph.num_users))
         start = time.perf_counter()
         reference = appro_alg(problem, **HEADLINE_PARAMS)
         reference_s = time.perf_counter() - start
-    finally:
-        IncrementalAssignment.DEFAULT_CHAIN = saved_chain
     perf_trajectory.record(
         HEADLINE_SCENARIO, "approAlg+scalar-reference", reference.served,
         reference_s, workers=1,
@@ -156,7 +157,7 @@ def test_paper_headline_speedup(scenario_cache, perf_trajectory):
         # realises other equal-value assignments, so its direct bounds
         # can rank differently and the vectorised path may find a
         # *better* subset, but must never be meaningfully worse.  (At
-        # n=3000, seed 7, both serve 2793.)
+        # n=3000, seed 7, bench scale, both serve 2784.)
         # Exact equality across the vectorised path's own variants is
         # pinned elsewhere (see docstring).
         assert engine.served >= reference.served - max(

@@ -372,6 +372,21 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
+def _read_spec_json(path: str):
+    """The JSON document in the spec file ``path``; a file that is not
+    JSON raises :class:`~repro.scenario.SpecError` naming it, the
+    message ``repro batch`` prints for the same file."""
+    import json
+    from pathlib import Path
+
+    from repro.scenario import SpecError
+
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"{path}: spec is not valid JSON: {exc}") from None
+
+
 def _run_spec_from_args(args: argparse.Namespace):
     """Describe the ``repro run`` flags as a :class:`ScenarioSpec`."""
     from repro.scenario import ScenarioSpec
@@ -414,7 +429,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     """Run one algorithm on a scenario — from flags, a named preset, a
     ScenarioSpec JSON, or a legacy scenario file — and optionally save
     the deployment and/or record a perf-trajectory point."""
-    import json
     import time
     from pathlib import Path
 
@@ -440,7 +454,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"{exc.args[0]}", file=sys.stderr)
                 return 2
         elif args.scenario is not None:
-            data = json.loads(Path(args.scenario).read_text())
+            data = _read_spec_json(args.scenario)
             if data.get("kind") == "scenario-spec":
                 # Declarative spec: scenario AND algorithm/engine options come
                 # from the file; the solver flags on the command line are
@@ -538,14 +552,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _dynamic_spec(args: argparse.Namespace):
     """Resolve ``repro dynamic --scenario``: preset name or DynamicSpec
     JSON file."""
-    import json
     from pathlib import Path
 
     from repro.dynamics import DynamicSpec, get_dynamic_preset
 
     if Path(args.scenario).exists():
-        data = json.loads(Path(args.scenario).read_text())
-        return DynamicSpec.from_dict(data)
+        return DynamicSpec.from_dict(_read_spec_json(args.scenario))
     try:
         return get_dynamic_preset(args.scenario)
     except KeyError as exc:
@@ -821,13 +833,12 @@ def _cmd_perf_diff(args: argparse.Namespace) -> int:
 
 def _profile_spec(args: argparse.Namespace):
     """Resolve the ``repro profile`` scenario: preset name or spec file."""
-    import json
     from pathlib import Path
 
     from repro.scenario import ScenarioSpec, get_preset
 
     if Path(args.scenario).exists():
-        data = json.loads(Path(args.scenario).read_text())
+        data = _read_spec_json(args.scenario)
         if data.get("kind") != "scenario-spec":
             raise ValueError(
                 f"{args.scenario}: not a ScenarioSpec file "

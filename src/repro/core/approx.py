@@ -65,7 +65,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from repro import obs
-from repro.core.assignment import optimal_assignment, optimal_cell_assignment
+from repro.core.assignment import final_assignment
 from repro.core.checkpoint import (
     CheckpointConfig,
     SolveCheckpoint,
@@ -177,18 +177,6 @@ def _anchor_pool(
     return pool
 
 
-def _final_assignment(graph, fleet, placements: dict):
-    """The exact max-flow final assignment (line 25), dispatched on the
-    graph kind: demand-cell graphs with a demand > 1 need the capacitated
-    cell-arc network; per-user and singleton-cell graphs keep the unit
-    network (singleton cells behave exactly like users, preserving the
-    bit-identity of the aggregated degenerate path)."""
-    demands = getattr(graph, "cell_demands", None)
-    if demands is not None and demands.size and int(demands.max()) > 1:
-        return optimal_cell_assignment(graph, fleet, placements)
-    return optimal_assignment(graph, fleet, placements)
-
-
 def _fallback_single(problem: ProblemInstance) -> ApproxResult:
     """Last-resort feasible solution: the strongest UAV alone at the single
     location covering the most users."""
@@ -199,7 +187,7 @@ def _fallback_single(problem: ProblemInstance) -> ApproxResult:
         range(problem.num_locations),
         key=lambda v: (graph.coverage_weight(v, strongest), -v),
     )
-    deployment = _final_assignment(
+    deployment = final_assignment(
         graph, problem.fleet, {order[0]: best_loc}
     )
     stats = ApproxStats(fallback_used=True)
@@ -709,7 +697,7 @@ def appro_alg(
 
     served, placements, anchors = best
     with obs.span("approx.final_assignment"):
-        deployment = _final_assignment(
+        deployment = final_assignment(
             problem.graph, problem.fleet, placements
         )
     assert deployment.served_count == served, (

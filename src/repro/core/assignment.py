@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.flow.bipartite import cell_demands
 from repro.flow.dinic import Dinic
 from repro.network.coverage import CoverageGraph
 from repro.network.deployment import CellDeployment, Deployment
@@ -140,6 +141,18 @@ def optimal_cell_assignment(
     flows = dict(zip(zip(cells[used].tolist(), uavs[used].tolist()),
                      units[used].tolist()))
     return CellDeployment(placements=dict(placements), flows=flows)
+
+
+def final_assignment(graph: CoverageGraph, fleet: list, placements: dict):
+    """The exact max-flow assignment for fixed ``placements`` (line 25 of
+    Algorithm 2, and the stitch of a tiled solve), on the network the
+    graph needs: :func:`optimal_cell_assignment` when
+    :func:`~repro.flow.bipartite.cell_demands` finds a cell of demand > 1,
+    else :func:`optimal_assignment` (singleton cells behave exactly like
+    users)."""
+    if cell_demands(graph) is None:
+        return optimal_assignment(graph, fleet, placements)
+    return optimal_cell_assignment(graph, fleet, placements)
 
 
 def max_served(graph: CoverageGraph, fleet: list, placements: dict) -> int:

@@ -237,7 +237,7 @@ class WorldState:
         )
         if (self._live is None or key != self._live_key
                 or self._moves != self._live_moves):
-            live = IncrementalAssignment(self.graph.num_users, chain="bfs")
+            live = IncrementalAssignment(self.graph.num_users)
             for (k, _, capacity, _), cover in zip(
                 key, self._station_covers(key)
             ):

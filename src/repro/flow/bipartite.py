@@ -19,28 +19,22 @@ in as integers (:meth:`repro.network.coverage.CoverageGraph.coverable_int`,
 what the greedy passes) or as user-index arrays, which are validated and
 packed once per call.
 
-The chain phase ships two interchangeable search strategies:
+The chain phase is a layered breadth-first search over the bitsets:
+expanding a station is one word-parallel AND against the not-yet-visited
+mask, the free-user test is another, and owner discovery intersects the
+reached set with each station's assigned bitset — a handful of
+machine-word loops per layer instead of a Python walk over thousands of
+users.  Reached stations remember the *witness* user through which they
+were reached, which reconstructs the alternating path for reassignment.
+(Python ints beat packed numpy arrays here: at a few thousand users a
+bitset AND is ~100ns with no per-call dispatch overhead.)  The scalar
+Kuhn DFS it replaced lives on as the test oracle
+``tests/reference/kuhn.py``: both maintain exact maximum assignments;
+only *which* equal-value assignment is realised differs.
 
-* ``chain="bfs"`` (default) — a layered breadth-first search over the
-  bitsets: expanding a station is one word-parallel AND against the
-  not-yet-visited mask, the free-user test is another, and owner
-  discovery intersects the reached set with each station's assigned
-  bitset — a handful of machine-word loops per layer instead of a Python
-  walk over thousands of users.  Reached stations remember the *witness*
-  user through which they were reached, which reconstructs the
-  alternating path for reassignment.  (Python ints beat packed numpy
-  arrays here: at a few thousand users a bitset AND is ~100ns with no
-  per-call dispatch overhead.)
-* ``chain="dfs"`` — the original Kuhn-style scalar DFS, kept as the
-  serial reference implementation: differential tests pin the BFS
-  engine's served counts against it (both maintain exact maximum
-  assignments; only *which* equal-value assignment is realised differs).
-  It keeps a per-user owner list and per-station cover lists for its
-  scan, next to the bitsets.
-
-Either way the result is an *exact* maximum assignment after every open:
-each augmentation increases the max flow by exactly one, and a failed
-search proves no further augmentation through the new station exists.
+The result is an *exact* maximum assignment after every open: each
+augmentation increases the max flow by exactly one, and a failed search
+proves no further augmentation through the new station exists.
 
 Searches skip *dead* stations: those with no alternating path to a free
 user (:func:`_live_fixpoint`).  A dead station stays dead under opens and
@@ -137,24 +131,12 @@ class IncrementalAssignment:
     be assigned to at most one station that covers it; each station serves
     at most its capacity.  A cover is an integer bitset or a sequence of
     user indices.
-
-    ``chain`` selects the augmentation strategy (see the module docstring);
-    ``None`` resolves to :attr:`DEFAULT_CHAIN`.
     """
 
-    #: Class-level default for the chain strategy.  The bench harness flips
-    #: this to ``"dfs"`` to time the scalar reference loop.
-    DEFAULT_CHAIN = "bfs"
-
-    def __init__(self, num_users: int, chain: "str | None" = None) -> None:
+    def __init__(self, num_users: int) -> None:
         if num_users < 0:
             raise ValueError(f"num_users must be non-negative, got {num_users}")
-        if chain is None:
-            chain = type(self).DEFAULT_CHAIN
-        if chain not in ("bfs", "dfs"):
-            raise ValueError(f"chain must be 'bfs' or 'dfs', got {chain!r}")
         self.num_users = num_users
-        self._chain = chain
         self._assigned_int = 0        # bitset of assigned users (bit u = user u)
         # Station storage, slot-indexed in open order.  The pending station
         # is always the newest slot, so rollback pops from the tail.
@@ -164,13 +146,6 @@ class IncrementalAssignment:
         self._slot_ints: list = []    # slot -> assigned-user bitset
         self._caps: list = []
         self._loads: list = []
-        # Scalar-reference (dfs) scan state only.
-        self._cover_lists: list = []
-        self._assigned_list: list = (
-            [-1] * num_users if chain == "dfs" else []
-        )
-        self._visit_stamp: list = [0] * num_users if chain == "dfs" else []
-        self._stamp = 0
         self._served = 0
         self._pending: "Hashable | None" = None
         self._journal: list = []
@@ -252,7 +227,6 @@ class IncrementalAssignment:
             list(self._loads),
             len(self._names),
             self._served,
-            list(self._assigned_list) if self._chain == "dfs" else None,
         )
 
     def rollback_fork(self) -> None:
@@ -264,16 +238,13 @@ class IncrementalAssignment:
             self.rollback()
         self._live = None
         (self._assigned_int, self._slot_ints, self._loads, nslots,
-         self._served, alist) = self._fork_state
+         self._served) = self._fork_state
         self._fork_state = None
         for name in self._names[nslots:]:
             del self._slots[name]
         del self._names[nslots:]
         del self._caps[nslots:]
         del self._cover_ints[nslots:]
-        if self._chain == "dfs":
-            self._assigned_list = alist
-            del self._cover_lists[nslots:]
 
     def release_fork(self) -> None:
         """Close the warm-start scope keeping all its mutations."""
@@ -295,12 +266,7 @@ class IncrementalAssignment:
         slot = self._push_station(station, capacity)
         self._cover_ints.append(cover)
         self._slot_ints.append(0)
-        if self._chain == "dfs":
-            self._cover_lists.append(self._users_of(cover))
-            gain = self._open_direct_scalar(slot, capacity)
-        else:
-            gain = self._open_direct_batch(slot, capacity)
-        direct = gain
+        gain = direct = self._open_direct(slot, capacity)
         # Chain phase: alternating-path augmentations for the remainder.
         # Successive augmentations of one open usually work along the same
         # station chain, so each successful search leaves its chain behind
@@ -309,11 +275,6 @@ class IncrementalAssignment:
         chain: "list | None" = None
         owners = None
         while gain < capacity:
-            if self._chain == "dfs":
-                if not self._augment_dfs(slot):
-                    break
-                gain += 1
-                continue
             if chain is not None and self._replay_chain(chain):
                 gain += 1
                 continue
@@ -340,12 +301,7 @@ class IncrementalAssignment:
         the free covered users alone when the cover holds no user of a
         live station (:func:`_live_fixpoint`): no alternating path can
         start.  Otherwise the chain phase runs on local copies of the
-        bitsets (:meth:`_probe_chains`).  The ``chain="dfs"`` reference
-        keeps its try + rollback."""
-        if self._chain == "dfs":
-            gain = self.try_open(station, covered_users, capacity)
-            self.rollback()
-            return gain
+        bitsets (:meth:`_probe_chains`)."""
         self._check_open(station, capacity)
         cover = self._cover_int(covered_users)
         free = cover & ~self._assigned_int
@@ -457,8 +413,6 @@ class IncrementalAssignment:
         return True
 
     def _check_live_edit(self) -> None:
-        if self._chain != "bfs":
-            raise RuntimeError("user edits need chain='bfs'")
         if self._pending is not None:
             raise RuntimeError(
                 f"station {self._pending!r} is pending; commit or rollback first"
@@ -554,7 +508,7 @@ class IncrementalAssignment:
                     return slot
         return -1
 
-    def _open_direct_batch(self, slot: int, capacity: int) -> int:
+    def _open_direct(self, slot: int, capacity: int) -> int:
         """Direct phase as one bitset subtraction: every free covered user
         up to capacity, lowest user indices first."""
         if capacity == 0:
@@ -571,28 +525,12 @@ class IncrementalAssignment:
         self._served += k
         return k
 
-    def _open_direct_scalar(self, slot: int, capacity: int) -> int:
-        """Scalar-reference direct phase: first ``capacity`` unassigned
-        users in cover order."""
-        assigned = self._assigned_list
-        gain = 0
-        for u in self._cover_lists[slot]:
-            if gain == capacity:
-                break
-            if assigned[u] < 0:
-                self._move(u, -1, slot)
-                self._served += 1
-                gain += 1
-        return gain
-
     def _augment_bfs(self, root: int, owners) -> "list | None":
         """One unit of augmentation ending at ``root`` (which has spare
         capacity): :func:`_alternating_search` over ``owners``, then
         :meth:`_push_path` along the path found, which is returned (leaf
         first).  ``None`` when the search fails, which proves no
-        augmentation through ``root`` exists — same exact maximum as the
-        scalar DFS reference; only which equal-value assignment is
-        realised may differ.
+        augmentation through ``root`` exists.
         """
         leaf, parent = _alternating_search(
             self._cover_ints, self._slot_ints, self._assigned_int, root,
@@ -714,66 +652,6 @@ class IncrementalAssignment:
         self._push_path(chain, wits)
         return True
 
-    def _augment_dfs(self, root: int) -> bool:
-        """The scalar reference: Kuhn-style alternating-path DFS.
-
-        A path is root -> u1 (covered by root, assigned to T1) -> T1 -> u2
-        (covered by T1, assigned to T2) -> ... -> uk unassigned; augmenting
-        reassigns each user one station up the chain, netting exactly one
-        newly served user.  A failed search leaves the assignment untouched
-        and proves no augmentation through ``root`` exists.
-        """
-        self._stamp += 1
-        stamp = self._stamp
-        visit = self._visit_stamp
-        assigned_to = self._assigned_list
-        covers = self._cover_lists
-
-        # Iterative DFS with both sides marked per augmentation: users via
-        # the stamp array, stations via ``explored``.  A station is explored
-        # at most once — by the time it is popped its entire cover is
-        # stamped, so re-exploring it can never find anything new (standard
-        # Kuhn left-vertex marking).  Total work is O(E).
-        #
-        # A frame is [station, scan_index, claim_user]: ``claim_user`` is
-        # the user (currently assigned to ``station``) that the *parent*
-        # frame's station wants to take over.
-        explored = {root}
-        frames: list = [[root, 0, -1]]
-        while frames:
-            frame = frames[-1]
-            station, idx = frame[0], frame[1]
-            cover = covers[station]
-            cover_len = len(cover)
-            pushed = False
-            while idx < cover_len:
-                u = cover[idx]
-                idx += 1
-                if visit[u] == stamp:
-                    continue
-                visit[u] = stamp
-                owner = assigned_to[u]
-                if owner < 0:
-                    # Success: u joins this station; unwind the chain, each
-                    # parent taking its claimed user from its child.
-                    frame[1] = idx
-                    self._move(u, -1, station)
-                    for depth in range(len(frames) - 1, 0, -1):
-                        child = frames[depth]
-                        self._move(child[2], child[0], frames[depth - 1][0])
-                    self._served += 1
-                    return True
-                if owner not in explored:
-                    explored.add(owner)
-                    frame[1] = idx
-                    frames.append([owner, 0, u])
-                    pushed = True
-                    break
-            if not pushed:
-                frame[1] = idx
-                frames.pop()
-        return False
-
     def _move(self, user: int, old: int, new: int) -> None:
         """Reassign ``user`` from slot ``old`` (``-1`` = free) to slot
         ``new``, journalled while a station is pending.  The caller counts
@@ -788,8 +666,6 @@ class IncrementalAssignment:
             self._loads[old] -= 1
         else:
             self._assigned_int |= bit
-        if self._chain == "dfs":
-            self._assigned_list[user] = new
 
     def _undo(self, user: int, old: int, new: int) -> None:
         """Reverse one journalled :meth:`_move`."""
@@ -802,8 +678,6 @@ class IncrementalAssignment:
         else:
             self._assigned_int &= ~bit
             self._served -= 1
-        if self._chain == "dfs":
-            self._assigned_list[user] = old
 
     def _undo_direct(self, slot: int, bitset: int, k: int) -> None:
         self._assigned_int &= ~bitset
@@ -821,8 +695,6 @@ class IncrementalAssignment:
         self._loads.pop()
         self._cover_ints.pop()
         self._slot_ints.pop()
-        if self._chain == "dfs":
-            self._cover_lists.pop()
 
 
 class CellAssignment:
@@ -1218,11 +1090,11 @@ def cell_demands(graph) -> "np.ndarray | None":
     return demands
 
 
-def new_engine_for(graph, chain: "str | None" = None):
+def new_engine_for(graph):
     """The right incremental assignment engine for a coverage graph:
     :class:`CellAssignment` when :func:`cell_demands` finds demands > 1,
     else :class:`IncrementalAssignment`."""
     demands = cell_demands(graph)
     if demands is None:
-        return IncrementalAssignment(graph.num_users, chain=chain)
+        return IncrementalAssignment(graph.num_users)
     return CellAssignment(demands)

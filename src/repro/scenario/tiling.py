@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace as dataclass_replace
 import numpy as np
 
 from repro import obs
-from repro.core.assignment import optimal_assignment, optimal_cell_assignment
+from repro.core.assignment import final_assignment
 from repro.core.problem import ProblemInstance
 from repro.network.coverage import CoverageGraph
 from repro.scenario.spec import ScenarioSpec, SpecError
@@ -375,15 +375,6 @@ def _repair_connectivity(problem: ProblemInstance, placements: dict) -> tuple:
     )
 
 
-def _global_assignment(problem: ProblemInstance, placements: dict):
-    """The single global exact assignment over the stitched placements —
-    one max-flow serves every user/cell at most once, structurally."""
-    demands = getattr(problem.graph, "cell_demands", None)
-    if demands is not None and demands.size and int(demands.max()) > 1:
-        return optimal_cell_assignment(problem.graph, problem.fleet, placements)
-    return optimal_assignment(problem.graph, problem.fleet, placements)
-
-
 def solve_tiled(
     spec: ScenarioSpec,
     registry: "object | None" = None,
@@ -444,7 +435,9 @@ def solve_tiled(
         placements, relays_added, degraded = _repair_connectivity(
             problem, placements
         )
-        deployment = _global_assignment(problem, placements)
+        deployment = final_assignment(
+            problem.graph, problem.fleet, placements
+        )
 
     state = PipelineState(
         entry=entry, registry=registry, spec=spec, strict=strict,

@@ -8,5 +8,6 @@ range query the coverage and location-graph kernels are checked against;
 ``sweeps`` holds the hand-rolled figure-sweep and paired-comparison loops
 the spec-row experiment grid is pinned to; ``subsets`` holds the scalar
 greedy, connect and prune loops the batched subset evaluation is pinned
-to.
+to; ``kuhn`` holds the scalar Kuhn-DFS user engine the bitset flow
+engine's gains and served counts are pinned to.
 """

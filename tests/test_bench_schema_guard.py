@@ -5,12 +5,13 @@ The bench session (``benchmarks/conftest.py``) and the CLI's
 tests pin that and the null-normalization contract: a merged point
 always carries every field explicitly, with ``None`` for metrics the run
 did not measure — so adding ``peak_rss_mb`` (or any future field) cannot
-silently skew old trajectories.
+silently skew old trajectories.  The figure tables merge the same way:
+a session refreshes the figures it ran and keeps the others.
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import PerfTrajectory
+from benchmarks.conftest import FigureReport, PerfTrajectory, merge_figure_text
 from repro.obs.bench import POINT_FIELDS, merge_points, normalize_point
 
 
@@ -50,3 +51,22 @@ def test_merge_points_replaces_same_key_and_appends_new():
     assert [(p["scenario"], p["wall_s"]) for p in merged] == [
         ("a", 2.0), ("b", 1.0)]
     assert all(set(POINT_FIELDS) <= set(p) for p in merged)
+
+
+def _figures(*rows) -> str:
+    report = FigureReport()
+    for fig, served in rows:
+        report.record(fig, f"Figure {fig}", 1, "approAlg", served, 0.5)
+    return report.dump()
+
+
+def test_figure_merge_replaces_the_figures_that_ran_and_keeps_the_rest():
+    existing = _figures(("a", 10), ("b", 20))
+    merged = merge_figure_text(existing, _figures(("b", 21), ("c", 30)))
+    assert merged == _figures(("a", 10), ("b", 21), ("c", 30))
+    # A figure's served and runtime tables both survive a session that
+    # did not run it.
+    assert merge_figure_text(existing, _figures(("c", 30))) == _figures(
+        ("a", 10), ("b", 20), ("c", 30))
+    assert merge_figure_text("", existing) == existing
+    assert merge_figure_text(existing, existing) == existing

@@ -485,6 +485,22 @@ class TestScenarioCommands:
         assert main(["batch", str(bad)]) == 1
         assert "batch-bad" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--scenario"], ["dynamic", "--scenario"], ["profile"],
+    ])
+    def test_spec_file_that_is_not_json_is_one_error_line(
+        self, capsys, tmp_path, command
+    ):
+        """A spec file that is not JSON names the file, as ``batch``
+        does, in one ``error:`` line and exit 2 — no traceback."""
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        assert main(["batch", str(path)]) == 2
+        want = capsys.readouterr().err
+        assert want.startswith(f"error: {path}: spec is not valid JSON: ")
+        assert main(command + [str(path)]) == 2
+        assert capsys.readouterr().err == want
+
 
 class TestFlightRecorderCli:
     """CLI surface of the flight recorder: --timeline/--archive on

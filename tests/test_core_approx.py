@@ -295,3 +295,28 @@ class TestContextEquivalence:
         assert vectorised.anchors == scalar.anchors
         assert (vectorised.deployment.placements
                 == scalar.deployment.placements)
+
+
+@pytest.mark.parametrize("preset", ["demo-small", "bench-default"])
+def test_exact_mode_is_independent_of_the_engines_assignment(
+    preset, monkeypatch
+):
+    """Exact gains are max-flow values, which do not depend on which
+    equal-value assignment an engine holds: ``appro_alg`` in exact mode
+    on the Kuhn reference engine picks the same placements and serves the
+    same users as on the bitset engine."""
+    import repro.core.approx as approx
+    from repro.scenario import get_preset
+    from tests.reference.kuhn import KuhnAssignment
+
+    spec = get_preset(preset)
+    problem = spec.build()
+    params = {**spec.algorithm_params, "gain_mode": "exact"}
+    bitset = appro_alg(problem, **params)
+    monkeypatch.setattr(approx, "new_engine_for",
+                        lambda graph: KuhnAssignment(graph.num_users))
+    kuhn = appro_alg(problem, **params)
+    assert kuhn.deployment.placements == bitset.deployment.placements
+    assert kuhn.served == bitset.served
+    assert kuhn.deployment.assignment == bitset.deployment.assignment
+    assert kuhn.anchors == bitset.anchors

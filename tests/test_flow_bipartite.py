@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.flow.bipartite import IncrementalAssignment
 from repro.flow.dinic import Dinic
+from tests.reference.kuhn import KuhnAssignment
 
 
 def dinic_value(num_users: int, stations: list) -> int:
@@ -258,16 +259,19 @@ class TestForkRollback:
         eng.commit()
         eng.release_fork()
 
-    @pytest.mark.parametrize("chain", ["bfs", "dfs"])
+    @pytest.mark.parametrize(
+        "engine_cls", [IncrementalAssignment, KuhnAssignment],
+        ids=["bfs", "dfs"],
+    )
     @given(st.integers(0, 100_000), st.integers(1, 24), st.integers(1, 6))
     @settings(max_examples=30, deadline=None)
-    def test_fork_cycle_is_lossless(self, chain, seed, num_users, n_st):
+    def test_fork_cycle_is_lossless(self, engine_cls, seed, num_users, n_st):
         """fork -> arbitrary opens -> rollback_fork is an exact no-op, and
         the engine afterwards behaves identically to one that never
         forked (same committed instance appended)."""
         stations = random_instance(seed, num_users, n_st)
         half = len(stations) // 2
-        eng = IncrementalAssignment(num_users, chain=chain)
+        eng = engine_cls(num_users)
         for i, (covers, cap) in enumerate(stations[:half]):
             eng.open(i, covers, cap)
         before = engine_state(eng)
@@ -287,11 +291,11 @@ class TestChainModes:
     @settings(max_examples=40, deadline=None)
     def test_bfs_and_dfs_values_agree(self, seed, num_users, n_st):
         """The vectorised BFS engine and the scalar Kuhn DFS reference
-        realise the same maximum after every open (values, not
-        necessarily the same witness assignment)."""
+        (``tests/reference/kuhn.py``) realise the same maximum after every
+        open (values, not necessarily the same witness assignment)."""
         stations = random_instance(seed, num_users, n_st)
-        bfs = IncrementalAssignment(num_users, chain="bfs")
-        dfs = IncrementalAssignment(num_users, chain="dfs")
+        bfs = IncrementalAssignment(num_users)
+        dfs = KuhnAssignment(num_users)
         for i, (covers, cap) in enumerate(stations):
             g_bfs = bfs.open(i, covers, cap)
             g_dfs = dfs.open(i, covers, cap)

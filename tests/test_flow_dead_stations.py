@@ -10,7 +10,7 @@ every public mutator this checks that
   or ``remove_user``;
 * the engine realises the same assignment as one whose searches pass
   through every station, and measures the same gains as that engine, the
-  scalar ``chain="dfs"`` reference and Dinic.
+  scalar Kuhn reference (``tests/reference/kuhn.py``) and Dinic.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow.bipartite import IncrementalAssignment, _live_fixpoint
+from tests.reference.kuhn import KuhnAssignment
 from tests.test_flow_bipartite import dinic_value
 from tests.test_flow_probe import random_cover
 
@@ -51,14 +52,14 @@ def realised(engine) -> tuple:
 
 
 def exact_gains(engine, probes: list) -> list:
-    """Each probe's gain on a fresh dfs engine with the same stations,
+    """Each probe's gain on a fresh Kuhn engine with the same stations,
     checked against Dinic."""
     n = engine.num_users
     stations = stations_of(engine)
     flow = dinic_value(n, stations)
     gains = []
     for cover, cap in probes:
-        dfs = IncrementalAssignment(n, chain="dfs")
+        dfs = KuhnAssignment(n)
         for i, (users, capacity) in enumerate(stations):
             dfs.open(i, users, capacity)
         gain = dfs.gain("probe", cover, cap)

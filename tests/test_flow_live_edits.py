@@ -67,7 +67,7 @@ def test_random_edits_match_dinic(seed):
         for _ in range(num_stations)
     ]
     caps = [int(rng.integers(0, 5)) for _ in range(num_stations)]
-    engine = IncrementalAssignment(num_users, chain="bfs")
+    engine = IncrementalAssignment(num_users)
     for slot in range(num_stations):
         engine.open(slot, sorted(covers[slot]), caps[slot])
     assert_valid_maximum(engine, covers, caps)
@@ -143,7 +143,7 @@ def test_arrival_and_departure_without_stations():
         engine.remove_user(0)
 
 
-def test_edits_raise_while_pending_forked_or_dfs():
+def test_edits_raise_while_pending_or_forked():
     engine = IncrementalAssignment(3)
     engine.try_open("A", [0, 1], 1)
     with pytest.raises(RuntimeError, match="pending"):
@@ -160,12 +160,6 @@ def test_edits_raise_while_pending_forked_or_dfs():
     with pytest.raises(KeyError):
         engine.add_user(["not-open"])
     assert engine.num_users == 3
-    dfs = IncrementalAssignment(3, chain="dfs")
-    dfs.open("A", [0, 1], 1)
-    with pytest.raises(RuntimeError, match="bfs"):
-        dfs.add_user(["A"])
-    with pytest.raises(RuntimeError, match="bfs"):
-        dfs.remove_user(0)
 
 
 def test_removal_clears_the_cover_memo():

@@ -4,7 +4,8 @@
 touching the engine: the chain phase runs on local copies of the bitsets
 and pushes each augmenting path's whole bottleneck at once.  On random
 engine states it must return exactly what ``try_open`` + ``rollback``
-returns, and what the scalar ``chain="dfs"`` reference returns, leave
+returns, and what the scalar Kuhn reference (``tests/reference/kuhn.py``)
+returns, leave
 every piece of engine state as it found it, raise the errors
 ``try_open`` raises, and count the same telemetry.
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.flow.bipartite import CellAssignment, IncrementalAssignment
+from tests.reference.kuhn import KuhnAssignment
 from tests.test_flow_bipartite import dinic_value
 
 # -- instances ---------------------------------------------------------------
@@ -44,9 +46,9 @@ def chain_stations(length: int) -> list:
 
 
 def engines_for(num_users: int, stations: list) -> tuple:
-    """The bitset engine and the dfs reference with ``stations`` open."""
+    """The bitset engine and the Kuhn reference with ``stations`` open."""
     bfs = IncrementalAssignment(num_users)
-    dfs = IncrementalAssignment(num_users, chain="dfs")
+    dfs = KuhnAssignment(num_users)
     for i, (cover, cap) in enumerate(stations):
         bfs.open(("open", i), cover, cap)
         dfs.open(("open", i), cover, cap)
@@ -223,10 +225,12 @@ def error_of(call) -> tuple:
     return type(info.value), str(info.value)
 
 
-@pytest.mark.parametrize("chain", ["bfs", "dfs"])
-def test_probe_raises_what_try_open_raises(chain):
+@pytest.mark.parametrize(
+    "engine_cls", [IncrementalAssignment, KuhnAssignment], ids=["bfs", "dfs"]
+)
+def test_probe_raises_what_try_open_raises(engine_cls):
     def engine():
-        eng = IncrementalAssignment(4, chain=chain)
+        eng = engine_cls(4)
         eng.open("A", [0, 1], 1)
         return eng
 
@@ -289,7 +293,7 @@ def test_probe_counts_what_try_and_rollback_count():
 
 def test_repeated_users_count_once():
     assert IncrementalAssignment(5).gain("a", [1, 1, 1], 3) == 1
-    assert IncrementalAssignment(5, chain="dfs").gain("a", [3, 1, 3], 3) == 2
+    assert KuhnAssignment(5).gain("a", [3, 1, 3], 3) == 2
     cells = CellAssignment([2, 2, 2])
     assert cells.gain("a", [1, 1], 5) == 2
     assert cells.try_open("a", [1, 1, 0], 5) == 4
@@ -317,7 +321,7 @@ def test_float_covers_are_rejected_not_truncated():
         with pytest.raises(TypeError):
             IncrementalAssignment(3).gain("a", cover, 2)
         with pytest.raises(TypeError):
-            IncrementalAssignment(3, chain="dfs").try_open("a", cover, 2)
+            KuhnAssignment(3).try_open("a", cover, 2)
         with pytest.raises(TypeError):
             CellAssignment([1, 2, 3]).try_open("a", cover, 2)
         with pytest.raises(TypeError):
@@ -327,9 +331,9 @@ def test_float_covers_are_rejected_not_truncated():
 def test_int_covers_count_like_their_users():
     """An integer cover is bit ``u`` = user ``u``; it must name users
     only."""
-    for chain in ("bfs", "dfs"):
-        by_int = IncrementalAssignment(6, chain=chain)
-        by_list = IncrementalAssignment(6, chain=chain)
+    for engine_cls in (IncrementalAssignment, KuhnAssignment):
+        by_int = engine_cls(6)
+        by_list = engine_cls(6)
         by_int.open("A", 0b000111, 2)
         by_list.open("A", [0, 1, 2], 2)
         assert by_int.gain("B", 0b001110, 3) == by_list.gain("B", [1, 2, 3], 3)

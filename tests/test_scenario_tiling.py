@@ -25,6 +25,7 @@ import pytest
 import repro.scenario.spec as spec_module
 import repro.scenario.tiling as tiling
 import repro.workload.aggregate as aggregate_module
+from repro.core.assignment import final_assignment
 from repro.network.deployment import CellDeployment, Deployment
 from repro.network.validate import (
     validate_cell_deployment,
@@ -253,7 +254,7 @@ def _per_tile_spec_solve(spec):
     ])
     placements = tiling._stitch_placements(solvable, list(batch.items))
     placements, _, _ = tiling._repair_connectivity(problem, placements)
-    return tiling._global_assignment(problem, placements)
+    return final_assignment(problem.graph, problem.fleet, placements)
 
 
 class TestBuildOnce:
