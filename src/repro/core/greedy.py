@@ -91,8 +91,9 @@ def anchored_greedy(
     ``gain_mode`` selects how candidates are compared in each iteration:
 
     * ``"exact"`` (paper-faithful): the feasible candidate with the
-      largest exact marginal gain wins; gains are measured by try/rollback
-      augmentation, lazily, only where the upper bound could still win;
+      largest exact marginal gain wins; gains are measured by count-only
+      max-flow probes (``engine.gain``), lazily, only where the upper
+      bound could still win;
     * ``"fast"``: candidates are ranked by the *direct* gain bound (the
       unassigned users they cover, capped by capacity — a lower bound that
       omits alternating-chain gains); only the winner is opened, exactly.

@@ -3,8 +3,10 @@
 :mod:`repro.flow.dinic` is a general integral max-flow solver (Dinic's
 algorithm) used to solve the Section II-D assignment flow network exactly.
 :mod:`repro.flow.bipartite` specialises the user-to-UAV assignment into an
-incremental engine with try/rollback, which Algorithm 2's greedy uses to
-evaluate thousands of marginal gains without rebuilding the flow network.
+incremental engine (``open``, count-only ``gain`` probes, a
+``fork``/``rollback_fork`` undo scope), which Algorithm 2's greedy uses
+to evaluate thousands of marginal gains without rebuilding the flow
+network.
 """
 
 from repro.flow.bipartite import IncrementalAssignment

@@ -1,4 +1,4 @@
-"""Incremental capacitated user-to-station assignment with rollback.
+"""Incremental capacitated user-to-station assignment.
 
 Algorithm 2 evaluates the marginal gain of deploying UAV ``k`` at every
 feasible location before committing one.  Re-solving the Section II-D flow
@@ -45,21 +45,21 @@ the next open's searches.  Skipping the dead ones changes no search
 result: a dead station is never a leaf, never the parent of a live one,
 and only marks users that dead stations hold.
 
-``try_open``/``rollback`` journal all mutations so candidate evaluations
-can reuse one engine.  A probe that only needs the number — every
-exact-gain measurement of the greedy — calls :meth:`gain` instead: the
-same search on local copies of the per-station bitsets, pushing each
-path's whole bottleneck at once, with no write, no journal and no undo.
-A max-flow value does not depend on which augmenting paths realise it,
-so the count equals ``try_open``'s.  Committed opens augment one unit
-per path: fast mode ranks by the assignment they leave, so it must be
-the one the per-unit search realises.
+An engine changes in one way, :meth:`open`, which commits the station
+and returns its gain.  A caller that only needs the number — every
+exact-gain measurement of the greedy — calls :meth:`gain`: the same
+search on local copies of the per-station bitsets, pushing each path's
+whole bottleneck at once, with no write and no undo.  A max-flow value
+does not depend on which augmenting paths realise it, so the count
+equals ``open``'s.  Opens augment one unit per path: fast mode ranks by
+the assignment they leave, so it must be the one the per-unit search
+realises.
 
-On top of that, :meth:`fork` opens a *warm-start scope*: it snapshots the
-committed state (a few ints and list copies) so :meth:`rollback_fork`
-restores the forked state exactly no matter how many stations were opened
-in between.  The subset sweep uses this to evaluate adjacent anchor
-subsets on one engine instead of rebuilding it from scratch per subset.
+The one undo is :meth:`fork`, a *warm-start scope*: it snapshots the
+state (a few ints and list copies) so :meth:`rollback_fork` restores it
+exactly no matter how many stations were opened in between.  The subset
+sweep uses this to evaluate adjacent anchor subsets on one engine
+instead of rebuilding it from scratch per subset.
 
 Batched scoring: :meth:`direct_gain_bounds` evaluates the direct-phase
 lower bound for a whole candidate matrix of packed cover bitsets
@@ -138,8 +138,7 @@ class IncrementalAssignment:
             raise ValueError(f"num_users must be non-negative, got {num_users}")
         self.num_users = num_users
         self._assigned_int = 0        # bitset of assigned users (bit u = user u)
-        # Station storage, slot-indexed in open order.  The pending station
-        # is always the newest slot, so rollback pops from the tail.
+        # Station storage, slot-indexed in open order.
         self._names: list = []        # slot -> station key
         self._slots: dict = {}        # station key -> slot
         self._cover_ints: list = []   # slot -> cover bitset
@@ -147,8 +146,6 @@ class IncrementalAssignment:
         self._caps: list = []
         self._loads: list = []
         self._served = 0
-        self._pending: "Hashable | None" = None
-        self._journal: list = []
         self._fork_state: "tuple | None" = None
         # (users, slots) of the live stations (_live_fixpoint) in the
         # current state; None = not computed since the last change.
@@ -208,17 +205,15 @@ class IncrementalAssignment:
     # -- warm-start scope -------------------------------------------------
 
     def fork(self) -> None:
-        """Open a warm-start scope: snapshot the committed state so that
+        """Open a warm-start scope: snapshot the state so that
         :meth:`rollback_fork` restores exactly it, whatever stations are
         opened and however users are reassigned in between.  One scope at
-        a time; the scope must start with no pending station.
+        a time.
 
         The snapshot is the assigned bitset plus shallow list copies of
         the per-station bitsets and loads — a few microseconds — so a
         subset sweep forks/rolls back per subset instead of rebuilding
-        the engine (or replaying a mutation journal) each time."""
-        if self._pending is not None:
-            raise RuntimeError("cannot fork with a pending station")
+        the engine each time."""
         if self._fork_state is not None:
             raise RuntimeError("a fork is already active")
         self._fork_state = (
@@ -230,12 +225,9 @@ class IncrementalAssignment:
         )
 
     def rollback_fork(self) -> None:
-        """Restore the exact state captured by :meth:`fork`.  A
-        still-pending station is rolled back first."""
+        """Restore the exact state captured by :meth:`fork`."""
         if self._fork_state is None:
             raise RuntimeError("no active fork to roll back")
-        if self._pending is not None:
-            self.rollback()
         self._live = None
         (self._assigned_int, self._slot_ints, self._loads, nslots,
          self._served) = self._fork_state
@@ -246,26 +238,16 @@ class IncrementalAssignment:
         del self._caps[nslots:]
         del self._cover_ints[nslots:]
 
-    def release_fork(self) -> None:
-        """Close the warm-start scope keeping all its mutations."""
-        if self._fork_state is None:
-            raise RuntimeError("no active fork to release")
-        self._fork_state = None
-
     # -- mutation API -----------------------------------------------------
 
-    def try_open(
+    def open(
         self, station: Hashable,
         covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
-        """Tentatively open ``station`` and return the exact gain in served
-        users.  Must be followed by :meth:`commit` or :meth:`rollback`.
-        """
+        """Open ``station`` and return the exact gain in served users."""
         self._check_open(station, capacity)
         cover = self._cover_int(covered_users)
-        slot = self._push_station(station, capacity)
-        self._cover_ints.append(cover)
-        self._slot_ints.append(0)
+        slot = self._push_station(station, capacity, cover)
         gain = direct = self._open_direct(slot, capacity)
         # Chain phase: alternating-path augmentations for the remainder.
         # Successive augmentations of one open usually work along the same
@@ -294,8 +276,8 @@ class IncrementalAssignment:
         self, station: Hashable,
         covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
-        """The exact gain :meth:`try_open` would return, leaving the engine
-        untouched: same checks, same counters, no commit or rollback.
+        """The exact gain :meth:`open` would return, leaving the engine
+        untouched: same checks, same counters, no write.
 
         The gain is ``capacity`` when the free covered users fill it, and
         the free covered users alone when the cover holds no user of a
@@ -315,36 +297,6 @@ class IncrementalAssignment:
             obs.counter_inc("flow.try_opens")
             obs.counter_inc("flow.direct_assignments", direct)
             obs.counter_inc("flow.chain_augmentations", gain - direct)
-        return gain
-
-    def commit(self) -> None:
-        """Keep the pending station and all reassignments it caused."""
-        if self._pending is None:
-            raise RuntimeError("no pending station to commit")
-        self._pending = None
-        self._journal = []
-
-    def rollback(self) -> None:
-        """Undo the pending station entirely."""
-        if self._pending is None:
-            raise RuntimeError("no pending station to roll back")
-        for entry in reversed(self._journal):
-            if entry[0] == "direct":
-                self._undo_direct(entry[1], entry[2], entry[3])
-            else:
-                self._undo(*entry)
-        station = self._pending
-        self._pending = None
-        self._journal = []
-        self._pop_station(station)
-
-    def open(
-        self, station: Hashable,
-        covered_users: "int | Sequence | np.ndarray", capacity: int
-    ) -> int:
-        """Open a station permanently; returns the gain."""
-        gain = self.try_open(station, covered_users, capacity)
-        self.commit()
         return gain
 
     # -- live user edits --------------------------------------------------
@@ -406,17 +358,12 @@ class IncrementalAssignment:
         self._served -= 1
         obs.counter_inc("flow.departure_searches")
         path = self._augment_bfs(slot, range(len(self._cover_ints)))
-        self._journal = []
         if path is None:
             return False
         obs.counter_inc("flow.chain_augmentations")
         return True
 
     def _check_live_edit(self) -> None:
-        if self._pending is not None:
-            raise RuntimeError(
-                f"station {self._pending!r} is pending; commit or rollback first"
-            )
         if self._fork_state is not None:
             raise RuntimeError("cannot edit users inside a fork")
         self._live = None
@@ -461,10 +408,6 @@ class IncrementalAssignment:
     # -- internals --------------------------------------------------------
 
     def _check_open(self, station: Hashable, capacity: int) -> None:
-        if self._pending is not None:
-            raise RuntimeError(
-                f"station {self._pending!r} is pending; commit or rollback first"
-            )
         if station in self._slots:
             raise ValueError(f"station {station!r} already open")
         if capacity < 0:
@@ -484,12 +427,14 @@ class IncrementalAssignment:
             self.num_users,
         ))
 
-    def _push_station(self, station: Hashable, capacity: int) -> int:
+    def _push_station(self, station: Hashable, capacity: int,
+                      cover: int) -> int:
+        """Append an empty station slot; returns it."""
         slot = len(self._names)
-        self._pending = station
-        self._journal = []
         self._names.append(station)
         self._slots[station] = slot
+        self._cover_ints.append(cover)
+        self._slot_ints.append(0)
         self._caps.append(capacity)
         self._loads.append(0)
         return slot
@@ -518,7 +463,6 @@ class IncrementalAssignment:
             return 0
         k = min(take.bit_count(), capacity)
         take = _lowest_bits(take, k)
-        self._journal.append(("direct", slot, take, k))
         self._assigned_int |= take
         self._slot_ints[slot] |= take
         self._loads[slot] += k
@@ -550,19 +494,16 @@ class IncrementalAssignment:
         """Augment one unit along ``path`` (leaf first, root last): the
         lowest free user the leaf covers joins it, and each ``wits[i]``
         moves from ``path[i]`` up to ``path[i + 1]``.  :meth:`_move`
-        inlined: this is the hottest path of every committed open."""
-        journal = self._journal
+        inlined: this is the hottest path of every open."""
         slot_ints = self._slot_ints
         loads = self._loads
         leaf = path[0]
         free = self._cover_ints[leaf] & ~self._assigned_int
         low = free & -free
-        journal.append((low.bit_length() - 1, -1, leaf))
         slot_ints[leaf] |= low
         self._assigned_int |= low
         loads[leaf] += 1
         for child, parent, user in zip(path, path[1:], wits):
-            journal.append((user, child, parent))
             bit = 1 << user
             slot_ints[parent] |= bit
             slot_ints[child] &= ~bit
@@ -575,9 +516,9 @@ class IncrementalAssignment:
         computed by :func:`_live_fixpoint` when not cached.  Probes share
         it; an open keeps using it for its own searches (dead stays dead)
         and clears it at the end, so the next probes see the stations
-        that open killed, and a rollback cannot leave a revived station
-        out.  Carrying the slots over commits instead measured slower:
-        the stale set stops far fewer probes before their search."""
+        that open killed.  Carrying the slots over opens instead measured
+        slower: the stale set stops far fewer probes before their
+        search."""
         if self._live is None:
             self._live = _live_fixpoint(
                 self._cover_ints, self._slot_ints, self._assigned_int
@@ -597,7 +538,7 @@ class IncrementalAssignment:
         child holds that the parent covers.  Pushing ``b`` units moves
         ``b`` such users one station up each link, so every unit is a
         valid augmenting path; the search that fails certifies a
-        maximum, as in :meth:`try_open`."""
+        maximum, as in :meth:`open`."""
         covers = self._cover_ints + [cover]
         held = self._slot_ints + [free]
         assigned = self._assigned_int | free
@@ -654,10 +595,7 @@ class IncrementalAssignment:
 
     def _move(self, user: int, old: int, new: int) -> None:
         """Reassign ``user`` from slot ``old`` (``-1`` = free) to slot
-        ``new``, journalled while a station is pending.  The caller counts
-        a newly served user."""
-        if self._pending is not None:
-            self._journal.append((user, old, new))
+        ``new``.  The caller counts a newly served user."""
         bit = 1 << user
         self._slot_ints[new] |= bit
         self._loads[new] += 1
@@ -666,35 +604,6 @@ class IncrementalAssignment:
             self._loads[old] -= 1
         else:
             self._assigned_int |= bit
-
-    def _undo(self, user: int, old: int, new: int) -> None:
-        """Reverse one journalled :meth:`_move`."""
-        bit = 1 << user
-        self._slot_ints[new] &= ~bit
-        self._loads[new] -= 1
-        if old >= 0:
-            self._slot_ints[old] |= bit
-            self._loads[old] += 1
-        else:
-            self._assigned_int &= ~bit
-            self._served -= 1
-
-    def _undo_direct(self, slot: int, bitset: int, k: int) -> None:
-        self._assigned_int &= ~bitset
-        self._slot_ints[slot] &= ~bitset
-        self._loads[slot] -= k
-        self._served -= k
-
-    def _pop_station(self, station: Hashable) -> None:
-        slot = self._slots.pop(station)
-        assert slot == len(self._names) - 1, (
-            "only the newest station can be removed"
-        )
-        self._names.pop()
-        self._caps.pop()
-        self._loads.pop()
-        self._cover_ints.pop()
-        self._slot_ints.pop()
 
 
 class CellAssignment:
@@ -707,17 +616,18 @@ class CellAssignment:
     -(capacity)-> sink``).  The served count is the max-flow value in
     *units*, i.e. users.
 
-    Same contract as the user engine: after every :meth:`try_open` /
-    :meth:`open` the maintained flow is an exact maximum (each augmenting
-    path is found from the previous maximum, so the incremental invariant
-    of max flow applies); ``try_open``/``rollback`` journal by snapshot,
-    and :meth:`fork` opens the warm-start scope the subset sweep uses.
+    Same contract as the user engine: after every :meth:`open` the
+    maintained flow is an exact maximum (each augmenting path is found
+    from the previous maximum, so the incremental invariant of max flow
+    applies); :meth:`gain` measures an open without keeping it, and
+    :meth:`fork` opens the warm-start scope the subset sweep uses.
 
     Cell populations are orders of magnitude smaller than user
     populations (that is the point of aggregating), so the engine favours
-    simplicity over the user engine's bitset micro-optimisations:
-    snapshots are O(cells + flow entries), augmentation is a plain BFS
-    over the residual graph with integer bottlenecks.
+    simplicity over the user engine's bitset micro-optimisations: a probe
+    is an open between a snapshot and its restore, snapshots are
+    O(cells + flow entries), augmentation is a plain BFS over the
+    residual graph with integer bottlenecks.
     """
 
     def __init__(self, demands: "Sequence | np.ndarray") -> None:
@@ -738,8 +648,6 @@ class CellAssignment:
         self._loads: list = []        # slot -> assigned units
         self._flows: list = []        # slot -> {cell: units}
         self._served = 0
-        self._pending: "Hashable | None" = None
-        self._saved: "tuple | None" = None
         self._fork_state: "tuple | None" = None
 
     # -- read API ---------------------------------------------------------
@@ -756,7 +664,7 @@ class CellAssignment:
         return list(self._names)
 
     def flows(self) -> dict:
-        """Mapping station -> {cell: units} (committed + pending)."""
+        """Mapping station -> {cell: units}."""
         return {
             name: dict(flow) for name, flow in zip(self._names, self._flows)
         }
@@ -793,8 +701,6 @@ class CellAssignment:
 
     def fork(self) -> None:
         """Open a warm-start scope (see the user engine)."""
-        if self._pending is not None:
-            raise RuntimeError("cannot fork with a pending station")
         if self._fork_state is not None:
             raise RuntimeError("a fork is already active")
         self._fork_state = self._snapshot()
@@ -802,34 +708,21 @@ class CellAssignment:
     def rollback_fork(self) -> None:
         if self._fork_state is None:
             raise RuntimeError("no active fork to roll back")
-        if self._pending is not None:
-            self.rollback()
         self._restore(self._fork_state)
-        self._fork_state = None
-
-    def release_fork(self) -> None:
-        if self._fork_state is None:
-            raise RuntimeError("no active fork to release")
         self._fork_state = None
 
     # -- mutation API -----------------------------------------------------
 
-    def try_open(
+    def open(
         self, station: Hashable, covered_cells: "Sequence | np.ndarray",
         capacity: int
     ) -> int:
-        """Tentatively open ``station``; returns the exact gain in units."""
-        if self._pending is not None:
-            raise RuntimeError(
-                f"station {self._pending!r} is pending; commit or rollback first"
-            )
+        """Open ``station``; returns the exact gain in units."""
         if station in self._slots:
             raise ValueError(f"station {station!r} already open")
         if capacity < 0:
             raise ValueError(f"capacity must be non-negative, got {capacity}")
         cover = _cover_array(covered_cells, self.num_users, "cell")
-        self._saved = self._snapshot()
-        self._pending = station
         slot = len(self._names)
         self._names.append(station)
         self._slots[station] = slot
@@ -850,31 +743,11 @@ class CellAssignment:
         self, station: Hashable, covered_cells: "Sequence | np.ndarray",
         capacity: int
     ) -> int:
-        """Exact gain of opening ``station``, engine left untouched (a
-        try + rollback)."""
-        gain = self.try_open(station, covered_cells, capacity)
-        self.rollback()
-        return gain
-
-    def commit(self) -> None:
-        if self._pending is None:
-            raise RuntimeError("no pending station to commit")
-        self._pending = None
-        self._saved = None
-
-    def rollback(self) -> None:
-        if self._pending is None:
-            raise RuntimeError("no pending station to roll back")
-        self._restore(self._saved)
-        self._pending = None
-        self._saved = None
-
-    def open(
-        self, station: Hashable, covered_cells: "Sequence | np.ndarray",
-        capacity: int
-    ) -> int:
-        gain = self.try_open(station, covered_cells, capacity)
-        self.commit()
+        """Exact gain of opening ``station``, engine left untouched: an
+        :meth:`open` between a snapshot and its restore."""
+        saved = self._snapshot()
+        gain = self.open(station, covered_cells, capacity)
+        self._restore(saved)
         return gain
 
     # -- internals --------------------------------------------------------

@@ -198,12 +198,6 @@ class ScenarioSpec:
                 f"unknown environment {self.environment!r}; known: "
                 f"{', '.join(sorted(ENVIRONMENTS))}",
             )
-        if self.workload is not None:
-            _require(
-                self.workload in WORKLOADS,
-                f"unknown workload {self.workload!r}; known: "
-                f"{', '.join(sorted(WORKLOADS))}",
-            )
         _require(
             isinstance(self.workload_params, dict),
             f"workload_params must be a dict, got {self.workload_params!r}",
@@ -212,6 +206,7 @@ class ScenarioSpec:
             not self.workload_params or self.workload is not None,
             "workload_params given without a workload model name",
         )
+        object.__setattr__(self, "_workload_model", self._workload())
         _check_optional_int(self.capacity_min, "capacity_min")
         _check_optional_int(self.capacity_max, "capacity_max")
         if self.capacity_min is not None and self.capacity_max is not None:
@@ -221,8 +216,9 @@ class ScenarioSpec:
                 f"{self.capacity_max}",
             )
         _require(
-            isinstance(self.seed, int) and not isinstance(self.seed, bool),
-            f"seed must be an integer, got {self.seed!r}",
+            isinstance(self.seed, int) and not isinstance(self.seed, bool)
+            and self.seed >= 0,
+            f"seed must be a non-negative integer, got {self.seed!r}",
         )
         _require(
             isinstance(self.algorithm, str) and self.algorithm,
@@ -288,6 +284,25 @@ class ScenarioSpec:
                 f"{self.tile_index!r}",
             )
 
+    def _workload(self) -> object:
+        """The workload model the spec names, built from its
+        ``workload_params`` (``None`` when the scale's default is kept);
+        parameters the model rejects raise :class:`SpecError`."""
+        if self.workload is None:
+            return None
+        _require(
+            self.workload in WORKLOADS,
+            f"unknown workload {self.workload!r}; known: "
+            f"{', '.join(sorted(WORKLOADS))}",
+        )
+        try:
+            return WORKLOADS[self.workload](**self.workload_params)
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"workload_params {self.workload_params!r} rejected by "
+                f"workload {self.workload!r}: {exc}"
+            ) from None
+
     def _check_tile_overlap(self) -> None:
         """A tile overlap may not be wider than a tile of the scale's area."""
         if self.tiles is None:
@@ -320,10 +335,8 @@ class ScenarioSpec:
                 overrides[key] = value
         if self.altitude_layers_m:
             overrides["altitude_layers_m"] = self.altitude_layers_m
-        if self.workload is not None:
-            overrides["workload"] = WORKLOADS[self.workload](
-                **self.workload_params
-            )
+        if self._workload_model is not None:
+            overrides["workload"] = self._workload_model
         return SCALES[self.scale].with_overrides(**overrides)
 
     def tile_grid(self) -> "tuple | None":

@@ -101,10 +101,13 @@ def run_grid(
 
 
 def _repetition_seeds(seed, repetitions: int) -> list:
-    """One child seed per repetition; fewer than one repetition is a
-    :class:`SpecError`, not an empty sweep."""
+    """One child seed per repetition; fewer than one repetition, or a
+    negative root seed, is a :class:`SpecError`, not an empty sweep or a
+    numpy traceback."""
     if repetitions < 1:
         raise SpecError(f"repetitions must be >= 1, got {repetitions}")
+    if seed < 0:
+        raise SpecError(f"seed must be a non-negative integer, got {seed}")
     return spawn_seeds(seed, repetitions)
 
 

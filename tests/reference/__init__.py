@@ -9,5 +9,6 @@ range query the coverage and location-graph kernels are checked against;
 the spec-row experiment grid is pinned to; ``subsets`` holds the scalar
 greedy, connect and prune loops the batched subset evaluation is pinned
 to; ``kuhn`` holds the scalar Kuhn-DFS user engine the bitset flow
-engine's gains and served counts are pinned to.
+engine's gains and served counts are pinned to, and the copy-and-open
+``reference_gain`` both engines' count-only probes are pinned to.
 """

@@ -13,16 +13,27 @@ Tests pin the bitset engine's gains, served counts and probes against it,
 and the paper-headline bench times ``appro_alg`` on it as the serial
 reference.  It keeps no owner list through ``add_user`` or
 ``remove_user``, so it serves no live user edits.
+
+:func:`reference_gain` is the exact gain the engines' count-only
+``gain`` probes are pinned to: an ``open`` on a deep copy, which needs no
+undo at all.  ``KuhnAssignment.gain`` is that copy-and-open.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Hashable, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.flow.bipartite import IncrementalAssignment
+
+
+def reference_gain(engine, station: Hashable, cover, capacity: int) -> int:
+    """The exact gain of opening ``station`` on ``engine``, by a committed
+    open on a deep copy: ``engine`` itself is left as it was."""
+    return copy.deepcopy(engine).open(station, cover, capacity)
 
 
 class KuhnAssignment(IncrementalAssignment):
@@ -50,15 +61,13 @@ class KuhnAssignment(IncrementalAssignment):
 
     # -- mutation API -----------------------------------------------------
 
-    def try_open(
+    def open(
         self, station: Hashable,
         covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
         self._check_open(station, capacity)
         cover = self._cover_int(covered_users)
-        slot = self._push_station(station, capacity)
-        self._cover_ints.append(cover)
-        self._slot_ints.append(0)
+        slot = self._push_station(station, capacity, cover)
         self._cover_lists.append(self._users_of(cover))
         gain = direct = self._open_direct_scalar(slot, capacity)
         while gain < capacity and self._augment_dfs(slot):
@@ -72,10 +81,8 @@ class KuhnAssignment(IncrementalAssignment):
         self, station: Hashable,
         covered_users: "int | Sequence | np.ndarray", capacity: int
     ) -> int:
-        """The exact gain, by try + rollback."""
-        gain = self.try_open(station, covered_users, capacity)
-        self.rollback()
-        return gain
+        """The exact gain, by :func:`reference_gain`."""
+        return reference_gain(self, station, covered_users, capacity)
 
     # -- internals --------------------------------------------------------
 
@@ -156,11 +163,3 @@ class KuhnAssignment(IncrementalAssignment):
     def _move(self, user: int, old: int, new: int) -> None:
         super()._move(user, old, new)
         self._assigned_list[user] = new
-
-    def _undo(self, user: int, old: int, new: int) -> None:
-        super()._undo(user, old, new)
-        self._assigned_list[user] = old
-
-    def _pop_station(self, station: Hashable) -> None:
-        super()._pop_station(station)
-        self._cover_lists.pop()

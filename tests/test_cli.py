@@ -390,6 +390,9 @@ BAD_FLAG_VALUES = [
     ["experiments", "fig4", "--reps", "-2"],
     ["ratio", "--s", "0"],
     ["ratio", "--k", "0"],
+    ["run", "--seed", "-1", "--users", "50", "--uavs", "4"],
+    ["dynamic", "--scenario", "dynamic-small", "--seed", "-1"],
+    ["experiments", "fig4", "--scale", "small", "--seed", "-1"],
 ]
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.flow.bipartite import IncrementalAssignment
 from repro.flow.dinic import Dinic
-from tests.reference.kuhn import KuhnAssignment
+from tests.reference.kuhn import KuhnAssignment, reference_gain
 
 
 def dinic_value(num_users: int, stations: list) -> int:
@@ -94,14 +94,18 @@ class TestChains:
 
 
 class TestTryRollback:
+    """An open undone by its fork scope, and a probe that never writes."""
+
     def test_rollback_restores_everything(self):
         eng = IncrementalAssignment(4)
         eng.open("A", [0, 1], 2)
         before_assignment = {u: eng.station_of(u) for u in range(4)}
         before_served = eng.served_count
-        gain = eng.try_open("B", [0, 1, 2, 3], 4)
+        assert eng.gain("B", [0, 1, 2, 3], 4) == 2
+        eng.fork()
+        gain = eng.open("B", [0, 1, 2, 3], 4)
         assert gain == 2  # users 2, 3 direct (0, 1 already maxed by A)
-        eng.rollback()
+        eng.rollback_fork()
         assert eng.served_count == before_served
         assert {u: eng.station_of(u) for u in range(4)} == before_assignment
         assert "B" not in eng.stations()
@@ -110,37 +114,29 @@ class TestTryRollback:
         eng = IncrementalAssignment(2)
         eng.open("A", [0, 1], 1)
         taken = next(u for u in (0, 1) if eng.station_of(u) == "A")
-        eng.try_open("B", [taken], 1)
-        eng.rollback()
+        assert eng.gain("B", [taken], 1) == 1
+        eng.fork()
+        eng.open("B", [taken], 1)
+        assert eng.station_of(taken) == "B"
+        eng.rollback_fork()
         assert eng.station_of(taken) == "A"
         assert eng.served_count == 1
 
     def test_commit_keeps(self):
         eng = IncrementalAssignment(2)
-        gain = eng.try_open("A", [0], 1)
-        eng.commit()
+        gain = eng.open("A", [0], 1)
         assert gain == 1 and eng.served_count == 1
-
-    def test_pending_discipline(self):
-        eng = IncrementalAssignment(2)
-        eng.try_open("A", [0], 1)
-        with pytest.raises(RuntimeError, match="pending"):
-            eng.try_open("B", [1], 1)
-        eng.commit()
-        with pytest.raises(RuntimeError):
-            eng.commit()
-        with pytest.raises(RuntimeError):
-            eng.rollback()
 
     def test_gain_equals_committed_delta(self):
         rng = np.random.default_rng(9)
         eng = IncrementalAssignment(30)
         for i in range(8):
             covers = [int(u) for u in rng.choice(30, size=12, replace=False)]
+            cap = int(rng.integers(1, 6))
             before = eng.served_count
-            gain = eng.try_open(i, covers, int(rng.integers(1, 6)))
-            eng.commit()
-            assert eng.served_count - before == gain
+            probed = eng.gain(i, covers, cap)
+            gain = eng.open(i, covers, cap)
+            assert eng.served_count - before == gain == probed
 
 
 class TestOptimality:
@@ -176,8 +172,8 @@ class TestOptimality:
         for i, (covers, cap) in enumerate(stations[:-1]):
             eng.open(i, covers, cap)
         covers, cap = stations[-1]
-        gain = eng.try_open("last", covers, cap)
-        eng.rollback()
+        gain = reference_gain(eng, "last", covers, cap)
+        assert eng.gain("last", covers, cap) == gain
         full = dinic_value(num_users, stations)
         partial = dinic_value(num_users, stations[:-1])
         assert gain == full - partial
@@ -226,38 +222,22 @@ class TestForkRollback:
         eng.rollback_fork()
         assert engine_state(eng) == before
 
-    def test_release_keeps_mutations(self):
-        eng = IncrementalAssignment(4)
-        eng.fork()
-        eng.open("a", [0, 1], 2)
-        eng.release_fork()
-        assert eng.served_count == 2
-        eng.fork()  # scope reusable after release
-        eng.rollback_fork()
-        assert eng.served_count == 2
-
-    def test_rollback_fork_clears_pending_first(self):
-        eng = IncrementalAssignment(4)
-        eng.fork()
-        eng.try_open("a", [0, 1], 2)
-        eng.rollback_fork()
-        assert eng.served_count == 0
-        assert eng.stations() == []
-
     def test_fork_discipline(self):
         eng = IncrementalAssignment(3)
         with pytest.raises(RuntimeError):
             eng.rollback_fork()
-        with pytest.raises(RuntimeError):
-            eng.release_fork()
         eng.fork()
         with pytest.raises(RuntimeError):
             eng.fork()
-        eng.try_open("a", [0], 1)
+        eng.open("a", [0], 1)
         with pytest.raises(RuntimeError):
             eng.fork()
-        eng.commit()
-        eng.release_fork()
+        eng.rollback_fork()
+        with pytest.raises(RuntimeError):
+            eng.rollback_fork()
+        eng.fork()  # the scope is reusable after a rollback
+        eng.rollback_fork()
+        assert eng.served_count == 0 and eng.stations() == []
 
     @pytest.mark.parametrize(
         "engine_cls", [IncrementalAssignment, KuhnAssignment],

@@ -5,8 +5,8 @@
 reference here is an independent from-scratch :class:`repro.flow.dinic.Dinic`
 solve of the same network (source -(demand)-> cell -> station
 -(capacity)-> sink), checked after *every* station open on seeded random
-instances.  The journal semantics (``try_open``/``rollback``, warm-start
-forks) are exercised against snapshot equality, and
+instances.  The count-only ``gain`` probe and the warm-start forks are
+exercised against snapshot equality, and
 :func:`repro.flow.bipartite.new_engine_for` must dispatch singleton-cell
 graphs back to the bitset user engine — the dispatch half of the
 bit-identity guarantee.
@@ -106,13 +106,13 @@ def test_try_open_rollback_restores_state():
         engine.open(f"s{j}", cover, capacity)
     before = (engine.served_count, engine.flows(), engine.stations())
     cover, capacity = stations[-1]
-    engine.try_open("probe", cover, capacity)
-    engine.rollback()
+    probed = engine.gain("probe", cover, capacity)
     assert (engine.served_count, engine.flows(), engine.stations()) == before
-    # The rolled-back station can be re-opened with the same result.
+    # The probed station can be opened with the same result.
     gain = engine.open("probe", cover, capacity)
     reference = _reference_max_flow(demands, stations)
     assert engine.served_count == before[0] + gain == reference
+    assert gain == probed
 
 
 def test_fork_rollback_and_release():
@@ -125,27 +125,17 @@ def test_fork_rollback_and_release():
     assert engine.served_count > base_state[0]
     engine.rollback_fork()
     assert (engine.served_count, engine.flows()) == base_state
-    engine.fork()
-    engine.open("fork-b", [2], 2)
-    kept = (engine.served_count, engine.flows())
-    engine.release_fork()
-    assert (engine.served_count, engine.flows()) == kept
     with pytest.raises(RuntimeError):
         engine.rollback_fork()
-
-
-def test_pending_station_guards():
-    engine = CellAssignment([2, 2])
-    engine.try_open("a", [0], 1)
-    with pytest.raises(RuntimeError):
-        engine.try_open("b", [1], 1)
+    # Opens outside a fork are kept; the scope is reusable.
+    engine.open("base-b", [2], 2)
+    kept = (engine.served_count, engine.flows())
+    engine.fork()
     with pytest.raises(RuntimeError):
         engine.fork()
-    engine.commit()
-    with pytest.raises(ValueError):
-        engine.try_open("a", [1], 1)  # duplicate name
-    with pytest.raises(IndexError):
-        engine.try_open("c", [5], 1)  # cell out of range
+    engine.open("fork-b", [2], 2)
+    engine.rollback_fork()
+    assert (engine.served_count, engine.flows()) == kept
 
 
 def test_direct_gain_bound_upper_bounds_gain():

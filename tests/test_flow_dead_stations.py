@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow.bipartite import IncrementalAssignment, _live_fixpoint
-from tests.reference.kuhn import KuhnAssignment
+from tests.reference.kuhn import KuhnAssignment, reference_gain
 from tests.test_flow_bipartite import dinic_value
 from tests.test_flow_probe import random_cover
 
@@ -89,8 +89,8 @@ def run_interleaving(seed: int) -> int:
                 if op == "open":
                     eng.open(("st", step), cover, cap)
                 else:
-                    eng.try_open(("st", step), cover, cap)
-                    eng.rollback()
+                    assert eng.gain(("st", step), cover, cap) == (
+                        reference_gain(eng, ("st", step), cover, cap))
         elif op == "fork" and not forked:
             engine.fork()
             every.fork()

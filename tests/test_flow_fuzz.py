@@ -2,9 +2,9 @@
 
 The engine is the correctness-critical hot path of Algorithm 2 (every
 marginal gain flows through it), so beyond the targeted unit tests we
-drive it with random interleavings of try_open / rollback / commit and
-cross-check the full state against an independent Dinic solution after
-every commit.
+drive it with random interleavings of gain / open / fork / rollback_fork
+and cross-check the full state against an independent Dinic solution
+after every open.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ def test_random_interleaving_matches_dinic(seed):
         )
         cap = int(rng.integers(0, num_users + 2))
         key = ("st", step)
-        gain = engine.try_open(key, covers, cap)
+        gain = engine.gain(key, covers, cap)
 
         stations = list(committed.values())
         before = dinic_value(num_users, stations)
@@ -42,10 +42,13 @@ def test_random_interleaving_matches_dinic(seed):
         )
 
         if rng.random() < 0.5:
-            engine.rollback()
+            engine.fork()
+            assert engine.open(key, covers, cap) == gain
+            assert engine.served_count == after
+            engine.rollback_fork()
             assert engine.served_count == before
         else:
-            engine.commit()
+            assert engine.open(key, covers, cap) == gain
             committed[key] = (covers, cap)
             assert engine.served_count == after
 
@@ -67,8 +70,9 @@ def test_random_interleaving_matches_dinic(seed):
 @given(st.integers(0, 10**9))
 @settings(max_examples=20, deadline=None)
 def test_rollback_is_perfect_undo(seed):
-    """After any try_open + rollback, the observable state is bit-identical
-    to before (assignments, loads, served count, gain bounds)."""
+    """After any fork + open + rollback_fork, the observable state is
+    bit-identical to before (assignments, loads, served count, gain
+    bounds)."""
     rng = np.random.default_rng(seed)
     num_users = int(rng.integers(1, 20))
     engine = IncrementalAssignment(num_users)
@@ -92,8 +96,9 @@ def test_rollback_is_perfect_undo(seed):
         [int(u) for u in rng.choice(num_users, size=size, replace=False)]
         if size else []
     )
-    engine.try_open("tmp", covers, int(rng.integers(0, num_users + 2)))
-    engine.rollback()
+    engine.fork()
+    engine.open("tmp", covers, int(rng.integers(0, num_users + 2)))
+    engine.rollback_fork()
 
     assert [engine.station_of(u) for u in range(num_users)] == snapshot_assign
     assert {s: engine.load_of(s) for s in engine.stations()} == snapshot_loads

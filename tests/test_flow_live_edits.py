@@ -144,19 +144,15 @@ def test_arrival_and_departure_without_stations():
 
 
 def test_edits_raise_while_pending_or_forked():
+    """Live edits raise inside a fork scope."""
     engine = IncrementalAssignment(3)
-    engine.try_open("A", [0, 1], 1)
-    with pytest.raises(RuntimeError, match="pending"):
-        engine.add_user(["A"])
-    with pytest.raises(RuntimeError, match="pending"):
-        engine.remove_user(0)
-    engine.commit()
+    engine.open("A", [0, 1], 1)
     engine.fork()
     with pytest.raises(RuntimeError, match="fork"):
         engine.add_user(["A"])
     with pytest.raises(RuntimeError, match="fork"):
         engine.remove_user(0)
-    engine.release_fork()
+    engine.rollback_fork()
     with pytest.raises(KeyError):
         engine.add_user(["not-open"])
     assert engine.num_users == 3
@@ -174,7 +170,7 @@ def test_removal_clears_the_cover_memo():
     engine.open("B", pair, 2)
     engine.remove_user(0)
     with pytest.raises(IndexError):
-        engine.try_open("C", last.copy(), 1)
+        engine.open("C", last.copy(), 1)
     engine.open("D", pair.copy(), 2)
     # Old users 1..3 are now 0..2: A serves 2, B serves 0 and 1, so D
     # (covering 1 and 2) finds nobody free.

@@ -1,13 +1,13 @@
-"""The count-only probe against the try + rollback it replaces.
+"""The count-only probe against a committed open on a copy.
 
 :meth:`IncrementalAssignment.gain` measures an exact marginal gain without
 touching the engine: the chain phase runs on local copies of the bitsets
 and pushes each augmenting path's whole bottleneck at once.  On random
-engine states it must return exactly what ``try_open`` + ``rollback``
-returns, and what the scalar Kuhn reference (``tests/reference/kuhn.py``)
-returns, leave
-every piece of engine state as it found it, raise the errors
-``try_open`` raises, and count the same telemetry.
+engine states it must return exactly what ``open`` returns on a deep copy
+of the engine (``reference_gain``), and what the scalar Kuhn reference
+(``tests/reference/kuhn.py``) returns, leave every piece of engine state
+as it found it, raise the errors ``open`` raises, and count the same
+telemetry.
 
 The last section pins the shared cover check: covers that are not
 integer indices are rejected, and repeated indices count once.
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.flow.bipartite import CellAssignment, IncrementalAssignment
-from tests.reference.kuhn import KuhnAssignment
+from tests.reference.kuhn import KuhnAssignment, reference_gain
 from tests.test_flow_bipartite import dinic_value
 
 # -- instances ---------------------------------------------------------------
@@ -62,14 +62,8 @@ def state(engine: IncrementalAssignment) -> tuple:
         engine.assignment(), engine.served_bits, engine.served_count,
         [engine.load_of(name) for name in engine.stations()],
         list(engine._cover_ints), list(engine._caps), engine.stations(),
-        dict(engine._slots), engine._pending, engine._journal,
+        dict(engine._slots),
     )
-
-
-def tried(engine, station, cover, capacity) -> int:
-    gain = engine.try_open(station, cover, capacity)
-    engine.rollback()
-    return gain
 
 
 def assert_probe_matches(num_users: int, stations: list, probes: list):
@@ -79,13 +73,13 @@ def assert_probe_matches(num_users: int, stations: list, probes: list):
     for cover, cap in probes:
         gain = bfs.gain("probe", cover, cap)
         assert state(bfs) == before
-        assert gain == tried(bfs, "probe", cover, cap)
+        assert gain == reference_gain(bfs, "probe", cover, cap)
         assert gain == dfs.gain("probe", cover, cap)
         assert gain == dinic_value(num_users, stations + [(cover, cap)]) - flow
         assert state(bfs) == before
 
 
-# -- probe == try + rollback -------------------------------------------------
+# -- probe == open on a copy -------------------------------------------------
 
 
 @given(st.integers(0, 10**9))
@@ -159,8 +153,8 @@ def test_probe_tracks_every_mutation(seed):
             engine.open(("st", step), random_cover(rng, n),
                         int(rng.integers(0, 4)))
         elif op == "try":
-            tried(engine, ("st", step), random_cover(rng, n),
-                  int(rng.integers(0, 4)))
+            engine.gain(("st", step), random_cover(rng, n),
+                        int(rng.integers(0, 4)))
         elif op == "fork" and not forked:
             engine.fork()
             forked = True
@@ -177,7 +171,7 @@ def test_probe_tracks_every_mutation(seed):
         probes = [(random_cover(rng, n), int(rng.integers(0, n + 2)))
                   for _ in range(4)]
         got = [engine.gain("probe", cover, cap) for cover, cap in probes]
-        assert got == [tried(engine, "probe", cover, cap)
+        assert got == [reference_gain(engine, "probe", cover, cap)
                        for cover, cap in probes]
         engine.gain("probe", *probes[0])   # leave the cache warm
 
@@ -188,7 +182,7 @@ def test_cell_engine_probe_is_try_and_rollback():
     engine.open("B", [1, 2], 2)
     flows, served = engine.flows(), engine.served_count
     gain = engine.gain("C", [0, 2, 3], 6)
-    assert gain == tried(engine, "C", [0, 2, 3], 6)
+    assert gain == reference_gain(engine, "C", [0, 2, 3], 6)
     assert engine.flows() == flows and engine.served_count == served
 
 
@@ -225,10 +219,16 @@ def error_of(call) -> tuple:
     return type(info.value), str(info.value)
 
 
+def two_unit_cells(num_cells: int) -> CellAssignment:
+    return CellAssignment([2] * num_cells)
+
+
 @pytest.mark.parametrize(
-    "engine_cls", [IncrementalAssignment, KuhnAssignment], ids=["bfs", "dfs"]
+    "engine_cls", [IncrementalAssignment, KuhnAssignment, two_unit_cells],
+    ids=["bfs", "dfs", "cells"],
 )
 def test_probe_raises_what_try_open_raises(engine_cls):
+    """``gain`` raises exactly what ``open`` raises, on every engine."""
     def engine():
         eng = engine_cls(4)
         eng.open("A", [0, 1], 1)
@@ -244,13 +244,8 @@ def test_probe_raises_what_try_open_raises(engine_cls):
         ("B", np.array([True, False, True, False]), 1),  # boolean mask
     ]
     for station, cover, cap in cases:
-        want = error_of(lambda: engine().try_open(station, cover, cap))
+        want = error_of(lambda: engine().open(station, cover, cap))
         assert error_of(lambda: engine().gain(station, cover, cap)) == want
-    pending = engine()
-    pending.try_open("P", [2], 1)
-    want = error_of(lambda: pending.try_open("B", [3], 1))
-    assert want[0] is RuntimeError
-    assert error_of(lambda: pending.gain("B", [3], 1)) == want
 
 
 def flow_counters(call) -> dict:
@@ -266,6 +261,7 @@ def flow_counters(call) -> dict:
 
 
 def test_probe_counts_what_try_and_rollback_count():
+    """A probe counts what an open on a copy counts."""
     stations = chain_stations(6) + [([7, 8, 9], 2)]
     probes = [([0], 3), ([0, 7, 8, 9, 10], 4), ([8, 9], 2), ([], 1),
               ([10, 11], 5)]
@@ -275,11 +271,11 @@ def test_probe_counts_what_try_and_rollback_count():
         for cover, cap in probes:
             engine.gain("probe", cover, cap)
 
-    def by_try():
+    def by_copy():
         for cover, cap in probes:
-            tried(engine, "probe", cover, cap)
+            reference_gain(engine, "probe", cover, cap)
 
-    want = flow_counters(by_try)
+    want = flow_counters(by_copy)
     assert want["flow.chain_augmentations"] > 0
     assert flow_counters(by_probe) == want
     # Off, nothing is counted.
@@ -296,7 +292,7 @@ def test_repeated_users_count_once():
     assert KuhnAssignment(5).gain("a", [3, 1, 3], 3) == 2
     cells = CellAssignment([2, 2, 2])
     assert cells.gain("a", [1, 1], 5) == 2
-    assert cells.try_open("a", [1, 1, 0], 5) == 4
+    assert cells.open("a", [1, 1, 0], 5) == 4
 
 
 def test_boolean_masks_are_rejected():
@@ -304,9 +300,9 @@ def test_boolean_masks_are_rejected():
     with pytest.raises(TypeError):
         IncrementalAssignment(5).gain("a", mask, 5)
     with pytest.raises(TypeError):
-        IncrementalAssignment(5).try_open("a", mask, 5)
+        IncrementalAssignment(5).open("a", mask, 5)
     with pytest.raises(TypeError):
-        CellAssignment([2, 2, 2]).try_open(
+        CellAssignment([2, 2, 2]).open(
             "a", np.array([True, False, True]), 5
         )
     with pytest.raises(TypeError):
@@ -321,9 +317,9 @@ def test_float_covers_are_rejected_not_truncated():
         with pytest.raises(TypeError):
             IncrementalAssignment(3).gain("a", cover, 2)
         with pytest.raises(TypeError):
-            KuhnAssignment(3).try_open("a", cover, 2)
+            KuhnAssignment(3).open("a", cover, 2)
         with pytest.raises(TypeError):
-            CellAssignment([1, 2, 3]).try_open("a", cover, 2)
+            CellAssignment([1, 2, 3]).open("a", cover, 2)
         with pytest.raises(TypeError):
             CellAssignment([1, 2, 3]).gain("a", cover, 2)
 
@@ -344,7 +340,7 @@ def test_int_covers_count_like_their_users():
         with pytest.raises(IndexError):
             engine.gain("a", bad, 1)
         with pytest.raises(IndexError):
-            engine.try_open("a", bad, 1)
+            engine.open("a", bad, 1)
 
 
 def test_empty_and_unsigned_covers_are_accepted():

@@ -8,7 +8,7 @@ upper bounds.  The references below are the eager scans it replaced:
 each round tries every candidate its static bound ``min(capacity,
 |cover|)`` cannot rule out.  On seeded instances the lazy solver must
 pick exactly the eager winners, round by round, with no more oracle
-calls (try + rollback probes).
+calls (exact-gain probes).
 
 The instances cover per-user and demand-cell graphs, a *non-nested*
 fleet whose smaller UAVs carry the stronger radios (so a stale gain must
@@ -38,39 +38,32 @@ from repro.network.users import users_from_points
 from repro.workload.aggregate import aggregate_problem
 from repro.workload.scenarios import paper_scenario
 from tests.conftest import make_line_instance
+from tests.reference.kuhn import reference_gain
 
 # -- the eager references ----------------------------------------------------
 
 
 def counting_engine(graph):
     """A fresh flow engine that counts its oracle calls: each ``gain``
-    call (the count-only probe) and each rollback of a try + rollback
-    probe is one.  Every pick is a try + commit and is not counted."""
+    call (the count-only probe) and each eager :func:`probe` is one.
+    Every pick is an ``open`` and is not counted."""
     engine = new_engine_for(graph)
     engine.probes = 0
-    rollback = engine.rollback
     gain = engine.gain
 
-    def counted() -> None:
-        engine.probes += 1
-        rollback()
-
     def counted_gain(*args) -> int:
-        # A gain that is itself a try + rollback is still one call.
-        before = engine.probes
-        value = gain(*args)
-        engine.probes = before + 1
-        return value
+        engine.probes += 1
+        return gain(*args)
 
-    engine.rollback = counted
     engine.gain = counted_gain
     return engine
 
 
 def probe(engine, graph, k, v, uav) -> int:
-    gain = engine.try_open((k, v), graph.coverable_array(v, uav), uav.capacity)
-    engine.rollback()
-    return gain
+    """The eager scans' exact gain: an open on a copy of ``engine``."""
+    engine.probes += 1
+    return reference_gain(engine, (k, v), graph.coverable_array(v, uav),
+                          uav.capacity)
 
 
 def hop_filter_for(problem, anchors, plan):

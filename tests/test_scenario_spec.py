@@ -51,6 +51,7 @@ class TestSchemaValidation:
         ("workers", 0),
         ("seed", "seven"),
         ("seed", True),
+        ("seed", -1),
         ("validate", 1),
         ("algorithm_params", ["s", 2]),
         ("name", ""),
@@ -58,6 +59,16 @@ class TestSchemaValidation:
     def test_invalid_field_values_rejected(self, field, value):
         with pytest.raises(SpecError):
             ScenarioSpec(**{field: value})
+
+    @pytest.mark.parametrize("workload,params", [
+        ("uniform", {"x": 1}),
+        ("fat-tailed", {"num_hotspots": 0}),
+    ])
+    def test_workload_params_the_model_rejects(self, workload, params):
+        """Parameters the workload model refuses are a spec error at
+        construction, not a bare ``TypeError``/``ValueError`` at build."""
+        with pytest.raises(SpecError, match=f"workload_params.*{workload}"):
+            ScenarioSpec(workload=workload, workload_params=params)
 
     def test_capacity_bounds_ordered(self):
         with pytest.raises(SpecError, match="capacity_min"):
