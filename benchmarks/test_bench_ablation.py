@@ -87,20 +87,6 @@ def test_ablation_anchor_pool(benchmark, figure_report, problem, pool):
     assert result.served > 0
 
 
-@pytest.mark.parametrize("inner", ("sorted", "pairs"))
-def test_ablation_inner_greedy(benchmark, figure_report, problem, inner):
-    """Algorithm 2's capacity-sorted loop vs the textbook FNW pair greedy
-    (the form the 1/3 guarantee is proved for)."""
-    result = benchmark.pedantic(
-        lambda: _run(problem, inner=inner), rounds=1, iterations=1
-    )
-    figure_report.record(
-        "ablation", TITLE, f"inner={inner}", "approAlg",
-        result.served, round(benchmark.stats.stats.mean, 3),
-    )
-    assert result.served > 0
-
-
 def test_ablation_workload_shape(benchmark, figure_report, scenario_cache):
     """Fat-tailed vs uniform users: the heterogeneity advantage the paper
     builds on exists because demand is concentrated; uniform demand gives

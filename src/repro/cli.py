@@ -12,9 +12,10 @@ data as an ASCII table on stdout.
 Scenario specs: ``repro scenario list`` names the built-in presets and
 ``repro scenario show demo-small`` prints one as JSON; ``repro run
 --scenario spec.json`` solves a saved ``ScenarioSpec`` (solver settings
-come from the spec; legacy ``save_scenario`` files still work, taking
-solver settings from the flags); ``repro batch`` runs many spec files
-through the ``BatchRunner``, building shared scenarios once.
+come from the spec) and ``--scenario NAME`` a preset; ``repro batch``
+runs many spec files through the ``BatchRunner``, building shared
+scenarios once.  ``repro dynamic`` runs a long-horizon mission (churn,
+mobility, relocation, faults) from a dynamic preset or spec file.
 
 Observability: the ``run``, ``experiments``, ``batch``, ``dynamic`` and
 ``mission`` commands accept ``--trace PATH`` / ``--timeline PATH`` (write
@@ -426,22 +427,20 @@ def _scale_overrides(args: argparse.Namespace) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Run one algorithm on a scenario — from flags, a named preset, a
-    ScenarioSpec JSON, or a legacy scenario file — and optionally save
-    the deployment and/or record a perf-trajectory point."""
+    """Run one algorithm on a scenario — from flags, a named preset or a
+    ScenarioSpec JSON file — and optionally save the deployment and/or
+    record a perf-trajectory point."""
     import time
     from pathlib import Path
 
     from repro.network.deployment import CellDeployment
     from repro.scenario import ScenarioSpec, SolvePipeline, SpecError, get_preset
-    from repro.scenario.pipeline import solver_params
+    from repro.scenario.spec import SPEC_KIND
     from repro.sim.io import save_deployment
     from repro.sim.metrics import summarize
 
     started = time.perf_counter()
     pipeline = SolvePipeline(**_resilience_kwargs(args))
-    spec: "ScenarioSpec | None" = None
-    state = None
     # Flag specs are checked as they are built, so a bad flag (--users 0)
     # fails here as cleanly as a bad spec file does.
     try:
@@ -454,35 +453,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
                       f"{exc.args[0]}", file=sys.stderr)
                 return 2
         elif args.scenario is not None:
+            # Scenario AND algorithm/engine options come from the file;
+            # the solver flags on the command line are ignored in favour
+            # of the spec's (except the aggregation and tiling overrides,
+            # which compose with any spec).
             data = _read_spec_json(args.scenario)
-            if data.get("kind") == "scenario-spec":
-                # Declarative spec: scenario AND algorithm/engine options come
-                # from the file; the solver flags on the command line are
-                # ignored in favour of the spec's (except the aggregation and
-                # tiling overrides, which compose with any spec).
-                spec = ScenarioSpec.from_dict(data)
-            else:
-                # Legacy scenario file: just the problem; algorithm and
-                # engine options still come from the flags.
-                from repro.sim.io import load_scenario
-
-                spec = _run_spec_from_args(args)
-                params = solver_params(spec, pipeline.registry.get(spec.algorithm))
-                state = pipeline.solve(
-                    load_scenario(args.scenario), args.algorithm, params,
-                    checkpoint=pipeline.spec_checkpoint(spec),
+            kind = data.get("kind") if isinstance(data, dict) else None
+            if kind != SPEC_KIND:
+                raise SpecError(
+                    f"{args.scenario}: expected a {SPEC_KIND} document, "
+                    f"got kind = {kind!r}"
                 )
-                spec = None
+            spec = ScenarioSpec.from_dict(data)
         else:
             spec = _run_spec_from_args(args)
-        if state is None:
-            overrides = _scale_overrides(args)
-            if overrides:
-                spec = spec.with_overrides(**overrides)
-            # The run record names the spec that ran; stash it for
-            # _observed, which only sees the parsed args.
-            args._spec = spec
-            state = pipeline.run(spec)
+        overrides = _scale_overrides(args)
+        if overrides:
+            spec = spec.with_overrides(**overrides)
+        # The run record names the spec that ran; stash it for
+        # _observed, which only sees the parsed args.
+        args._spec = spec
+        state = pipeline.run(spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -523,17 +514,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs.bench import record_trajectory_point
         from repro.obs.profile import peak_rss_mb
 
-        label = spec.name if spec is not None else "legacy"
         out = record_trajectory_point(
-            scenario=f"run:{label}",
+            scenario=f"run:{spec.name}",
             algorithm=record.algorithm,
             served=record.served,
             wall_s=wall_s,
-            workers=spec.workers if spec is not None else args.workers,
-            scale=spec.scale if spec is not None else args.scale,
+            workers=spec.workers,
+            scale=spec.scale,
             peak_rss_mb=peak_rss_mb(),
         )
-        print(f"perf point run:{label} recorded in {out}")
+        print(f"perf point run:{spec.name} recorded in {out}")
     if args.save is not None:
         if isinstance(deployment, CellDeployment):
             print("error: --save does not support demand-cell deployments "
@@ -567,10 +557,11 @@ def _dynamic_spec(args: argparse.Namespace):
 
 
 def _cmd_dynamic(args: argparse.Namespace) -> int:
-    """Run a long-horizon dynamic mission (churn, mobility, rotation,
+    """Run a long-horizon dynamic mission (churn, mobility, relocation,
     faults) with warm-started epoch re-solves; optionally across a seed
     grid, and optionally recording the warm-vs-cold latency bench point."""
     from repro.dynamics import run_dynamic, run_seed_grid
+    from repro.scenario import SpecError
 
     try:
         spec = _dynamic_spec(args)
@@ -595,13 +586,19 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     args._spec = spec
     warm = False if args.cold else None
 
+    try:
+        if args.seeds > 1:
+            grid = run_seed_grid(spec, num_seeds=args.seeds, warm=warm)
+        else:
+            result = run_dynamic(spec, warm=warm)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.seeds > 1:
-        grid = run_seed_grid(spec, num_seeds=args.seeds, warm=warm)
         print(grid.to_text())
         args._served = grid.results[-1].final_served if grid.results else None
         return 0
 
-    result = run_dynamic(spec, warm=warm)
     args._served = result.final_served
     summary = result.to_dict()
     print(
@@ -612,8 +609,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     )
     print(
         f"  churn: {result.arrivals} arrivals, {result.departures} "
-        f"departures; {result.faults} faults; {result.rotations} "
-        f"rotation swaps"
+        f"departures; {result.faults} faults"
     )
     p95 = result.p95_time_to_serve_s
     lat = result.median_resolve_latency_s
@@ -1048,9 +1044,8 @@ def main(argv: "list | None" = None) -> int:
     )
     run_cmd.add_argument(
         "--scenario", default=None,
-        help="scenario JSON: a ScenarioSpec (kind 'scenario-spec', see "
-        "'repro scenario show'), a preset name ('repro scenario list'), "
-        "or a legacy repro.sim.io scenario file",
+        help="a ScenarioSpec JSON file (kind 'scenario-spec', see "
+        "'repro scenario show') or a preset name ('repro scenario list')",
     )
     run_cmd.add_argument(
         "--aggregate", choices=("users", "cells"), default=None,
@@ -1110,7 +1105,7 @@ def main(argv: "list | None" = None) -> int:
     for command, default, about in (
         ("dynamic", "dynamic-small",
          "long-horizon dynamic mission: streaming churn, moving hotspots, "
-         "rotation sorties, faults, and warm-started epoch re-solves (see "
+         "relocation transit, faults, and warm-started epoch re-solves (see "
          "docs/DYNAMICS.md)"),
         ("mission", "mission-small",
          "fault-injected mission: UAV crashes and link faults, each "

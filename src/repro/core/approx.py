@@ -76,7 +76,7 @@ from repro.core.connect import connect_and_deploy
 from repro.core.context import SolverContext, prunable_mask
 from repro.core.dispatch import ChunkDispatcher, FaultPolicy
 from repro.core.dispatch import chunk_slices as _chunk_slices
-from repro.core.greedy import anchored_greedy, pair_greedy
+from repro.core.greedy import anchored_greedy
 from repro.core.problem import ProblemInstance
 from repro.core.segments import SegmentPlan, optimal_segments
 from repro.flow.bipartite import new_engine_for
@@ -208,7 +208,6 @@ def _evaluate_subset(
     subset: tuple,
     plan: SegmentPlan,
     order: list,
-    inner: str,
     gain_mode: str,
     augment_leftover: bool,
     context: SolverContext,
@@ -226,14 +225,10 @@ def _evaluate_subset(
     try:
         with obs.span("approx.subset", anchors=list(subset)):
             with obs.span("approx.greedy"):
-                if inner == "pairs":
-                    greedy = pair_greedy(problem, list(subset), plan,
-                                         context=context, engine=engine)
-                else:
-                    greedy = anchored_greedy(
-                        problem, list(subset), plan, order,
-                        gain_mode=gain_mode, context=context, engine=engine,
-                    )
+                greedy = anchored_greedy(
+                    problem, list(subset), plan, order,
+                    gain_mode=gain_mode, context=context, engine=engine,
+                )
             with obs.span("approx.connect"):
                 solution = connect_and_deploy(
                     problem,
@@ -519,7 +514,6 @@ def appro_alg(
     max_anchor_candidates: "int | None" = None,
     augment_leftover: bool = True,
     gain_mode: str = "exact",
-    inner: str = "sorted",
     progress: "object | None" = None,
     workers: int = 1,
     context: "SolverContext | None" = None,
@@ -537,10 +531,7 @@ def appro_alg(
     leave unused (see :func:`repro.core.connect.connect_and_deploy`); pass
     ``False`` for the paper-strict behaviour.  ``gain_mode`` is ``"exact"``
     (paper-faithful marginal gains) or ``"fast"`` (direct-bound candidate
-    ranking; see :func:`repro.core.greedy.anchored_greedy`).  ``inner``
-    selects the greedy flavour: ``"sorted"`` is Algorithm 2's
-    capacity-sorted loop, ``"pairs"`` the textbook FNW greedy over (UAV,
-    location) pairs (slower; ablation).
+    ranking; see :func:`repro.core.greedy.anchored_greedy`).
 
     ``progress``, if given, is called as ``progress(done, total)``; ``done``
     is monotonically non-decreasing across the whole run, including the
@@ -584,8 +575,6 @@ def appro_alg(
             _check_integer(v, "anchor_candidates entry")
     if s < 1:
         raise ValueError(f"s must be a positive integer, got {s}")
-    if inner not in ("sorted", "pairs"):
-        raise ValueError(f"inner must be 'sorted' or 'pairs', got {inner!r}")
     if workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers}")
     s = min(s, problem.num_uavs)
@@ -613,9 +602,7 @@ def appro_alg(
     order = problem.capacity_order()
     plan = optimal_segments(problem.num_uavs, s)
 
-    eval_kw = dict(
-        inner=inner, gain_mode=gain_mode, augment_leftover=augment_leftover
-    )
+    eval_kw = dict(gain_mode=gain_mode, augment_leftover=augment_leftover)
     ckpt = _ckpt_state
     if ckpt is None and checkpoint is not None:
         # run_key is s-independent: the same checkpoint file carries the
@@ -638,7 +625,6 @@ def appro_alg(
             max_anchor_candidates=max_anchor_candidates,
             augment_leftover=augment_leftover,
             gain_mode=gain_mode,
-            inner=inner,
             progress=inner_progress,
             workers=workers,
             context=context,

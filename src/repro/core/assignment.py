@@ -159,69 +159,3 @@ def max_served(graph: CoverageGraph, fleet: list, placements: dict) -> int:
     """Just the optimal objective value for fixed placements."""
     return optimal_assignment(graph, fleet, placements).served_count
 
-
-def max_throughput_assignment(
-    graph: CoverageGraph, fleet: list, placements: dict
-) -> Deployment:
-    """Throughput-optimal assignment for fixed placements — the objective
-    of Xu et al. [37], solved exactly.
-
-    Maximises the sum of served users' data rates subject to the same
-    coverage/capacity constraints.  Reduction: expand each UAV into
-    ``C_k`` unit slots and solve a rectangular min-cost assignment of
-    users to slots with cost ``-rate`` (serving nobody costs 0, encoded by
-    per-user "idle" slots).  Exact but O(n^2 (slots + n)) — use for
-    analysis at moderate scale, not inside placement loops.
-
-    Note the objective trade-off this exposes: rate-optimal assignments
-    may *serve fewer users* than the paper's coverage-optimal ones, since
-    one excellent link can outweigh two mediocre ones in sum-rate.
-    """
-    deployed = sorted(placements.items())
-    n = graph.num_users
-    if not deployed or n == 0:
-        return Deployment(placements=dict(placements), assignment={})
-
-    # Columns: one slot per unit of UAV capacity (capped at n — a UAV can
-    # never serve more than all users), then n idle slots (zero cost).
-    slot_owner: list = []
-    for k, _loc in deployed:
-        slot_owner.extend([k] * min(fleet[k].capacity, n))
-    num_service_slots = len(slot_owner)
-
-    rates: dict = {}
-    for k, loc in deployed:
-        uav = fleet[k]
-        for u in graph.coverable_users(loc, uav):
-            rates[(u, k)] = graph.rate_bps(u, loc, uav)
-
-    import math
-
-    costs = []
-    for u in range(n):
-        row = []
-        for slot, k in enumerate(slot_owner):
-            rate = rates.get((u, k))
-            row.append(-rate if rate is not None else math.inf)
-        row.extend([0.0] * n)  # idle slots
-        costs.append(row)
-
-    from repro.flow.mincost import min_cost_assignment
-
-    assignment_cols, _total = min_cost_assignment(costs)
-    assignment = {}
-    for u, col in enumerate(assignment_cols):
-        if col < num_service_slots:
-            assignment[u] = slot_owner[col]
-    return Deployment(placements=dict(placements), assignment=assignment)
-
-
-def total_rate_bps(
-    graph: CoverageGraph, fleet: list, deployment: Deployment
-) -> float:
-    """Sum of served users' rates for any deployment (helper for the
-    objective comparison)."""
-    total = 0.0
-    for u, k in deployment.assignment.items():
-        total += graph.rate_bps(u, deployment.placements[k], fleet[k])
-    return total

@@ -182,79 +182,3 @@ def _lazy_pick(lazy: LazyGains, k: int, cand: np.ndarray,
     return int(cand[lazy.argmax(k, cand, static,
                                 (cand, -static, ~cand_anchor))])
 
-
-def pair_greedy(
-    problem: ProblemInstance,
-    anchors: list,
-    plan: SegmentPlan,
-    context: "SolverContext | None" = None,
-    engine: "IncrementalAssignment | None" = None,
-) -> GreedyResult:
-    """Textbook FNW greedy over the full ``X × V`` ground set.
-
-    Unlike Algorithm 2's capacity-sorted specialisation (UAV ``k`` is fixed
-    in iteration ``k``), each iteration here picks the best *(UAV,
-    location)* pair among those feasible in both matroids — ``M1`` (each
-    UAV once; plus each location once, which deployments require) and
-    ``M2`` (hop counting).  This is the form the 1/3 guarantee is stated
-    for; the ablation bench compares it against Algorithm 2's loop.
-
-    Gains are exact: one :meth:`~repro.core.lazy.LazyGains.argmax` over
-    every pair, bounded by ``min(capacity, |cover|)`` and by the stale
-    gains of dominating UAVs.  Zero-gain ties prefer anchor locations so
-    the anchors always enter the solution.  ``context`` and ``engine``
-    work as in :func:`anchored_greedy`.
-    """
-    graph = problem.graph
-    fleet = problem.fleet
-    anchor_set = set(anchors)
-    if len(anchor_set) != plan.s:
-        raise ValueError(
-            f"expected {plan.s} distinct anchors, got {sorted(anchor_set)}"
-        )
-    if context is None:
-        context = SolverContext.from_problem(problem)
-    matroid = HopCountingMatroid(context.hops_to_set(list(anchor_set)),
-                                 plan.q_bounds())
-    hop_filter = IncrementalHopFilter(matroid)
-    universe = sorted(matroid.ground_set())
-    if engine is None:
-        engine = new_engine_for(graph)
-    table = context.cover_table(problem)
-    lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
-
-    chosen: list = []
-    used_uavs: set = set()
-    used_locations: set = set()
-    for _round in range(min(plan.lmax, len(fleet))):
-        free_uavs = [k for k in range(len(fleet)) if k not in used_uavs]
-        candidates = [
-            v for v in universe
-            if v not in used_locations and hop_filter.can_add(v)
-        ]
-        if not free_uavs or not candidates:
-            break
-        cand = np.asarray(candidates, dtype=np.int64)
-        ks = np.repeat(np.asarray(free_uavs, dtype=np.int64), cand.size)
-        vs = np.tile(cand, len(free_uavs))
-        static = np.concatenate(
-            [lazy.static(k, cand, context) for k in free_uavs]
-        )
-        tie = (vs, ks, -static, ~np.isin(vs, sorted(anchor_set)))
-        if chosen:
-            pick = lazy.argmax(ks, vs, static, tie)
-        else:
-            # No station open: the static bound is the exact gain.
-            pick = int(np.lexsort(tie + (-static,))[0])
-        k, v = int(ks[pick]), int(vs[pick])
-        engine.open((k, v), table.cover(k, v), fleet[k].capacity)
-        hop_filter.add(v)
-        used_uavs.add(k)
-        used_locations.add(v)
-        chosen.append((k, v))
-
-    missing = anchor_set - used_locations
-    assert not missing, "anchors must end up in the pair-greedy solution"
-    obs.counter_inc("greedy.runs")
-    obs.counter_inc("greedy.placements", len(chosen))
-    return GreedyResult(chosen=chosen, engine=engine, served=engine.served_count)

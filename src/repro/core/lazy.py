@@ -1,7 +1,7 @@
 """Lazy (Minoux) exact marginal gains — the one exact-gain argmax.
 
 Every placement step that picks by *exact* marginal gain — the anchored
-greedy, the pair greedy, relay staffing and leftover augmentation — runs
+greedy, relay staffing and leftover augmentation — runs
 :meth:`LazyGains.argmax`: candidates sorted by ``(-upper bound, tie
 rank)``, each one measured by the flow engine's count-only probe
 (:meth:`~repro.flow.bipartite.IncrementalAssignment.gain`), and the scan
@@ -130,14 +130,12 @@ class LazyGains:
             )
         return np.minimum(uav.capacity, count)
 
-    def bounds(self, ks, locs: np.ndarray, static: np.ndarray) -> np.ndarray:
-        """Upper bounds on the exact gain of each candidate ``(ks[i],
-        locs[i])``: ``static`` tightened by every stale gain a dominating
+    def bounds(self, k: int, locs: np.ndarray,
+               static: np.ndarray) -> np.ndarray:
+        """Upper bounds on the exact gain of UAV ``k`` at each of
+        ``locs``: ``static`` tightened by every stale gain a dominating
         UAV left at the location."""
-        if np.ndim(ks) == 0:
-            stale = np.array(self._stale[ks])[locs]
-        else:
-            stale = np.array(self._stale)[ks, locs]
+        stale = np.array(self._stale[k])[locs]
         return np.minimum(np.asarray(static, dtype=np.int64), stale)
 
     def measure(self, k: int, v: int) -> int:
@@ -153,19 +151,18 @@ class LazyGains:
                 row[v] = gain
         return gain
 
-    def argmax(self, ks, locs: np.ndarray, static: np.ndarray,
+    def argmax(self, k: int, locs: np.ndarray, static: np.ndarray,
                tie_keys: tuple, floor: int = -1) -> int:
-        """Index of the candidate ``(ks[i], locs[i])`` with the largest
-        exact gain, ties going to the lowest rank under ``tie_keys``
-        (:func:`numpy.lexsort` keys, primary last); ``-1`` when no gain
-        beats ``floor``.  ``ks`` is one UAV index or one per candidate,
-        ``static`` their :meth:`static` bounds."""
+        """Index of the location in ``locs`` where UAV ``k`` has the
+        largest exact gain, ties going to the lowest rank under
+        ``tie_keys`` (:func:`numpy.lexsort` keys, primary last); ``-1``
+        when no gain beats ``floor``.  ``static`` holds the locations'
+        :meth:`static` bounds."""
         n = len(locs)
-        bounds = self.bounds(ks, locs, static)
+        bounds = self.bounds(k, locs, static)
         rank = np.empty(n, dtype=np.int64)
         rank[np.lexsort(tie_keys)] = np.arange(n)
         order = np.lexsort((rank, -bounds)).tolist()
-        ks = [ks] * n if np.ndim(ks) == 0 else ks.tolist()
         locs, bounds, rank = locs.tolist(), bounds.tolist(), rank.tolist()
         best, best_gain = -1, floor
         for i in order:
@@ -174,7 +171,7 @@ class LazyGains:
                 bound == best_gain and (best < 0 or rank[best] < rank[i])
             ):
                 break  # sorted: no later candidate can beat the best
-            gain = self.measure(ks[i], locs[i]) if bound > 0 else 0
+            gain = self.measure(k, locs[i]) if bound > 0 else 0
             if gain > best_gain or (
                 gain == best_gain and best >= 0 and rank[i] < rank[best]
             ):

@@ -5,7 +5,7 @@ all of them; none of them may import it — see ARCHITECTURE.md).  It
 replaces the five siloed time loops with one discrete-event mission:
 
 * :class:`DynamicSpec` — a :class:`~repro.scenario.spec.ScenarioSpec`
-  extended with the time dimension (churn, mobility, rotation, faults,
+  extended with the time dimension (churn, mobility, relocation, faults,
   epochs) plus named presets;
 * :class:`WorldState` — the single mutable world every event acts on,
   kept in sync with a persistent working coverage graph;

@@ -2,8 +2,8 @@
 
 One :class:`~repro.simnet.events.EventQueue` carries every time-dimension
 concern — user churn and mobility (:class:`~repro.sim.mobility.GaussianWalk`),
-battery rotation (:mod:`repro.sim.rotation`), relocation transit
-(:mod:`repro.sim.relocation`), fault injection (:mod:`repro.ops.faults`)
+relocation transit (:mod:`repro.sim.relocation`), fault injection
+(:mod:`repro.ops.faults`)
 — and a pluggable re-solve policy (:mod:`repro.dynamics.policy`) decides
 when to re-plan.  ``repro dynamic`` and ``repro mission`` both run it.
 
@@ -45,7 +45,7 @@ import numpy as np
 from repro import obs
 from repro.core.problem import ProblemInstance
 from repro.dynamics.policy import EPOCH, FAULT, make_policy
-from repro.dynamics.sources import ChurnModel, Hotspots, rotation_swaps
+from repro.dynamics.sources import ChurnModel, Hotspots
 from repro.dynamics.spec import DynamicSpec
 from repro.dynamics.world import WorldState
 from repro.network.coverage import CoverageGraph
@@ -84,7 +84,6 @@ class DynamicResult:
     arrivals: int = 0
     departures: int = 0
     faults: int = 0
-    rotations: int = 0
     final_placements: dict = field(default_factory=dict)
     time_to_serve_s: list = field(default_factory=list)
     unserved_users: int = 0
@@ -148,7 +147,6 @@ class DynamicResult:
             "arrivals": self.arrivals,
             "departures": self.departures,
             "faults": self.faults,
-            "rotations": self.rotations,
             "p95_time_to_serve_s": self.p95_time_to_serve_s,
             "wall_s": round(self.wall_s, 4),
         }
@@ -184,7 +182,6 @@ class _Engine:
         )
         self.context = None           # last epoch's SolverContext
         self.coverage_at_solve = 0.0
-        self.rotation_tokens: list = []
         self.pending_relocate: "int | None" = None
         self.result = DynamicResult(
             name=spec.name, policy=self.policy.name, warm=self.warm,
@@ -291,21 +288,6 @@ class _Engine:
 
     def _adopt(self, placements: dict, now: float) -> None:
         self.world.placements = dict(placements)
-        for token in self.rotation_tokens:
-            self.queue.cancel(token)
-        self.rotation_tokens = []
-        if self.spec.recharge_s is not None:
-            full = ProblemInstance(
-                graph=self.world.graph, fleet=self.world.fleet
-            )
-            swaps = rotation_swaps(
-                full, self.world.active_placements(), now,
-                self.spec.duration_s, self.spec.recharge_s,
-            )
-            self.rotation_tokens = [
-                self.queue.schedule(t, ("rotation", (loc, old, new)))
-                for t, loc, old, new in swaps
-            ]
         self._refresh_baseline = True
 
     # -- event handlers ------------------------------------------------------
@@ -360,14 +342,6 @@ class _Engine:
         elif kind == "uav_restored":
             self.world.down.discard(arg)
             self._maybe_resolve(FAULT, now)
-        elif kind == "rotation":
-            loc, old, new = arg
-            world = self.world
-            if world.placements.get(old) == loc and new not in world.down:
-                del world.placements[old]
-                world.placements[new] = loc
-                self.result.rotations += 1
-                obs.counter_inc("dynamic.rotations")
         elif kind == "relocate":
             self.pending_relocate = None
             self._adopt(dict(arg), now)

@@ -9,9 +9,6 @@ into payloads for the shared :class:`~repro.simnet.events.EventQueue`:
 * :class:`Hotspots` drift and per-user Gaussian walks on the mobility
   tick (the ``"mobility"`` stream, reusing
   :class:`repro.sim.mobility.GaussianWalk`);
-* :func:`rotation_swaps` — battery-driven hand-offs, derived from a
-  :func:`repro.sim.rotation.plan_rotation` schedule of the *current*
-  deployment;
 * fault injection rides on :meth:`repro.ops.faults.FaultSchedule.inject`
   unchanged (the ``"faults"`` stream).
 
@@ -25,9 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.problem import ProblemInstance
-from repro.network.deployment import Deployment
-from repro.sim.rotation import plan_rotation
 
 
 @dataclass
@@ -102,35 +96,3 @@ class ChurnModel:
             float(np.clip(x, lo_x, hi_x)), float(np.clip(y, lo_y, hi_y))
         )
 
-
-def rotation_swaps(
-    problem: ProblemInstance,
-    placements: dict,
-    now_s: float,
-    horizon_s: float,
-    recharge_s: float,
-) -> list:
-    """Battery hand-offs implied by the current deployment.
-
-    Plans a rotation over the remaining mission (``horizon_s - now_s``)
-    and returns absolute-time swap events ``(t_s, location, old_uav,
-    new_uav)``, one per hand-off.  An infeasible rotation simply yields
-    the swaps up to the first gap — the engine surfaces the gap through
-    coverage itself when the battery model grounds the UAV.
-    """
-    remaining = horizon_s - now_s
-    if remaining <= 0 or not placements:
-        return []
-    deployment = Deployment(placements=dict(placements))
-    schedule = plan_rotation(
-        problem, deployment, mission_s=remaining, recharge_s=recharge_s
-    )
-    swaps: list = []
-    for loc in {s.position for s in schedule.sorties}:
-        sorties = schedule.sorties_at(loc)
-        for prev, nxt in zip(sorties, sorties[1:]):
-            swaps.append((
-                now_s + nxt.start_s, loc, prev.uav_index, nxt.uav_index
-            ))
-    swaps.sort()
-    return swaps

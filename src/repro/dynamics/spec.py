@@ -3,7 +3,7 @@
 A :class:`DynamicSpec` extends :class:`~repro.scenario.spec.ScenarioSpec`
 with the time dimension: mission duration, epoch cadence, the re-solve
 policy, churn (streaming arrivals/departures around drifting hotspots),
-user mobility, battery rotation and fault injection.  The static half —
+user mobility, relocation transit and fault injection.  The static half —
 scale, fleet, channel, algorithm, seed — is inherited unchanged, so a
 dynamic spec builds the exact same initial scenario a static spec with
 the same knobs would, and all auxiliary event streams derive from the one
@@ -78,9 +78,7 @@ class DynamicSpec(ScenarioSpec):
     hotspot_drift_mps: float = 2.0
     mobility_sigma_m: float = 0.0
     mobility_step_s: float = 30.0
-    # -- rotation / faults / relocation --------------------------------------
-    #: Battery-swap turnaround; ``None`` disables rotation sorties.
-    recharge_s: "float | None" = None
+    # -- faults / relocation -------------------------------------------------
     num_crashes: int = 0
     num_links: int = 0
     #: Fleet cruise speed for relocation transit; ``None`` adopts new
@@ -118,8 +116,6 @@ class DynamicSpec(ScenarioSpec):
         _check_non_negative(self.hotspot_drift_mps, "hotspot_drift_mps")
         _check_non_negative(self.mobility_sigma_m, "mobility_sigma_m")
         _check_positive(self.mobility_step_s, "mobility_step_s")
-        if self.recharge_s is not None:
-            _check_non_negative(self.recharge_s, "recharge_s")
         for name in ("num_crashes", "num_links"):
             value = getattr(self, name)
             _require(

@@ -151,169 +151,3 @@ def single_failure_impacts(
     impacts.sort(key=lambda fi: (-fi.served_lost, fi.uav_index))
     return impacts
 
-
-def worst_single_failure(
-    problem: ProblemInstance, deployment: Deployment
-) -> "FailureImpact | None":
-    """The failure losing the most users, or None for empty deployments."""
-    impacts = single_failure_impacts(problem, deployment)
-    return impacts[0] if impacts else None
-
-
-@dataclass
-class HardenResult:
-    """Outcome of a hardening pass."""
-
-    deployment: Deployment
-    added: list          # [(uav_index, location)] redundancy relays added
-    cut_vertices_before: int
-    cut_vertices_after: int
-
-
-def harden(
-    problem: ProblemInstance,
-    deployment: Deployment,
-    max_extra: "int | None" = None,
-) -> HardenResult:
-    """Spend spare (undeployed) UAVs on redundancy relays that bypass
-    articulation points.
-
-    Greedy: while the network has a cut vertex and spares remain, remove
-    the worst cut vertex conceptually and find the shortest bypass — a
-    path through unoccupied locations (never through the cut vertex)
-    joining two of the components it leaves behind.  The bypass's
-    unoccupied nodes are staffed with spares (largest capacity first), so
-    if that UAV fails the pieces stay connected.  Stops when the network
-    is biconnected (no cut vertices), spares run out, or no bypass exists
-    (e.g. a pure line of candidate locations).
-
-    The final assignment is re-optimised, so hardening can only increase
-    served users.
-    """
-    graph = problem.graph
-    adjacency = graph.location_graph
-    placements = dict(deployment.placements)
-    spares = sorted(
-        (k for k in range(problem.num_uavs) if k not in placements),
-        key=lambda k: (-problem.fleet[k].capacity, k),
-    )
-    if max_extra is not None:
-        if max_extra < 0:
-            raise ValueError(f"max_extra must be non-negative, got {max_extra}")
-        spares = spares[:max_extra]
-
-    cuts_before = len(
-        articulation_points(adjacency, sorted(set(placements.values())))
-    )
-    added: list = []
-    while spares:
-        occupied = sorted(set(placements.values()))
-        cuts = articulation_points(adjacency, occupied)
-        if not cuts:
-            break
-        # Worst cut vertex by users lost if it fails.
-        tmp = Deployment(placements=placements)
-        impacts = single_failure_impacts(problem, tmp)
-        worst = next(
-            (fi for fi in impacts if fi.location in cuts), None
-        )
-        if worst is None:
-            break
-        remaining = [loc for loc in occupied if loc != worst.location]
-        components = _components_among(adjacency, remaining)
-        bypass = _shortest_bypass(
-            adjacency, components, set(occupied), worst.location,
-            max_len=len(spares),
-        )
-        if bypass is None:
-            break
-        for loc in bypass:
-            k = spares.pop(0)
-            placements[k] = loc
-            added.append((k, loc))
-
-    final = optimal_assignment(graph, problem.fleet, placements)
-    cuts_after = len(
-        articulation_points(adjacency, sorted(set(placements.values())))
-    )
-    return HardenResult(
-        deployment=final,
-        added=added,
-        cut_vertices_before=cuts_before,
-        cut_vertices_after=cuts_after,
-    )
-
-
-def _shortest_bypass(
-    graph: Graph,
-    components: list,
-    occupied: set,
-    cut_vertex: int,
-    max_len: int,
-) -> "list | None":
-    """Shortest list of unoccupied locations whose staffing joins two of
-    ``components`` without using ``cut_vertex``.
-
-    BFS from the first component through unoccupied non-cut nodes until
-    any other component is reached.  Returns the unoccupied intermediate
-    nodes (possibly empty if two components are directly adjacent, which
-    cannot happen right after a cut split but is handled for safety), or
-    ``None`` if no bypass of length ``<= max_len`` exists.
-    """
-    if len(components) < 2:
-        return None
-    component_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            component_of[v] = ci
-
-    from collections import deque
-
-    # Multi-source BFS from component 0; traverse unoccupied nodes.
-    parent: dict = {}
-    queue: deque = deque()
-    for v in components[0]:
-        parent[v] = None
-        queue.append(v)
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbours(v):
-            if w == cut_vertex or w in parent:
-                continue
-            if w in component_of and component_of[w] != 0:
-                # Reached another component: walk back collecting the
-                # unoccupied intermediates.
-                path = []
-                node = v
-                while node is not None and node not in components[0]:
-                    path.append(node)
-                    node = parent[node]
-                path = [x for x in reversed(path) if x not in occupied]
-                return path if len(path) <= max_len else None
-            if w in occupied:
-                continue  # other occupied nodes outside components: skip
-            parent[w] = v
-            queue.append(w)
-    return None
-
-
-def _components_among(graph: Graph, nodes: list) -> list:
-    """Connected components of the induced subgraph, as sets."""
-    remaining = set(nodes)
-    components = []
-    seen: set = set()
-    for start in sorted(remaining):
-        if start in seen:
-            continue
-        comp = {start}
-        seen.add(start)
-        queue = [start]
-        while queue:
-            v = queue.pop()
-            for w in graph.neighbours(v):
-                if w in remaining and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        components.append(comp)
-    return components

@@ -34,6 +34,7 @@ hand-rolled sweep loop.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,8 +120,11 @@ def solve_stage(state: PipelineState) -> PipelineState:
     """Timed dispatch through the registry entry.
 
     With ``strict`` a raising solver propagates; otherwise the error is
-    captured into the state (``status="error"``).
+    captured into the state (``status="error"``).  A state that already
+    failed (parameters the solver does not take) is not solved.
     """
+    if state.status == "error":
+        return state
     params = dict(state.params)
     if state.context is not None and state.entry.supports_context:
         params["context"] = state.context
@@ -216,7 +220,18 @@ DEFAULT_STAGES = (
 
 def solver_params(spec: ScenarioSpec, entry) -> dict:
     """The spec's algorithm parameters plus the engine options its
-    registry ``entry`` accepts (``workers`` only where supported)."""
+    registry ``entry`` accepts (``workers`` only where supported).
+
+    A parameter the entry's solver does not take is a :class:`SpecError`
+    naming it and the accepted names."""
+    _problem, *rest = inspect.signature(entry.solve).parameters
+    accepted = [name for name in rest if not name.startswith("_")]
+    unknown = sorted(set(spec.algorithm_params) - set(accepted))
+    if unknown:
+        raise SpecError(
+            f"algorithm {entry.name!r} takes no parameter(s) "
+            f"{', '.join(unknown)}; accepted: {', '.join(accepted) or 'none'}"
+        )
     params = dict(spec.algorithm_params)
     if entry.supports_workers and spec.workers != 1:
         params["workers"] = spec.workers
@@ -330,17 +345,23 @@ class SolvePipeline:
             return solve_tiled(
                 spec, registry=self.registry, strict=self.strict
             )
-        params = solver_params(spec, entry)
-        if entry.supports_checkpoint and "checkpoint" not in params:
-            config = self.spec_checkpoint(spec)
-            if config is not None:
-                params["checkpoint"] = config
         state = PipelineState(
             entry=entry, registry=self.registry, spec=spec,
             strict=self.strict, validate=spec.validate,
-            prebuild_context=self.prebuild_context, params=params,
+            prebuild_context=self.prebuild_context,
             problem=problem, context=context,
         )
+        try:
+            state.params = solver_params(spec, entry)
+        except SpecError as exc:
+            if self.strict:
+                raise
+            # Recorded like a solver error: the solve stage skips it.
+            state.status, state.error = "error", f"SpecError: {exc}"
+        if entry.supports_checkpoint and "checkpoint" not in state.params:
+            config = self.spec_checkpoint(spec)
+            if config is not None:
+                state.params["checkpoint"] = config
         return self._execute(state)
 
     def solve(

@@ -15,6 +15,7 @@ from there.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 from repro.baselines.greedy_assign import greedy_assign
@@ -32,11 +33,16 @@ def _appro(problem: ProblemInstance, **kw: object):
     return appro_alg(problem, **kw).deployment
 
 
+# The parameters a spec's ``algorithm_params`` may name are Algorithm 2's.
+_appro.__signature__ = inspect.signature(appro_alg)
+
+
 @dataclass(frozen=True)
 class AlgorithmEntry:
     """One registered solver and its capabilities.
 
-    ``solve`` maps ``(problem, **params) -> Deployment``.  The flags gate
+    ``solve`` maps ``(problem, **params) -> Deployment``; its signature
+    names the parameters a spec may pass.  The flags gate
     engine options: the pipeline only forwards ``workers=N`` when
     ``supports_workers`` is set, and validates connectivity only when
     ``requires_connected`` is set.

@@ -27,9 +27,9 @@ JSON round-trip::
 
 ``from_dict`` rejects unknown fields and invalid values with a named
 error, so a typo in a spec file fails loudly instead of silently running
-the default scenario.  The one exception is the removed ``bound_prune``
-option: saved documents carry ``"bound_prune": false``, which still
-loads (the key is dropped).
+the default scenario.  The exceptions are the removed fields of
+:data:`_REMOVED_FIELDS`: saved documents carry them at their inert value
+(``"bound_prune": false``, say), which still loads (the key is dropped).
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class SpecError(ValueError):
 #: and 4.5 s.  The largest preset asks for 300.
 MAX_LOCATIONS = 2500
 
-#: A removed engine option that saved format-1 documents still carry.
-_REMOVED_BOUND_PRUNE = "bound_prune"
+#: Removed fields that saved format-1 documents still carry, each with
+#: the one value that loads: the value under which the field did nothing.
+_REMOVED_FIELDS = {"bound_prune": False, "recharge_s": None}
 
 #: ``tiles`` grid syntax: columns x rows, both positive ("2x3").
 _TILES_RE = re.compile(r"([0-9]+)x([0-9]+)")
@@ -430,8 +431,9 @@ class ScenarioSpec:
     def from_dict(cls, data: dict) -> "ScenarioSpec":
         """Inverse of :meth:`to_dict`; rejects unknown/invalid fields.
 
-        ``"bound_prune": false`` from a saved format-1 document is
-        dropped; any other value is an error, since the option is gone.
+        A removed field of :data:`_REMOVED_FIELDS` at its inert value
+        (from a saved format-1 document) is dropped; any other value is
+        an error, since the option is gone.
         """
         _require(isinstance(data, dict), f"spec must be an object, got {data!r}")
         kind = data.get("kind", cls._KIND)
@@ -447,13 +449,14 @@ class ScenarioSpec:
         )
         known = {f.name for f in fields(cls)}
         body = {k: v for k, v in data.items() if k not in ("format", "kind")}
-        if _REMOVED_BOUND_PRUNE in body:
-            removed = body.pop(_REMOVED_BOUND_PRUNE)
-            _require(
-                removed is False,
-                f"bound_prune = {removed!r}: the option was removed and "
-                "results are identical without it; delete the key",
-            )
+        for key, inert in _REMOVED_FIELDS.items():
+            if key in body:
+                removed = body.pop(key)
+                _require(
+                    removed is inert,
+                    f"{key} = {removed!r}: the option was removed; delete "
+                    f"the key (only {json.dumps(inert)} still loads)",
+                )
         unknown = sorted(set(body) - known)
         _require(
             not unknown,

@@ -11,7 +11,6 @@ from repro.sim.relocation import naive_relocation, plan_relocation
 from repro.sim.render import ascii_map
 from repro.sim.report import deployment_report
 from repro.sim.results import RunRecord, SweepResult
-from repro.sim.rotation import max_sustainable_mission_s, plan_rotation
 
 __all__ = [
     "PairedComparison",
@@ -21,8 +20,6 @@ __all__ = [
     "naive_relocation",
     "plan_relocation",
     "deployment_report",
-    "max_sustainable_mission_s",
-    "plan_rotation",
     "fig4_sweep",
     "fig5_sweep",
     "fig6_sweep",

@@ -1,75 +1,19 @@
-"""JSON serialisation of scenarios and deployments.
+"""JSON serialisation of deployments.
 
-Field teams (and CI) need to hand a computed deployment to another tool or
-re-load a scenario bit-exactly; this module round-trips both through plain
-JSON.  Scenario files store the *generating parameters* (config + seed),
-not the sampled users, so they stay small and exact; deployment files
-store the full placement and assignment.
+Field teams (and CI) need to hand a computed deployment to another tool;
+this module round-trips the full placement and assignment through plain
+JSON.  Scenarios are saved as :class:`~repro.scenario.spec.ScenarioSpec`
+documents (:meth:`~repro.scenario.spec.ScenarioSpec.save`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
-from repro.core.problem import ProblemInstance
 from repro.network.deployment import Deployment
-from repro.workload.fat_tailed import FatTailedWorkload
-from repro.workload.scenarios import ScenarioConfig, build_scenario
-from repro.workload.uniform import UniformWorkload
 
 FORMAT_VERSION = 1
-
-_WORKLOADS = {
-    "FatTailedWorkload": FatTailedWorkload,
-    "UniformWorkload": UniformWorkload,
-}
-
-
-def scenario_to_dict(config: ScenarioConfig, seed: int) -> dict:
-    """JSON-ready description of (config, seed)."""
-    body = asdict(config)
-    workload = body.pop("workload")
-    return {
-        "format": FORMAT_VERSION,
-        "kind": "scenario",
-        "seed": seed,
-        "config": body,
-        "workload": {
-            "type": type(config.workload).__name__,
-            "params": workload,
-        },
-    }
-
-
-def scenario_from_dict(data: dict) -> "tuple[ScenarioConfig, int]":
-    """Inverse of :func:`scenario_to_dict`."""
-    _check(data, "scenario")
-    workload_type = data["workload"]["type"]
-    try:
-        cls = _WORKLOADS[workload_type]
-    except KeyError:
-        known = ", ".join(sorted(_WORKLOADS))
-        raise ValueError(
-            f"unknown workload type {workload_type!r}; known: {known}"
-        ) from None
-    workload = cls(**data["workload"]["params"])
-    config = ScenarioConfig(workload=workload, **data["config"])
-    return config, int(data["seed"])
-
-
-def save_scenario(path: "str | Path", config: ScenarioConfig, seed: int) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_dict(config, seed), indent=2) + "\n"
-    )
-
-
-def load_scenario(path: "str | Path") -> ProblemInstance:
-    """Load and *rebuild* the scenario (users and fleet re-sampled from the
-    stored seed — deterministic, so bit-identical to the original)."""
-    config, seed = scenario_from_dict(json.loads(Path(path).read_text()))
-    return build_scenario(config, seed)
 
 
 def deployment_to_dict(deployment: Deployment) -> dict:

@@ -3,8 +3,8 @@
 Events are ``(time, payload)``; ties break by insertion order (FIFO), so
 simultaneous events are deterministic.  :meth:`EventQueue.schedule` returns
 a token that can later be passed to :meth:`EventQueue.cancel` — the
-dynamics engine uses this to withdraw a pending relocation or rotation swap
-when a newer plan supersedes it.
+dynamics engine uses this to withdraw a pending relocation when a newer
+plan supersedes it.
 """
 
 from __future__ import annotations

@@ -10,5 +10,7 @@ the spec-row experiment grid is pinned to; ``subsets`` holds the scalar
 greedy, connect and prune loops the batched subset evaluation is pinned
 to; ``kuhn`` holds the scalar Kuhn-DFS user engine the bitset flow
 engine's gains and served counts are pinned to, and the copy-and-open
-``reference_gain`` both engines' count-only probes are pinned to.
+``reference_gain`` both engines' count-only probes are pinned to;
+``segments`` holds the exhaustive segment scan Algorithm 1's balanced
+splits are checked against.
 """

@@ -134,18 +134,24 @@ class TestCli:
         assert "== spectrum ==" in out
 
     def test_run_from_scenario_file(self, capsys, tmp_path):
-        from repro.sim.io import save_scenario
-        from repro.workload.scenarios import SCALES
-
+        """A document that is not a ScenarioSpec — here the old
+        ``kind: scenario`` file — is one error line naming the file and
+        its kind, and exit 2."""
         scenario_file = tmp_path / "scenario.json"
-        config = SCALES["small"].with_overrides(num_users=50, num_uavs=3)
-        save_scenario(scenario_file, config, seed=1)
+        scenario_file.write_text(json.dumps({
+            "format": 1, "kind": "scenario", "seed": 1,
+            "config": {"num_users": 50, "num_uavs": 3},
+            "workload": {"type": "FatTailedWorkload", "params": {}},
+        }))
         assert main([
-            "run", "--scenario", str(scenario_file),
-            "--algorithm", "MCS",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "MCS: served" in out
+            "run", "--scenario", str(scenario_file), "--algorithm", "MCS",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {scenario_file}: expected a scenario-spec document, "
+            "got kind = 'scenario'\n"
+        )
 
     def test_mission_smoke(self, capsys):
         """``repro mission`` is ``repro dynamic`` on ``mission-small``."""
@@ -480,6 +486,45 @@ class TestScenarioCommands:
     def test_batch_missing_file_exits_two(self, capsys, tmp_path):
         assert main(["batch", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("params,unknown", [
+        ({"s": 2, "foo": 1}, "foo"),
+        ({"inner": "typo"}, "inner"),
+    ], ids=["foo", "inner"])
+    @pytest.mark.parametrize("command", ["run", "dynamic"])
+    def test_unknown_algorithm_param_is_one_error_line(
+        self, capsys, tmp_path, command, params, unknown
+    ):
+        """An ``algorithm_params`` key the solver does not take names the
+        key and the accepted ones in one ``error:`` line, exit 2."""
+        if command == "run":
+            spec = self._spec(algorithm_params=params)
+        else:
+            from repro.dynamics import get_dynamic_preset
+
+            spec = get_dynamic_preset("dynamic-small").with_overrides(
+                algorithm_params=params
+            )
+        path = tmp_path / "spec.json"
+        spec.save(path)
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            f"error: algorithm 'approAlg' takes no parameter(s) {unknown}; "
+            "accepted: s, anchor_candidates, "
+        )
+        assert captured.err.count("\n") == 1
+
+    def test_unknown_baseline_param_is_one_error_line(self, capsys,
+                                                      tmp_path):
+        path = tmp_path / "spec.json"
+        self._spec(algorithm="MCS", algorithm_params={"s": 2}).save(path)
+        assert main(["run", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: algorithm 'MCS' takes no parameter(s) s; "
+            "accepted: num_seeds\n"
+        )
 
     def test_batch_reports_spec_failure(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -188,15 +188,6 @@ class TestClusteredInstances:
         ratio = approximation_ratio(problem.num_uavs, 2)
         assert result.served >= np.floor(ratio * opt)
 
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=8, deadline=None)
-    def test_inner_variants_agree_roughly(self, seed):
-        problem = self.clustered_problem(seed)
-        sorted_served = appro_alg(problem, s=2, inner="sorted").served
-        pairs_served = appro_alg(problem, s=2, inner="pairs").served
-        assert pairs_served >= 0.7 * sorted_served
-        assert sorted_served >= 0.7 * pairs_served
-
 
 class TestFallbacks:
     def test_no_users(self):

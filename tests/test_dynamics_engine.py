@@ -23,7 +23,7 @@ def run_signature(result):
     return (
         result.timeline,
         [(e.t_s, e.trigger, e.served, e.num_placed) for e in result.epochs],
-        result.arrivals, result.departures, result.faults, result.rotations,
+        result.arrivals, result.departures, result.faults,
         result.final_placements,
     )
 
@@ -123,28 +123,6 @@ class TestFaults:
         spec = make_spec(num_crashes=1, num_links=1)
         assert run_signature(run_dynamic(spec)) \
             == run_signature(run_dynamic(spec))
-
-
-class TestRotation:
-    def test_spare_uavs_rotate(self):
-        # 8 UAVs for 8 users at capacity 20 places only a few, leaving
-        # spares for relief sorties; endurance is far below the horizon.
-        spec = make_spec(
-            num_users=8, num_uavs=8, capacity_min=20, capacity_max=20,
-            duration_s=7200.0, epoch_s=3600.0, arrival_rate_per_s=0.0,
-            mobility_sigma_m=0.0, hotspot_drift_mps=0.0,
-            recharge_s=300.0,
-        )
-        result = run_dynamic(spec)
-        assert result.rotations > 0
-        # A swap replaces the UAV index but keeps the position, so the
-        # placed set stays a valid deployment over distinct locations.
-        locs = list(result.final_placements.values())
-        assert len(locs) == len(set(locs))
-
-    def test_no_recharge_no_rotation(self):
-        result = run_dynamic(make_spec(recharge_s=None))
-        assert result.rotations == 0
 
 
 class TestRelocation:

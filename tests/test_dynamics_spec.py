@@ -39,7 +39,6 @@ class TestValidation:
         ("arrival_rate_per_s", -0.1),
         ("hotspot_drift_mps", -1.0),
         ("mobility_sigma_m", -1.0),
-        ("recharge_s", -1.0),
         ("relocation_speed_mps", 0.0),
         ("num_hotspots", 0),
         ("num_crashes", -1),
@@ -72,7 +71,7 @@ class TestRoundTrip:
     def test_json_round_trip(self):
         spec = small_spec(
             resolve_policy="drift", drift_threshold=0.2, num_crashes=1,
-            recharge_s=300.0, relocation_speed_mps=12.0,
+            relocation_speed_mps=12.0,
         )
         data = spec.to_dict()
         assert data["kind"] == "dynamic-spec"

@@ -1,4 +1,4 @@
-"""The production greedies *are* the paper's FNW greedy, pick for pick.
+"""The production greedy *is* the paper's FNW greedy, pick for pick.
 
 Section III-B/E states the 1/3 guarantee for the Fisher–Nemhauser–Wolsey
 greedy over ``M1 ∩ M2`` scored by ``f(A)``.  The reference is that greedy
@@ -7,10 +7,10 @@ feasible (UAV, location) pair in every round.  ``M1`` is two partition
 matroids over ``X × V`` (each UAV once, each location once), ``M2`` the
 anchors' :class:`HopCountingMatroid` read on the pairs' locations.
 
-``pair_greedy`` must pick the reference's sequence over all of ``X × V``;
-``anchored_greedy`` the reference with round ``r`` restricted to UAV
-``order[r]``.  Both run ``min(L_max, K)`` rounds and keep picking at zero
-gain, and the reference breaks ties as they document: gain, then
+``anchored_greedy`` must pick the reference's sequence with round ``r``
+restricted to UAV ``order[r]``.  It runs ``min(L_max, K)`` rounds and
+keeps picking at zero gain, and the reference breaks ties as it
+documents: gain, then
 anchors, then the larger singleton value ``f({(k, v)})`` (``min(capacity,
 coverage weight)``), then the lowest UAV, then the lowest location.
 
@@ -29,7 +29,7 @@ import pytest
 
 from repro.core.approx import _anchor_pool
 from repro.core.context import SolverContext
-from repro.core.greedy import anchored_greedy, pair_greedy
+from repro.core.greedy import anchored_greedy
 from repro.core.problem import ProblemInstance
 from repro.core.segments import optimal_segments
 from repro.graphs.bfs import multi_source_hops
@@ -114,7 +114,7 @@ def _line_sparse():
 
 def _line_mixed_radios():
     # A short-range UAV at one location can tie a long-range one at
-    # another, so pair_greedy's UAV-before-location tie order decides.
+    # another.
     base = make_line_instance(
         num_locations=6, users_per_location=[3, 2, 2, 4, 1, 4],
         spacing=350.0,
@@ -151,8 +151,7 @@ def build(name: str, view: str):
 
 
 CASES = [
-    (greedy, name, view, s)
-    for greedy in ("pair", "anchored")
+    (name, view, s)
     for name in INSTANCES
     for view in ("users", "cells")
     for s in (1, 2)
@@ -160,9 +159,10 @@ CASES = [
 
 
 @pytest.mark.parametrize(
-    "greedy,name,view,s", CASES, ids=["-".join(map(str, c)) for c in CASES]
+    "name,view,s", CASES,
+    ids=["-".join(map(str, ("anchored",) + c)) for c in CASES],
 )
-def test_greedy_is_fnw(greedy, name, view, s):
+def test_greedy_is_fnw(name, view, s):
     problem, context = build(name, view)
     plan = optimal_segments(problem.num_uavs, s)
     order = problem.capacity_order()
@@ -172,23 +172,13 @@ def test_greedy_is_fnw(greedy, name, view, s):
     assert subsets
     f = CoverageObjective(problem.graph, problem.fleet)
     for anchors in subsets:
-        if greedy == "pair":
-            grounds = [[
-                (k, v)
-                for k in range(problem.num_uavs)
-                for v in range(problem.num_locations)
-            ]] * rounds
-        else:
-            grounds = [
-                [(order[r], v) for v in range(problem.num_locations)]
-                for r in range(rounds)
-            ]
+        grounds = [
+            [(order[r], v) for v in range(problem.num_locations)]
+            for r in range(rounds)
+        ]
         want = reference_greedy(problem, anchors, plan, grounds)
         for ctx in (None, context):
-            if greedy == "pair":
-                got = pair_greedy(problem, list(anchors), plan, context=ctx)
-            else:
-                got = anchored_greedy(problem, list(anchors), plan, order,
-                                      gain_mode="exact", context=ctx)
+            got = anchored_greedy(problem, list(anchors), plan, order,
+                                  gain_mode="exact", context=ctx)
             assert got.chosen == want, (anchors, ctx is not None)
             assert got.served == f(want)

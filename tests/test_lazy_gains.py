@@ -1,9 +1,8 @@
 """Lazy (Minoux) exact gains against the eager scans they replaced.
 
-Every exact-gain argmax in the solver — the anchored greedy, the pair
-greedy, relay staffing, leftover augmentation and the connectivity-free
-baseline — is one
-:meth:`repro.core.lazy.LazyGains.argmax` over ``min(static, stale)``
+Every exact-gain argmax in the solver — the anchored greedy, relay
+staffing, leftover augmentation and the connectivity-free baseline — is
+one :meth:`repro.core.lazy.LazyGains.argmax` over ``min(static, stale)``
 upper bounds.  The references below are the eager scans it replaced:
 each round tries every candidate its static bound ``min(capacity,
 |cover|)`` cannot rule out.  On seeded instances the lazy solver must
@@ -12,8 +11,8 @@ calls (exact-gain probes).
 
 The instances cover per-user and demand-cell graphs, a *non-nested*
 fleet whose smaller UAVs carry the stronger radios (so a stale gain must
-not bound them), anchors on empty locations (zero-gain ties), pairs that
-tie in a different order by ``(k, v)`` than by ``(v, k)``, and a fleet
+not bound them), anchors on empty locations (zero-gain ties), UAVs of
+different radios that tie at several locations, and a fleet
 larger than its users need (leftover augmentation stops at zero gain).
 """
 
@@ -24,7 +23,7 @@ import pytest
 
 from repro.core.connect import connect_and_deploy
 from repro.core.context import SolverContext
-from repro.core.greedy import anchored_greedy, pair_greedy
+from repro.core.greedy import anchored_greedy
 from repro.core.lazy import LazyGains
 from repro.core.problem import ProblemInstance
 from repro.core.segments import optimal_segments
@@ -109,45 +108,6 @@ def eager_anchored_greedy(problem, anchors, plan, engine) -> list:
         hop_filter.add(best_v)
         used.add(best_v)
         chosen.append((k, best_v))
-    return chosen
-
-
-def eager_pair_greedy(problem, anchors, plan, engine) -> list:
-    """The FNW pair greedy with the eager scan over ``(-static, k, v)``."""
-    graph, fleet = problem.graph, problem.fleet
-    anchor_set = set(anchors)
-    hop_filter, universe = hop_filter_for(problem, anchors, plan)
-    chosen: list = []
-    used_uavs: set = set()
-    used_locations: set = set()
-    for _round in range(min(plan.lmax, len(fleet))):
-        free = [k for k in range(len(fleet)) if k not in used_uavs]
-        candidates = [
-            v for v in universe
-            if v not in used_locations and hop_filter.can_add(v)
-        ]
-        if not free or not candidates:
-            break
-        scored = sorted(
-            ((min(fleet[k].capacity, graph.coverage_weight(v, fleet[k])), k, v)
-             for k in free for v in candidates),
-            key=lambda t: (-t[0], t[1], t[2]),
-        )
-        best = (-1, -1, -1, False)
-        for bound, k, v in scored:
-            if bound < best[0] or (bound == best[0] and best[3]):
-                break
-            gain = probe(engine, graph, k, v, fleet[k]) if chosen else bound
-            is_anchor = v in anchor_set
-            if gain > best[0] or (gain == best[0] and is_anchor and not best[3]):
-                best = (gain, k, v, is_anchor)
-        _, k, v, _ = best
-        engine.open((k, v), graph.coverable_array(v, fleet[k]),
-                    fleet[k].capacity)
-        hop_filter.add(v)
-        used_uavs.add(k)
-        used_locations.add(v)
-        chosen.append((k, v))
     return chosen
 
 
@@ -318,18 +278,6 @@ def test_anchored_greedy_matches_eager(label, problem, anchors, use_context):
                           context=context, engine=lazy)
     assert got.chosen == want
     assert got.served == eager.served_count
-    assert lazy.probes <= eager.probes
-
-
-@pytest.mark.parametrize("label,problem,anchors", INSTANCES,
-                         ids=[t[0] for t in INSTANCES])
-def test_pair_greedy_matches_eager(label, problem, anchors):
-    plan = optimal_segments(problem.num_uavs, len(anchors))
-    eager = counting_engine(problem.graph)
-    want = eager_pair_greedy(problem, anchors, plan, eager)
-    lazy = counting_engine(problem.graph)
-    got = pair_greedy(problem, anchors, plan, engine=lazy)
-    assert got.chosen == want
     assert lazy.probes <= eager.probes
 
 

@@ -2,7 +2,6 @@
 
 import networkx as nx
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +11,6 @@ from repro.network.deployment import Deployment
 from repro.network.resilience import (
     articulation_points,
     single_failure_impacts,
-    worst_single_failure,
 )
 from tests.conftest import make_line_instance
 
@@ -90,12 +88,10 @@ class TestFailureImpacts:
         impacts = single_failure_impacts(problem, dep)
         losses = [fi.served_lost for fi in impacts]
         assert losses == sorted(losses, reverse=True)
-        worst = worst_single_failure(problem, dep)
-        assert worst.served_lost == losses[0]
 
     def test_empty_deployment(self):
         problem = self.make_problem()
-        assert worst_single_failure(problem, Deployment.empty()) is None
+        assert single_failure_impacts(problem, Deployment.empty()) == []
 
     def test_real_deployment_impacts(self, small_scenario):
         result = appro_alg(small_scenario, s=2, gain_mode="fast")
@@ -103,107 +99,6 @@ class TestFailureImpacts:
         assert len(impacts) == result.deployment.num_deployed
         for fi in impacts:
             assert fi.served_lost >= 0
-
-
-class TestHarden:
-    def test_bypasses_chain_cut(self):
-        """A 3-UAV chain on the bottom row of a 3x2 lattice: the middle
-        UAV is a cut vertex; the bypass runs over the full top row
-        (0-3-4-5-2), consuming three spares."""
-        from repro.core.problem import ProblemInstance
-        from repro.geometry.area import DisasterArea
-        from repro.network.coverage import CoverageGraph
-        from repro.network.resilience import harden
-        from repro.network.uav import UAV
-        from repro.network.users import users_from_points
-
-        area = DisasterArea(1500.0, 1000.0)
-        grid = area.hovering_grid(500.0, 300.0)  # 3 x 2 grid
-        users = users_from_points([(250.0, 250.0), (1250.0, 250.0)])
-        graph = CoverageGraph(users=users, locations=list(grid.centers),
-                              uav_range_m=600.0)
-        fleet = [UAV(capacity=2)] * 6
-        problem = ProblemInstance(graph=graph, fleet=list(fleet))
-        # Bottom row: locations 0, 1, 2.  UAVs 3-5 are spare.
-        dep = Deployment(placements={0: 0, 1: 1, 2: 2})
-        result = harden(problem, dep)
-        assert result.cut_vertices_before == 1
-        assert result.cut_vertices_after == 0
-        assert sorted(loc for _, loc in result.added) == [3, 4, 5]
-        from repro.network.validate import validate_deployment
-        validate_deployment(problem.graph, problem.fleet, result.deployment)
-
-    def test_insufficient_spares_stops_gracefully(self):
-        """Same lattice, but only one spare: the 3-node bypass cannot be
-        staffed; harden adds nothing."""
-        from repro.core.problem import ProblemInstance
-        from repro.geometry.area import DisasterArea
-        from repro.network.coverage import CoverageGraph
-        from repro.network.resilience import harden
-        from repro.network.uav import UAV
-        from repro.network.users import users_from_points
-
-        area = DisasterArea(1500.0, 1000.0)
-        grid = area.hovering_grid(500.0, 300.0)
-        users = users_from_points([(250.0, 250.0)])
-        graph = CoverageGraph(users=users, locations=list(grid.centers),
-                              uav_range_m=600.0)
-        problem = ProblemInstance(
-            graph=graph, fleet=[UAV(capacity=2)] * 4
-        )
-        dep = Deployment(placements={0: 0, 1: 1, 2: 2})
-        result = harden(problem, dep)
-        assert result.added == []
-        assert result.cut_vertices_after == 1
-
-    def test_no_spares_no_change(self):
-        problem = make_line_instance(num_locations=4, users_per_location=2,
-                                     capacities=(2, 2, 2))
-        from repro.network.resilience import harden
-
-        dep = Deployment(placements={0: 0, 1: 1, 2: 2})
-        result = harden(problem, dep)
-        assert result.added == []
-        assert result.deployment.placements == dep.placements
-
-    def test_line_graph_cannot_be_hardened(self):
-        """On a pure line there is no bypass location; harden stops
-        gracefully with cut vertices remaining."""
-        problem = make_line_instance(num_locations=6, users_per_location=1,
-                                     capacities=(1, 1, 1, 1))
-        from repro.network.resilience import harden
-
-        dep = Deployment(placements={0: 0, 1: 1, 2: 2})
-        result = harden(problem, dep)
-        assert result.cut_vertices_after == result.cut_vertices_before
-        assert result.added == []
-
-    def test_max_extra_respected(self, small_scenario):
-        from repro.network.resilience import harden
-        from repro.baselines.random_connected import random_connected
-
-        dep = random_connected(small_scenario, seed=6)
-        result = harden(small_scenario, dep, max_extra=1)
-        assert len(result.added) <= 1
-        from repro.network.validate import validate_deployment
-        validate_deployment(
-            small_scenario.graph, small_scenario.fleet, result.deployment
-        )
-
-    def test_hardening_never_loses_coverage(self, small_scenario):
-        from repro.network.resilience import harden
-        from repro.baselines.random_connected import random_connected
-
-        dep = random_connected(small_scenario, seed=8)
-        result = harden(small_scenario, dep)
-        assert result.deployment.served_count >= dep.served_count
-        assert result.cut_vertices_after <= result.cut_vertices_before
-
-    def test_rejects_negative_max_extra(self, small_scenario):
-        from repro.network.resilience import harden
-
-        with pytest.raises(ValueError):
-            harden(small_scenario, Deployment.empty(), max_extra=-1)
 
 
 def _brute_force_cuts(graph: Graph, nodes: list) -> set:

@@ -8,7 +8,7 @@ from repro import obs
 from repro.scenario import batch as batch_module
 from repro.scenario.batch import BatchRunner
 from repro.scenario.pipeline import SolvePipeline
-from repro.scenario.spec import ScenarioSpec
+from repro.scenario.spec import ScenarioSpec, SpecError
 
 BASE = ScenarioSpec(
     name="batch-test", scale="small", num_users=200, num_uavs=5,
@@ -124,15 +124,16 @@ class TestPooledRecovery:
         deterministic spec error is not retried like a lost worker."""
         bad = BASE.with_overrides(algorithm_params={"bogus": True})
         raised, counters = _traced_pooled_run([bad, SHOOTOUT[3]])
-        assert isinstance(raised, TypeError)
+        assert isinstance(raised, SpecError)
+        assert "bogus" in str(raised)
         assert counters.get("dispatch.retries", 0) == 0
         assert counters.get("dispatch.chunks_quarantined", 0) == 0
 
 
 class TestFailureHandling:
     def test_strict_false_captures_per_spec_failure(self):
-        # An unknown solver kwarg raises; strict=False keeps the batch
-        # alive and records the failure on that spec alone.
+        # A parameter the solver does not take is a SpecError; strict=False
+        # keeps the batch alive and records the failure on that spec alone.
         bad = BASE.with_overrides(algorithm_params={"bogus": True})
         runner = BatchRunner(pipeline=SolvePipeline(strict=False))
         result = runner.run([bad, BASE])
@@ -142,7 +143,7 @@ class TestFailureHandling:
 
     def test_strict_true_propagates(self):
         bad = BASE.with_overrides(algorithm_params={"bogus": True})
-        with pytest.raises(TypeError):
+        with pytest.raises(SpecError, match="bogus"):
             BatchRunner().run([bad])
 
 

@@ -11,10 +11,17 @@ from repro.scenario.spec import (
     PRESETS,
     ScenarioSpec,
     SpecError,
+    _REMOVED_FIELDS,
     get_preset,
     preset_names,
 )
 from repro.workload.scenarios import SCALES, paper_scenario
+
+#: (removed field, value) pairs a saved document may carry: each field of
+#: the removed-field table at its inert value, then values that are not.
+REMOVED_CASES = list(_REMOVED_FIELDS.items()) + [
+    ("bound_prune", True), ("bound_prune", "yes"), ("recharge_s", 300.0),
+]
 
 
 class TestSchemaValidation:
@@ -178,19 +185,24 @@ class TestJsonRoundTrip:
             ScenarioSpec.from_dict(data)
 
     @pytest.mark.parametrize("cls", [ScenarioSpec, DynamicSpec])
-    @pytest.mark.parametrize("value", [False, True, "yes"])
-    def test_removed_bound_prune_on_load(self, cls, value):
-        # Format-1 documents saved before the option was removed carry
-        # "bound_prune": false, which loads (and is never written back);
-        # any other value is rejected.
+    @pytest.mark.parametrize(
+        "key,value", REMOVED_CASES,
+        ids=[str(v) if k == "bound_prune" else f"{k}-{v}"
+             for k, v in REMOVED_CASES],
+    )
+    def test_removed_bound_prune_on_load(self, cls, key, value):
+        # Format-1 documents saved before a field was removed carry it at
+        # its inert value ("bound_prune": false, "recharge_s": null),
+        # which loads (and is never written back); any other value is
+        # rejected.
         spec = cls(name="saved", seed=3)
         data = spec.to_dict()
-        assert "bound_prune" not in data
-        data["bound_prune"] = value
-        if value is False:
+        assert key not in data
+        data[key] = value
+        if value is _REMOVED_FIELDS[key]:
             assert cls.from_dict(data) == spec
         else:
-            with pytest.raises(SpecError, match="removed.*identical"):
+            with pytest.raises(SpecError, match=f"{key} = .*removed"):
                 cls.from_dict(data)
 
     def test_invalid_value_rejected_on_load(self):

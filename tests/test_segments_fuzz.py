@@ -23,12 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.segments import (
-    brute_force_segments,
     hmax_of,
     optimal_segments,
     q_bounds,
     relay_bound,
 )
+from tests.reference.segments import brute_force_segments
 
 
 def _compositions(total: int, parts: int):

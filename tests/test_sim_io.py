@@ -1,6 +1,4 @@
-"""Tests for JSON serialisation of scenarios and deployments."""
-
-import json
+"""Tests for JSON serialisation of deployments."""
 
 import pytest
 
@@ -9,63 +7,8 @@ from repro.sim.io import (
     deployment_from_dict,
     deployment_to_dict,
     load_deployment,
-    load_scenario,
     save_deployment,
-    save_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
 )
-from repro.workload.scenarios import SCALES, ScenarioConfig, build_scenario
-from repro.workload.uniform import UniformWorkload
-
-
-class TestScenarioRoundTrip:
-    def test_dict_round_trip(self):
-        config = SCALES["small"]
-        data = scenario_to_dict(config, seed=42)
-        config2, seed2 = scenario_from_dict(data)
-        assert seed2 == 42
-        assert config2 == config
-
-    def test_file_round_trip_rebuilds_identically(self, tmp_path):
-        config = SCALES["small"].with_overrides(num_users=40, num_uavs=3)
-        path = tmp_path / "scenario.json"
-        save_scenario(path, config, seed=7)
-        problem = load_scenario(path)
-        reference = build_scenario(config, 7)
-        assert [u.position for u in problem.graph.users] == [
-            u.position for u in reference.graph.users
-        ]
-        assert [u.capacity for u in problem.fleet] == [
-            u.capacity for u in reference.fleet
-        ]
-
-    def test_uniform_workload_round_trip(self):
-        config = ScenarioConfig(workload=UniformWorkload())
-        config2, _ = scenario_from_dict(scenario_to_dict(config, 0))
-        assert isinstance(config2.workload, UniformWorkload)
-
-    def test_json_is_plain(self):
-        data = scenario_to_dict(SCALES["bench"], seed=1)
-        json.dumps(data)  # must not raise
-
-    def test_wrong_kind_rejected(self):
-        data = scenario_to_dict(SCALES["small"], seed=1)
-        data["kind"] = "deployment"
-        with pytest.raises(ValueError, match="expected a scenario"):
-            scenario_from_dict(data)
-
-    def test_unknown_workload_rejected(self):
-        data = scenario_to_dict(SCALES["small"], seed=1)
-        data["workload"]["type"] = "QuantumFoam"
-        with pytest.raises(ValueError, match="known"):
-            scenario_from_dict(data)
-
-    def test_future_format_rejected(self):
-        data = scenario_to_dict(SCALES["small"], seed=1)
-        data["format"] = 99
-        with pytest.raises(ValueError, match="version"):
-            scenario_from_dict(data)
 
 
 class TestDeploymentRoundTrip:
