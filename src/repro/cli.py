@@ -426,6 +426,17 @@ def _scale_overrides(args: argparse.Namespace) -> dict:
     return overrides
 
 
+def _require_algorithm(name: str, registry) -> None:
+    """An algorithm ``registry`` does not know, as a
+    :class:`~repro.scenario.SpecError` naming the known ones."""
+    from repro.scenario import SpecError
+
+    try:
+        registry.get(name)
+    except KeyError as exc:
+        raise SpecError(exc.args[0]) from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     """Run one algorithm on a scenario — from flags, a named preset or a
     ScenarioSpec JSON file — and optionally save the deployment and/or
@@ -473,6 +484,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The run record names the spec that ran; stash it for
         # _observed, which only sees the parsed args.
         args._spec = spec
+        _require_algorithm(spec.algorithm, pipeline.registry)
         state = pipeline.run(spec)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -562,6 +574,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     grid, and optionally recording the warm-vs-cold latency bench point."""
     from repro.dynamics import run_dynamic, run_seed_grid
     from repro.scenario import SpecError
+    from repro.scenario.registry import DEFAULT_REGISTRY
 
     try:
         spec = _dynamic_spec(args)
@@ -587,6 +600,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
     warm = False if args.cold else None
 
     try:
+        _require_algorithm(spec.algorithm, DEFAULT_REGISTRY)
         if args.seeds > 1:
             grid = run_seed_grid(spec, num_seeds=args.seeds, warm=warm)
         else:

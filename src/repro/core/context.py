@@ -43,7 +43,10 @@ class SolverContext:
 
     hop_matrix: np.ndarray      # (m, m) int16; UNREACHABLE = -1
     radio_keys: tuple           # distinct radio signatures, sorted
-    coverage_bits: np.ndarray   # (r, m, words) uint8 packed user bitsets
+    #: (r, m, row bytes) uint8 packed user bitsets, rows padded to whole
+    #: 64-bit words (:mod:`repro.util.bits`): the graph's per-radio
+    #: matrices, stacked, and viewed as words where counted.
+    coverage_bits: np.ndarray
     #: (r, m) int32 popcounts of the above; demand-weighted sums on a
     #: demand-cell problem with at least one demand > 1.
     coverage_counts: np.ndarray
@@ -193,7 +196,7 @@ class SolverContext:
         return self.coverage_counts[self.fleet_radio_index[uav_index]]
 
     def coverage_rows(self, uav_index: int) -> np.ndarray:
-        """The ``(m, words)`` packed coverage matrix under UAV
+        """The ``(m, row bytes)`` packed coverage matrix under UAV
         ``uav_index``'s radio — one row per candidate location, ready for
         batched masked-popcount scoring (e.g.
         :meth:`repro.flow.bipartite.IncrementalAssignment.direct_gain_bounds`).

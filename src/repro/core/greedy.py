@@ -53,6 +53,10 @@ from repro.flow.bipartite import IncrementalAssignment, new_engine_for
 from repro.matroid.hop import HopCountingMatroid, IncrementalHopFilter
 
 
+#: The values of ``gain_mode`` (see :func:`anchored_greedy`).
+GAIN_MODES = ("exact", "fast")
+
+
 @dataclass
 class GreedyResult:
     """Outcome of the anchored greedy for one anchor set."""
@@ -67,11 +71,9 @@ def _pick_max(cand: np.ndarray, gains: np.ndarray,
     """Vectorised winner rule over ascending candidate indices: among the
     max-gain candidates prefer anchors, then the lowest location index —
     exactly what a scalar scan's ``gain > best or (tie and anchor)``
-    update converges to."""
-    ties = gains == gains.max()
-    tie_anchor = ties & cand_anchor
-    pick = tie_anchor if tie_anchor.any() else ties
-    return int(cand[pick][0])
+    update converges to.  One argmax over ``2 * gain + anchor`` (gains
+    are integers): its first maximum is that winner."""
+    return int(cand[np.argmax(2 * gains + cand_anchor)])
 
 
 def anchored_greedy(
@@ -112,7 +114,7 @@ def anchored_greedy(
     sweep reuses a single engine.  All stations this greedy opens are
     committed into the caller's fork scope.
     """
-    if gain_mode not in ("exact", "fast"):
+    if gain_mode not in GAIN_MODES:
         raise ValueError(f"gain_mode must be 'exact' or 'fast', got {gain_mode!r}")
     graph = problem.graph
     fleet = problem.fleet
@@ -135,7 +137,8 @@ def anchored_greedy(
     table = context.cover_table(problem)
     lazy = LazyGains(engine, graph, fleet, "greedy.oracle_calls", table)
     uhops = np.asarray(hops, dtype=np.int64)[universe]
-    anchor_flags = np.isin(universe, np.fromiter(anchor_set, dtype=np.int64))
+    anchor_flags = np.zeros(universe.size, dtype=bool)
+    anchor_flags[np.searchsorted(universe, sorted(anchor_set))] = True
     avail = np.ones(universe.size, dtype=bool)
 
     chosen: list = []
@@ -148,17 +151,18 @@ def anchored_greedy(
             break
         cand = universe[cand_mask]
         cand_anchor = anchor_flags[cand_mask]
-        static = lazy.static(k, cand, context)
         if not chosen:
             # With no open stations the static bound is the exact gain.
-            best_v = _pick_max(cand, static, cand_anchor)
+            best_v = _pick_max(cand, lazy.static(k, cand, context),
+                               cand_anchor)
         elif gain_mode == "fast":
             gains = engine.direct_gain_bounds(
                 context.coverage_rows(k)[cand], uav.capacity
             )
             best_v = _pick_max(cand, gains, cand_anchor)
         else:
-            best_v = _lazy_pick(lazy, k, cand, static, cand_anchor)
+            best_v = _lazy_pick(lazy, k, cand, lazy.static(k, cand, context),
+                                cand_anchor)
         avail[np.searchsorted(universe, best_v)] = False
         engine.open((k, best_v), table.cover(k, best_v), uav.capacity)
         hop_filter.add(best_v)

@@ -8,8 +8,8 @@ augments it in two phases:
 
 1. *direct phase* — grab unassigned covered users until capacity, as one
    bitset subtraction;
-2. *chain phase* — one alternating-path augmentation per remaining unit
-   of capacity, stopping at the first failure.
+2. *chain phase* — alternating-path augmentations for the remaining
+   capacity, stopping at the first failure.
 
 The assignment is kept as arbitrary-precision integer bitsets (bit ``u``
 = user ``u``): each open station's cover and its assigned users, and the
@@ -51,9 +51,23 @@ exact-gain measurement of the greedy — calls :meth:`gain`: the same
 search on local copies of the per-station bitsets, pushing each path's
 whole bottleneck at once, with no write and no undo.  A max-flow value
 does not depend on which augmenting paths realise it, so the count
-equals ``open``'s.  Opens augment one unit per path: fast mode ranks by
-the assignment they leave, so it must be the one the per-unit search
-realises.
+equals ``open``'s.
+
+Fast mode ranks by the assignment opens leave, so an open realises the
+one of augmenting one unit per path: a search's path, then replays of
+its station chain, each unit taking the lowest free user the leaf covers
+and, on every link, the lowest user the child holds that the parent
+covers.  An open pushes a replay's whole bottleneck ``b`` at once — the
+``b`` lowest of each of those sets — when no user entering a link's
+child is covered by that link's parent: each set then only loses its
+lowest users, so ``b`` units take exactly those.  A one-link chain
+always qualifies: the users entering its leaf are free, and the opened
+station took every free user it covers in the direct phase.  So does
+every longer chain a search returns: a user that can enter a chain
+station was free or held further down the chain, and a breadth-first
+parent covering it would have reached its holder a layer earlier.  Any
+other chain replays one unit at a time.  The per-unit open is the test
+oracle ``tests/reference/unit_push.py``.
 
 The one undo is :meth:`fork`, a *warm-start scope*: it snapshots the
 state (a few ints and list copies) so :meth:`rollback_fork` restores it
@@ -63,8 +77,8 @@ instead of rebuilding it from scratch per subset.
 
 Batched scoring: :meth:`direct_gain_bounds` evaluates the direct-phase
 lower bound for a whole candidate matrix of packed cover bitsets
-(:mod:`repro.util.bits` layout) in one masked popcount — fast mode's
-per-round candidate ranking.
+(:mod:`repro.util.bits` layout, whole 64-bit words) in one word-wide
+masked popcount — fast mode's per-round candidate ranking.
 
 Every entry point that takes a cover array reads it through
 :func:`_cover_array`: integer indices only (a boolean mask or float
@@ -79,6 +93,7 @@ import numpy as np
 
 from repro import obs
 from repro.util.bits import (
+    as_words,
     drop_bit,
     int_to_packed,
     pack_indices,
@@ -186,21 +201,21 @@ class IncrementalAssignment:
         self, cover_bits: np.ndarray, capacities: "int | np.ndarray"
     ) -> np.ndarray:
         """Lower bounds on the gain of opening a station on each of a
-        matrix of packed cover bitsets (shape ``(..., words)``,
-        :mod:`repro.util.bits` layout — e.g. rows of
+        matrix of packed cover bitsets (shape ``(..., row bytes)``,
+        :mod:`repro.util.bits` layout — e.g. rows gathered from
         :attr:`repro.core.context.SolverContext.coverage_bits`): the
         unassigned covered users each could take directly, capped by
         capacity.  (The exact gain adds alternating-chain augmentations on
         top.)
 
-        One masked popcount ranks a whole candidate set at once — the
-        greedy's per-round gain matrix."""
-        bits = np.asarray(cover_bits, dtype=np.uint8)
+        One masked popcount over 64-bit words ranks a whole candidate set
+        at once — the greedy's per-round gain matrix."""
+        rows = as_words(np.ascontiguousarray(cover_bits, dtype=np.uint8))
         # Surplus pad bits end up set in the inverse but every cover row
         # is zero there.
-        free_bits = ~int_to_packed(self._assigned_int, self.num_users)
-        avail = popcount_rows(bits & free_bits)
-        return np.minimum(np.asarray(capacities, dtype=np.int64), avail)
+        free = ~as_words(int_to_packed(self._assigned_int, self.num_users))
+        masked = rows & free
+        return np.minimum(capacities, popcount_rows(masked))
 
     # -- warm-start scope -------------------------------------------------
 
@@ -252,14 +267,18 @@ class IncrementalAssignment:
         # Chain phase: alternating-path augmentations for the remainder.
         # Successive augmentations of one open usually work along the same
         # station chain, so each successful search leaves its chain behind
-        # and the next round first revalidates it with a couple of bitset
-        # ANDs (fresh witness users) before paying for a full search.
+        # and the next round first replays it with fresh witness users
+        # (:meth:`_replay_chain`) before paying for a full search.
         chain: "list | None" = None
         owners = None
         while gain < capacity:
-            if chain is not None and self._replay_chain(chain):
-                gain += 1
-                continue
+            if chain is not None:
+                pushed = self._replay_chain(chain, capacity - gain)
+                if pushed:
+                    gain += pushed
+                    if pushed > 1:
+                        chain = None   # a bulk push exhausts its chain
+                    continue
             if owners is None:
                 owners = self._live_state()[1]
             chain = self._augment_bfs(slot, owners)
@@ -267,9 +286,10 @@ class IncrementalAssignment:
                 break
             gain += 1
         self._live = None
-        obs.counter_inc("flow.try_opens")
-        obs.counter_inc("flow.direct_assignments", direct)
-        obs.counter_inc("flow.chain_augmentations", gain - direct)
+        if obs.is_enabled():
+            obs.counter_inc("flow.try_opens")
+            obs.counter_inc("flow.direct_assignments", direct)
+            obs.counter_inc("flow.chain_augmentations", gain - direct)
         return gain
 
     def gain(
@@ -570,28 +590,57 @@ class IncrementalAssignment:
             gain += push
         return gain
 
-    def _replay_chain(self, chain: list) -> bool:
-        """Revalidate the station chain left by the previous augmentation
-        (``chain[0]`` = leaf where the free user joined, ``chain[-1]`` =
-        the root with spare capacity) and re-augment along it with fresh
-        witness users: one AND per link instead of a full search.  Returns
-        ``False`` with the state untouched when any link lost its witness
-        or the leaf has no free covered user left.  Every replayed path is
-        a valid alternating chain, so the exact maximum is unaffected —
-        the closing failed full search still certifies maximality.
-        """
+    def _replay_chain(self, chain: list, spare: int) -> int:
+        """Re-augment along the station chain left by the previous
+        augmentation (``chain[0]`` = leaf where the free user joined,
+        ``chain[-1]`` = the root with ``spare`` capacity left) with fresh
+        witness users; returns the units pushed, ``0`` with the state
+        untouched when the leaf covers no free user or a link has no user
+        its child holds and its parent covers.
+
+        When no user entering a link's child is covered by that link's
+        parent, the replay pushes the chain's whole bottleneck ``b`` (at
+        most ``spare``) at once, the users ``b`` per-unit replays would
+        move (module docstring); otherwise it pushes the one unit a per-unit
+        replay would.  Every replayed path is a valid alternating chain,
+        so the exact maximum is unaffected: the closing failed full
+        search still certifies maximality."""
         covers = self._cover_ints
-        slot_ints = self._slot_ints
-        if not covers[chain[0]] & ~self._assigned_int:
-            return False
-        wits = []
+        held = self._slot_ints
+        take = covers[chain[0]] & ~self._assigned_int
+        if not take:
+            return 0
+        push = min(spare, take.bit_count())
+        hits = []
         for child, parent in zip(chain, chain[1:]):
-            hit = covers[parent] & slot_ints[child]
+            hit = covers[parent] & held[child]
             if not hit:
-                return False
-            wits.append((hit & -hit).bit_length() - 1)
-        self._push_path(chain, wits)
-        return True
+                return 0
+            push = min(push, hit.bit_count())
+            hits.append(hit)
+        if push > 1:
+            # The users entering each child, against its parent's cover.
+            take = entering = _lowest_bits(take, push)
+            moved = []
+            for parent, hit in zip(chain[1:], hits):
+                if entering & covers[parent]:
+                    push = 1
+                    break
+                entering = _lowest_bits(hit, push)
+                moved.append(entering)
+        if push == 1:
+            take &= -take
+            moved = [hit & -hit for hit in hits]
+        self._assigned_int |= take
+        held[chain[0]] |= take
+        for child, parent, users in zip(chain, chain[1:], moved):
+            held[child] &= ~users
+            held[parent] |= users
+        # Loads change at the ends only: every inner station gives as
+        # many users up the chain as it receives.
+        self._loads[chain[-1]] += push
+        self._served += push
+        return push
 
     def _move(self, user: int, old: int, new: int) -> None:
         """Reassign ``user`` from slot ``old`` (``-1`` = free) to slot
@@ -921,16 +970,22 @@ def _live_fixpoint(covers: list, held: list, assigned: int) -> tuple:
     return live, slots
 
 
-#: Up to this many bits :func:`_lowest_bits` peels them one at a time;
-#: beyond it, bisection is faster at a few thousand users.
-_LOWEST_BY_BIT = 6
+#: Up to this many bits :func:`_lowest_bits` peels one at a time — from
+#: the bottom when it keeps that few, from the top when it drops that
+#: few; otherwise bisection is faster at a few thousand users.
+_PEEL_BITS = 6
 
 
 def _lowest_bits(bits: int, k: int) -> int:
     """The ``k`` lowest set bits of ``bits`` (``k`` <= its popcount)."""
-    if k == bits.bit_count():
+    drop = bits.bit_count() - k
+    if not drop:
         return bits
-    if k <= _LOWEST_BY_BIT:
+    if drop <= _PEEL_BITS:
+        for _ in range(drop):
+            bits ^= 1 << (bits.bit_length() - 1)
+        return bits
+    if k <= _PEEL_BITS:
         out = 0
         for _ in range(k):
             low = bits & -bits

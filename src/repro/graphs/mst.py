@@ -7,46 +7,35 @@ into shortest paths in ``G`` (see :mod:`repro.graphs.steiner`).
 
 from __future__ import annotations
 
-import heapq
-
-from repro.graphs.adjacency import Graph
+from collections.abc import Sequence
 
 
-def minimum_spanning_tree(graph: Graph) -> list:
-    """Return MST edges as ``(u, v, weight)`` tuples (u < v).
+def minimum_spanning_tree(weights: Sequence) -> list:
+    """MST edges of the complete graph on nodes ``0..n-1`` whose edge
+    ``u``–``v`` weighs ``weights[u][v]`` (a symmetric ``n x n`` matrix:
+    a list of rows or an array; the diagonal is never read).  Returns
+    ``(u, v, weight)`` tuples (``u < v``).
 
-    Uses Prim's algorithm with a lazy heap.  Raises ``ValueError`` if the
-    graph is disconnected (an MST does not exist) — callers always build the
-    complete hop-distance graph, so disconnection indicates a bug upstream.
-    """
-    n = graph.num_nodes
+    A dense Prim from node 0.  Each node outside the tree keeps its
+    lightest edge from the tree as ``(weight, tree node, node)``, the
+    lowest tree node among equal weights, and each step adds the least
+    such triple: edges come out in the order a lazy-heap Prim over
+    ``(weight, tree node, node)`` entries pops them, ties included.
+    O(n^2) comparisons, no heap and no graph object — the connection
+    step's terminal sets are small and complete."""
+    n = len(weights)
     if n == 0:
         return []
-    in_tree = [False] * n
+    row = weights[0]
+    pending = [(row[x], 0, x) for x in range(1, n)]
     edges: list = []
-    heap: list = []
-    in_tree[0] = True
-    for v in graph.neighbours(0):
-        heapq.heappush(heap, (graph.weight(0, v), 0, v))
-    added = 1
-    while heap and added < n:
-        w, u, v = heapq.heappop(heap)
-        if in_tree[v]:
-            continue
-        in_tree[v] = True
-        added += 1
+    while pending:
+        best = min(pending)
+        w, u, v = best
         edges.append((min(u, v), max(u, v), w))
-        for nxt in graph.neighbours(v):
-            if not in_tree[nxt]:
-                heapq.heappush(heap, (graph.weight(v, nxt), v, nxt))
-    if added != n:
-        raise ValueError(
-            f"graph is disconnected ({added} of {n} nodes reachable); "
-            "no spanning tree exists"
-        )
+        row = weights[v]
+        pending = [
+            (row[x], v, x) if (row[x], v) < (bw, bu) else (bw, bu, x)
+            for bw, bu, x in pending if x != v
+        ]
     return edges
-
-
-def tree_weight(edges: list) -> float:
-    """Total weight of a list of (u, v, w) edges."""
-    return sum(w for _, _, w in edges)

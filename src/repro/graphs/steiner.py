@@ -50,19 +50,15 @@ def steiner_connect(
         # Pairwise hop distances among terminals via one BFS per terminal.
         rows = {t: bfs_hops(graph, t) for t in terms}
         hop_rows = rows.__getitem__
-    pairs_a, pairs_b, hops = [], [], []
-    for a in range(len(terms) - 1):
-        row = hop_rows(terms[a])
-        for b in range(a + 1, len(terms)):
-            d = row[terms[b]]
-            if d == UNREACHABLE:
-                raise ValueError(
-                    f"terminals {terms[a]} and {terms[b]} are disconnected"
-                )
-            pairs_a.append(a)
-            pairs_b.append(b)
-            hops.append(d)
-    metric = Graph.from_arrays(len(terms), pairs_a, pairs_b, hops)
+    # The terminals' hop metric; the first row naming an unreachable
+    # terminal names the lowest disconnected pair.
+    metric = [[row[u] for u in terms] for row in map(hop_rows, terms)]
+    for a, row in enumerate(metric):
+        if UNREACHABLE in row:
+            b = row.index(UNREACHABLE)
+            raise ValueError(
+                f"terminals {terms[a]} and {terms[b]} are disconnected"
+            )
 
     mst_edges = minimum_spanning_tree(metric)
     nodes: set = set(terms)

@@ -554,7 +554,7 @@ class CoverageGraph:
         return packed_to_int(self.coverable_bits(loc_index, uav))
 
     def coverage_bits_matrix(self, uav: UAV) -> np.ndarray:
-        """Packed ``(m, words)`` coverage bitsets for *all* locations under
+        """Packed ``(m, row bytes)`` coverage bitsets for *all* locations under
         one radio: the kernel on every location, cached per radio
         signature and used by
         :meth:`repro.core.context.SolverContext._build`.  The in-range
@@ -599,7 +599,7 @@ class CoverageGraph:
         return self.coverage_count(loc_index, uav)
 
     def warm_coverage(self, radio_key: tuple, bits: np.ndarray) -> None:
-        """Adopt a precomputed ``(m, words)`` bits matrix for one radio
+        """Adopt a precomputed ``(m, row bytes)`` bits matrix for one radio
         signature (used by
         :meth:`repro.core.context.SolverContext.install_into` so worker
         processes skip the kernel entirely; per-location lookups decode

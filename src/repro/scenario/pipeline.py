@@ -42,6 +42,7 @@ from pathlib import Path
 from repro import obs
 from repro.core.checkpoint import CheckpointConfig
 from repro.core.context import SolverContext
+from repro.core.greedy import GAIN_MODES
 from repro.util.ledger import work_fingerprint
 from repro.network.deployment import CellDeployment
 from repro.network.validate import (
@@ -223,7 +224,8 @@ def solver_params(spec: ScenarioSpec, entry) -> dict:
     registry ``entry`` accepts (``workers`` only where supported).
 
     A parameter the entry's solver does not take is a :class:`SpecError`
-    naming it and the accepted names."""
+    naming it and the accepted names, and so is a ``gain_mode`` other
+    than ``"exact"`` or ``"fast"``."""
     _problem, *rest = inspect.signature(entry.solve).parameters
     accepted = [name for name in rest if not name.startswith("_")]
     unknown = sorted(set(spec.algorithm_params) - set(accepted))
@@ -231,6 +233,12 @@ def solver_params(spec: ScenarioSpec, entry) -> dict:
         raise SpecError(
             f"algorithm {entry.name!r} takes no parameter(s) "
             f"{', '.join(unknown)}; accepted: {', '.join(accepted) or 'none'}"
+        )
+    mode = spec.algorithm_params.get("gain_mode", GAIN_MODES[0])
+    if mode not in GAIN_MODES:
+        raise SpecError(
+            f"algorithm {entry.name!r} parameter gain_mode must be "
+            f"'exact' or 'fast', got {mode!r}"
         )
     params = dict(spec.algorithm_params)
     if entry.supports_workers and spec.workers != 1:

@@ -12,5 +12,7 @@ to; ``kuhn`` holds the scalar Kuhn-DFS user engine the bitset flow
 engine's gains and served counts are pinned to, and the copy-and-open
 ``reference_gain`` both engines' count-only probes are pinned to;
 ``segments`` holds the exhaustive segment scan Algorithm 1's balanced
-splits are checked against.
+splits are checked against; ``unit_push`` holds the user engine's
+per-unit chain replay its bulk replays are pinned to; ``mst`` holds the
+lazy-heap Prim the dense Prim is pinned to, edge for edge.
 """

@@ -516,6 +516,60 @@ class TestScenarioCommands:
         )
         assert captured.err.count("\n") == 1
 
+    def _command_spec(self, command, **overrides):
+        """A ``run`` spec or a ``dynamic`` spec with ``overrides``."""
+        if command == "run":
+            return self._spec(**overrides)
+        from repro.dynamics import get_dynamic_preset
+
+        return get_dynamic_preset("dynamic-small").with_overrides(**overrides)
+
+    @pytest.mark.parametrize("command", ["run", "dynamic"])
+    def test_unknown_algorithm_is_one_error_line(self, capsys, tmp_path,
+                                                 command):
+        """A spec naming an algorithm the registry does not know prints
+        one ``error:`` line naming the known algorithms, exit 2."""
+        path = tmp_path / "spec.json"
+        self._command_spec(command, algorithm="Nope").save(path)
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: unknown algorithm 'Nope'; known: ")
+        assert "approAlg" in captured.err and "MCS" in captured.err
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["run", "dynamic"])
+    def test_bad_gain_mode_is_one_error_line(self, capsys, tmp_path,
+                                             command):
+        path = tmp_path / "spec.json"
+        self._command_spec(
+            command, algorithm_params={"s": 1, "gain_mode": "slow"}
+        ).save(path)
+        assert main([command, "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: algorithm 'approAlg' parameter gain_mode must be "
+            "'exact' or 'fast', got 'slow'\n"
+        )
+
+    def test_batch_records_a_bad_gain_mode_as_that_specs_error(
+        self, capsys, tmp_path
+    ):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        self._spec(name="batch-good").save(good)
+        self._spec(name="batch-slow",
+                   algorithm_params={"s": 2, "gain_mode": "slow"}).save(bad)
+        assert main(["batch", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "batch-good" in captured.out
+        assert captured.err == (
+            "error: spec #1 (batch-slow): error: SpecError: algorithm "
+            "'approAlg' parameter gain_mode must be 'exact' or 'fast', "
+            "got 'slow'\n"
+        )
+
     def test_unknown_baseline_param_is_one_error_line(self, capsys,
                                                       tmp_path):
         path = tmp_path / "spec.json"

@@ -26,7 +26,7 @@ from repro.geometry.point import Point3D
 from repro.network.coverage import CoverageGraph
 from repro.network.uav import UAV
 from repro.network.users import User
-from repro.util.bits import pack_indices
+from repro.util.bits import pack_indices, row_bytes
 from repro.workload.aggregate import (
     CellCoverageGraph,
     aggregate_users,
@@ -108,8 +108,8 @@ class ReferenceCoverage:
         return cached
 
     def coverage_bits_matrix(self, uav: UAV) -> np.ndarray:
-        words = np.packbits(np.zeros(self.num_users, dtype=bool)).size
-        bits = np.zeros((self.num_locations, words), dtype=np.uint8)
+        width = row_bytes(self.num_users)
+        bits = np.zeros((self.num_locations, width), dtype=np.uint8)
         for v in range(self.num_locations):
             bits[v, :] = self.coverable_bits(v, uav)
         return bits

