@@ -502,7 +502,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # Demand-cell solves have no per-user assignment to summarize;
         # report the aggregated shape instead.
         report = state.report or {}
-        cells = len(getattr(problem.graph, "cells", ()))
+        cells = getattr(problem.graph, "num_cells", 0)
         line = (
             f"{cells} demand cells, {deployment.num_deployed} UAVs deployed"
         )

@@ -8,6 +8,7 @@ which keeps BFS allocation-free and fast in pure Python.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from itertools import chain, compress
 
 import numpy as np
 
@@ -145,8 +146,31 @@ class Graph:
         """
         node_list = sorted(set(nodes))
         mapping = {orig: new for new, orig in enumerate(node_list)}
-        sub = Graph(len(node_list))
-        for (u, v), w in self._weights.items():
-            if u in mapping and v in mapping:
-                sub.add_edge(mapping[u], mapping[v], w)
-        return sub, mapping
+        return self.induced(node_list), mapping
+
+    def induced(self, nodes) -> "Graph":
+        """The induced subgraph on the ascending, distinct node ids
+        ``nodes``, node ``nodes[i]`` relabelled ``i``.
+
+        The relabel is monotone, so the graph equals repeated
+        :meth:`add_edge` calls over this graph's kept edges in their
+        order: each neighbour list is this graph's, filtered, and the
+        weights keep their order.  One array pass over the edge list."""
+        nodes = np.asarray(nodes, dtype=np.int64)
+        if nodes.size and ((nodes[1:] <= nodes[:-1]).any() or nodes[0] < 0
+                           or nodes[-1] >= self.num_nodes):
+            raise ValueError(
+                f"induced wants ascending distinct nodes in [0, "
+                f"{self.num_nodes})"
+            )
+        relabel = np.full(self.num_nodes, -1, dtype=np.int64)
+        relabel[nodes] = np.arange(nodes.size)
+        ends = relabel[np.fromiter(
+            chain.from_iterable(self._weights), dtype=np.int64,
+            count=2 * self._num_edges,
+        )].reshape(-1, 2)
+        kept = (ends >= 0).all(axis=1)
+        return Graph.from_arrays(
+            int(nodes.size), ends[kept, 0], ends[kept, 1],
+            list(compress(self._weights.values(), kept.tolist())),
+        )

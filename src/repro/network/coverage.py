@@ -238,19 +238,51 @@ class CoverageGraph:
         deterministic in the locations, which are identical — so the clone
         costs only the user-side arrays.  The coverage cache starts empty.
         """
-        clone = object.__new__(type(self))
-        clone.locations = self.locations
+        clone = self._clone_locations(type(self))
+        clone._install_users(users)
+        return clone
+
+    def carve(self, nodes, loc_index) -> "CoverageGraph":
+        """The sub-graph over users ``nodes`` and the ascending locations
+        ``loc_index``, with this graph's radio model.
+
+        Its location graph is the induced subgraph of this one
+        (:meth:`Graph.induced`), which is the graph
+        :meth:`_build_location_graph` builds over those locations: the
+        same pairs are in range, and relabelling in ascending order keeps
+        each neighbour list in the spatial hash's order."""
+        sub = self._clone_locations(type(self), loc_index)
+        sub._install_users(self.user_table().take(nodes))
+        return sub
+
+    def _clone_locations(self, cls: type,
+                         loc_index=None) -> "CoverageGraph":
+        """A ``cls`` instance with this graph's radio model and no users
+        yet.  With ``loc_index`` ``None`` it has these locations and
+        shares every location-derived structure by reference; else it has
+        the ascending locations ``loc_index``, the induced location graph
+        and empty hop caches."""
+        clone = object.__new__(cls)
         clone.uav_range_m = self.uav_range_m
         clone.channel = self.channel
         clone.bandwidth_hz = self.bandwidth_hz
         clone.noise_dbm = self.noise_dbm
-        clone._loc_xyz = self._loc_xyz
-        clone.location_graph = self.location_graph
-        clone._hop_cache = self._hop_cache
-        clone._steiner_cache = self._steiner_cache
-        clone._hop_matrix = self._hop_matrix
+        if loc_index is None:
+            clone.locations = self.locations
+            clone._loc_xyz = self._loc_xyz
+            clone.location_graph = self.location_graph
+            clone._hop_cache = self._hop_cache
+            clone._steiner_cache = self._steiner_cache
+            clone._hop_matrix = self._hop_matrix
+        else:
+            loc_index = np.asarray(loc_index, dtype=np.int64)
+            clone.locations = [self.locations[j] for j in loc_index.tolist()]
+            clone._loc_xyz = self._loc_xyz[loc_index]
+            clone.location_graph = self.location_graph.induced(loc_index)
+            clone._hop_cache = {}
+            clone._steiner_cache = {}
+            clone._hop_matrix = None
         clone._coverage_cache = {}
-        clone._install_users(users)
         return clone
 
     # -- sizes ---------------------------------------------------------------

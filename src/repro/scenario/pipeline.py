@@ -210,6 +210,12 @@ def report_stage(state: PipelineState) -> PipelineState:
     return state
 
 
+def _unknown(problem, **params):
+    """The solve of an algorithm the registry does not know; a failed
+    state never reaches it."""
+    raise SpecError("no such algorithm")
+
+
 DEFAULT_STAGES = (
     ("build", build_stage),
     ("context", context_stage),
@@ -341,7 +347,21 @@ class SolvePipeline:
         the scenario once, carves it, solves each tile problem through
         this same pipeline, and stitches the result into one state.
         """
-        entry = self.registry.get(spec.algorithm)
+        try:
+            entry = self.registry.get(spec.algorithm)
+        except KeyError as exc:
+            if self.strict:
+                raise
+            # Recorded like an unknown parameter: the solve stage skips
+            # the failed state, and the record names the spec's algorithm.
+            return self._execute(PipelineState(
+                entry=AlgorithmEntry(name=spec.algorithm, solve=_unknown),
+                registry=self.registry, spec=spec, strict=False,
+                validate=spec.validate,
+                prebuild_context=self.prebuild_context, problem=problem,
+                context=context, status="error",
+                error=f"SpecError: {exc.args[0]}",
+            ))
         if spec.aggregation == "cells" and not entry.supports_cells:
             raise SpecError(
                 f"algorithm {entry.name!r} does not support "

@@ -38,14 +38,13 @@ summing per-tile counts, so the result cannot double-count a user.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.core.assignment import final_assignment
 from repro.core.problem import ProblemInstance
-from repro.network.coverage import CoverageGraph
 from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.util.interrupt import SolveInterrupted, interrupt_requested
 
@@ -67,35 +66,6 @@ class TileSlice:
     node_map: tuple                # tile-local user/cell -> global index
     location_map: tuple            # tile-local location -> global index
     fleet_map: tuple               # tile-local UAV -> global fleet index
-
-
-def _carve_graph(graph: CoverageGraph, node_idx: list, loc_idx: list):
-    """A sub-graph over the given global node/location indices, preserving
-    the graph flavour (per-user vs demand-cell) and radio model exactly."""
-    locations = [graph.locations[j] for j in loc_idx]
-    cells = getattr(graph, "cells", None)
-    if cells is not None:
-        from repro.workload.aggregate import CellCoverageGraph
-
-        sub_cells = [
-            dataclass_replace(cells[i], index=new)
-            for new, i in enumerate(node_idx)
-        ]
-        sub = CellCoverageGraph(
-            cells=sub_cells, locations=locations,
-            uav_range_m=graph.uav_range_m, channel=graph.channel,
-            bandwidth_hz=graph.bandwidth_hz,
-        )
-    else:
-        sub = CoverageGraph(
-            users=graph.user_table().take(node_idx), locations=locations,
-            uav_range_m=graph.uav_range_m, channel=graph.channel,
-            bandwidth_hz=graph.bandwidth_hz,
-        )
-    # Copy the derived noise power so tile rate tests match the global
-    # graph bit-for-bit (same trick as aggregate_problem).
-    sub.noise_dbm = graph.noise_dbm
-    return sub
 
 
 def _apportion_fleet(
@@ -250,7 +220,7 @@ def carve_tiles(
                 location_map=tuple(tile_locs[t]), fleet_map=tuple(fleet_map),
             ))
             continue
-        sub_graph = _carve_graph(graph, node_map, tile_locs[t])
+        sub_graph = graph.carve(node_map, tile_locs[t])
         sub_fleet = [problem.fleet[k] for k in fleet_map]
         tiles.append(TileSlice(
             index=t, bounds=bounds[t],

@@ -83,6 +83,102 @@ class DemandCell:
             )
 
 
+class CellTable:
+    """Demand cells as columns, the way :class:`UserTable` holds users.
+
+    Row ``c`` is cell ``c``: ``xy[c]`` its member centroid, ``radius_m[c]``
+    its covering radius, ``min_rate_bps[c]`` its most demanding member's
+    rate and ``demand[c]`` its member count.  The members of every cell,
+    each cell's ascending, are ``member_order[member_starts[c]:
+    member_starts[c + 1]]``.  Construction checks every row at once, as
+    :class:`DemandCell` checks one.  The arrays are shared, not copied;
+    nothing edits them in place.  :meth:`to_cells` builds the
+    :class:`DemandCell` objects, for readers off the build and solve path.
+    """
+
+    __slots__ = ("xy", "radius_m", "min_rate_bps", "demand",
+                 "member_order", "member_starts")
+
+    def __init__(self, xy, radius_m, min_rate_bps, demand, member_order,
+                 member_starts) -> None:
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        radius_m = np.asarray(radius_m, dtype=float)
+        min_rate_bps = np.asarray(min_rate_bps, dtype=float)
+        demand = np.asarray(demand, dtype=np.int64)
+        member_order = np.asarray(member_order, dtype=np.int64)
+        member_starts = np.asarray(member_starts, dtype=np.int64)
+        n = len(xy)
+        if not (radius_m.shape == min_rate_bps.shape == demand.shape == (n,)
+                and member_starts.shape == (n + 1,)):
+            raise ValueError(
+                f"cell columns disagree on the cell count {n}: radius "
+                f"{radius_m.shape}, rate {min_rate_bps.shape}, demand "
+                f"{demand.shape}, member starts {member_starts.shape}"
+            )
+        if n and not (demand >= 1).all():
+            raise ValueError(
+                f"cell demand must be >= 1, got {demand[demand < 1][0]}"
+            )
+        if n and not (radius_m >= 0).all():
+            raise ValueError(
+                "cell radius must be non-negative, got "
+                f"{radius_m[~(radius_m >= 0)][0]}"
+            )
+        if member_starts[0] != 0 or member_starts[-1] != len(member_order) \
+                or (np.diff(member_starts) != demand).any():
+            raise ValueError("cell member lists disagree with the demands")
+        self.xy = xy
+        self.radius_m = radius_m
+        self.min_rate_bps = min_rate_bps
+        self.demand = demand
+        self.member_order = member_order
+        self.member_starts = member_starts
+
+    @classmethod
+    def of(cls, cells: "CellTable | list") -> "CellTable":
+        """``cells`` itself if it is a table, else the table of a
+        :class:`DemandCell` list, in list order."""
+        if isinstance(cells, cls):
+            return cells
+        members = [m for c in cells for m in c.members]
+        return cls(
+            [[c.x, c.y] for c in cells], [c.radius_m for c in cells],
+            [c.min_rate_bps for c in cells], [c.demand for c in cells],
+            members, np.cumsum([0] + [len(c.members) for c in cells]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.demand)
+
+    def take(self, index) -> "CellTable":
+        """The cells at ``index`` (an index array), in its order, each
+        with its members."""
+        index = np.asarray(index, dtype=np.int64)
+        demand = self.demand[index]
+        starts = np.concatenate(([0], np.cumsum(demand)))
+        # New cell i's j-th member is old member member_starts[index[i]] + j.
+        shift = np.repeat(self.member_starts[index] - starts[:-1], demand)
+        return CellTable(
+            self.xy[index], self.radius_m[index], self.min_rate_bps[index],
+            demand, self.member_order[shift + np.arange(starts[-1])], starts,
+        )
+
+    def to_cells(self) -> list:
+        """One :class:`DemandCell` per row, ``index`` the row."""
+        members = self.member_order.tolist()
+        bounds = self.member_starts.tolist()
+        return [
+            DemandCell(
+                index=c, x=x, y=y, radius_m=r, min_rate_bps=rate, demand=d,
+                members=tuple(members[bounds[c]:bounds[c + 1]]),
+            )
+            for c, ((x, y), r, rate, d) in enumerate(zip(
+                self.xy.tolist(), self.radius_m.tolist(),
+                self.min_rate_bps.tolist(), self.demand.tolist(),
+            ))
+        ]
+
+
 #: Dense cell ids index a ``bincount`` over the whole grid-key span, so
 #: they are used only while the span is at most this many bins beyond
 #: the user count.  Wider spans (users passed in directly can be
@@ -90,12 +186,12 @@ class DemandCell:
 _DENSE_SPAN_SLACK = 1 << 16
 
 
-def aggregate_users(users: "UserTable | list", cell_size_m: float) -> list:
+def aggregate_users(users: "UserTable | list", cell_size_m: float) -> CellTable:
     """Bin users into a square grid of ``cell_size_m`` demand cells.
 
     Cells are ordered by grid key (lexicographic on the integer bin
     coordinates), so the output is a deterministic function of the user
-    list.  Empty bins produce no cell; ``sum(c.demand) == len(users)``.
+    list.  Empty bins produce no cell; ``demand.sum() == len(users)``.
 
     ``users`` is a :class:`UserTable` (a :class:`User` list is converted
     once).  Each user's bin becomes a dense id ``(kx - kx_min) * span_y
@@ -110,7 +206,7 @@ def aggregate_users(users: "UserTable | list", cell_size_m: float) -> list:
     table = UserTable.of(users)
     n = len(table)
     if not n:
-        return []
+        return CellTable(np.zeros((0, 2)), [], [], [], [], [0])
     xy, rates = table.xy, table.min_rate_bps
     keys = np.floor_divide(xy, float(cell_size_m))
     if np.abs(keys).max() >= 2.0 ** 62:
@@ -143,38 +239,26 @@ def aggregate_users(users: "UserTable | list", cell_size_m: float) -> list:
         cell.astype(np.uint16) if num_cells <= 1 << 16 else cell,
         kind="stable",
     )
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    radius = np.maximum.reduceat(spread[order], starts)
-    min_rate = np.maximum.reduceat(rates[order], starts)
-    members = order.tolist()
-    bounds = np.append(starts, n).tolist()
-    return [
-        DemandCell(
-            index=c, x=x, y=y, radius_m=r, min_rate_bps=rate, demand=d,
-            members=tuple(members[bounds[c]:bounds[c + 1]]),
-        )
-        for c, (x, y, r, rate, d) in enumerate(zip(
-            cx.tolist(), cy.tolist(), radius.tolist(), min_rate.tolist(),
-            counts.tolist(),
-        ))
-    ]
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return CellTable(
+        np.column_stack((cx, cy)),
+        np.maximum.reduceat(spread[order], starts[:-1]),
+        np.maximum.reduceat(rates[order], starts[:-1]),
+        counts, order, starts,
+    )
 
 
-def singleton_cells(users: "UserTable | list") -> list:
+def singleton_cells(users: "UserTable | list") -> CellTable:
     """One cell per user: radius 0, demand 1, centroid = exact position.
 
     The degenerate aggregation whose solve is bit-identical to the
     per-user path (see module docstring)."""
     table = UserTable.of(users)
-    return [
-        DemandCell(
-            index=i, x=x, y=y, radius_m=0.0, min_rate_bps=rate, demand=1,
-            members=(i,),
-        )
-        for i, ((x, y), rate) in enumerate(zip(
-            table.xy.tolist(), table.min_rate_bps.tolist()
-        ))
-    ]
+    n = len(table)
+    return CellTable(
+        table.xy, np.zeros(n), table.min_rate_bps,
+        np.ones(n, dtype=np.int64), np.arange(n), np.arange(n + 1),
+    )
 
 
 class CellCoverageGraph(CoverageGraph):
@@ -182,31 +266,67 @@ class CellCoverageGraph(CoverageGraph):
 
     The node set reuses the whole :class:`CoverageGraph` machinery (the
     coverage kernel, bitset caches, hop structure) with one user row per
-    cell: its centroid and its most demanding member's rate; only the kernel's per-user pad changes
-    — the cell radius instead of 0.0, so that *every* member of a
-    coverable cell is provably within range and rate.  With singleton
-    cells the pad is 0.0 and the test is bit-identical to the base
-    class.
+    cell: its centroid and its most demanding member's rate; only the
+    kernel's per-user pad changes — the cell radius instead of 0.0, so
+    that *every* member of a coverable cell is provably within range and
+    rate.  With singleton cells the pad is 0.0 and the test is
+    bit-identical to the base class.  The cells are held as a
+    :class:`CellTable` (``cell_table``); ``cells`` builds the
+    :class:`DemandCell` objects on first read.
     """
 
-    def __init__(self, cells: list, locations: list, uav_range_m: float,
-                 channel=None, bandwidth_hz=None, **kwargs) -> None:
-        centroids = UserTable(
-            [[c.x, c.y] for c in cells], [c.min_rate_bps for c in cells]
-        )
+    def __init__(self, cells: "CellTable | list", locations: list,
+                 uav_range_m: float, channel=None, bandwidth_hz=None,
+                 **kwargs) -> None:
+        table = CellTable.of(cells)
         extra = {} if bandwidth_hz is None else {"bandwidth_hz": bandwidth_hz}
         extra.update(kwargs)
         super().__init__(
-            users=centroids, locations=locations,
-            uav_range_m=uav_range_m, channel=channel, **extra,
+            users=UserTable(table.xy, table.min_rate_bps),
+            locations=locations, uav_range_m=uav_range_m, channel=channel,
+            **extra,
         )
-        self.cells: list = list(cells)
-        self.cell_radii = np.array([c.radius_m for c in cells], dtype=float)
-        self.cell_demands = np.array([c.demand for c in cells], dtype=np.int64)
+        self._install_cells(table)
+
+    @classmethod
+    def over(cls, graph: CoverageGraph,
+             cells: CellTable) -> "CellCoverageGraph":
+        """The cell graph over ``graph``'s locations and radio model.
+
+        Its location graph, hop caches and Steiner memo are ``graph``'s,
+        shared by reference as :meth:`CoverageGraph.with_users` shares
+        them: they depend on the locations and the range alone."""
+        clone = graph._clone_locations(cls)
+        clone._install_cells(cells)
+        return clone
+
+    def _install_cells(self, table: CellTable) -> None:
+        """Set the cells: their centroid rows as the kernel's users, and
+        the pad and demand columns."""
+        self._install_users(UserTable(table.xy, table.min_rate_bps))
+        self.cell_table = table
+        self.cell_radii = table.radius_m
+        self.cell_demands = table.demand
+        self._cells: "list | None" = None
+
+    def carve(self, nodes, loc_index) -> "CellCoverageGraph":
+        """The sub-graph over cells ``nodes`` and locations ``loc_index``
+        (see :meth:`CoverageGraph.carve`)."""
+        sub = self._clone_locations(type(self), loc_index)
+        sub._install_cells(self.cell_table.take(nodes))
+        return sub
+
+    @property
+    def cells(self) -> list:
+        """The cells as :class:`DemandCell` objects, built from the table
+        on first read.  Off the build and solve path."""
+        if self._cells is None:
+            self._cells = self.cell_table.to_cells()
+        return self._cells
 
     @property
     def num_cells(self) -> int:
-        return len(self.cells)
+        return len(self.cell_table)
 
     @property
     def total_demand(self) -> int:
@@ -238,7 +358,7 @@ def aggregate_problem(
     problem: ProblemInstance, cell_size_m: "float | None" = None
 ) -> ProblemInstance:
     """Re-express a per-user problem over demand cells (same fleet, same
-    candidate locations).
+    candidate locations and location graph).
 
     ``cell_size_m=None`` builds singleton cells — the bit-identical
     degenerate aggregation used by the equivalence oracles.
@@ -249,14 +369,6 @@ def aggregate_problem(
         singleton_cells(users) if cell_size_m is None
         else aggregate_users(users, cell_size_m)
     )
-    cell_graph = CellCoverageGraph(
-        cells=cells,
-        locations=graph.locations,
-        uav_range_m=graph.uav_range_m,
-        channel=graph.channel,
-        bandwidth_hz=graph.bandwidth_hz,
+    return ProblemInstance(
+        graph=CellCoverageGraph.over(graph, cells), fleet=problem.fleet
     )
-    # The base graph stores only the derived noise power; copy it so the
-    # cell graph's rate test matches the per-user one exactly.
-    cell_graph.noise_dbm = graph.noise_dbm
-    return ProblemInstance(graph=cell_graph, fleet=problem.fleet)

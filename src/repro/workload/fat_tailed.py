@@ -10,6 +10,7 @@ artificial mass piles up on the boundary).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +107,7 @@ class FatTailedWorkload:
             self.num_hotspots, size=num_hotspot_users, p=weights
         )
         xy = np.concatenate([background, _truncated_gaussian(
-            rng, centres[assignments], self.hotspot_sigma_m,
+            rng, centres, assignments, self.hotspot_sigma_m,
             area.length, area.width,
         )])
 
@@ -122,41 +123,125 @@ class FatTailedWorkload:
 #: Redraws per hotspot user before it falls back to its hotspot centre.
 MAX_TRIES = 1000
 
+#: Hotspot-pair tests per numpy pass of :func:`_in_area_rows`: bounds the
+#: pass's temporaries whatever the hotspot and user counts are.
+_TEST_PAIRS = 1 << 16
+
+
+def _last_inside(c: float, limit: float) -> float:
+    """The largest float ``t`` with ``c + t <= limit`` (float addition).
+
+    ``t -> c + t`` is monotone, so the ``t`` that pass form a ray.  The
+    sum rounds to at most ``limit`` while its exact value is below (or,
+    with ``limit``'s last bit even, at) the midpoint of ``limit`` and the
+    next float up.  ``math.fsum`` rounds ``midpoint - c`` once: to the
+    largest passing ``t``, or to the float just above it, which the
+    loop steps back from."""
+    up = math.nextafter
+    t = math.fsum((limit, (up(limit, math.inf) - limit) / 2, -c))
+    while c + t > limit:
+        t = up(t, -math.inf)
+    return t
+
+
+def _in_area_rows(bounds: np.ndarray, d: np.ndarray) -> list:
+    """Row ``h`` holds ``1`` at byte ``p`` where ``x_lo <= dx <= x_hi``
+    and ``y_lo <= dy <= y_hi`` for ``(dx, dy) = d[p]`` and ``bounds[h] =
+    (x_lo, x_hi, y_lo, y_hi)``, else ``0``.  One ``0`` byte more, one past
+    the last pair, lets a reader at the block's end skip a bounds check.
+    One numpy pass per group of hotspots."""
+    # A NaN pair fails every comparison: the trailing 0 byte.
+    dx = np.append(d[:, 0], np.nan)
+    dy = np.append(d[:, 1], np.nan)
+    step = max(1, _TEST_PAIRS // len(dx))
+    rows = []
+    for lo in range(0, len(bounds), step):
+        b = bounds[lo:lo + step, :, None]
+        block = ((dx >= b[:, 0]) & (dx <= b[:, 1]) & (dy >= b[:, 2])
+                 & (dy <= b[:, 3])).tobytes()
+        rows.extend(block[a:a + len(dx)]
+                    for a in range(0, len(block), len(dx)))
+    return rows
+
 
 def _truncated_gaussian(
     rng: np.random.Generator,
-    centres: "np.ndarray",
+    centres: np.ndarray,
+    hotspot: np.ndarray,
     sigma: float,
     length: float,
     width: float,
 ) -> np.ndarray:
-    """One ``(x, y)`` row per row of ``centres``: an isotropic Gaussian
-    around it, redrawn until it lies in ``[0, length] x [0, width]``.
+    """One ``(x, y)`` row per entry of ``hotspot``: an isotropic Gaussian
+    around ``centres[hotspot[i]]``, redrawn until it lies in ``[0,
+    length] x [0, width]``.
 
     Consumes exactly the stream of the per-user scalar loop (``x =
     rng.normal(cx, sigma)``, ``y = rng.normal(cy, sigma)``, redrawn up to
     :data:`MAX_TRIES` times, then the centre), but draws it in blocks of
-    one ``(x, y)`` pair per user still waiting.  The pairs are walked in
-    order: an accepted pair finishes its user, a rejected one keeps it.
-    Every waiting user needs at least one more pair, so a block never
-    draws past what the scalar loop would, and the points and the
-    generator state come out bit-identical.
+    one ``(x, y)`` pair per user still waiting.  Every waiting user needs
+    at least one more pair, so a block never draws past what the scalar
+    loop would.
+
+    The loop accepts ``x = cx + dx`` when ``0 <= x <= length``.  Float
+    addition is monotone and ``cx + dx`` rounds to a negative number
+    whenever the exact sum is negative, so that test is ``-cx <= dx <=
+    hi`` with ``hi`` from :func:`_last_inside`, and likewise for ``y``.
+    Each block tests its pairs once per hotspot (:func:`_in_area_rows`).
+    The waiting users then walk the block in order: a user takes pair
+    ``p`` if its own hotspot's row accepts it, else the next pair that
+    row accepts within the tries it has left (``bytes.find``).  A user
+    whose tries run past the block carries them into the next one.  The
+    accepted points are the same float sums ``centre + d``, so the
+    points and the generator state come out bit-identical.
     """
-    cx = centres[:, 0].tolist()
-    cy = centres[:, 1].tolist()
-    xs, ys = cx[:], cy[:]
+    n = len(hotspot)
+    xy = centres[hotspot]
+    bounds = np.array([
+        (-cx, _last_inside(cx, length), -cy, _last_inside(cy, width))
+        for cx, cy in centres.tolist()
+    ]).reshape(len(centres), 4)
+    ids = hotspot.tolist()
     # Users finish in order, so the ones still waiting are always
-    # cx[user:], and only cx[user] can have used tries.
+    # ids[user:], and only ids[user] can have used tries.
     user = tries = 0
-    while user < len(cx):
-        draws = (sigma * rng.standard_normal(2 * (len(cx) - user))).tolist()
-        for dx, dy in zip(draws[0::2], draws[1::2]):
-            x, y = cx[user] + dx, cy[user] + dy
-            if 0.0 <= x <= length and 0.0 <= y <= width:
-                xs[user], ys[user] = x, y
-                user, tries = user + 1, 0
-            else:
-                tries += 1
-                if tries == MAX_TRIES:
-                    user, tries = user + 1, 0
-    return np.column_stack([xs, ys])
+    while user < n:
+        pairs = n - user
+        d = (sigma * rng.standard_normal(2 * pairs)).reshape(pairs, 2)
+        rows = _in_area_rows(bounds, d)
+        # Block user i takes pair i + (pairs the users up to i skipped):
+        # only the users that skip a pair are written down.
+        skipped_by, skips, fell_back = [], [], []
+        p = skipped = 0
+        for row in map(rows.__getitem__, ids[user:]):
+            if row[p]:
+                p += 1
+                continue
+            i = p - skipped
+            left = MAX_TRIES if i else MAX_TRIES - tries
+            q = row.find(1, p, p + left)
+            if q < 0:
+                if p + left > pairs:
+                    tries = MAX_TRIES - left + pairs - p
+                    break
+                q = p + left - 1  # out of tries: the user keeps its centre
+                fell_back.append(i)
+            skipped_by.append(i)
+            skips.append(q - p)
+            skipped += q - p
+            p = q + 1
+        done = p - skipped
+        taken = np.arange(done)
+        if skips:
+            extra = np.zeros(done, dtype=np.int64)
+            extra[skipped_by] = skips
+            taken += np.cumsum(extra)
+        moved = xy[user:user + done]
+        if fell_back:
+            keep = np.ones(done, dtype=bool)
+            keep[fell_back] = False
+            moved[keep] += d[taken[keep]]
+        else:
+            moved += d[taken]
+        user += done
+    return xy

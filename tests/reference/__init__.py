@@ -14,5 +14,7 @@ engine's gains and served counts are pinned to, and the copy-and-open
 ``segments`` holds the exhaustive segment scan Algorithm 1's balanced
 splits are checked against; ``unit_push`` holds the user engine's
 per-unit chain replay its bulk replays are pinned to; ``mst`` holds the
-lazy-heap Prim the dense Prim is pinned to, edge for edge.
+lazy-heap Prim the dense Prim is pinned to, edge for edge; ``cells`` holds
+the ``DemandCell``-list aggregation and the per-cell ``replace`` tile
+carve the columnar ``CellTable`` is pinned to, field for field.
 """

@@ -9,8 +9,8 @@ must give identical cells, field for field, over fat-tailed, uniform and
 mixed-QoS users, from 1 to 10^5 users, and cell sizes from 1 m to wider
 than the area.
 
-The cell/tile build must not create a :class:`User` object at all; the
-last test counts them.
+The cell/tile build must not create a :class:`User` or a
+:class:`DemandCell` object at all; the last test counts them.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def assert_same_cells(table: UserTable, cell_size_m: float,
                       users: "list | None" = None) -> list:
     """Identical cells from both; ``users`` is ``table.to_users()`` when
     the caller already has it."""
-    got = aggregate_users(table, cell_size_m)
+    got = aggregate_users(table, cell_size_m).to_cells()
     want = unique_aggregate_users(
         table.to_users() if users is None else users, cell_size_m
     )
@@ -142,7 +142,7 @@ def test_far_apart_users_aggregate_in_bounded_memory():
     users = users_from_points([(0.0, 0.0), (1.0e12, 5.0), (1.0e12, 5.5)])
     tracemalloc.start()
     try:
-        cells = aggregate_users(users, 1.0)
+        cells = aggregate_users(users, 1.0).to_cells()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -167,18 +167,29 @@ def test_cell_size_too_fine_for_coordinates_is_rejected():
 def test_cell_and_tile_build_makes_no_user_objects(monkeypatch):
     """``ScenarioSpec.build`` of a cells + tiles spec, and carving every
     tile, go from the generator's columns to cells and tiles without a
-    single :class:`User`."""
+    single :class:`User` or :class:`DemandCell`."""
     calls = []
+    cell_calls = []
     original = User.__post_init__
+    original_cell = DemandCell.__post_init__
 
     def counting(self):
         calls.append(1)
         original(self)
 
+    def counting_cell(self):
+        cell_calls.append(1)
+        original_cell(self)
+
     monkeypatch.setattr(User, "__post_init__", counting)
+    monkeypatch.setattr(DemandCell, "__post_init__", counting_cell)
     users_from_points([(1.0, 2.0)])
     assert calls == [1]  # the counter sees User construction
     calls.clear()
+    DemandCell(index=0, x=0.0, y=0.0, radius_m=0.0, min_rate_bps=1.0,
+               demand=1, members=(0,))
+    assert cell_calls == [1]  # and DemandCell construction
+    cell_calls.clear()
 
     spec = ScenarioSpec(
         name="columns", scale="bench", num_users=5_000, num_uavs=8, seed=5,
@@ -194,3 +205,4 @@ def test_cell_and_tile_build_makes_no_user_objects(monkeypatch):
     assert tile.graph.num_users > 0 and per_user.graph.num_users > 0
     assert sum(t.demand_units for t in tiles) == spec.num_users
     assert calls == []
+    assert cell_calls == []

@@ -570,6 +570,24 @@ class TestScenarioCommands:
             "got 'slow'\n"
         )
 
+    def test_batch_records_an_unknown_algorithm_as_that_specs_error(
+        self, capsys, tmp_path
+    ):
+        """A spec naming an algorithm the registry does not know fails
+        alone: the other specs run, and ``batch`` names it and exits 1."""
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        self._spec(name="batch-good").save(good)
+        self._spec(name="batch-nope", algorithm="Nope").save(bad)
+        assert main(["batch", str(good), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert "batch-good" in captured.out and "batch-nope" in captured.out
+        assert captured.err.startswith(
+            "error: spec #1 (batch-nope): error: SpecError: unknown "
+            "algorithm 'Nope'; known: "
+        )
+        assert "approAlg" in captured.err and "MCS" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_unknown_baseline_param_is_one_error_line(self, capsys,
                                                       tmp_path):
         path = tmp_path / "spec.json"

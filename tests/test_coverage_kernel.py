@@ -372,7 +372,7 @@ def test_cell_kernel_matches_reference(seed, cell_size_m):
         else aggregate_users(users, cell_size_m)
     )
     if cell_size_m is not None:
-        assert any(c.demand > 1 for c in cells)
+        assert any(c.demand > 1 for c in cells.to_cells())
     assert_same_coverage(lambda: cell_graph_pair(cells, locations), fleet)
     assert_same_context(*cell_graph_pair(cells, locations), fleet)
 

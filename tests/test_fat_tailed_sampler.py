@@ -15,6 +15,7 @@ import pytest
 from repro.geometry.area import DisasterArea
 from repro.network.users import users_from_points
 from repro.util.rng import ensure_rng
+from repro.workload import fat_tailed
 from repro.workload.fat_tailed import FatTailedWorkload
 
 
@@ -132,3 +133,69 @@ def test_rate_classes_match_scalar_loop(seed):
         workload, DisasterArea(1500.0, 1500.0), 400, seed
     )
     assert {u.min_rate_bps for u in users} <= {2_000.0, 2_500_000.0}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_scale_cells_population_matches_scalar_loop(seed):
+    """The 20,000-user population of the scale presets."""
+    _assert_same_stream(
+        FatTailedWorkload(), DisasterArea(3000.0, 3000.0), 20_000, seed
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_more_hotspots_than_one_word_match_scalar_loop(seed):
+    """80 hotspots: more than one 64-bit word of per-hotspot rows."""
+    _assert_same_stream(
+        FatTailedWorkload(num_hotspots=80, hotspot_sigma_m=400.0),
+        DisasterArea(2000.0, 1500.0), 3000, seed,
+    )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_tries_carried_across_blocks_match_scalar_loop(seed, monkeypatch):
+    """About one pair in 900 lands in a 25 m square under a 300 m
+    Gaussian, so a user's tries outlast blocks of at most 20 pairs: two
+    blocks of one size in a row mean no user finished in the first.
+    Users whose carried tries reach the limit keep their centre; the
+    others take a point."""
+    sizes = []
+    rows = fat_tailed._in_area_rows
+
+    def recording(bounds, d):
+        sizes.append(len(d))
+        return rows(bounds, d)
+
+    monkeypatch.setattr(fat_tailed, "_in_area_rows", recording)
+    workload = FatTailedWorkload(
+        num_hotspots=2, hotspot_sigma_m=300.0, background_fraction=0.0
+    )
+    users = _assert_same_stream(workload, DisasterArea(25.0, 25.0), 20, seed)
+    assert any(a == b for a, b in zip(sizes, sizes[1:]))
+    centres = np.random.default_rng(seed).uniform(0.0, 25.0, size=4)
+    centre_points = set(zip(centres[:2], centres[2:]))
+    kept = [u for u in users
+            if (u.position.x, u.position.y) in centre_points]
+    assert 0 < len(kept) < len(users)
+
+
+@pytest.mark.parametrize("limit", [10.0, 25.0, 1500.0, 3000.0, 0.1, 2.0**52])
+def test_hotspot_bounds_decide_the_scalar_test(limit):
+    """``-c <= d <= _last_inside(c, limit)`` is ``0 <= c + d <= limit``
+    for every float ``d``: checked on the floats next to both bounds, for
+    centres across the area, at its edges and wherever ``limit - c`` is
+    far below the ulp of ``limit``."""
+    rng = np.random.default_rng(int(limit * 7) % 1000)
+    centres = np.concatenate([
+        rng.uniform(0.0, limit, size=300), [0.0, limit],
+        np.nextafter(limit, 0.0) - rng.uniform(0.0, limit * 1e-12, size=20),
+    ])
+    steps = np.arange(-40, 41)
+    for c in centres.tolist():
+        high = fat_tailed._last_inside(c, limit)
+        for bound in (-c, high):
+            spread = np.nextafter(bound, np.inf) - bound
+            for d in (bound + steps * spread).tolist() + [
+                    np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)]:
+                x = c + d
+                assert (0.0 <= x <= limit) == (-c <= d <= high), (c, d)

@@ -241,3 +241,90 @@ def test_add_edge_clears_the_path_memo():
     graph.add_edge(0, 3)
     assert graph.path_memo == {}
     assert steiner_connect(graph, [0, 3])[1] == [(0, 3, [0, 3])]
+
+
+# -- carved and shared location graphs ----------------------------------------
+
+def assert_graph_equals_build(graph: Graph, locations: list,
+                              uav_range_m: float) -> None:
+    want = build(locations, uav_range_m)
+    assert graph.num_nodes == want.num_nodes
+    assert graph._adj == want._adj
+    assert graph.edges() == want.edges()
+    assert graph.num_edges == want.num_edges
+
+
+@pytest.mark.parametrize("overlap_m", [0.0, 300.0])
+@pytest.mark.parametrize("grid", [(1, 1), (2, 2), (3, 2)])
+@pytest.mark.parametrize("aggregate", [False, True])
+def test_carved_tile_graphs_equal_their_own_build(aggregate, grid, overlap_m):
+    """Every tile's location graph -- the induced subgraph of the global
+    one -- equals a fresh build over the tile's locations, neighbour
+    lists in order; on several altitude layers too."""
+    from repro.scenario.spec import ScenarioSpec
+    from repro.scenario.tiling import carve_tiles
+
+    spec = ScenarioSpec(
+        name="carve", scale="bench", num_users=1500, num_uavs=12, seed=3,
+        altitude_layers_m=(150.0, 300.0),
+        aggregation="cells" if aggregate else "users",
+        cell_size_m=150.0 if aggregate else None,
+    )
+    problem = spec.build()
+    solved = 0
+    for tile in carve_tiles(problem, grid, overlap_m):
+        if tile.problem is None:
+            continue
+        solved += 1
+        graph = tile.problem.graph
+        assert graph.locations == [problem.graph.locations[j]
+                                   for j in tile.location_map]
+        assert_graph_equals_build(graph.location_graph, graph.locations,
+                                  graph.uav_range_m)
+    assert solved == grid[0] * grid[1]
+
+
+@pytest.mark.parametrize("cell_size_m", [None, 150.0])
+def test_cell_graph_shares_the_user_graphs_location_graph(cell_size_m):
+    from repro.workload.aggregate import CellCoverageGraph, aggregate_problem
+    from repro.workload.scenarios import paper_scenario
+
+    problem = paper_scenario(num_users=800, num_uavs=6, scale="bench",
+                             seed=4)
+    graph = aggregate_problem(problem, cell_size_m).graph
+    assert graph.location_graph is problem.graph.location_graph
+    own = CellCoverageGraph(
+        cells=graph.cell_table, locations=graph.locations,
+        uav_range_m=graph.uav_range_m, channel=graph.channel,
+        bandwidth_hz=graph.bandwidth_hz,
+    )
+    assert own.location_graph._adj == graph.location_graph._adj
+    assert own.location_graph.edges() == graph.location_graph.edges()
+    np.testing.assert_array_equal(own.hop_matrix(), graph.hop_matrix())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_induced_equals_the_add_edge_subgraph(seed):
+    """``Graph.induced`` against ``add_edge`` over the kept edges in
+    their order."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = rng.permutation(len(pairs))[:int(rng.integers(1, len(pairs)))]
+    graph = Graph(n)
+    for i in chosen:
+        u, v = pairs[i]
+        graph.add_edge(*((v, u) if rng.random() < 0.5 else (u, v)),
+                       int(rng.integers(1, 9)))
+    nodes = np.flatnonzero(rng.random(n) < 0.6)
+    relabel = {int(j): i for i, j in enumerate(nodes)}
+    want = Graph(len(nodes))
+    for (u, v), w in graph._weights.items():
+        if u in relabel and v in relabel:
+            want.add_edge(relabel[u], relabel[v], w)
+    got = graph.induced(nodes)
+    assert got._adj == want._adj
+    assert list(got._weights.items()) == list(want._weights.items())
+    assert got.num_edges == want.num_edges
+    with pytest.raises(ValueError, match="ascending"):
+        graph.induced(nodes[::-1] if len(nodes) > 1 else [n])

@@ -80,7 +80,7 @@ class TestUserTable:
         table = UserTable.of([])
         assert len(table) == 0 and table.xy.shape == (0, 2)
         assert table.to_users() == []
-        assert aggregate_users(table, 100.0) == []
+        assert aggregate_users(table, 100.0).to_cells() == []
 
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_rejects_non_finite_coordinates(self, bad):

@@ -32,7 +32,7 @@ def _random_users(n: int, extent: float, seed: int):
 class TestAggregateUsers:
     def test_partition_and_demand_conservation(self):
         users = _random_users(200, 2000.0, seed=1)
-        cells = aggregate_users(users, 150.0)
+        cells = aggregate_users(users, 150.0).to_cells()
         seen: list = []
         for cell in cells:
             assert cell.demand == len(cell.members)
@@ -42,16 +42,17 @@ class TestAggregateUsers:
 
     def test_cells_indexed_contiguously(self):
         users = _random_users(80, 1200.0, seed=2)
-        cells = aggregate_users(users, 100.0)
+        cells = aggregate_users(users, 100.0).to_cells()
         assert [c.index for c in cells] == list(range(len(cells)))
 
     def test_deterministic(self):
         users = _random_users(120, 1500.0, seed=3)
-        assert aggregate_users(users, 200.0) == aggregate_users(users, 200.0)
+        assert aggregate_users(users, 200.0).to_cells() \
+            == aggregate_users(users, 200.0).to_cells()
 
     def test_radius_bounds_member_distance(self):
         users = _random_users(150, 1800.0, seed=4)
-        for cell in aggregate_users(users, 250.0):
+        for cell in aggregate_users(users, 250.0).to_cells():
             for i in cell.members:
                 p = users[i].position
                 d = math.hypot(p.x - cell.x, p.y - cell.y)
@@ -64,7 +65,7 @@ class TestAggregateUsers:
                     min_rate_bps=u.min_rate_bps * (1.0 + 0.01 * (i % 7)))
             for i, u in enumerate(users)
         ]
-        for cell in aggregate_users(users, 300.0):
+        for cell in aggregate_users(users, 300.0).to_cells():
             member_rates = [users[i].min_rate_bps for i in cell.members]
             assert cell.min_rate_bps == max(member_rates)
 
@@ -77,7 +78,7 @@ class TestAggregateUsers:
 class TestSingletonCells:
     def test_one_cell_per_user_zero_radius(self):
         users = _random_users(40, 600.0, seed=7)
-        cells = singleton_cells(users)
+        cells = singleton_cells(users).to_cells()
         assert len(cells) == len(users)
         for i, cell in enumerate(cells):
             assert cell.index == i
