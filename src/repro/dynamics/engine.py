@@ -12,7 +12,9 @@ Epoch re-solves are **warm-started**: the previous epoch's
 :meth:`~repro.core.context.SolverContext.updated` — only the
 user-dependent coverage bitsets are recomputed, the all-pairs hop matrix
 and the working graph's Steiner memo carry over — and injected into the
-standard :class:`~repro.scenario.pipeline.SolvePipeline`.  A cold
+standard :class:`~repro.scenario.pipeline.SolvePipeline`.  A warm
+mission's first solve runs on the world's working graph too, so the
+mission builds its location graph and hop matrix once.  A cold
 re-solve (``warm=False``) rebuilds the :class:`CoverageGraph` and context
 from scratch.  Both paths produce bit-identical deployments (the oracle
 suite pins this across seeds); warm is just faster.
@@ -206,9 +208,13 @@ class _Engine:
         fleet_sub = [world.fleet[k] for k in available]
         start = time.perf_counter()
         with obs.span("dynamic.resolve", trigger=trigger, warm=self.warm):
-            if self.warm and self.context is not None:
+            if self.warm:
+                # The first solve builds the context (hop matrix
+                # included) on the world's graph, whose location graph
+                # the scenario build made; later ones update it.
                 problem = ProblemInstance(graph=world.graph, fleet=fleet_sub)
-                context = self.context.updated(problem)
+                context = None if self.context is None \
+                    else self.context.updated(problem)
                 state = self.pipeline.solve(
                     problem, self.spec.algorithm, self.params,
                     context=context,

@@ -138,6 +138,19 @@ class DynamicSpec(ScenarioSpec):
             isinstance(self.warm_start, bool),
             f"warm_start must be a boolean, got {self.warm_start!r}",
         )
+        # The mission world adds, removes and moves individual users on
+        # one problem: the untiled one, or one tile's (``tile_index``).
+        _require(
+            self.aggregation == "users",
+            f"aggregation must be 'users' for a mission, got "
+            f"{self.aggregation!r}: the mission's users arrive, depart and "
+            "move one by one",
+        )
+        _require(
+            self.tiles is None or self.tile_index is not None,
+            f"tiles {self.tiles!r} given without a tile_index: a mission "
+            "runs on the untiled problem or on one tile's",
+        )
 
 
 #: Named ready-to-run dynamic missions.

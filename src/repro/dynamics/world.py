@@ -10,13 +10,22 @@ churn event, which is what makes warm epoch re-solves cheap.
 
 The world also keeps one live maximum assignment of users to the placed
 UAVs (the Section II-D assignment, Lemma 1) in an
-:class:`~repro.flow.bipartite.IncrementalAssignment`.  An arrival or a
-departure updates it with at most one alternating-path search; a change
-of placements, fleet capacities or radios, or a mobility step, rebuilds
-it from one blocked coverage-kernel call.  :meth:`evaluate` reads the
-served count off it.  The served count is the unique max-flow value, so
-it equals :func:`~repro.core.assignment.optimal_assignment`'s; the served
-*set* can differ from that solver's only when a placed UAV is saturated.
+:class:`~repro.flow.bipartite.IncrementalAssignment`.  An arrival tests
+the new user against the live stations
+(:meth:`~repro.network.coverage.CoverageGraph.station_covers` on one
+user) and a departure drops its row, each with at most one
+alternating-path search.  A read first compares the placements, grounded
+UAVs, degraded links, fleet entries and move count with the snapshot
+the previous read took.  Only when they differ does it re-derive the
+active stations (fleet index, location, capacity, radio), and it
+rebuilds the assignment when those or the user positions changed: from
+the radio matrices the last solve left in the graph's coverage cache
+when they are there (right after a solve is adopted), else from one
+direct test of the stations against every user.
+:meth:`evaluate` reads the served count off it.  The served count is the
+unique max-flow value, so it equals
+:func:`~repro.core.assignment.optimal_assignment`'s; the served *set* can
+differ from that solver's only when a placed UAV is saturated.
 
 Only a connected network relays traffic, so the UAVs that count are the
 largest connected remnant of the flying ones (:meth:`active_placements`):
@@ -30,6 +39,7 @@ user id was actually served.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +71,10 @@ class WorldState:
     _moves: int = 0               # bumped by every move_users
     _stamped: int = 0             # bit i: user i has a first-served time
     _live: "IncrementalAssignment | None" = None
-    _live_key: tuple = ()         # the stations _live was built over
-    _live_moves: int = -1         # _moves when _live was built
+    _live_key: tuple = ()         # (stations, _moves) _live was built for
+    _live_snapshot: tuple = ()    # _state() at the last rebuild check
+    _live_uavs: list = field(default_factory=list)  # fleet index per station
+    _live_stations: list = field(default_factory=list)  # (location, uav)
     _remnant: dict = field(default_factory=dict)
     _remnant_key: tuple = ()      # (placements, down, degraded_links)
 
@@ -161,12 +173,11 @@ class WorldState:
         self.arrival_s[uid] = now
         self.graph.add_user(user)
         if self._live is not None:
-            covers = self._station_covers(
-                self._live_key, np.array([self.graph.num_users - 1])
+            covers = self.graph.station_covers(
+                self._live_stations, np.array([self.graph.num_users - 1])
             )
             self._live.add_user([
-                k for (k, *_), cover in zip(self._live_key, covers)
-                if cover.size
+                k for k, cover in zip(self._live_uavs, covers) if cover.size
             ])
         return uid
 
@@ -226,31 +237,38 @@ class WorldState:
             placements=self.active_placements(), assignment=assignment
         )
 
+    def _state(self) -> tuple:
+        """What the live assignment depends on: the placements, grounded
+        UAVs, degraded links, fleet entries and move count."""
+        return (self.placements, self.down, self.degraded_links,
+                self.fleet, self._moves)
+
     def _live_assignment(self) -> IncrementalAssignment:
-        """The live assignment, rebuilt first when the active placements,
-        the fleet's capacities or radios, or the user positions changed
-        since it was built."""
-        key = tuple(
+        """The live assignment, rebuilt first when the active stations
+        (fleet index, location, capacity, radio) or the user positions
+        changed since it was built.  A read whose :meth:`_state` equals
+        the snapshot the previous check took skips the check."""
+        state = self._state()
+        if self._live is not None and state == self._live_snapshot:
+            return self._live
+        self._live_snapshot = tuple(copy.copy(part) for part in state)
+        active = sorted(self.active_placements().items())
+        key = (tuple(
             (k, loc, self.fleet[k].capacity,
              self.graph.radio_signature(self.fleet[k]))
-            for k, loc in sorted(self.active_placements().items())
-        )
-        if (self._live is None or key != self._live_key
-                or self._moves != self._live_moves):
-            live = IncrementalAssignment(self.graph.num_users)
-            for (k, _, capacity, _), cover in zip(
-                key, self._station_covers(key)
+            for k, loc in active
+        ), self._moves)
+        if self._live is None or key != self._live_key:
+            self._live_key = key
+            self._live_uavs = [k for k, _ in active]
+            self._live_stations = [(loc, self.fleet[k]) for k, loc in active]
+            self._live = IncrementalAssignment(self.graph.num_users)
+            for k, (_, uav), cover in zip(
+                self._live_uavs, self._live_stations,
+                self.graph.station_covers(self._live_stations),
             ):
-                live.open(k, cover, capacity)
-            self._live, self._live_key = live, key
-            self._live_moves = self._moves
+                self._live.open(k, cover, uav.capacity)
         return self._live
-
-    def _station_covers(self, stations: tuple,
-                        users: "np.ndarray | None" = None) -> list:
-        return self.graph.station_covers(
-            [(loc, self.fleet[k]) for k, loc, _, _ in stations], users
-        )
 
     def coverage_fraction(self, served: int) -> float:
         return served / self.num_active if self.num_active else 1.0

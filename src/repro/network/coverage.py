@@ -11,9 +11,11 @@ Every coverage set comes from one kernel over a block of locations: a
 squared ground-distance prefilter against every user, then, on the pairs
 it keeps, the ground distance (plus a per-user pad, ``0.0`` here and the
 cell radius on demand-cell graphs), the 3-D range test, and the path
-loss and Shannon rate test on the in-range pairs only.  The hop
-matrix over the location graph is one all-sources bitset BFS
-(:func:`repro.graphs.bfs.all_pairs_hops`).
+loss and Shannon rate test on the in-range pairs only.  The mission
+world's per-station covers (:meth:`CoverageGraph.station_covers`) apply
+the same expressions to each (station, user) pair directly, without the
+prefilter.  The hop matrix over the location graph is one all-sources
+bitset BFS (:func:`repro.graphs.bfs.all_pairs_hops`).
 
 This object is the single substrate every placement algorithm (approAlg and
 all baselines) consumes.
@@ -116,7 +118,7 @@ class CoverageGraph:
 
     #: Relative half-width of the band around ``uav_range_m`` in which
     #: :meth:`_build_location_graph` decides a pair by
-    #: :meth:`Point3D.distance_to` itself.  Its ``** 2`` is the C
+    #: :meth:`Point3D.distance_to`'s expression.  Its ``** 2`` is the C
     #: library's ``pow``, which can differ from numpy's square by an ulp;
     #: the distance then moves by a few ulps, far inside the band.
     _RANGE_BAND = 1e-9
@@ -140,7 +142,9 @@ class CoverageGraph:
         the query scans and ``dx*dx + dy*dy <= R*R``.  Their 3-D distance
         is then the same expression as :meth:`Point3D.distance_to`, with
         the pairs within :attr:`_RANGE_BAND` of the range decided by
-        that method."""
+        that method's own expression: ``math.sqrt`` of the three
+        coordinate differences squared by ``** 2``, on Python floats
+        (a float64 difference is the same in numpy and in Python)."""
         m = self.num_locations
         r = self.uav_range_m
         x, y, z = self._loc_xyz.T
@@ -164,10 +168,10 @@ class CoverageGraph:
             inside = dist <= r
             near = np.flatnonzero(np.abs(dist - r) <= self._RANGE_BAND * r)
             if near.size:
-                locs = self.locations
                 inside[near] = [
-                    locs[a].distance_to(locs[b]) <= r
-                    for a, b in zip(j[near].tolist(), k[near].tolist())
+                    math.sqrt(a ** 2 + b ** 2 + c ** 2) <= r
+                    for a, b, c in zip(ddx[near].tolist(), ddy[near].tolist(),
+                                       ddz[near].tolist())
                 ]
             found_j.append(j[inside])
             found_k.append(k[inside])
@@ -494,41 +498,66 @@ class CoverageGraph:
     def station_covers(self, stations: list,
                        users: "np.ndarray | None" = None) -> list:
         """Covered user indices (sorted int64 arrays) for each
-        ``(location, uav)`` station, optionally only among the user block
-        ``users``: one kernel call per distinct radio range over the
-        stations' locations, then one rate test over every (station,
-        in-range pair of its location) match, each with its station's
-        EIRP."""
-        by_range: dict = {}
-        for i, (_, uav) in enumerate(stations):
-            by_range.setdefault(uav.user_range_m, []).append(i)
+        ``(location, uav)`` station, optionally only among the sorted
+        user block ``users``.
+
+        Over every user, a station whose radio has a bits matrix cached
+        (:meth:`coverage_bits_matrix`, left by the last solve on this
+        graph) reads its location's row.  The other stations are tested
+        directly, one block of stations against the users at a time: the
+        kernel's padded ground distance, 3-D range test, per-layer path
+        loss and rate test, each with the station's range and EIRP, on
+        every (station, user) pair.  The kernel's prefilter only drops
+        pairs the range test fails, so the answer is the kernel's."""
         covers: list = [None] * len(stations)
-        for range_m, members in by_range.items():
-            at = np.array([stations[i][0] for i in members], dtype=np.int64)
-            eirp = np.array([self._eirp(stations[i][1]) for i in members])
-            locs = np.array(sorted({stations[i][0] for i in members}),
-                            dtype=np.int64)
-            rows, cols, loss = self._in_range(locs, range_m, users)
-            if not rows.size:
-                for i in members:
-                    covers[i] = cols
+        direct = []
+        for i, (loc, uav) in enumerate(stations):
+            matrix = None if users is not None else self._coverage_cache.get(
+                ("matrix", self._radio_key(uav))
+            )
+            if matrix is None:
+                direct.append(i)
+            else:
+                covers[i] = np.flatnonzero(
+                    unpack_rows(matrix[loc], self.num_users)
+                )
+        if not direct:
+            return covers
+        pad, user_xy = self._user_pad(), self._user_xy
+        if users is not None:
+            pad, user_xy = pad[users], user_xy[users]
+        n = len(user_xy)
+        ux, uy = user_xy[:, 0], user_xy[:, 1]
+        xyz = self._loc_xyz[[stations[i][0] for i in direct]]
+        range_m = np.array([stations[i][1].user_range_m for i in direct])
+        eirp = np.array([self._eirp(stations[i][1]) for i in direct])
+        step = max(1, self._KERNEL_PAIRS // max(1, n))
+        for lo in range(0, len(direct), step):
+            block = slice(lo, lo + step)
+            x, y, alt = (xyz[block, axis, None] for axis in range(3))
+            horiz = np.hypot(ux - x, uy - y) + pad
+            pairs = np.flatnonzero(
+                np.hypot(horiz, alt) <= range_m[block, None]
+            )
+            if not pairs.size:
+                for i in direct[block]:
+                    covers[i] = pairs
                 continue
-            # A location's pairs, in kernel order, are one run of the
-            # stably sorted rows.
-            order = np.argsort(rows, kind="stable")
-            ranked = rows[order]
-            start = np.searchsorted(ranked, at, side="left")
-            count = np.searchsorted(ranked, at, side="right") - start
-            member = np.repeat(np.arange(at.size), count)
-            first = np.cumsum(count) - count
-            pair = order[start[member] + np.arange(member.size)
-                         - first[member]]
-            ok = self._rate_ok(cols[pair], loss[pair], eirp[member])
-            found = cols[pair[ok]]
-            ends = np.cumsum(np.bincount(member[ok], minlength=at.size))
-            for i, lo, hi in zip(members, [0, *ends[:-1].tolist()],
-                                 ends.tolist()):
-                covers[i] = found[lo:hi]
+            row, cols = np.divmod(pairs, n)
+            horiz = horiz.ravel()[pairs]
+            loss = np.empty(pairs.size)
+            pair_alt = alt.ravel()[row]
+            for layer in set(pair_alt.tolist()):
+                sel = pair_alt == layer
+                loss[sel] = self.channel.pathloss_vector_db(horiz[sel], layer)
+            if users is not None:
+                cols = users[cols]
+            ok = self._rate_ok(cols, loss, eirp[block][row])
+            found = cols[ok]
+            ends = np.cumsum(np.bincount(row[ok], minlength=alt.shape[0]))
+            for i, start, end in zip(direct[block], [0, *ends[:-1].tolist()],
+                                     ends.tolist()):
+                covers[i] = found[start:end]
         return covers
 
     # -- coverage sets -------------------------------------------------------

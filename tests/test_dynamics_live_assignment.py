@@ -11,12 +11,17 @@ tight-capacity specs saturate stations, so the arrival chain search and
 the departure replacement search both run.
 """
 
+from dataclasses import replace
+from itertools import combinations
+
 import pytest
 
 from repro import obs
 from repro.core.assignment import optimal_assignment
 from repro.dynamics import WorldState, run_dynamic
+from repro.network.coverage import CoverageGraph
 from repro.network.validate import validate_deployment
+from repro.scenario.pipeline import SolvePipeline
 from tests.test_dynamics_oracle import oracle_spec
 
 SPECS = {
@@ -127,3 +132,92 @@ def test_deployment_follows_placement_changes():
         world.graph, world.fleet, {0: 0}
     ).served_count
     assert set(world.first_served_s) <= set(world.user_ids)
+
+
+def solved_world(seed: int) -> WorldState:
+    """A world whose placements are a solved, connected deployment of a
+    fleet with tight capacities, so most stations are saturated."""
+    spec = oracle_spec(seed, num_users=120, num_uavs=5, capacity_min=2,
+                       capacity_max=5)
+    world = WorldState.from_problem(spec.build())
+    world.placements = dict(SolvePipeline().run(spec).deployment.placements)
+    assert len(world.active_placements()) == 5
+    return world
+
+
+def oracle_served(world: WorldState) -> int:
+    return optimal_assignment(
+        world.graph, world.fleet, world.active_placements()
+    ).served_count
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_fleet_entry_replaced_rebuilds_on_read(seed):
+    """A fleet entry swapped for one with another capacity, with no
+    call-site invalidation, is read at the next evaluation."""
+    world = solved_world(seed)
+    before = world.evaluate(0.0)
+    assert before == oracle_served(world)
+    for k in sorted(world.placements):
+        world.fleet[k] = replace(world.fleet[k],
+                                 capacity=world.fleet[k].capacity + 6)
+        assert world.evaluate(1.0 + k) == oracle_served(world)
+        assert world.deployment().served_count == oracle_served(world)
+    assert world.evaluate(9.0) > before
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_degraded_link_added_then_removed_rebuilds_on_read(seed):
+    world = solved_world(seed)
+    before = world.evaluate(0.0)
+    split = 0
+    for a, b in combinations(sorted(world.placements), 2):
+        world.degraded_links.add((a, b))
+        served = world.evaluate(1.0)
+        assert served == oracle_served(world)
+        split += served != before
+        world.degraded_links.discard((a, b))
+        assert world.evaluate(2.0) == before == oracle_served(world)
+    assert split > 0
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_grounded_uav_restored_rebuilds_on_read(seed):
+    world = solved_world(seed)
+    before = world.evaluate(0.0)
+    for k in sorted(world.placements):
+        world.down.add(k)
+        served = world.evaluate(1.0)
+        assert served == oracle_served(world) < before
+        world.down.discard(k)
+        assert world.evaluate(2.0) == before == oracle_served(world)
+
+
+def count_location_graph_builds(monkeypatch) -> list:
+    builds: list = []
+    original = CoverageGraph._build_location_graph
+
+    def counted(graph):
+        builds.append(graph)
+        return original(graph)
+
+    monkeypatch.setattr(CoverageGraph, "_build_location_graph", counted)
+    return builds
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_warm_mission_builds_its_location_graph_once(monkeypatch, seed):
+    """The scenario build makes the one location graph; every solve,
+    the first included, runs on the world's graph, which shares it."""
+    builds = count_location_graph_builds(monkeypatch)
+    result = run_dynamic(oracle_spec(seed), warm=True)
+    assert len(result.epochs) >= 3
+    assert len(builds) == 1
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_cold_mission_rebuilds_per_solve(monkeypatch, seed):
+    builds = count_location_graph_builds(monkeypatch)
+    result = run_dynamic(oracle_spec(seed), warm=False)
+    assert len(result.epochs) >= 3
+    assert len(builds) == 1 + len(result.epochs)

@@ -66,6 +66,29 @@ class TestValidation:
         spec = small_spec(arrival_rate_per_s=0.0)
         assert spec.arrival_rate_per_s == 0.0
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(aggregation="cells", cell_size_m=150.0), "aggregation"),
+        (dict(aggregation="cells"), "aggregation"),
+        (dict(tiles="2x2"), "tiles"),
+        (dict(tiles="2x2", tile_overlap_m=300.0), "tiles"),
+        (dict(aggregation="cells", tiles="2x2", tile_index=1),
+         "aggregation"),
+    ])
+    def test_rejects_what_a_mission_cannot_run(self, overrides, field):
+        """Demand cells crash the mission world, and a tile grid without
+        a tile_index was silently ignored: both are rejected, naming the
+        field, built directly and read from JSON."""
+        with pytest.raises(SpecError, match=field):
+            small_spec(**overrides)
+        data = small_spec().to_dict()
+        data.update(overrides)
+        with pytest.raises(SpecError, match=field):
+            DynamicSpec.from_dict(data)
+
+    def test_one_tile_mission_allowed(self):
+        spec = small_spec(tiles="2x2", tile_index=3)
+        assert DynamicSpec.from_dict(spec.to_dict()) == spec
+
 
 class TestRoundTrip:
     def test_json_round_trip(self):

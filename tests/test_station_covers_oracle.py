@@ -1,14 +1,17 @@
-"""Batched station covers, the merged-layer kernel and the count-ranked
+"""Direct station covers, the merged-layer kernel and the count-ranked
 anchor pool against the code they replaced.
 
-* ``CoverageGraph.station_covers`` runs one rate test over every
-  (station, in-range pair) match, each pair carrying its station's EIRP.
-  The oracle is the earlier loop -- one ``rows == loc`` mask and one
-  single-radio ``_rate_ok`` per station -- verbatim, with that
-  ``_rate_ok`` verbatim too.  Instances mix radio ranges and EIRPs, put
-  two radios on one location, restrict to user blocks, and place
-  minimum rates inside the +-1e-6 dB band around a pair's SNR floor,
-  where the rate expression itself decides.
+* ``CoverageGraph.station_covers`` tests each station directly against
+  the users (or reads a radio's cached bits matrix), without the
+  location-level kernel.  The oracle is the earlier loop -- one kernel
+  call per radio range, one ``rows == loc`` mask and one single-radio
+  ``_rate_ok`` per station -- verbatim, with that ``_rate_ok`` verbatim
+  too.  Instances mix radio ranges and EIRPs, put two radios on one
+  location, restrict to user blocks (one block per user of a three-layer
+  instance among them), place minimum rates inside the +-1e-6 dB band
+  around a pair's SNR floor, where the rate expression itself decides,
+  and place users exactly on, and a nanometre either side of, a layer's
+  3-D range.
 * ``CoverageGraph._in_range`` prefilters every layer's locations in one
   pass; the oracle is the earlier per-layer loop, verbatim.
 * ``_anchor_pool`` ranks a capped pool by the ``SolverContext``'s
@@ -36,7 +39,7 @@ from repro.workload.aggregate import (
     aggregate_users,
     singleton_cells,
 )
-from tests.test_coverage_kernel import make_fleet, make_instance
+from tests.test_coverage_kernel import LAYERS_M, make_fleet, make_instance
 
 
 # -- the replaced code, verbatim -----------------------------------------------
@@ -244,6 +247,120 @@ def test_station_covers_edge_cases():
     lone = [(stations[0][0], far), (stations[1][0], far)]
     assert_same_covers(graph.station_covers(lone),
                        reference_station_covers(graph, lone))
+
+
+def test_one_user_blocks_for_every_user_of_a_layered_instance():
+    """The mission's arrival call: one user at a time, every user of a
+    seeded instance with locations on three layers and stations on
+    each of them."""
+    graph, stations, _ = band_instance(5)
+    assert {graph._loc_xyz[loc, 2] for loc, _ in stations} >= set(LAYERS_M)
+    covered = 0
+    for u in range(graph.num_users):
+        block = np.array([u])
+        got = graph.station_covers(stations, block)
+        assert_same_covers(got, reference_station_covers(graph, stations,
+                                                         block))
+        covered += sum(cover.size for cover in got)
+    assert covered == sum(cover.size for cover in
+                          reference_station_covers(graph, stations))
+
+
+def test_users_none_reads_every_user():
+    graph, stations, _ = band_instance(6)
+    want = reference_station_covers(graph, stations)
+    assert_same_covers(graph.station_covers(stations, None), want)
+    assert_same_covers(graph.station_covers(stations, users=None), want)
+    assert_same_covers(
+        graph.station_covers(stations, np.arange(graph.num_users)), want
+    )
+
+
+def range_instance() -> tuple:
+    """Users exactly on a layer's 3-D range of a station (Pythagorean
+    triples: ``hypot(h, alt) == range`` in IEEE arithmetic) and a
+    nanometre inside and outside it, on three layers and two radio
+    ranges."""
+    triples = ((400.0, 300.0, 500.0), (300.0, 400.0, 500.0),
+               (600.0, 250.0, 650.0))
+    locations, users, stations = [], [], []
+    for i, (h, alt, range_m) in enumerate(triples):
+        x0, y0 = 1000.0 + 2000.0 * i, 1000.0
+        locations.append(Point3D(x0, y0, alt))
+        stations.append((i, UAV(capacity=9, user_range_m=range_m)))
+        for reach in (h, h - 1e-9, h + 1e-9):
+            for dx, dy in ((reach, 0.0), (0.0, -reach), (-reach, 0.0)):
+                users.append(User(Point3D(x0 + dx, y0 + dy, 0.0), 2000.0))
+    return users, locations, stations
+
+
+def test_users_exactly_at_a_layers_range():
+    users, locations, stations = range_instance()
+    graph = CoverageGraph(users, locations, 450.0)
+    want = reference_station_covers(graph, stations)
+    # On and inside the range pass, outside fails: 6 of 9 per station.
+    assert [cover.size for cover in want] == [6, 6, 6]
+    assert_same_covers(graph.station_covers(stations), want)
+    for u in range(graph.num_users):
+        block = np.array([u])
+        assert_same_covers(graph.station_covers(stations, block),
+                           reference_station_covers(graph, stations, block))
+
+
+@pytest.mark.parametrize("cell_size_m", [None, 150.0, 250.0])
+def test_station_covers_on_cell_graphs_with_blocks(cell_size_m):
+    """Padded cells (radius > 0) and singleton cells (pad 0), over every
+    cell, one-cell blocks and a strided block."""
+    users, locations, fleet = make_instance(8, num_users=400)
+    cells = (singleton_cells(users) if cell_size_m is None
+             else aggregate_users(users, cell_size_m))
+    graph = CellCoverageGraph(cells=cells, locations=locations,
+                              uav_range_m=450.0)
+    assert (graph._user_pad() > 0).any() == (cell_size_m is not None)
+    stations = stations_of(graph, fleet, np.random.default_rng(8))
+    assert_same_covers(graph.station_covers(stations),
+                       reference_station_covers(graph, stations))
+    blocks = [np.array([c]) for c in range(graph.num_users)] \
+        + [np.arange(0, graph.num_users, 3)]
+    for block in blocks:
+        assert_same_covers(graph.station_covers(stations, block),
+                           reference_station_covers(graph, stations, block))
+
+
+def test_empty_station_list_and_stations_covering_no_user():
+    graph, stations, _ = band_instance(12)
+    block = np.array([3, 40])
+    assert graph.station_covers([]) == []
+    assert graph.station_covers([], block) == []
+    # A range below every layer, and a range that reaches the ground
+    # only far from every user of the block.
+    short = UAV(capacity=5, user_range_m=50.0)
+    corner = CoverageGraph(graph.users[:2], graph.locations, 450.0)
+    lonely = [(stations[0][0], short), (stations[1][0], short)]
+    for g, users in ((graph, None), (graph, block), (corner, None)):
+        got = g.station_covers(lonely, users)
+        assert_same_covers(got, reference_station_covers(g, lonely, users))
+        assert all(cover.size == 0 for cover in got)
+    empty_users = np.zeros(0, dtype=np.int64)
+    got = graph.station_covers(stations, empty_users)
+    assert_same_covers(got, reference_station_covers(graph, stations,
+                                                     empty_users))
+    assert all(cover.size == 0 for cover in got)
+
+
+def test_cached_radio_matrices_give_the_same_covers(monkeypatch):
+    """Stations whose radio has a bits matrix cached read its rows; the
+    others are tested directly.  Neither calls the location kernel."""
+    graph, stations, _ = band_instance(9)
+    want = reference_station_covers(graph, stations)
+    for _, uav in stations[::3]:
+        graph.coverage_bits_matrix(uav)
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("station_covers called _in_range")
+
+    monkeypatch.setattr(CoverageGraph, "_in_range", no_kernel)
+    assert_same_covers(graph.station_covers(stations), want)
 
 
 def test_rate_test_takes_one_eirp_per_pair():
